@@ -168,31 +168,23 @@ def _cmd_family(args) -> int:
     return EXIT_OK
 
 
-_EXPERIMENT_FIELDS = {
-    "m": 4, "n": 4, "r": 3, "num_matrices": 200, "num_restarts": 100,
-    "max_iter": 500, "tol": 1e-10, "crit_tol": 1e-6, "seed": 0,
-    "generator": "normalized_uniform", "T": 10, "dist": "rational",
-    "dist_param": 100,
-}
+# ExperimentConfig fields exposed as flags and config-file keys; their
+# defaults come from the dataclass
+_EXPERIMENT_KEYS = ("m", "n", "r", "num_matrices", "num_restarts", "max_iter", "tol",
+                    "crit_tol", "seed", "generator", "T", "dist", "dist_param")
 
 
 def _cmd_experiment(args) -> int:
     # config file supplies the base values; explicitly given flags override
-    values = dict(_EXPERIMENT_FIELDS)
-    if args.config:
-        loaded = json.loads(Path(args.config).read_text())
-        unknown = set(loaded) - set(values) - {"mode"}
-        if unknown:
-            raise SystemExit(f"error: unknown config keys {sorted(unknown)}")
-        values.update({k: v for k, v in loaded.items() if k != "mode"})
-    for key in _EXPERIMENT_FIELDS:
-        flag = getattr(args, key)
-        if flag is not None:
-            values[key] = flag
+    values = json.loads(Path(args.config).read_text()) if args.config else {}
+    values.pop("mode", None)
+    unknown = set(values) - set(_EXPERIMENT_KEYS)
+    if unknown:
+        raise SystemExit(f"error: unknown config keys {sorted(unknown)}")
+    values.update({key: getattr(args, key) for key in _EXPERIMENT_KEYS
+                   if getattr(args, key) is not None})
     cfg = harness.ExperimentConfig(mode=args.mode, **values)
-    runner = {harness.TABLE1: harness.table1_experiment,
-              harness.PLANTED: harness.planted_experiment,
-              harness.BOUNDARY_FRACTION: harness.boundary_fraction_experiment}[args.mode]
+    runner = getattr(harness, f"{args.mode}_experiment")
     report = runner(cfg, jobs=args.jobs)
     if args.csv:
         Path(args.csv).write_text(report.to_csv())

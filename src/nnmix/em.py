@@ -15,35 +15,44 @@ that characterize the normal space of the rank-r matrix variety.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 _TINY = 1e-300
+POLISH_ITER = 10**4  # rounds allowed to converge an unconverged best restart
 
 
 class EMNumericalError(ArithmeticError):
-    """The likelihood became non-finite during iteration."""
+    """The mixture probability of an observed cell underflowed to zero."""
 
 
 @dataclass(frozen=True)
 class DataMatrix:
-    """A nonnegative integer count table with cached total."""
+    """A nonnegative integer count table with cached total.
+
+    Entries may be stored as floats but must be whole numbers.
+    """
 
     U: np.ndarray
     u_plus: int
 
     @staticmethod
     def from_array(U) -> "DataMatrix":
-        arr = np.asarray(U)
+        arr = np.array(U, dtype=float)
         if arr.ndim != 2:
             raise ValueError("count table must be 2-d")
         if np.any(arr < 0):
             raise ValueError("count table has negative entries")
-        total = int(round(float(arr.sum())))
+        bad = np.argwhere(~np.isfinite(arr) | (arr != np.round(arr)))
+        if len(bad):
+            cells = ", ".join(f"({i}, {j}) = {float(arr[i, j])!r}" for i, j in bad[:4])
+            more = f" and {len(bad) - 4} more" if len(bad) > 4 else ""
+            raise ValueError(f"count table has non-integer entries: {cells}{more}")
+        total = int(arr.sum())
         if total <= 0:
             raise ValueError("count table total must be positive")
-        return DataMatrix(np.array(arr, dtype=float), total)
+        return DataMatrix(arr, total)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -249,15 +258,13 @@ class EMResult:
         }
 
 
-def _em_update(U, u_plus, A, lam, B):
+def _em_update(U, u_plus, A, lam, B, P):
     """One E+M round in collapsed form (the m-by-r-by-n table is never built).
 
-    Works on arrays with an optional leading batch axis.
+    ``P`` is the current product ``A @ diag(lam) @ B``, above ``_TINY`` at
+    every observed cell; returns the new factors and their product.  Works
+    on arrays with an optional leading batch axis.
     """
-    P = np.einsum("...ik,...k,...kj->...ij", A, lam, B)
-    bad = (U > 0) & (P <= _TINY)
-    if np.any(bad):
-        raise EMNumericalError("mixture probability underflowed at an observed cell")
     W = np.where(U > 0, U / np.where(P > _TINY, P, 1.0), 0.0)
     Sa = A * lam[..., None, :] * np.einsum("...ij,...kj->...ik", W, B)
     Sb = lam[..., :, None] * B * np.einsum("...ik,...ij->...kj", A, W)
@@ -272,53 +279,7 @@ def _em_update(U, u_plus, A, lam, B):
         A_new = np.where(dead[..., None, :], 1.0 / m, A_new)
         B_new = np.where(dead[..., :, None], 1.0 / n, B_new)
     P_new = np.einsum("...ik,...k,...kj->...ij", A_new, lam_new, B_new)
-    return A_new, lam_new, B_new, P, P_new
-
-
-def run_em(U, r: int, init=None, max_iter: int = 2000, tol: float = 1e-10,
-           crit_tol: float = 1e-6) -> EMResult:
-    """Run EM on a count table until the estimate stabilizes.
-
-    ``init`` is a ParameterTriple, an integer seed, or None (seed 0).
-    Iteration stops when the max entrywise change of P drops below ``tol``
-    or after ``max_iter`` rounds.  The returned trace of log-likelihood
-    values is non-decreasing up to float rounding.
-    """
-    data = _as_counts(U)
-    m, n = data.shape
-    seed = None
-    if isinstance(init, ParameterTriple):
-        theta = init
-        theta.validate()
-    else:
-        seed = 0 if init is None else int(init)
-        theta = random_parameters(m, n, r, np.random.default_rng(np.random.SeedSequence(seed)))
-    A, lam, B = theta.A.copy(), theta.lam.copy(), theta.B.copy()
-
-    P = np.einsum("ik,k,kj->ij", A, lam, B)
-    trace = [log_likelihood(data, P)]
-    if not np.isfinite(trace[0]):
-        raise EMNumericalError("non-finite likelihood at the starting point")
-    converged = False
-    iterations = 0
-    for _ in range(max_iter):
-        A, lam, B, P_old, P = _em_update(data.U, data.u_plus, A, lam, B)
-        iterations += 1
-        ll = log_likelihood(data, P)
-        if not np.isfinite(ll):
-            raise EMNumericalError(f"non-finite likelihood at iteration {iterations}")
-        trace.append(ll)
-        if float(np.max(np.abs(P - P_old))) < tol:
-            converged = True
-            break
-
-    params = ParameterTriple(A, lam, B)
-    R = gradient_matrix(data, P)
-    res = fixed_point_residual(params, R)
-    crit = is_critical(P, R, data.u_plus, crit_tol)
-    return EMResult(params=params, P_hat=P, loglik_trace=np.array(trace),
-                    iterations=iterations, converged=converged,
-                    fixed_point_residual=max(res), critical=crit, seed=seed)
+    return A_new, lam_new, B_new, P_new
 
 
 @dataclass
@@ -339,12 +300,110 @@ class RestartBatch:
         return int(np.argmax(self.loglik))
 
 
+def _loglik(U, mask, P) -> np.ndarray:
+    """Log-likelihood of each matrix in a (b, m, n) stack, after checking
+    that no observed cell has underflowed."""
+    if np.any(mask & (P <= _TINY)):
+        raise EMNumericalError("mixture probability underflowed at an observed cell")
+    return np.einsum("ij,bij->b", U, np.log(np.where(mask, P, 1.0)))
+
+
+def _em_loop(data: DataMatrix, A, lam, B, max_iter: int, tol: float,
+             trace: bool = False) -> tuple[RestartBatch, np.ndarray | None]:
+    """The EM driver: iterate a batch of starting points in lockstep.
+
+    ``A`` (b, m, r), ``lam`` (b, r) and ``B`` (b, r, n) are the starting
+    parameters.  A run stops when the max entrywise change of its P drops
+    below ``tol``, and is frozen from then on, or after ``max_iter`` rounds.
+    With ``trace`` set on a batch of one, also returns its log-likelihood
+    before the first round and after each round.
+    """
+    A, lam, B = (np.array(x, dtype=float) for x in (A, lam, B))
+    U, mask = data.U, data.U > 0
+    P = np.einsum("bik,bk,bkj->bij", A, lam, B)
+    ll = _loglik(U, mask, P)
+    b = len(ll)
+    iterations = np.zeros(b, dtype=int)
+    converged = np.zeros(b, dtype=bool)
+    slack = 0.0
+    history = [float(ll[0])] if trace else None
+    live = np.arange(b)     # runs still iterating, and their state, compacted
+    state = (A, lam, B, P, ll)
+    rounds = 0
+
+    def store(sel, conv: bool):
+        for full, part in zip((A, lam, B, P, ll), state):
+            full[live[sel]] = part[sel]
+        iterations[live[sel]] = rounds
+        converged[live[sel]] = conv
+
+    while rounds < max_iter and len(live):
+        rounds += 1
+        A_old, lam_old, B_old, P_old, ll_old = state
+        A_new, lam_new, B_new, P_new = _em_update(U, data.u_plus, A_old, lam_old,
+                                                  B_old, P_old)
+        delta = np.abs(P_new - P_old).reshape(len(live), -1).max(axis=1)
+        ll_new = _loglik(U, mask, P_new)
+        slack = max(slack, float((ll_old - ll_new).max()))
+        state = (A_new, lam_new, B_new, P_new, ll_new)
+        if trace:
+            history.append(float(ll_new[0]))
+        done = delta < tol
+        if done.any():
+            store(done, True)
+            live = live[~done]
+            state = tuple(part[~done] for part in state)
+    store(slice(None), False)
+
+    batch = RestartBatch(A=A, lam=lam, B=B, P=P, loglik=ll, iterations=iterations,
+                         converged=converged, monotonicity_slack=slack)
+    return batch, (np.array(history) if trace else None)
+
+
+def _result(data: DataMatrix, batch: RestartBatch, i: int, trace, crit_tol: float,
+            seed) -> EMResult:
+    """EMResult for run ``i`` of a batch, with its residuals and criticality."""
+    params = ParameterTriple(batch.A[i], batch.lam[i], batch.B[i])
+    P = batch.P[i]
+    R = gradient_matrix(data, P)
+    crit = is_critical(P, R, data.u_plus, crit_tol)
+    return EMResult(params=params, P_hat=P, loglik_trace=trace,
+                    iterations=int(batch.iterations[i]),
+                    converged=bool(batch.converged[i]),
+                    fixed_point_residual=max(fixed_point_residual(params, R)),
+                    critical=crit, seed=seed)
+
+
+def run_em(U, r: int, init=None, max_iter: int = 2000, tol: float = 1e-10,
+           crit_tol: float = 1e-6) -> EMResult:
+    """Run EM on a count table until the estimate stabilizes.
+
+    ``init`` is a ParameterTriple, an integer seed, or None (seed 0).
+    Iteration stops when the max entrywise change of P drops below ``tol``
+    or after ``max_iter`` rounds.  The returned trace of log-likelihood
+    values is non-decreasing up to float rounding.
+    """
+    data = _as_counts(U)
+    m, n = data.shape
+    seed = None
+    if isinstance(init, ParameterTriple):
+        theta = init
+        theta.validate()
+    else:
+        seed = 0 if init is None else int(init)
+        theta = random_parameters(m, n, r, np.random.default_rng(np.random.SeedSequence(seed)))
+    batch, trace = _em_loop(data, theta.A[None], theta.lam[None], theta.B[None],
+                            max_iter, tol, trace=True)
+    return _result(data, batch, 0, trace, crit_tol, seed)
+
+
 def em_restart_batch(U, r: int, seeds, max_iter: int = 2000,
                      tol: float = 1e-10) -> RestartBatch:
     """Vectorized EM over independent restarts (one RNG stream per seed).
 
     All restarts advance in lockstep; elements that have converged are
-    frozen.  The result is bit-reproducible for a fixed seed list.
+    frozen.  The result is bit-reproducible for a fixed seed list, and each
+    restart matches ``run_em`` started from the same draw.
     """
     data = _as_counts(U)
     m, n = data.shape
@@ -355,58 +414,31 @@ def em_restart_batch(U, r: int, seeds, max_iter: int = 2000,
     for idx, seed in enumerate(seeds):
         theta = random_parameters(m, n, r, np.random.default_rng(np.random.SeedSequence(seed)))
         A[idx], lam[idx], B[idx] = theta.A, theta.lam, theta.B
-
-    U_b = data.U[None, :, :]
-    P = np.einsum("bik,bk,bkj->bij", A, lam, B)
-    mask = data.U > 0
-    logs = np.where(mask, np.log(np.where(P > 0, P, 1.0)), 0.0)
-    ll = np.einsum("ij,bij->b", data.U, np.where(mask, logs, 0.0))
-    iterations = np.zeros(b, dtype=int)
-    converged = np.zeros(b, dtype=bool)
-    slack = 0.0
-
-    for _ in range(max_iter):
-        if converged.all():
-            break
-        act = ~converged
-        A_new, lam_new, B_new, P_old, P_new = _em_update(U_b[0], data.u_plus,
-                                                         A[act], lam[act], B[act])
-        delta = np.max(np.abs(P_new - P_old), axis=(-2, -1))
-        A[act], lam[act], B[act] = A_new, lam_new, B_new
-        P[act] = P_new
-        logs = np.where(mask, np.log(np.where(P_new > 0, P_new, 1.0)), 0.0)
-        ll_new = np.einsum("ij,bij->b", data.U, logs)
-        if not np.all(np.isfinite(ll_new)):
-            raise EMNumericalError("non-finite likelihood in restart batch")
-        drop = float(np.max(ll[act] - ll_new, initial=0.0))
-        slack = max(slack, drop)
-        ll[act] = ll_new
-        iterations[act] += 1
-        just_done = np.zeros(b, dtype=bool)
-        just_done[np.nonzero(act)[0][delta < tol]] = True
-        converged |= just_done
-
-    return RestartBatch(A=A, lam=lam, B=B, P=P, loglik=ll,
-                        iterations=iterations, converged=converged,
-                        monotonicity_slack=slack)
+    return _em_loop(data, A, lam, B, max_iter, tol)[0]
 
 
-def run_em_restarts(U, r: int, restarts: int = 100, seed: int = 0,
-                    max_iter: int = 2000, tol: float = 1e-10,
-                    crit_tol: float = 1e-6) -> tuple[EMResult, RestartBatch]:
-    """Best-of-``restarts`` EM with per-restart streams derived from ``seed``."""
+def run_em_restarts(U, r: int, restarts: int = 100, seed: int | tuple = 0,
+                    max_iter: int = 2000, tol: float = 1e-10, crit_tol: float = 1e-6,
+                    polish_iter: int = POLISH_ITER) -> tuple[EMResult, RestartBatch]:
+    """Best-of-``restarts`` EM, the one entry point for a maximizer estimate.
+
+    Restart k starts from ``SeedSequence((seed, k))``; a tuple seed is
+    spliced in as ``(*seed, k)``.  The winner is the restart with the highest
+    log-likelihood.  If it has not converged within ``max_iter`` rounds,
+    ``run_em`` continues it for up to ``polish_iter`` more, so the estimate
+    and its criticality describe the limit the winner is heading to.  The
+    command line (``em --restarts``) and the experiments both come through
+    here, so they classify the same point.  The result's ``iterations``
+    counts batch and polish rounds together.
+    """
     data = _as_counts(U)
-    seeds = [(seed, k) for k in range(restarts)]
-    batch = em_restart_batch(data, r, seeds, max_iter=max_iter, tol=tol)
+    prefix = seed if isinstance(seed, tuple) else (seed,)
+    batch = em_restart_batch(data, r, [(*prefix, k) for k in range(restarts)],
+                             max_iter=max_iter, tol=tol)
     i = batch.best_index
-    params = ParameterTriple(batch.A[i], batch.lam[i], batch.B[i])
-    P = batch.P[i]
-    R = gradient_matrix(data, P)
-    res = fixed_point_residual(params, R)
-    crit = is_critical(P, R, data.u_plus, crit_tol)
-    best = EMResult(params=params, P_hat=P,
-                    loglik_trace=np.array([batch.loglik[i]]),
-                    iterations=int(batch.iterations[i]),
-                    converged=bool(batch.converged[i]),
-                    fixed_point_residual=max(res), critical=crit, seed=seed)
-    return best, batch
+    if batch.converged[i] or polish_iter <= 0:
+        return _result(data, batch, i, batch.loglik[[i]], crit_tol, seed), batch
+    theta = ParameterTriple(batch.A[i], batch.lam[i], batch.B[i])
+    polished = run_em(data, r, init=theta, max_iter=polish_iter, tol=tol, crit_tol=crit_tol)
+    total = int(batch.iterations[i]) + polished.iterations
+    return replace(polished, iterations=total, seed=seed), batch

@@ -51,7 +51,7 @@ class ExperimentConfig:
     seed: int = 0
     scale: int = 10**6            # integer scaling of random tables (table1)
     generator: str = "normalized_uniform"  # or "dirichlet" (table1)
-    polish_iter: int = 10**4      # extra iterations to converge the winner
+    polish_iter: int = em.POLISH_ITER  # extra iterations to converge the winner
     T: int = 10                   # samples per cell (planted)
     dist: str = "rational"        # rational | unit_rational | int1to4 (boundary)
     dist_param: int = 100
@@ -110,30 +110,18 @@ def _entry_dist(cfg: ExperimentConfig):
 
 def _em_trial(cfg: ExperimentConfig, trial: int, U: np.ndarray) -> dict:
     data = em.DataMatrix.from_array(U)
-    seeds = [(cfg.seed, trial, k) for k in range(cfg.num_restarts)]
-    batch = em.em_restart_batch(data, cfg.r, seeds, max_iter=cfg.max_iter, tol=cfg.tol)
-    i = batch.best_index
-    P = batch.P[i]
-    loglik = float(batch.loglik[i])
-    converged = bool(batch.converged[i])
-    if not converged and cfg.polish_iter > 0:
-        # the criticality flag classifies the limit the winner is heading to,
-        # so run the single winning restart out to convergence
-        theta = em.ParameterTriple(batch.A[i], batch.lam[i], batch.B[i])
-        polished = em.run_em(data, cfg.r, init=theta, max_iter=cfg.polish_iter,
-                             tol=cfg.tol, crit_tol=cfg.crit_tol)
-        P = polished.P_hat
-        loglik = polished.loglik
-        converged = polished.converged
-    R = em.gradient_matrix(data, P)
-    crit = em.is_critical(P, R, data.u_plus, cfg.crit_tol)
+    best, batch = em.run_em_restarts(data, cfg.r, restarts=cfg.num_restarts,
+                                     seed=(cfg.seed, trial), max_iter=cfg.max_iter,
+                                     tol=cfg.tol, crit_tol=cfg.crit_tol,
+                                     polish_iter=cfg.polish_iter)
+    crit = best.critical
     flagged = not crit.critical
     rec = {
         "trial": trial,
         "u_plus": data.u_plus,
-        "loglik": loglik,
-        "iterations": int(batch.iterations[i]),
-        "converged": converged,
+        "loglik": best.loglik,
+        "iterations": best.iterations,
+        "converged": best.converged,
         "resid_ptr": crit.resid_ptr,
         "resid_rpt": crit.resid_rpt,
         "crit_threshold": crit.threshold,
@@ -143,7 +131,7 @@ def _em_trial(cfg: ExperimentConfig, trial: int, U: np.ndarray) -> dict:
     }
     if flagged and cfg.check_boundary_consistency:
         from .exactla import from_numpy
-        promoted = from_numpy(P).as_exact()
+        promoted = from_numpy(best.P_hat).as_exact()
         status = boundary_mod.boundary_test(promoted).status
         rec["promoted_status"] = status
         rec["consistency_exception"] = status == boundary_mod.INTERIOR

@@ -392,6 +392,46 @@ def _scan_factors(A: Matrix, B: Matrix, row_map, col_map, first_only,
     return found, log, ctx.marginal
 
 
+def _decide(P: Matrix, factors, row_map, col_map, first_only: bool, sign_eps: float):
+    """The membership ladder every entry point shares.
+
+    Rank > 3 is ``out``, rank < 3 is ``rank_deficient_in``; otherwise the
+    witness scan runs over ``factors`` (a rank-3 factorization of P, computed
+    here when None), and a matrix with no witness is ``in`` only when thin.
+    Returns the decision and the witness records found.
+    """
+    rank = matrix_rank(P)
+    if rank > 3:
+        return MembershipDecision("out", None, rank, P.backend,
+                                  failure_log=[f"rank {rank} exceeds 3"]), []
+    if rank < 3:
+        return MembershipDecision("rank_deficient_in", None, rank, P.backend), []
+    A, B = factors if factors is not None else rank_factorize(P, 3)
+    found, log, marginal = _scan_factors(A, B, row_map, col_map, first_only, sign_eps)
+    if found:
+        dec = MembershipDecision("in", found[0].witness, rank, P.backend,
+                                 marginal=marginal)
+    elif min(P.rows, P.cols) <= 3:
+        dec = MembershipDecision("in", None, rank, P.backend, marginal=marginal,
+                                 note="thin matrix: nonnegative rank equals rank")
+    else:
+        dec = MembershipDecision("out", None, rank, P.backend, marginal=marginal,
+                                 failure_log=log)
+    return dec, found
+
+
+def _decide_stripped(P, first_only: bool, sign_eps: float, task: str):
+    """``_decide`` on P with its zero rows and columns removed."""
+    P = _prepare(P)
+    if not P.is_nonnegative():
+        raise DomainError(f"{task} requires a nonnegative matrix")
+    stripped, row_map, col_map = _strip_zero_lines(P)
+    if not row_map or not col_map:
+        return MembershipDecision("rank_deficient_in", None, 0, P.backend,
+                                  note="zero matrix"), []
+    return _decide(stripped, None, row_map, col_map, first_only, sign_eps)
+
+
 def membership_from_factors(A, B, first_only: bool = True,
                             sign_eps: float = 1e-9) -> MembershipDecision:
     """Decide nonnegative rank <= 3 for P = A @ B from a given factorization.
@@ -405,22 +445,8 @@ def membership_from_factors(A, B, first_only: bool = True,
     P = A @ B
     if not P.is_nonnegative():
         raise DomainError("product has negative entries")
-    rank = matrix_rank(P)
-    if rank > 3:
-        return MembershipDecision("out", None, rank, P.backend,
-                                  failure_log=[f"rank {rank} exceeds 3"])
-    if rank < 3:
-        return MembershipDecision("rank_deficient_in", None, rank, P.backend)
-    found, log, marginal = _scan_factors(A, B, list(range(A.rows)),
-                                         list(range(B.cols)), first_only, sign_eps)
-    if found:
-        return MembershipDecision("in", found[0].witness, rank, P.backend,
-                                  marginal=marginal)
-    if min(P.rows, P.cols) <= 3:
-        return MembershipDecision("in", None, rank, P.backend, marginal=marginal,
-                                  note="thin matrix: nonnegative rank equals rank")
-    return MembershipDecision("out", None, rank, P.backend, marginal=marginal,
-                              failure_log=log)
+    return _decide(P, (A, B), list(range(A.rows)), list(range(B.cols)),
+                   first_only, sign_eps)[0]
 
 
 def nnrank3_membership(P, sign_eps: float = 1e-9,
@@ -433,29 +459,7 @@ def nnrank3_membership(P, sign_eps: float = 1e-9,
     Zero rows and columns are stripped first (they do not affect the
     verdict); reported witness indices refer to the original matrix.
     """
-    P = _prepare(P)
-    if not P.is_nonnegative():
-        raise DomainError("membership test requires a nonnegative matrix")
-    stripped, row_map, col_map = _strip_zero_lines(P)
-    if not row_map or not col_map:
-        return MembershipDecision("rank_deficient_in", None, 0, P.backend,
-                                  note="zero matrix")
-    rank = matrix_rank(stripped)
-    if rank > 3:
-        return MembershipDecision("out", None, rank, P.backend,
-                                  failure_log=[f"rank {rank} exceeds 3"])
-    if rank < 3:
-        return MembershipDecision("rank_deficient_in", None, rank, P.backend)
-    A, B = rank_factorize(stripped, 3)
-    found, log, marginal = _scan_factors(A, B, row_map, col_map, first_only, sign_eps)
-    if found:
-        return MembershipDecision("in", found[0].witness, rank, P.backend,
-                                  marginal=marginal)
-    if min(stripped.rows, stripped.cols) <= 3:
-        return MembershipDecision("in", None, rank, P.backend, marginal=marginal,
-                                  note="thin matrix: nonnegative rank equals rank")
-    return MembershipDecision("out", None, rank, P.backend, marginal=marginal,
-                              failure_log=log)
+    return _decide_stripped(P, first_only, sign_eps, "membership test")[0]
 
 
 def all_witnesses(P, sign_eps: float = 1e-9):
@@ -465,31 +469,7 @@ def all_witnesses(P, sign_eps: float = 1e-9):
     matrix is a rank-3 member.  This is the enumeration the topological
     boundary test quantifies over.
     """
-    P = _prepare(P)
-    if not P.is_nonnegative():
-        raise DomainError("witness enumeration requires a nonnegative matrix")
-    stripped, row_map, col_map = _strip_zero_lines(P)
-    if not row_map or not col_map:
-        return MembershipDecision("rank_deficient_in", None, 0, P.backend,
-                                  note="zero matrix"), []
-    rank = matrix_rank(stripped)
-    if rank > 3:
-        return MembershipDecision("out", None, rank, P.backend,
-                                  failure_log=[f"rank {rank} exceeds 3"]), []
-    if rank < 3:
-        return MembershipDecision("rank_deficient_in", None, rank, P.backend), []
-    A, B = rank_factorize(stripped, 3)
-    found, log, marginal = _scan_factors(A, B, row_map, col_map, False, sign_eps)
-    if found:
-        dec = MembershipDecision("in", found[0].witness, rank, P.backend,
-                                 marginal=marginal)
-    elif min(stripped.rows, stripped.cols) <= 3:
-        dec = MembershipDecision("in", None, rank, P.backend, marginal=marginal,
-                                 note="thin matrix: nonnegative rank equals rank")
-    else:
-        dec = MembershipDecision("out", None, rank, P.backend, marginal=marginal,
-                                 failure_log=log)
-    return dec, found
+    return _decide_stripped(P, False, sign_eps, "witness enumeration")
 
 
 # -- constructive nonnegative factorization -----------------------------

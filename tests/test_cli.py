@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from nnmix import harness
 from nnmix.cli import main
 from nnmix.exactla import Matrix, format_matrix, parse_matrix
 
@@ -88,6 +89,15 @@ class TestEmCommand:
         assert abs(sum(float(x) for r in M.entries for x in r) - 1) < 1e-9
 
 
+    @pytest.mark.parametrize("value", ["0.3", "0.02"])
+    def test_non_integer_counts_exit_two(self, workdir, capsys, value):
+        path = workdir / "u.txt"
+        path.write_text((",".join([value] * 4) + "\n") * 4)
+        assert main(["em", "--input", str(path), "--r", "3"]) == 2
+        assert main(["em", "--input", str(path), "--r", "3", "--restarts", "4"]) == 2
+        assert "non-integer entries" in capsys.readouterr().err
+
+
 class TestFamilyCommand:
     def test_uab_mle_emission(self, workdir, capsys):
         out = workdir / "fam.json"
@@ -136,6 +146,18 @@ class TestExperimentCommand:
         payload = json.loads(out.read_text())
         assert payload["num_trials"] == 6  # flag wins
         assert payload["config"]["seed"] == 9  # file value survives
+
+    @pytest.mark.parametrize("mode", ["table1", "planted", "boundary_fraction"])
+    def test_defaults_come_from_config_dataclass(self, workdir, monkeypatch, mode):
+        seen = []
+
+        def fake_runner(cfg, jobs=1):
+            seen.append(cfg)
+            return harness.ExperimentReport(config=cfg, records=[], fraction=0.0,
+                                            runtime=0.0)
+        monkeypatch.setattr(harness, f"{mode}_experiment", fake_runner)
+        assert main(["experiment", mode, "--output", str(workdir / "e.json")]) == 0
+        assert seen == [harness.ExperimentConfig(mode=mode)]
 
     def test_unknown_config_key_rejected(self, workdir):
         cfg = workdir / "cfg.json"

@@ -34,6 +34,20 @@ def _theta_from_factors(A: Matrix, B: Matrix) -> em.ParameterTriple:
     return theta
 
 
+class TestCountTables:
+    @pytest.mark.parametrize("value", [0.3, 0.02])
+    def test_non_integer_table_rejected(self, value):
+        U = np.full((4, 4), value)
+        with pytest.raises(ValueError, match=r"non-integer entries: \(0, 0\)"):
+            em.DataMatrix.from_array(U)
+        with pytest.raises(ValueError, match="non-integer"):
+            em.run_em(U, 3)
+
+    def test_integer_valued_floats_accepted(self):
+        data = em.DataMatrix.from_array(np.array([[2.0, 0.0], [1.0, 5.0]]))
+        assert data.u_plus == 8 and isinstance(data.u_plus, int)
+
+
 class TestLogLikelihood:
     def test_uniform_table(self):
         U = np.ones((2, 2))
@@ -217,10 +231,12 @@ def test_collapsed_update_matches_definitional_composition():
     theta = em.random_parameters(4, 5, 3, rng)
     u_plus = int(U.sum())
     composed = em.m_step(em.e_step(U, theta), u_plus)
-    A, lam, B, _, _ = em._em_update(U, u_plus, theta.A, theta.lam, theta.B)
+    A, lam, B, P_new = em._em_update(U, u_plus, theta.A, theta.lam, theta.B,
+                                     theta.product())
     np.testing.assert_allclose(A, composed.A, rtol=1e-13, atol=1e-15)
     np.testing.assert_allclose(lam, composed.lam, rtol=1e-13, atol=1e-15)
     np.testing.assert_allclose(B, composed.B, rtol=1e-13, atol=1e-15)
+    np.testing.assert_allclose(P_new, composed.product(), rtol=1e-13, atol=1e-15)
 
 
 class TestRunEM:
@@ -294,6 +310,36 @@ class TestRunEM:
         b2 = em.em_restart_batch(u10, 3, seeds, max_iter=300, tol=1e-10)
         assert np.array_equal(b1.P, b2.P)
         assert np.array_equal(b1.loglik, b2.loglik)
+
+    def test_batch_restarts_match_single_runs(self):
+        # the restart batch and run_em share one loop: each restart must
+        # reproduce run_em from the same draw bit for bit
+        rng = np.random.default_rng(11)
+        U = rng.integers(0, 30, size=(4, 4))
+        U[0, 0] += 1
+        seeds = [(3, k) for k in range(12)]
+        batch = em.em_restart_batch(U, 2, seeds, max_iter=300, tol=1e-10)
+        assert 0 < batch.converged.sum() < len(seeds)  # both kinds of run
+        for k, seed in enumerate(seeds):
+            theta = em.random_parameters(
+                4, 4, 2, np.random.default_rng(np.random.SeedSequence(seed)))
+            single = em.run_em(U, 2, init=theta, max_iter=300, tol=1e-10)
+            assert np.array_equal(single.P_hat, batch.P[k])
+            assert single.iterations == batch.iterations[k]
+            assert single.converged == batch.converged[k]
+
+    def test_restarts_polish_an_unconverged_winner(self, u10):
+        short, batch = em.run_em_restarts(u10, 3, restarts=8, seed=2, max_iter=30,
+                                          tol=1e-10, polish_iter=0)
+        i = batch.best_index
+        assert not batch.converged[i] and short.iterations == 30
+        polished, _ = em.run_em_restarts(u10, 3, restarts=8, seed=2, max_iter=30,
+                                         tol=1e-10)
+        theta = em.ParameterTriple(batch.A[i], batch.lam[i], batch.B[i])
+        direct = em.run_em(u10, 3, init=theta, tol=1e-10, max_iter=em.POLISH_ITER)
+        assert np.array_equal(polished.P_hat, direct.P_hat)
+        assert polished.iterations == 30 + direct.iterations
+        assert polished.loglik >= short.loglik
 
     def test_report_shape(self):
         res = em.run_em(np.array([[3, 1], [1, 3]]), 1, init=0, max_iter=10, tol=1e-9)

@@ -58,6 +58,23 @@ class TestProtocols:
         rep = table1_experiment(cfg)
         assert rep.fraction == 0.0
 
+    def test_polished_trial_counts_polish_iterations(self, monkeypatch):
+        calls = {}
+        for name in ("em_restart_batch", "run_em"):
+            original = getattr(em, name)
+
+            def spy(*args, _name=name, _original=original, **kwargs):
+                calls[_name] = _original(*args, **kwargs)
+                return calls[_name]
+            monkeypatch.setattr(em, name, spy)
+        rep = table1_experiment(tiny_cfg(TABLE1, num_matrices=1, max_iter=20))
+        rec = rep.records[0]
+        batch, polished = calls["em_restart_batch"], calls["run_em"]
+        assert batch.iterations[batch.best_index] == 20
+        assert rec["iterations"] == 20 + polished.iterations
+        assert rec["converged"] == polished.converged
+        assert rec["loglik"] == polished.loglik
+
     def test_planted_mode_runs(self):
         rep = planted_experiment(tiny_cfg(PLANTED, T=20))
         assert 0.0 <= rep.fraction <= 1.0

@@ -61,16 +61,11 @@ def _emit(payload: dict, out: str | None):
 def _cmd_em(args) -> int:
     M = _read_matrix(args.input, "float")
     U = M.to_numpy()
-    if args.restarts > 1:
-        best, batch = em.run_em_restarts(U, args.r, restarts=args.restarts,
-                                         seed=args.seed, max_iter=args.max_iter,
-                                         tol=args.tol, crit_tol=args.crit_tol)
-        payload = best.report()
-        payload["restarts"] = args.restarts
-    else:
-        best = em.run_em(U, args.r, init=args.seed, max_iter=args.max_iter,
-                         tol=args.tol, crit_tol=args.crit_tol)
-        payload = best.report()
+    best, _ = em.run_em_restarts(U, args.r, restarts=args.restarts, seed=args.seed,
+                                 max_iter=args.max_iter, tol=args.tol,
+                                 crit_tol=args.crit_tol)
+    payload = best.report()
+    payload["restarts"] = args.restarts
     _emit(payload, args.output)
     if args.estimate_out:
         from .exactla import from_numpy

@@ -418,27 +418,29 @@ def em_restart_batch(U, r: int, seeds, max_iter: int = 2000,
 
 
 def run_em_restarts(U, r: int, restarts: int = 100, seed: int | tuple = 0,
-                    max_iter: int = 2000, tol: float = 1e-10, crit_tol: float = 1e-6,
-                    polish_iter: int = POLISH_ITER) -> tuple[EMResult, RestartBatch]:
+                    max_iter: int = 2000, tol: float = 1e-10,
+                    crit_tol: float = 1e-6) -> tuple[EMResult, RestartBatch]:
     """Best-of-``restarts`` EM, the one entry point for a maximizer estimate.
 
     Restart k starts from ``SeedSequence((seed, k))``; a tuple seed is
     spliced in as ``(*seed, k)``.  The winner is the restart with the highest
     log-likelihood.  If it has not converged within ``max_iter`` rounds,
-    ``run_em`` continues it for up to ``polish_iter`` more, so the estimate
+    ``run_em`` continues it for up to ``POLISH_ITER`` more, so the estimate
     and its criticality describe the limit the winner is heading to.  The
-    command line (``em --restarts``) and the experiments both come through
-    here, so they classify the same point.  The result's ``iterations``
-    counts batch and polish rounds together.
+    command line (``em``, with any ``--restarts``) and the experiments both
+    come through here, so they classify the same point.  The result's
+    ``iterations`` counts batch and polish rounds together.
     """
+    if restarts < 1:
+        raise ValueError("restarts must be at least 1")
     data = _as_counts(U)
     prefix = seed if isinstance(seed, tuple) else (seed,)
     batch = em_restart_batch(data, r, [(*prefix, k) for k in range(restarts)],
                              max_iter=max_iter, tol=tol)
     i = batch.best_index
-    if batch.converged[i] or polish_iter <= 0:
+    if batch.converged[i]:
         return _result(data, batch, i, batch.loglik[[i]], crit_tol, seed), batch
     theta = ParameterTriple(batch.A[i], batch.lam[i], batch.B[i])
-    polished = run_em(data, r, init=theta, max_iter=polish_iter, tol=tol, crit_tol=crit_tol)
+    polished = run_em(data, r, init=theta, max_iter=POLISH_ITER, tol=tol, crit_tol=crit_tol)
     total = int(batch.iterations[i]) + polished.iterations
     return replace(polished, iterations=total, seed=seed), batch

@@ -51,7 +51,6 @@ class ExperimentConfig:
     seed: int = 0
     scale: int = 10**6            # integer scaling of random tables (table1)
     generator: str = "normalized_uniform"  # or "dirichlet" (table1)
-    polish_iter: int = em.POLISH_ITER  # extra iterations to converge the winner
     T: int = 10                   # samples per cell (planted)
     dist: str = "rational"        # rational | unit_rational | int1to4 (boundary)
     dist_param: int = 100
@@ -112,8 +111,7 @@ def _em_trial(cfg: ExperimentConfig, trial: int, U: np.ndarray) -> dict:
     data = em.DataMatrix.from_array(U)
     best, batch = em.run_em_restarts(data, cfg.r, restarts=cfg.num_restarts,
                                      seed=(cfg.seed, trial), max_iter=cfg.max_iter,
-                                     tol=cfg.tol, crit_tol=cfg.crit_tol,
-                                     polish_iter=cfg.polish_iter)
+                                     tol=cfg.tol, crit_tol=cfg.crit_tol)
     crit = best.critical
     flagged = not crit.critical
     rec = {

@@ -3,9 +3,10 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from nnmix import harness
+from nnmix import em, harness
 from nnmix.cli import main
 from nnmix.exactla import Matrix, format_matrix, parse_matrix
 
@@ -88,6 +89,20 @@ class TestEmCommand:
         M = parse_matrix(est.read_text())
         assert abs(sum(float(x) for r in M.entries for x in r) - 1) < 1e-9
 
+
+    def test_default_em_polishes_like_the_experiments(self, workdir):
+        U = [[1, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 1]]
+        path = write_matrix(workdir / "u.txt", Matrix.exact(U))
+        out = workdir / "em.json"
+        assert main(["em", "--input", path, "--r", "3", "--seed", "7",
+                     "--max-iter", "50", "--output", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        best, batch = em.run_em_restarts(np.array(U), 3, restarts=1, seed=7, max_iter=50)
+        assert not batch.converged[0] and best.converged
+        assert payload["iterations"] == best.iterations > 50
+        assert payload["converged"] is True
+        assert payload["restarts"] == 1
+        assert main(["em", "--input", path, "--r", "3", "--restarts", "0"]) == 2
 
     @pytest.mark.parametrize("value", ["0.3", "0.02"])
     def test_non_integer_counts_exit_two(self, workdir, capsys, value):

@@ -329,17 +329,22 @@ class TestRunEM:
             assert single.converged == batch.converged[k]
 
     def test_restarts_polish_an_unconverged_winner(self, u10):
-        short, batch = em.run_em_restarts(u10, 3, restarts=8, seed=2, max_iter=30,
-                                          tol=1e-10, polish_iter=0)
+        seeds = [(2, k) for k in range(8)]
+        batch = em.em_restart_batch(u10, 3, seeds, max_iter=30, tol=1e-10)
         i = batch.best_index
-        assert not batch.converged[i] and short.iterations == 30
-        polished, _ = em.run_em_restarts(u10, 3, restarts=8, seed=2, max_iter=30,
-                                         tol=1e-10)
+        assert not batch.converged[i]
+        polished, again = em.run_em_restarts(u10, 3, restarts=8, seed=2, max_iter=30,
+                                             tol=1e-10)
+        assert np.array_equal(again.P, batch.P)
         theta = em.ParameterTriple(batch.A[i], batch.lam[i], batch.B[i])
         direct = em.run_em(u10, 3, init=theta, tol=1e-10, max_iter=em.POLISH_ITER)
         assert np.array_equal(polished.P_hat, direct.P_hat)
         assert polished.iterations == 30 + direct.iterations
-        assert polished.loglik >= short.loglik
+        assert polished.loglik >= batch.loglik[i]
+
+    def test_restarts_must_be_positive(self, u10):
+        with pytest.raises(ValueError, match="restarts"):
+            em.run_em_restarts(u10, 3, restarts=0)
 
     def test_report_shape(self):
         res = em.run_em(np.array([[3, 1], [1, 3]]), 1, init=0, max_iter=10, tol=1e-9)

@@ -131,26 +131,10 @@ class Matrix:
                      for ra in self.entries)
         return Matrix(self.rows, other.cols, data, self.backend)
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
-        data = tuple(tuple(a + b for a, b in zip(ra, rb))
-                     for ra, rb in zip(self.entries, other.entries))
-        return Matrix(self.rows, self.cols, data, self.backend)
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
-        data = tuple(tuple(a - b for a, b in zip(ra, rb))
-                     for ra, rb in zip(self.entries, other.entries))
-        return Matrix(self.rows, self.cols, data, self.backend)
-
     def scale(self, c) -> "Matrix":
         c = _coerce_exact(c) if self.backend == EXACT else _coerce_float(c)
         return Matrix(self.rows, self.cols,
                       tuple(tuple(c * x for x in r) for r in self.entries), self.backend)
-
-    def _check_same_shape(self, other: "Matrix"):
-        if self.shape != other.shape or self.backend != other.backend:
-            raise DimensionError("shape or backend mismatch")
 
     # -- conversions ----------------------------------------------------
 
@@ -180,9 +164,6 @@ class Matrix:
 
     def total(self):
         return sum(x for r in self.entries for x in r)
-
-    def min_entry(self):
-        return min(x for r in self.entries for x in r)
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols}, {self.backend})"

@@ -201,6 +201,9 @@ def _run(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
     else:
         exceptions = sum(1 for rec in records if rec.get("consistency_exception"))
         extra["consistency_exceptions"] = exceptions
+        # trials whose best restart is still moving after the polish: their
+        # boundary flag is read at a point EM has not settled
+        extra["unconverged_trials"] = sum(1 for rec in records if not rec["converged"])
     return ExperimentReport(config=cfg, records=records, fraction=fraction,
                             runtime=time.perf_counter() - start, extra=extra)
 

@@ -9,8 +9,8 @@ sign conditions on Grassmann-Cayley brackets built from any rank-3
 factorization P = A @ B: rows of A act as lines, columns of B as points, and
 meets/joins are 3-vector cross products.
 
-The certification routine searches index tuples (i, j, i', j') for a witness
-satisfying four sign-condition families:
+A witness is an index tuple (i, j, i', j') satisfying four sign-condition
+families:
 
 1. the brackets det(a_i, a_j, a_k) share one sign over k (the intersection
    point of lines i and j is a vertex of the outer polygon),
@@ -19,14 +19,20 @@ satisfying four sign-condition families:
 3. the chord products built from the degree-(6,3) brackets are nonnegative
    (the inner polygon lies inside the resulting triangle).
 
-The same conditions are then tried with the roles of A and B.T swapped.
-All tests run in exact integer arithmetic on the rational backend; the float
-backend replaces sign tests with a tolerance band and flags marginal calls.
+The witnesses form one lazy stream: the tuples of this orientation in index
+order, then those with the roles of A and B.T swapped.  Each entry point
+reads only what it needs.  ``nnrank3_membership`` and
+``membership_from_factors`` take the first record, ``all_witnesses`` takes
+them all, and ``nonneg_rank3_factorize`` takes the first whose triangle
+yields nonnegative factors.  All tests run in exact integer arithmetic on
+the rational backend; the float backend replaces sign tests with a tolerance
+band and flags marginal calls.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -139,9 +145,10 @@ class _FloatSigns:
     conservatively (zero plus a marginal flag).
     """
 
-    def __init__(self, line_scale: float, point_scale: float, eps: float = 1e-9):
+    def __init__(self, line_scale: float, point_scale: float):
         ls = float(line_scale)
         ps = float(point_scale)
+        eps = 1e-9  # the one relative band width
         self.bands = {
             "x2": eps * ls**2,        # cross of two lines
             "x21": eps * ls**2 * ps,  # cross of a vertex with a point
@@ -224,17 +231,27 @@ class MembershipDecision:
         }
 
 
-def _scan_orientation(lines, points, ctx, swapped, line_map, point_map,
-                      first_only, log):
-    """Search ordered candidate tuples for witnesses in one orientation.
+def _one_sign(signs) -> bool:
+    """Whether the nonzero signs agree; stops reading at the first that does not."""
+    first = 0
+    for s in signs:
+        if s and not first:
+            first = s
+        elif s and s != first:
+            return False
+    return True
+
+
+def _scan_orientation(lines, points, ctx, swapped, line_map, point_map, log):
+    """Yield the witnesses of one orientation in index order, lazily.
 
     ``lines``/``points`` are 3-vectors; index maps translate back to row and
-    column indices of the unstripped input.  Returns witness records; each
-    carries the chord triples (k, l, k') whose product vanished, which is
-    what the boundary classifier consumes.
+    column indices of the unstripped input.  Each record carries the chord
+    triples (k, l, k') whose product vanished, which is what the boundary
+    classifier consumes.  Rejected candidates are appended to ``log`` as the
+    scan passes them.
     """
     M, N = len(lines), len(points)
-    found = []
     cross_cache: dict = {}
     supp_cache: dict = {}
     pt_cache: dict = {}
@@ -254,22 +271,9 @@ def _scan_orientation(lines, points, ctx, swapped, line_map, point_map,
         key = (i, j, t)
         if key not in supp_cache:
             v = vertex(i, j)
-            if ctx.is_zero_vec(_cross(v, points[t]), "x21"):
-                supp_cache[key] = False
-                return False
-            sgn, ok = 0, True
-            for kp in range(N):
-                if kp == t:
-                    continue
-                s = ctx.sign(_det3(v, points[t], points[kp]), "mj")
-                if s == 0:
-                    continue
-                if sgn == 0:
-                    sgn = s
-                elif s != sgn:
-                    ok = False
-                    break
-            supp_cache[key] = ok
+            supp_cache[key] = (not ctx.is_zero_vec(_cross(v, points[t]), "x21")
+                               and _one_sign(ctx.sign(_det3(v, points[t], points[kp]), "mj")
+                                             for kp in range(N) if kp != t))
         return supp_cache[key]
 
     def tri_point(i, j, t, k):
@@ -278,29 +282,34 @@ def _scan_orientation(lines, points, ctx, swapped, line_map, point_map,
             pt_cache[key] = _cross(_cross(vertex(i, j), points[t]), lines[k])
         return pt_cache[key]
 
+    def chord_touches(i, j, ip, jp):
+        # The zero chord triples of a candidate, or None if a chord product
+        # is negative (the inner polygon leaves the triangle).
+        touches = []
+        for k, l in itertools.combinations([k for k in range(M) if k not in (i, j)], 2):
+            for kp in range(N):
+                if kp in (ip, jp):
+                    continue
+                s1 = ctx.sign(_det3(tri_point(i, j, ip, k), tri_point(i, j, jp, l),
+                                    points[kp]), "s63")
+                s2 = ctx.sign(_det3(tri_point(i, j, ip, l), tri_point(i, j, jp, k),
+                                    points[kp]), "s63")
+                if s1 * s2 < 0:
+                    return None
+                if s1 == 0 or s2 == 0:
+                    touches.append((line_map[k], line_map[l], point_map[kp]))
+        return touches
+
+    side = "cols" if swapped else "rows"
     for i in range(M):
         for j in range(i + 1, M):
             if vertex(i, j) is None:
-                log.append(f"{'cols' if swapped else 'rows'} ({line_map[i]},{line_map[j]}): "
-                           "edge lines are parallel")
+                log.append(f"{side} ({line_map[i]},{line_map[j]}): edge lines are parallel")
                 continue
-            sgn, ok1 = 0, True
-            for k in range(M):
-                if k in (i, j):
-                    continue
-                s = ctx.sign(_det3(lines[i], lines[j], lines[k]), "b3")
-                if s == 0:
-                    continue
-                if sgn == 0:
-                    sgn = s
-                elif s != sgn:
-                    ok1 = False
-                    break
-            if not ok1:
-                log.append(f"{'cols' if swapped else 'rows'} ({line_map[i]},{line_map[j]}): "
-                           "vertex sign family mixed")
+            if not _one_sign(ctx.sign(_det3(lines[i], lines[j], lines[k]), "b3")
+                             for k in range(M) if k not in (i, j)):
+                log.append(f"{side} ({line_map[i]},{line_map[j]}): vertex sign family mixed")
                 continue
-            rest = [k for k in range(M) if k not in (i, j)]
             for ip in range(N):
                 if not supports(i, j, ip):
                     log.append(f"candidate ({line_map[i]},{line_map[j]},{point_map[ip]},*): "
@@ -309,49 +318,30 @@ def _scan_orientation(lines, points, ctx, swapped, line_map, point_map,
                 for jp in range(N):
                     if jp == ip or not supports(i, j, jp):
                         continue
-                    touches = []
-                    ok4 = True
-                    for a in range(len(rest)):
-                        for b in range(a + 1, len(rest)):
-                            k, l = rest[a], rest[b]
-                            for kp in range(N):
-                                if kp in (ip, jp):
-                                    continue
-                                s1 = ctx.sign(_det3(tri_point(i, j, ip, k),
-                                                    tri_point(i, j, jp, l),
-                                                    points[kp]), "s63")
-                                s2 = ctx.sign(_det3(tri_point(i, j, ip, l),
-                                                    tri_point(i, j, jp, k),
-                                                    points[kp]), "s63")
-                                if s1 * s2 < 0:
-                                    ok4 = False
-                                    break
-                                if s1 == 0 or s2 == 0:
-                                    touches.append((line_map[k], line_map[l], point_map[kp]))
-                            if not ok4:
-                                break
-                        if not ok4:
-                            break
-                    if not ok4:
+                    touches = chord_touches(i, j, ip, jp)
+                    if touches is None:
                         log.append(f"candidate ({line_map[i]},{line_map[j]},"
                                    f"{point_map[ip]},{point_map[jp]}): chord product negative")
                         continue
-                    rec = WitnessRecord(
+                    yield WitnessRecord(
                         Witness(line_map[i], line_map[j], point_map[ip], point_map[jp], swapped),
                         tuple(touches))
-                    found.append(rec)
-                    if first_only:
-                        return found
-    return found
 
 
-def _strip_zero_lines(P: Matrix) -> tuple[Matrix, list[int], list[int]]:
+def _strip_zero_lines(P: Matrix, task: str) -> tuple[Matrix, list[int], list[int]]:
+    """Refuse negative entries, then drop zero rows and columns of P.
+
+    Returns the stripped matrix and the original indices it keeps; both
+    lists are empty for the zero matrix.
+    """
+    if not P.is_nonnegative():
+        raise DomainError(f"{task} requires a nonnegative matrix")
     rows = [i for i in range(P.rows) if any(x != 0 for x in P.row(i))]
     cols = [j for j in range(P.cols) if any(x != 0 for x in P.col(j))]
     if len(rows) == P.rows and len(cols) == P.cols:
         return P, rows, cols
     if not rows or not cols:
-        return P, rows, cols  # all-zero matrix; caller short-circuits on rank 0
+        return P, rows, cols  # all-zero matrix
     data = tuple(tuple(P.entries[i][j] for j in cols) for i in rows)
     return Matrix(len(rows), len(cols), data, P.backend), rows, cols
 
@@ -370,9 +360,14 @@ def _prepare(P) -> Matrix:
         return Matrix.from_floats(rows)
 
 
-def _scan_factors(A: Matrix, B: Matrix, row_map, col_map, first_only,
-                  sign_eps=1e-9):
-    """Run both orientations of the witness scan for a factorization."""
+def _witness_stream(A: Matrix, B: Matrix, row_map, col_map):
+    """The witnesses of P = A @ B as one lazy stream.
+
+    Returns ``(records, log, ctx)``: an iterator over the unswapped
+    orientation and then the swapped one, the failure log it fills as it
+    advances, and the sign context whose ``marginal`` flag it raises.  A
+    caller that stops early has scanned, logged and flagged only that far.
+    """
     if A.backend == EXACT:
         lines = [_clear_vector(A.row(i)) for i in range(A.rows)]
         points = [_clear_vector(B.col(j)) for j in range(B.cols)]
@@ -382,23 +377,27 @@ def _scan_factors(A: Matrix, B: Matrix, row_map, col_map, first_only,
         points = [B.col(j) for j in range(B.cols)]
         lscale = max(abs(x) for v in lines for x in v)
         pscale = max(abs(x) for v in points for x in v)
-        ctx = _FloatSigns(lscale, pscale, sign_eps)
+        ctx = _FloatSigns(lscale, pscale)
     log: list[str] = []
-    found = _scan_orientation(lines, points, ctx, False, row_map, col_map,
-                              first_only, log)
-    if not (first_only and found):
-        found += _scan_orientation(points, lines, ctx, True, col_map, row_map,
-                                   first_only, log)
-    return found, log, ctx.marginal
+    records = itertools.chain(
+        _scan_orientation(lines, points, ctx, False, row_map, col_map, log),
+        _scan_orientation(points, lines, ctx, True, col_map, row_map, log))
+    return records, log, ctx
 
 
-def _decide(P: Matrix, factors, row_map, col_map, first_only: bool, sign_eps: float):
+def _head(records) -> list:
+    """The first witness of a stream, or none: what a membership verdict needs."""
+    return list(itertools.islice(records, 1))
+
+
+def _decide(P: Matrix, factors, row_map, col_map, take):
     """The membership ladder every entry point shares.
 
-    Rank > 3 is ``out``, rank < 3 is ``rank_deficient_in``; otherwise the
-    witness scan runs over ``factors`` (a rank-3 factorization of P, computed
-    here when None), and a matrix with no witness is ``in`` only when thin.
-    Returns the decision and the witness records found.
+    Rank > 3 is ``out``, rank < 3 is ``rank_deficient_in``; otherwise
+    ``take`` reads the witness stream of ``factors`` (a rank-3 factorization
+    of P, computed here when None) and returns the records it wants, and a
+    matrix with no witness is ``in`` only when thin.  Returns the decision
+    and the records taken.
     """
     rank = matrix_rank(P)
     if rank > 3:
@@ -407,69 +406,69 @@ def _decide(P: Matrix, factors, row_map, col_map, first_only: bool, sign_eps: fl
     if rank < 3:
         return MembershipDecision("rank_deficient_in", None, rank, P.backend), []
     A, B = factors if factors is not None else rank_factorize(P, 3)
-    found, log, marginal = _scan_factors(A, B, row_map, col_map, first_only, sign_eps)
+    records, log, ctx = _witness_stream(A, B, row_map, col_map)
+    found = take(records)
     if found:
         dec = MembershipDecision("in", found[0].witness, rank, P.backend,
-                                 marginal=marginal)
+                                 marginal=ctx.marginal)
     elif min(P.rows, P.cols) <= 3:
-        dec = MembershipDecision("in", None, rank, P.backend, marginal=marginal,
+        dec = MembershipDecision("in", None, rank, P.backend, marginal=ctx.marginal,
                                  note="thin matrix: nonnegative rank equals rank")
     else:
-        dec = MembershipDecision("out", None, rank, P.backend, marginal=marginal,
+        dec = MembershipDecision("out", None, rank, P.backend, marginal=ctx.marginal,
                                  failure_log=log)
     return dec, found
 
 
-def _decide_stripped(P, first_only: bool, sign_eps: float, task: str):
+def _decide_stripped(P, take, task: str):
     """``_decide`` on P with its zero rows and columns removed."""
     P = _prepare(P)
-    if not P.is_nonnegative():
-        raise DomainError(f"{task} requires a nonnegative matrix")
-    stripped, row_map, col_map = _strip_zero_lines(P)
-    if not row_map or not col_map:
+    stripped, row_map, col_map = _strip_zero_lines(P, task)
+    if not row_map:
         return MembershipDecision("rank_deficient_in", None, 0, P.backend,
                                   note="zero matrix"), []
-    return _decide(stripped, None, row_map, col_map, first_only, sign_eps)
+    return _decide(stripped, None, row_map, col_map, take)
 
 
-def membership_from_factors(A, B, first_only: bool = True,
-                            sign_eps: float = 1e-9) -> MembershipDecision:
+def membership_from_factors(A, B) -> MembershipDecision:
     """Decide nonnegative rank <= 3 for P = A @ B from a given factorization.
 
     The verdict depends only on P, not on the factorization chosen; this
     entry point exists so callers with an explicit rank-3 factorization
     (sampled boundary strata, invariance tests) can skip refactorizing.
+    It stops the scan at the first witness, as ``nnrank3_membership`` does.
     """
     A = _prepare(A)
     B = _prepare(B)
     P = A @ B
     if not P.is_nonnegative():
         raise DomainError("product has negative entries")
-    return _decide(P, (A, B), list(range(A.rows)), list(range(B.cols)),
-                   first_only, sign_eps)[0]
+    return _decide(P, (A, B), list(range(A.rows)), list(range(B.cols)), _head)[0]
 
 
-def nnrank3_membership(P, sign_eps: float = 1e-9,
-                       first_only: bool = True) -> MembershipDecision:
+def nnrank3_membership(P) -> MembershipDecision:
     """Decide whether P has nonnegative rank at most 3.
 
     Exact inputs receive a decidable verdict; float inputs use banded sign
     tests and may come back flagged ``marginal``.  Matrices of rank < 3 are
     ``rank_deficient_in``, rank > 3 is ``out`` with the rank as certificate.
     Zero rows and columns are stripped first (they do not affect the
-    verdict); reported witness indices refer to the original matrix.
+    verdict); reported witness indices refer to the original matrix.  The
+    scan stops at the first witness, so ``marginal`` covers only the sign
+    tests made up to it.
     """
-    return _decide_stripped(P, first_only, sign_eps, "membership test")[0]
+    return _decide_stripped(P, _head, "membership test")[0]
 
 
-def all_witnesses(P, sign_eps: float = 1e-9):
+def all_witnesses(P):
     """All witnesses (both orientations) with their zero-chord contacts.
 
     Returns ``(decision, records)`` where ``records`` is empty unless the
     matrix is a rank-3 member.  This is the enumeration the topological
-    boundary test quantifies over.
+    boundary test quantifies over; its first record is the witness
+    ``nnrank3_membership`` reports.
     """
-    return _decide_stripped(P, False, sign_eps, "witness enumeration")
+    return _decide_stripped(P, list, "witness enumeration")
 
 
 # -- constructive nonnegative factorization -----------------------------
@@ -494,18 +493,18 @@ def _inv3(T):
     return [[cof[c][r] / det for c in range(3)] for r in range(3)]
 
 
-def _build_triangle(A: Matrix, B: Matrix, wit: Witness, row_map):
-    """Triangle vertices (in span coordinates) for one unswapped witness.
+def _build_triangle(A: Matrix, B: Matrix, wit: Witness):
+    """Triangle vertices (in span coordinates) for a witness read on (A, B).
 
-    The apex is the outer-polygon vertex cut out by edge lines i and j; the
-    other two vertices are where the support lines through points i' and j'
-    exit the outer polygon.  Returns None when this witness is degenerate.
+    Edge lines i, j index rows of A and points i', j' columns of B.  The
+    apex is the outer-polygon vertex cut out by edge lines i and j; the other
+    two vertices are where the support lines through points i' and j' exit
+    the outer polygon.  Returns None when this witness is degenerate.
     """
     lines = [A.row(i) for i in range(A.rows)]
     points = [B.col(j) for j in range(B.cols)]
     s = tuple(sum(A.col(k)) for k in range(3))
-    inv_rows = {orig: local for local, orig in enumerate(row_map)}
-    i, j = inv_rows[wit.i], inv_rows[wit.j]
+    i, j = wit.i, wit.j
     v = _cross(lines[i], lines[j])
     vhat = _normalize_point(v, s)
     if vhat is None:
@@ -614,11 +613,9 @@ def nonneg_rank3_factorize(P) -> tuple[Matrix, Matrix]:
     P = _prepare(P)
     if P.backend != EXACT:
         raise DomainError("constructive factorization requires the rational backend")
-    if not P.is_nonnegative():
-        raise DomainError("factorization requires a nonnegative matrix")
     m, n = P.shape
-    stripped, row_map, col_map = _strip_zero_lines(P)
-    if not row_map or not col_map:
+    stripped, row_map, col_map = _strip_zero_lines(P, "factorization")
+    if not row_map:
         return Matrix.zeros(m, 3), Matrix.zeros(3, n)
     rank = matrix_rank(stripped)
     if rank > 3:
@@ -637,29 +634,40 @@ def nonneg_rank3_factorize(P) -> tuple[Matrix, Matrix]:
     return A, B
 
 
-def _rank3_witness_factorization(P: Matrix, _transposed: bool = False):
+def _rank3_witness_factorization(P: Matrix):
+    """Factors from the first witness in the stream whose triangle is clean."""
     A3, B3 = rank_factorize(P, 3)
-    row_map = list(range(P.rows))
-    col_map = list(range(P.cols))
-    found, _, _ = _scan_factors(A3, B3, row_map, col_map, first_only=False)
-    if not found:
+    records, _, _ = _witness_stream(A3, B3, list(range(P.rows)), list(range(P.cols)))
+    seen = False
+    for rec in records:
+        seen = True
+        factors = _triangle_factors(A3, B3, rec.witness)
+        if factors is not None:
+            return factors
+    if not seen:
         raise NotInModelError("matrix has nonnegative rank greater than 3")
-    for rec in found:
-        if rec.witness.swapped:
-            continue
-        built = _build_triangle(A3, B3, rec.witness, row_map)
-        if built is None:
-            continue
-        T, Tinv = built
-        A_nn = A3 @ Matrix.exact(T)
-        B_nn = Matrix.exact(Tinv) @ B3
-        if A_nn.is_nonnegative() and B_nn.is_nonnegative():
-            return A_nn, B_nn
-    # no unswapped witness produced a clean triangle: construct on the transpose
-    if _transposed:
-        raise ArithmeticError("internal error: no usable witness in either orientation")
-    At, Bt = _rank3_witness_factorization(P.transpose(), _transposed=True)
-    return Bt.transpose(), At.transpose()
+    raise ArithmeticError("internal error: no usable witness in either orientation")
+
+
+def _triangle_factors(A: Matrix, B: Matrix, wit: Witness):
+    """Nonnegative factors of A @ B from one witness's triangle, or None.
+
+    A swapped witness is an unswapped witness of (A @ B).T = B.T @ A.T, so
+    its triangle is built on (B.T, A.T) and the factors are transposed back.
+    """
+    if wit.swapped:
+        A, B = B.transpose(), A.transpose()
+    built = _build_triangle(A, B, wit)
+    if built is None:
+        return None
+    T, Tinv = built
+    A_nn = A @ Matrix.exact(T)
+    B_nn = Matrix.exact(Tinv) @ B
+    if not (A_nn.is_nonnegative() and B_nn.is_nonnegative()):
+        return None
+    if wit.swapped:
+        return B_nn.transpose(), A_nn.transpose()
+    return A_nn, B_nn
 
 
 # -- nested polygons -----------------------------------------------------

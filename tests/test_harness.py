@@ -75,6 +75,17 @@ class TestProtocols:
         assert rec["converged"] == polished.converged
         assert rec["loglik"] == polished.loglik
 
+    @pytest.mark.parametrize("mode, run", [(TABLE1, table1_experiment),
+                                           (PLANTED, planted_experiment)])
+    def test_report_counts_unconverged_trials(self, monkeypatch, mode, run):
+        # a short polish leaves some winners converged and some still moving
+        monkeypatch.setattr(em, "POLISH_ITER", 300)
+        rep = run(tiny_cfg(mode, max_iter=20))
+        unconverged = sum(1 for rec in rep.records if not rec["converged"])
+        assert 0 < unconverged < len(rep.records)
+        assert rep.extra["unconverged_trials"] == unconverged
+        assert json.loads(rep.to_json())["unconverged_trials"] == unconverged
+
     def test_planted_mode_runs(self):
         rep = planted_experiment(tiny_cfg(PLANTED, T=20))
         assert 0.0 <= rep.fraction <= 1.0

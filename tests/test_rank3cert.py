@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from nnmix import rank3cert
 from nnmix.exactla import Matrix, matrix_rank
 from nnmix.rank3cert import (DomainError, GeometryError, NotInModelError,
                              all_witnesses, bracket3, meet_join,
@@ -275,6 +276,27 @@ class TestFactorize:
             assert A.is_nonnegative() and B.is_nonnegative()
 
 
+    def test_factors_once_on_a_swapped_witness(self, monkeypatch):
+        # NICE_P has no unswapped witness and two swapped ones: the factors
+        # come from the transposed triangle of the one rank-3 factorization.
+        calls = []
+        real = rank3cert.rank_factorize
+
+        def spy(P, r, *args, **kwargs):
+            calls.append(P.shape)
+            return real(P, r, *args, **kwargs)
+
+        monkeypatch.setattr(rank3cert, "rank_factorize", spy)
+        P = Matrix.exact(NICE_P)
+        assert [rec.witness.swapped for rec in all_witnesses(P)[1]] == [True, True]
+        calls.clear()
+        A, B = nonneg_rank3_factorize(P)
+        assert calls == [(4, 4)]
+        assert A == Matrix.exact([[0, 18, 5], [4, 24, 0], [16, 0, 20], [16, 12, 5]])
+        assert B == Matrix.exact([["0", "0", "1/2", "1/2"], ["1/6", "2/3", "1/6", "0"],
+                                  ["3/5", "1/5", "0", "1/5"]])
+
+
 class TestNestedPolygons:
     def test_rectangle_family_gives_square_and_rectangle(self):
         P = Matrix.exact(rect_rows(Fraction(1, 4), Fraction(1, 4)))
@@ -367,6 +389,42 @@ def test_all_witnesses_reports_contacts_on_planted_products():
     dec, records = all_witnesses(P)
     assert dec.verdict == "in"
     assert records and all(rec.touches for rec in records)
+
+
+def test_membership_is_the_head_of_the_enumeration():
+    rng = np.random.default_rng(23)
+    corpus = []
+    for m in range(3, 9):
+        for rank in range(1, 5):
+            n = int(rng.integers(3, 9))
+            A = rng.integers(0, 10, size=(m, rank))
+            B = rng.integers(0, 10, size=(rank, n))
+            corpus.append(Matrix.exact((A @ B).tolist()))
+    zero_row = (rng.integers(0, 10, size=(5, 3)) @ rng.integers(0, 10, size=(3, 5)))
+    zero_row[2] = 0
+    corpus.append(Matrix.exact(zero_row.tolist()))
+    for M in corpus:
+        for P in (M, M.as_float()):
+            dec = nnrank3_membership(P)
+            full, records = all_witnesses(P)
+            # ``marginal`` is left out: membership stops at the first witness,
+            # while the enumeration makes more banded sign tests and may flag
+            # one of them.
+            assert (dec.verdict, dec.rank, dec.backend) == \
+                (full.verdict, full.rank, full.backend)
+            assert dec.witness == (records[0].witness if records else None)
+
+
+def test_removed_scan_options_are_rejected():
+    P = Matrix.exact(NICE_P)
+    with pytest.raises(TypeError):
+        nnrank3_membership(P, first_only=False)
+    with pytest.raises(TypeError):
+        nnrank3_membership(P, sign_eps=1e-6)
+    with pytest.raises(TypeError):
+        all_witnesses(P, sign_eps=1e-6)
+    with pytest.raises(TypeError):
+        membership_from_factors(Matrix.exact(NICE_P), Matrix.identity(4), first_only=False)
 
 
 def test_decision_serialization():

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -169,13 +170,34 @@ _EXPERIMENT_KEYS = ("m", "n", "r", "num_matrices", "num_restarts", "max_iter", "
                     "crit_tol", "seed", "generator", "T", "dist", "dist_param")
 
 
-def _cmd_experiment(args) -> int:
-    # config file supplies the base values; explicitly given flags override
-    values = json.loads(Path(args.config).read_text()) if args.config else {}
+def _read_config(path: str) -> dict:
+    """Load an experiment config file: a JSON object of ``_EXPERIMENT_KEYS``.
+
+    Raises ValueError on an unreadable file, an unknown key or a value of
+    the wrong type, so the dispatcher maps it to the usage exit code.
+    """
+    try:
+        values = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from exc
+    if not isinstance(values, dict):
+        raise ValueError(f"{path} must hold a JSON object")
     values.pop("mode", None)
     unknown = set(values) - set(_EXPERIMENT_KEYS)
     if unknown:
-        raise SystemExit(f"error: unknown config keys {sorted(unknown)}")
+        raise ValueError(f"unknown config keys {sorted(unknown)}")
+    defaults = {f.name: f.default for f in fields(harness.ExperimentConfig)}
+    for key, value in values.items():
+        kind = type(defaults[key])
+        allowed = (int, float) if kind is float else kind
+        if isinstance(value, bool) or not isinstance(value, allowed):
+            raise ValueError(f"config key {key!r} must be {kind.__name__}, got {value!r}")
+    return values
+
+
+def _cmd_experiment(args) -> int:
+    # config file supplies the base values; explicitly given flags override
+    values = _read_config(args.config) if args.config else {}
     values.update({key: getattr(args, key) for key in _EXPERIMENT_KEYS
                    if getattr(args, key) is not None})
     cfg = harness.ExperimentConfig(mode=args.mode, **values)

@@ -106,6 +106,8 @@ def model_dimension(m: int, n: int, r: int) -> int:
 
 def random_parameters(m: int, n: int, r: int, rng: np.random.Generator) -> ParameterTriple:
     """Uniform draws from each simplex via normalized exponential variates."""
+    if r < 1:
+        raise ValueError(f"mixture needs at least one component, got r={r}")
     A = rng.exponential(size=(m, r))
     A /= A.sum(axis=0, keepdims=True)
     lam = rng.exponential(size=r)
@@ -318,6 +320,8 @@ def _em_loop(data: DataMatrix, A, lam, B, max_iter: int, tol: float,
     With ``trace`` set on a batch of one, also returns its log-likelihood
     before the first round and after each round.
     """
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
     A, lam, B = (np.array(x, dtype=float) for x in (A, lam, B))
     U, mask = data.U, data.U > 0
     P = np.einsum("bik,bk,bkj->bij", A, lam, B)

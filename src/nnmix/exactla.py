@@ -30,7 +30,17 @@ class DimensionError(ValueError):
 
 
 class RankExcessError(ValueError):
-    """A factorization was requested with fewer factors than the rank."""
+    """A factorization was requested with fewer factors than the rank.
+
+    ``rank`` is the rank the elimination found.
+    """
+
+    def __init__(self, rank: int, requested: int):
+        super().__init__(rank, requested)
+        self.rank = rank
+
+    def __str__(self) -> str:
+        return "matrix has rank {} > requested {}".format(*self.args)
 
 
 def _coerce_exact(x) -> Fraction:
@@ -279,14 +289,19 @@ def rank_factorize(P: Matrix, r: int, tol: float = DEFAULT_RANK_TOL) -> tuple[Ma
 
     ``A`` consists of the pivot columns of ``P`` located by RREF and ``B`` of
     the RREF coefficient rows, padded with zero columns/rows when the rank
-    falls short of ``r``.  On the exact backend the product reproduces ``P``
-    exactly; on floats it is accurate to the elimination's conditioning.
+    falls short of ``r``.  The first rank(P) rows of ``B`` are the nonzero
+    RREF rows (each holds a pivot 1) and the rest are zero, so the rank is
+    ``B``'s count of nonzero rows; a rank above ``r`` raises
+    :class:`RankExcessError` carrying it.  On floats the rank is the number
+    of pivots above the ``tol`` cutoff of :func:`rref`.  On the exact backend
+    the product reproduces ``P`` exactly; on floats it is accurate to the
+    elimination's conditioning.
     """
     m, n = P.shape
     R, pivots = rref(P, tol)
     rank = len(pivots)
     if rank > r:
-        raise RankExcessError(f"matrix has rank {rank} > requested {r}")
+        raise RankExcessError(rank, r)
     zero = Fraction(0) if P.backend == EXACT else 0.0
     a_rows = []
     for i in range(m):

@@ -37,7 +37,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from .exactla import EXACT, Matrix, matrix_rank, rank_factorize
+# matrix_rank is not called here; the benchmark's tracer wraps it by this name
+from .exactla import EXACT, Matrix, RankExcessError, matrix_rank, rank_factorize
 
 
 class DomainError(ValueError):
@@ -390,26 +391,39 @@ def _head(records) -> list:
     return list(itertools.islice(records, 1))
 
 
-def _decide(P: Matrix, factors, row_map, col_map, take):
-    """The membership ladder every entry point shares.
+def _eliminate(P: Matrix):
+    """The rank of P and, when it is at most 3, its padded rank-3 factors.
 
-    Rank > 3 is ``out``, rank < 3 is ``rank_deficient_in``; otherwise
-    ``take`` reads the witness stream of ``factors`` (a rank-3 factorization
-    of P, computed here when None) and returns the records it wants, and a
-    matrix with no witness is ``in`` only when thin.  Returns the decision
-    and the records taken.
+    One elimination gives both: a rank <= 3 is the count of nonzero rows of
+    B, and a larger one comes with the error ``rank_factorize`` raises.
     """
-    rank = matrix_rank(P)
+    try:
+        A, B = rank_factorize(P, 3)
+    except RankExcessError as exc:
+        return exc.rank, None
+    return sum(1 for row in B.entries if any(row)), (A, B)
+
+
+def _decide(P: Matrix, factors, row_map, col_map, take):
+    """The membership ladder every entry point shares, on one elimination.
+
+    Rank > 3 is ``out``, rank < 3 is ``rank_deficient_in``; otherwise the
+    witness stream of ``factors`` (a rank-3 factorization of P, the one
+    eliminated here when None) decides, and a matrix with no witness is
+    ``in`` only when thin.  Returns the decision, what ``take`` read from
+    the stream, and the eliminated factors (None for rank > 3).
+    """
+    rank, built = _eliminate(P)
     if rank > 3:
         return MembershipDecision("out", None, rank, P.backend,
-                                  failure_log=[f"rank {rank} exceeds 3"]), []
+                                  failure_log=[f"rank {rank} exceeds 3"]), [], None
     if rank < 3:
-        return MembershipDecision("rank_deficient_in", None, rank, P.backend), []
-    A, B = factors if factors is not None else rank_factorize(P, 3)
-    records, log, ctx = _witness_stream(A, B, row_map, col_map)
-    found = take(records)
-    if found:
-        dec = MembershipDecision("in", found[0].witness, rank, P.backend,
+        return MembershipDecision("rank_deficient_in", None, rank, P.backend), [], built
+    records, log, ctx = _witness_stream(*(factors or built), row_map, col_map)
+    head = _head(records)
+    found = take(itertools.chain(head, records))
+    if head:
+        dec = MembershipDecision("in", head[0].witness, rank, P.backend,
                                  marginal=ctx.marginal)
     elif min(P.rows, P.cols) <= 3:
         dec = MembershipDecision("in", None, rank, P.backend, marginal=ctx.marginal,
@@ -417,7 +431,7 @@ def _decide(P: Matrix, factors, row_map, col_map, take):
     else:
         dec = MembershipDecision("out", None, rank, P.backend, marginal=ctx.marginal,
                                  failure_log=log)
-    return dec, found
+    return dec, found, built
 
 
 def _decide_stripped(P, take, task: str):
@@ -426,7 +440,7 @@ def _decide_stripped(P, take, task: str):
     stripped, row_map, col_map = _strip_zero_lines(P, task)
     if not row_map:
         return MembershipDecision("rank_deficient_in", None, 0, P.backend,
-                                  note="zero matrix"), []
+                                  note="zero matrix"), [], None
     return _decide(stripped, None, row_map, col_map, take)
 
 
@@ -435,8 +449,9 @@ def membership_from_factors(A, B) -> MembershipDecision:
 
     The verdict depends only on P, not on the factorization chosen; this
     entry point exists so callers with an explicit rank-3 factorization
-    (sampled boundary strata, invariance tests) can skip refactorizing.
-    It stops the scan at the first witness, as ``nnrank3_membership`` does.
+    (sampled boundary strata, invariance tests) have the witnesses read on
+    it; P is still eliminated once, for its rank.  It stops the scan at the
+    first witness, as ``nnrank3_membership`` does.
     """
     A = _prepare(A)
     B = _prepare(B)
@@ -468,7 +483,7 @@ def all_witnesses(P):
     boundary test quantifies over; its first record is the witness
     ``nnrank3_membership`` reports.
     """
-    return _decide_stripped(P, list, "witness enumeration")
+    return _decide_stripped(P, list, "witness enumeration")[:2]
 
 
 # -- constructive nonnegative factorization -----------------------------
@@ -565,23 +580,15 @@ def _thin_factorization(P: Matrix) -> tuple[Matrix, Matrix]:
     return Matrix.exact(a_rows), Matrix.exact(b_rows)
 
 
-def _low_rank_factorization(P: Matrix, rank: int) -> tuple[Matrix, Matrix]:
-    """Nonnegative factorization for rank <= 2 (nonnegative rank equals rank)."""
+def _low_rank_factorization(P: Matrix, rank: int, A: Matrix, B: Matrix):
+    """Nonnegative factors of a rank-1 or rank-2 P from its padded rank
+    factorization (A, B); nonnegative rank equals rank here."""
+    if rank == 1:
+        return A, B  # a column of P times a nonnegative multiple of a row of P
+    # rank 2: columns live in a pointed planar cone; find two extreme columns
     m, n = P.shape
     zero = Fraction(0)
-    if rank == 0:
-        return Matrix.zeros(m, 3), Matrix.zeros(3, n)
-    if rank == 1:
-        jref = next(j for j in range(n) if any(x != 0 for x in P.col(j)))
-        c = P.col(jref)
-        iref = next(i for i in range(m) if c[i] != 0)
-        coeffs = [P.entries[iref][j] / c[iref] for j in range(n)]
-        A = Matrix.exact([[c[i], zero, zero] for i in range(m)])
-        B = Matrix.exact([coeffs, [zero] * n, [zero] * n])
-        return A, B
-    # rank 2: columns live in a pointed planar cone; find two extreme columns
-    _, B2 = rank_factorize(P, 2)
-    ys = [B2.col(j) for j in range(n)]
+    ys = [B.col(j) for j in range(n)]
     for a in range(n):
         for b in range(a + 1, n):
             det = ys[a][0] * ys[b][1] - ys[a][1] * ys[b][0]
@@ -606,9 +613,10 @@ def nonneg_rank3_factorize(P) -> tuple[Matrix, Matrix]:
     """Exactly nonnegative rational A (m-by-3), B (3-by-n) with A @ B = P.
 
     Requires the rational backend and a matrix that passes the membership
-    test.  For rank-3 members the triangle of a witness is turned into the
-    columns of A (apex plus the two exit points of the support lines, mapped
-    back to ambient coordinates) and B solves the resulting linear system.
+    test.  For rank-3 members the first witness whose triangle gives
+    nonnegative factors is turned into the columns of A (apex plus the two
+    exit points of the support lines, mapped back to ambient coordinates)
+    and B solves the resulting linear system.
     """
     P = _prepare(P)
     if P.backend != EXACT:
@@ -617,36 +625,26 @@ def nonneg_rank3_factorize(P) -> tuple[Matrix, Matrix]:
     stripped, row_map, col_map = _strip_zero_lines(P, "factorization")
     if not row_map:
         return Matrix.zeros(m, 3), Matrix.zeros(3, n)
-    rank = matrix_rank(stripped)
-    if rank > 3:
-        raise NotInModelError(f"rank {rank} exceeds 3")
-    if rank < 3:
-        A, B = _low_rank_factorization(stripped, rank)
+    dec, records, factors = _decide(stripped, None, list(range(stripped.rows)),
+                                    list(range(stripped.cols)), iter)
+    if not dec:
+        raise NotInModelError(f"rank {dec.rank} exceeds 3" if dec.rank > 3
+                              else "matrix has nonnegative rank greater than 3")
+    if dec.rank < 3:
+        A, B = _low_rank_factorization(stripped, dec.rank, *factors)
     elif min(stripped.rows, stripped.cols) <= 3:
         A, B = _thin_factorization(stripped)
     else:
-        A, B = _rank3_witness_factorization(stripped)
+        clean = (_triangle_factors(*factors, rec.witness) for rec in records)
+        A, B = next(filter(None, clean), (None, None))
+        if A is None:
+            raise ArithmeticError("internal error: no usable witness in either orientation")
     A, B = _reembed(A, B, m, n, row_map, col_map)
     if A @ B != P:
         raise ArithmeticError("internal error: factorization does not reproduce input")
     if not (A.is_nonnegative() and B.is_nonnegative()):
         raise ArithmeticError("internal error: factorization has negative entries")
     return A, B
-
-
-def _rank3_witness_factorization(P: Matrix):
-    """Factors from the first witness in the stream whose triangle is clean."""
-    A3, B3 = rank_factorize(P, 3)
-    records, _, _ = _witness_stream(A3, B3, list(range(P.rows)), list(range(P.cols)))
-    seen = False
-    for rec in records:
-        seen = True
-        factors = _triangle_factors(A3, B3, rec.witness)
-        if factors is not None:
-            return factors
-    if not seen:
-        raise NotInModelError("matrix has nonnegative rank greater than 3")
-    raise ArithmeticError("internal error: no usable witness in either orientation")
 
 
 def _triangle_factors(A: Matrix, B: Matrix, wit: Witness):
@@ -723,9 +721,10 @@ def nested_polygons(P) -> NestedPolygons:
         raise GeometryError("matrix must be nonnegative")
     if any(all(x == 0 for x in P.col(j)) for j in range(P.cols)):
         raise GeometryError("zero columns have no normalized representative")
-    if matrix_rank(P) != 3:
+    rank, factors = _eliminate(P)
+    if rank != 3:
         raise GeometryError("nested polygon geometry is defined for rank 3 only")
-    A, B = rank_factorize(P, 3)
+    A, B = factors
     m = P.rows
     lines = [A.row(i) for i in range(m)]
     s = tuple(sum(A.col(k)) for k in range(3))

@@ -113,6 +113,17 @@ class TestEmCommand:
         assert "non-integer entries" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--r", "0"], "at least one component"),
+        (["--max-iter", "-3"], "max_iter must be nonnegative"),
+    ], ids=["r0", "negative_max_iter"])
+    def test_invalid_r_or_max_iter_exits_two(self, workdir, capsys, flags, message):
+        path = write_matrix(workdir / "u.txt", Matrix.exact(
+            [[1, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 1]]))
+        assert main(["em", "--input", path, *flags]) == 2
+        assert message in capsys.readouterr().err
+
+
 class TestFamilyCommand:
     def test_uab_mle_emission(self, workdir, capsys):
         out = workdir / "fam.json"
@@ -174,11 +185,17 @@ class TestExperimentCommand:
         assert main(["experiment", mode, "--output", str(workdir / "e.json")]) == 0
         assert seen == [harness.ExperimentConfig(mode=mode)]
 
-    def test_unknown_config_key_rejected(self, workdir):
+    @pytest.mark.parametrize("config, message", [
+        ({"bogus": 1}, "unknown config keys ['bogus']"),
+        (None, "cannot read"),
+        ({"m": "x"}, "config key 'm' must be int"),
+    ], ids=["unknown_key", "missing_file", "wrong_type"])
+    def test_config_errors_exit_two(self, workdir, capsys, config, message):
         cfg = workdir / "cfg.json"
-        cfg.write_text(json.dumps({"bogus": 1}))
-        with pytest.raises(SystemExit):
-            main(["experiment", "table1", "--config", str(cfg)])
+        if config is not None:
+            cfg.write_text(json.dumps(config))
+        assert main(["experiment", "table1", "--config", str(cfg)]) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestUsage:

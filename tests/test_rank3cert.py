@@ -6,14 +6,16 @@ import numpy as np
 import pytest
 
 from nnmix import rank3cert
-from nnmix.exactla import Matrix, matrix_rank
+from nnmix.boundary import boundary_test
+from nnmix.cli import main
+from nnmix.exactla import Matrix, format_matrix, matrix_rank, rref
 from nnmix.rank3cert import (DomainError, GeometryError, NotInModelError,
                              all_witnesses, bracket3, meet_join,
                              membership_from_factors, nested_polygons,
                              nnrank3_membership, nonneg_rank3_factorize,
                              six_three, _cross, _det3)
 
-from conftest import (NICE_P, random_rational_matrix, rect_rows,
+from conftest import (NICE_A, NICE_B, NICE_P, random_rational_matrix, rect_rows,
                       uab_normalized)
 
 
@@ -433,3 +435,79 @@ def test_decision_serialization():
     assert payload["schema"] == "1"
     assert payload["verdict"] == "in"
     assert set(payload["witness"]) == {"i", "j", "iprime", "jprime", "swapped"}
+
+
+def _noisy_rank3_floats(count):
+    """Near-rank-3 float 4x4 matrices: a uniform(0.1, 1) rank-3 product plus
+    eps * uniform(0, 1) noise, eps = 10**uniform(-10.5, -8.5), seeded."""
+    rng = np.random.default_rng(1)
+    for _ in range(count):
+        A = rng.uniform(0.1, 1, size=(4, 3))
+        B = rng.uniform(0.1, 1, size=(3, 4))
+        noise = rng.uniform(0, 1, size=(4, 4))
+        eps = 10 ** rng.uniform(-10.5, -8.5)
+        yield Matrix.from_floats((A @ B + eps * noise).tolist())
+
+
+class TestFloatRank:
+    # the first 12 noisy inputs; at 6, 8, 10 and 11 the SVD counts rank 3
+    # while the elimination finds four pivots
+    INPUTS = list(_noisy_rank3_floats(12))
+    SPLIT = (6, 8, 10, 11)
+
+    def test_rank_is_the_pivot_count(self):
+        for k, M in enumerate(self.INPUTS):
+            pivots = len(rref(M)[1])
+            assert (matrix_rank(M) != pivots) == (k in self.SPLIT), k
+            dec = nnrank3_membership(M)
+            assert dec.rank == pivots, k
+            if k in self.SPLIT:
+                assert dec.verdict == "out" and dec.failure_log == ["rank 4 exceeds 3"]
+                assert nnrank3_membership(M.as_exact()).verdict == "out"
+
+    def test_float_cli_gives_a_verdict(self, tmp_path):
+        path = tmp_path / "m.txt"
+        for k in self.SPLIT:
+            path.write_text(format_matrix(self.INPUTS[k]))
+            assert main(["nnrank3", "--input", str(path), "--backend", "float"]) == 1
+
+
+def test_one_elimination_per_entry_point_call(monkeypatch):
+    calls = []
+
+    def spy(name):
+        real = getattr(rank3cert, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return counted
+
+    for name in ("rank_factorize", "matrix_rank"):
+        monkeypatch.setattr(rank3cert, name, spy(name))
+    rng = np.random.default_rng(4)
+    cases = []
+    for rank in (1, 2, 3, 4):
+        A = Matrix.exact(rng.integers(1, 8, size=(5, rank)).tolist())
+        B = Matrix.exact(rng.integers(1, 8, size=(rank, 5)).tolist())
+        cases.append((rank, A @ B, A, B))
+    cases.append((3, Matrix.exact(NICE_P), Matrix.exact(NICE_A), Matrix.exact(NICE_B)))
+    entry_points = [nnrank3_membership, all_witnesses, boundary_test,
+                    nonneg_rank3_factorize, nested_polygons]
+    for rank, P, A, B in cases:
+        assert len(rref(P)[1]) == rank
+        for entry in entry_points + [lambda P: membership_from_factors(A, B)]:
+            calls.clear()
+            try:
+                entry(P)
+            except (NotInModelError, GeometryError):
+                pass
+            assert calls == ["rank_factorize"], (entry, P)
+    zero = Matrix.zeros(4, 4)
+    for entry in entry_points:
+        calls.clear()
+        try:
+            entry(zero)
+        except GeometryError:
+            pass
+        assert calls == [], entry

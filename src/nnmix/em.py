@@ -260,33 +260,46 @@ class EMResult:
         }
 
 
-def _em_update(U, u_plus, A, lam, B, P):
+def _em_update(U, mask, u_plus, AL, B, P):
     """One E+M round in collapsed form (the m-by-r-by-n table is never built).
 
-    ``P`` is the current product ``A @ diag(lam) @ B``, above ``_TINY`` at
-    every observed cell; returns the new factors and their product.  Works
-    on arrays with an optional leading batch axis.
+    The round works on ``AL = A @ diag(lam)`` and ``B``.  ``P = AL @ B`` is
+    the current product, above ``_TINY`` at every observed cell (``mask``);
+    returns the new ``AL`` and ``B`` and their product.  Arrays may carry a
+    leading batch axis: a single run and a batch go through the same calls.
+    A component whose weight comes out zero gets the uniform row 1/n in
+    ``B`` (and, from ``_split``, the uniform column 1/m in ``A``).
     """
-    W = np.where(U > 0, U / np.where(P > _TINY, P, 1.0), 0.0)
-    Sa = A * lam[..., None, :] * np.einsum("...ij,...kj->...ik", W, B)
-    Sb = lam[..., :, None] * B * np.einsum("...ik,...ij->...kj", A, W)
-    lam_new = Sa.sum(axis=-2) / u_plus
-    safe = np.where(lam_new > 0, lam_new, 1.0)
-    A_new = Sa / (u_plus * safe[..., None, :])
-    B_new = Sb / (u_plus * safe[..., :, None])
-    if np.any(lam_new == 0):
-        m = A.shape[-2]
-        n = B.shape[-1]
-        dead = lam_new == 0
-        A_new = np.where(dead[..., None, :], 1.0 / m, A_new)
-        B_new = np.where(dead[..., :, None], 1.0 / n, B_new)
-    P_new = np.einsum("...ik,...k,...kj->...ij", A_new, lam_new, B_new)
-    return A_new, lam_new, B_new, P_new
+    W = np.divide(U, P, out=np.zeros(P.shape), where=mask)
+    Sa = AL * (W @ B.swapaxes(-1, -2))    # u_plus * AL_new
+    Sb = B * (AL.swapaxes(-1, -2) @ W)    # u_plus * lam_new * B_new
+    s = Sa.sum(axis=-2)[..., :, None]     # u_plus * lam_new
+    if s.all():
+        B_new = Sb / s
+    else:
+        dead = s == 0
+        B_new = np.where(dead, 1.0 / B.shape[-1], Sb / np.where(dead, 1.0, s))
+    AL_new = Sa / u_plus
+    return AL_new, B_new, AL_new @ B_new
+
+
+def _split(AL):
+    """``(A, lam)`` from ``AL = A @ diag(lam)``; a component of weight zero
+    gets the uniform column 1/m."""
+    lam = AL.sum(axis=-2)
+    weight = lam[..., None, :]
+    dead = weight == 0
+    return np.where(dead, 1.0 / AL.shape[-2], AL / np.where(dead, 1.0, weight)), lam
 
 
 @dataclass
 class RestartBatch:
-    """Final state of a batch of independently started EM runs."""
+    """Final state of a batch of independently started EM runs.
+
+    A quarantined run is one whose probability at an observed cell
+    underflowed; it is frozen there with log-likelihood -inf, so it never
+    wins, and it is left out of ``monotonicity_slack``.
+    """
 
     A: np.ndarray        # (b, m, r)
     lam: np.ndarray      # (b, r)
@@ -296,18 +309,30 @@ class RestartBatch:
     iterations: np.ndarray
     converged: np.ndarray
     monotonicity_slack: float  # largest observed per-step decrease of loglik
+    quarantined: int = 0       # runs set aside after an underflow
 
     @property
     def best_index(self) -> int:
         return int(np.argmax(self.loglik))
 
 
-def _loglik(U, mask, P) -> np.ndarray:
-    """Log-likelihood of each matrix in a (b, m, n) stack, after checking
-    that no observed cell has underflowed."""
-    if np.any(mask & (P <= _TINY)):
-        raise EMNumericalError("mixture probability underflowed at an observed cell")
-    return np.einsum("ij,bij->b", U, np.log(np.where(mask, P, 1.0)))
+def _loglik(counts, cells, P):
+    """Log-likelihood of each matrix in a (b, m, n) stack, from the counts
+    at the observed cells (flat indices ``cells``).
+
+    Returns it with the mask of runs whose probability at an observed cell
+    is ``_TINY`` or below, or with None when there is no such run; those
+    runs get -inf.
+    """
+    Pm = P.reshape(len(P), -1).take(cells, axis=1)
+    # one dot product per run, not one matrix-vector product, so that a
+    # run's value does not depend on the other runs in the batch
+    if Pm.min() > _TINY:
+        return (np.log(Pm)[:, None] @ counts)[:, 0], None
+    bad = (Pm <= _TINY).any(axis=1)
+    ll = np.full(len(Pm), -np.inf)
+    ll[~bad] = (np.log(Pm[~bad])[:, None] @ counts)[:, 0]
+    return ll, bad
 
 
 def _em_loop(data: DataMatrix, A, lam, B, max_iter: int, tol: float,
@@ -317,50 +342,73 @@ def _em_loop(data: DataMatrix, A, lam, B, max_iter: int, tol: float,
     ``A`` (b, m, r), ``lam`` (b, r) and ``B`` (b, r, n) are the starting
     parameters.  A run stops when the max entrywise change of its P drops
     below ``tol``, and is frozen from then on, or after ``max_iter`` rounds.
+    A run whose mixture underflows at an observed cell is quarantined
+    (frozen, unconverged, log-likelihood -inf); the others go on, and
+    ``EMNumericalError`` is raised only when every run is quarantined.
     With ``trace`` set on a batch of one, also returns its log-likelihood
     before the first round and after each round.
     """
     if max_iter < 0:
         raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
     A, lam, B = (np.array(x, dtype=float) for x in (A, lam, B))
+    if not len(A):
+        raise ValueError("EM needs at least one starting point")
     U, mask = data.U, data.U > 0
-    P = np.einsum("bik,bk,bkj->bij", A, lam, B)
-    ll = _loglik(U, mask, P)
+    cells = np.flatnonzero(mask)
+    counts = U.ravel()[cells]
+    AL = A * lam[:, None, :]
+    P = AL @ B
+    ll, bad = _loglik(counts, cells, P)
     b = len(ll)
     iterations = np.zeros(b, dtype=int)
     converged = np.zeros(b, dtype=bool)
     slack = 0.0
     history = [float(ll[0])] if trace else None
     live = np.arange(b)     # runs still iterating, and their state, compacted
-    state = (A, lam, B, P, ll)
+    state = (AL, B, P, ll)
     rounds = 0
 
-    def store(sel, conv: bool):
-        for full, part in zip((A, lam, B, P, ll), state):
-            full[live[sel]] = part[sel]
-        iterations[live[sel]] = rounds
-        converged[live[sel]] = conv
+    def retire(stop, done):
+        """Write the runs selected by ``stop`` back, as converged where
+        ``done``, and drop them from the live set."""
+        nonlocal live, state
+        idx = live[stop]
+        AL_stop, B_stop, P_stop, ll_stop = (part[stop] for part in state)
+        A[idx], lam[idx] = _split(AL_stop)
+        B[idx], P[idx], ll[idx] = B_stop, P_stop, ll_stop
+        iterations[idx] = rounds
+        converged[idx] = done[stop]
+        keep = ~stop
+        live, state = live[keep], tuple(part[keep] for part in state)
 
+    if bad is not None:
+        retire(bad, np.zeros_like(bad))
     while rounds < max_iter and len(live):
         rounds += 1
-        A_old, lam_old, B_old, P_old, ll_old = state
-        A_new, lam_new, B_new, P_new = _em_update(U, data.u_plus, A_old, lam_old,
-                                                  B_old, P_old)
-        delta = np.abs(P_new - P_old).reshape(len(live), -1).max(axis=1)
-        ll_new = _loglik(U, mask, P_new)
-        slack = max(slack, float((ll_old - ll_new).max()))
-        state = (A_new, lam_new, B_new, P_new, ll_new)
+        AL_old, B_old, P_old, ll_old = state
+        AL_new, B_new, P_new = _em_update(U, mask, data.u_plus, AL_old, B_old, P_old)
+        ll_new, bad = _loglik(counts, cells, P_new)
+        state = (AL_new, B_new, P_new, ll_new)
         if trace:
             history.append(float(ll_new[0]))
-        done = delta < tol
-        if done.any():
-            store(done, True)
-            live = live[~done]
-            state = tuple(part[~done] for part in state)
-    store(slice(None), False)
+        delta = np.abs(P_new - P_old).max(axis=(1, 2))
+        if bad is None:
+            slack = max(slack, float((ll_old - ll_new).max()))
+            if delta.min() < tol:
+                done = delta < tol
+                retire(done, done)
+        else:
+            slack = float((ll_old - ll_new)[~bad].max(initial=slack))
+            done = ~bad & (delta < tol)
+            retire(bad | done, done)
+    retire(np.ones(len(live), dtype=bool), np.zeros(len(live), dtype=bool))
+    quarantined = int(np.isneginf(ll).sum())  # no other run has loglik -inf
+    if quarantined == b:
+        raise EMNumericalError("mixture probability underflowed at an observed cell")
 
     batch = RestartBatch(A=A, lam=lam, B=B, P=P, loglik=ll, iterations=iterations,
-                         converged=converged, monotonicity_slack=slack)
+                         converged=converged, monotonicity_slack=slack,
+                         quarantined=quarantined)
     return batch, (np.array(history) if trace else None)
 
 

@@ -126,6 +126,10 @@ def _em_trial(cfg: ExperimentConfig, trial: int, U: np.ndarray) -> dict:
         "rank_p": crit.rank_p,
         "flagged_boundary": flagged,
         "monotonicity_slack": batch.monotonicity_slack,
+        "restarts_converged": int(batch.converged.sum()),
+        "restarts_quarantined": batch.quarantined,
+        # rounds run on after the batch; 0 when the batch winner converged
+        "polish_iterations": best.iterations - int(batch.iterations[batch.best_index]),
     }
     if flagged and cfg.check_boundary_consistency:
         from .exactla import from_numpy
@@ -204,6 +208,8 @@ def _run(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
         # trials whose best restart is still moving after the polish: their
         # boundary flag is read at a point EM has not settled
         extra["unconverged_trials"] = sum(1 for rec in records if not rec["converged"])
+        extra["max_monotonicity_slack"] = max(
+            (rec["monotonicity_slack"] for rec in records), default=0.0)
     return ExperimentReport(config=cfg, records=records, fraction=fraction,
                             runtime=time.perf_counter() - start, extra=extra)
 

@@ -223,20 +223,86 @@ def test_dimension_counts():
             assert component_count(m, n).dimension == em.model_dimension(m, n, 3) - 1
 
 
+def _assert_round_matches_composition(U, got, theta):
+    # one collapsed round, split back into (A, lam, B, P), against e_step
+    # followed by m_step, placeholders of dead components included
+    AL, B, P_new = got
+    A, lam = em._split(AL)
+    composed = em.m_step(em.e_step(U, theta), int(U.sum()))
+    np.testing.assert_allclose(A, composed.A, rtol=1e-13, atol=1e-15)
+    np.testing.assert_allclose(lam, composed.lam, rtol=1e-13, atol=1e-15)
+    np.testing.assert_allclose(B, composed.B, rtol=1e-13, atol=1e-15)
+    np.testing.assert_allclose(P_new, composed.product(), rtol=1e-13, atol=1e-15)
+    return composed
+
+
 def test_collapsed_update_matches_definitional_composition():
     # one round of the collapsed update must equal e_step followed by m_step
     rng = np.random.default_rng(42)
     U = rng.integers(0, 15, size=(4, 5)).astype(float)
     U[0, 0] += 1  # keep the total positive
     theta = em.random_parameters(4, 5, 3, rng)
-    u_plus = int(U.sum())
-    composed = em.m_step(em.e_step(U, theta), u_plus)
-    A, lam, B, P_new = em._em_update(U, u_plus, theta.A, theta.lam, theta.B,
-                                     theta.product())
-    np.testing.assert_allclose(A, composed.A, rtol=1e-13, atol=1e-15)
-    np.testing.assert_allclose(lam, composed.lam, rtol=1e-13, atol=1e-15)
-    np.testing.assert_allclose(B, composed.B, rtol=1e-13, atol=1e-15)
-    np.testing.assert_allclose(P_new, composed.product(), rtol=1e-13, atol=1e-15)
+    got = em._em_update(U, U > 0, int(U.sum()), theta.A * theta.lam, theta.B,
+                        theta.product())
+    _assert_round_matches_composition(U, got, theta)
+
+
+def test_batched_update_with_a_dead_component():
+    # a start whose weight vector has a zero entry reaches the dead-component
+    # branch of the batched round; every slice must still match the
+    # definitional composition, uniform placeholders included
+    rng = np.random.default_rng(43)
+    U = rng.integers(0, 15, size=(4, 5)).astype(float)
+    U[0, 0] += 1
+    thetas = [em.random_parameters(4, 5, 3, rng) for _ in range(3)]
+    thetas[1].lam[1] = 0.0
+    thetas[1].lam /= thetas[1].lam.sum()
+    got = em._em_update(U, U > 0, int(U.sum()),
+                        np.stack([t.A * t.lam for t in thetas]),
+                        np.stack([t.B for t in thetas]),
+                        np.stack([t.product() for t in thetas]))
+    for k, theta in enumerate(thetas):
+        composed = _assert_round_matches_composition(U, [part[k] for part in got], theta)
+        assert composed.degenerate == ((1,) if k == 1 else ())
+    assert np.all(got[1][1, 1] == 1 / 5)
+
+
+class TestQuarantine:
+    @staticmethod
+    def _starts(U, r, seeds, dead=()):
+        # random starts; those at the indices ``dead`` have a zero row of A at
+        # an observed row, so their mixture is zero there from the outset
+        m, n = U.shape
+        thetas = [em.random_parameters(m, n, r, np.random.default_rng(s)) for s in seeds]
+        for k in dead:
+            thetas[k].A[0] = 0.0
+            thetas[k].A /= thetas[k].A.sum(axis=0)
+        return [np.stack([getattr(t, name) for t in thetas]) for name in ("A", "lam", "B")]
+
+    def test_underflowing_restart_is_set_aside(self):
+        rng = np.random.default_rng(12)
+        U = rng.integers(1, 30, size=(4, 4))
+        data = em.DataMatrix.from_array(U)
+        seeds = list(range(6))
+        with_bad, _ = em._em_loop(data, *self._starts(U, 3, seeds, dead=[2]),
+                                  max_iter=300, tol=1e-10)
+        keep = [k for k in range(len(seeds)) if k != 2]
+        clean, _ = em._em_loop(data, *self._starts(U, 3, [seeds[k] for k in keep]),
+                               max_iter=300, tol=1e-10)
+        for name in ("A", "lam", "B", "P", "loglik", "iterations", "converged"):
+            assert np.array_equal(getattr(with_bad, name)[keep], getattr(clean, name)), name
+        assert with_bad.quarantined == 1 and clean.quarantined == 0
+        assert with_bad.loglik[2] == -np.inf and with_bad.iterations[2] == 0
+        assert not with_bad.converged[2]
+        assert with_bad.monotonicity_slack == clean.monotonicity_slack
+        assert with_bad.best_index == keep[clean.best_index]
+
+    def test_batch_of_underflowing_restarts_raises(self):
+        U = np.random.default_rng(13).integers(1, 30, size=(4, 4))
+        data = em.DataMatrix.from_array(U)
+        with pytest.raises(em.EMNumericalError):
+            em._em_loop(data, *self._starts(U, 3, range(3), dead=range(3)),
+                        max_iter=50, tol=1e-10)
 
 
 class TestRunEM:
@@ -345,6 +411,8 @@ class TestRunEM:
     def test_restarts_must_be_positive(self, u10):
         with pytest.raises(ValueError, match="restarts"):
             em.run_em_restarts(u10, 3, restarts=0)
+        with pytest.raises(ValueError, match="starting point"):
+            em.em_restart_batch(u10, 3, [])
 
     def test_report_shape(self):
         res = em.run_em(np.array([[3, 1], [1, 3]]), 1, init=0, max_iter=10, tol=1e-9)

@@ -72,8 +72,12 @@ class TestProtocols:
         batch, polished = calls["em_restart_batch"], calls["run_em"]
         assert batch.iterations[batch.best_index] == 20
         assert rec["iterations"] == 20 + polished.iterations
+        assert rec["polish_iterations"] == polished.iterations > 0
+        assert rec["polish_iterations"] == rec["iterations"] - batch.iterations[batch.best_index]
         assert rec["converged"] == polished.converged
         assert rec["loglik"] == polished.loglik
+        assert rec["restarts_converged"] == batch.converged.sum()
+        assert rec["restarts_quarantined"] == 0
 
     @pytest.mark.parametrize("mode, run", [(TABLE1, table1_experiment),
                                            (PLANTED, planted_experiment)])
@@ -85,6 +89,20 @@ class TestProtocols:
         assert 0 < unconverged < len(rep.records)
         assert rep.extra["unconverged_trials"] == unconverged
         assert json.loads(rep.to_json())["unconverged_trials"] == unconverged
+        slack = max(rec["monotonicity_slack"] for rec in rep.records)
+        assert json.loads(rep.to_json())["max_monotonicity_slack"] == slack
+
+    def test_trial_counters(self):
+        # winners that converged in the batch get no polish rounds; the
+        # others were stopped at the batch cap and polished from there
+        rep = planted_experiment(tiny_cfg(PLANTED, max_iter=300))
+        polished = [rec["polish_iterations"] > 0 for rec in rep.records]
+        assert any(polished) and not all(polished)
+        for rec, was_polished in zip(rep.records, polished):
+            batch_rounds = rec["iterations"] - rec["polish_iterations"]
+            assert batch_rounds == 300 if was_polished else batch_rounds <= 300
+            assert 0 <= rec["restarts_converged"] <= 8
+            assert rec["restarts_quarantined"] == 0
 
     def test_planted_mode_runs(self):
         rep = planted_experiment(tiny_cfg(PLANTED, T=20))

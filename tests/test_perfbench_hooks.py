@@ -1,11 +1,15 @@
 """The benchmark in ``perfbench/`` reaches into the package by name: its
 tracer wraps module attributes and its experiment workloads look up harness
-runners.  A rename that would break ``perfbench/run.py`` fails here first."""
+runners.  A rename that would break ``perfbench/run.py`` fails here first,
+and so does a change that moves the first seed-0 trials off the benchmark's
+reference."""
 
 import importlib
 import importlib.util
 import sys
 from pathlib import Path
+
+import pytest
 
 from nnmix import harness
 
@@ -39,3 +43,16 @@ def test_every_experiment_runner_resolves(tmp_path):
             assert callable(getattr(harness, runner)), name
             experiments.append(name)
     assert experiments
+
+
+@pytest.mark.parametrize("name", ["table1_5x5", "planted_T10"])
+def test_seed_zero_trials_match_the_reference(name):
+    # the first ops of the EM workloads, against the benchmark's recorded
+    # verdicts (flags exactly, log-likelihoods within its relative tolerance),
+    # so a kernel change that flips a verdict fails here too
+    workloads = _load("workloads")
+    workload = workloads.WORKLOADS[name](0, None)
+    assert len(workload.reference) >= 4
+    for index in range(4):
+        report = workload.op(index).run()
+        assert workload._check_reference(report.records[0], workload.reference[index]) == []

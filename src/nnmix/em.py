@@ -20,7 +20,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 _TINY = 1e-300
-POLISH_ITER = 10**4  # rounds allowed to converge an unconverged best restart
+POLISH_ITER = 10**4  # EM-map evaluations allowed to converge an unconverged best restart
+# restarts whose log-likelihoods differ by less than this, relative (about 10
+# ulp), reach the same maximizer as far as the arithmetic can tell
+_TIE_REL = 2e-15
 
 
 class EMNumericalError(ArithmeticError):
@@ -242,6 +245,11 @@ class EMResult:
     def loglik(self) -> float:
         return float(self.loglik_trace[-1])
 
+    @property
+    def monotonicity_slack(self) -> float:
+        """Largest per-step decrease of the log-likelihood along the trace."""
+        return float(np.max(-np.diff(self.loglik_trace), initial=0.0))
+
     def report(self) -> dict:
         return {
             "schema": "1",
@@ -313,7 +321,14 @@ class RestartBatch:
 
     @property
     def best_index(self) -> int:
-        return int(np.argmax(self.loglik))
+        """The winner: the lowest-index converged run among those tied with
+        the highest log-likelihood, or the lowest-index tied run when none of
+        them converged.  Runs tie when within ``_TIE_REL`` of the maximum, so
+        the last bits of the arithmetic do not pick the winner."""
+        best = self.loglik.max()
+        tied = self.loglik >= best - _TIE_REL * abs(best)
+        settled = tied & self.converged
+        return int(np.argmax(settled if settled.any() else tied))
 
 
 def _loglik(counts, cells, P):
@@ -335,18 +350,63 @@ def _loglik(counts, cells, P):
     return ll, bad
 
 
+def _extrapolate(counts, cells, state):
+    """The SQUAREM-3 point (Varadhan & Roland, Scand. J. Statist. 35, 2008)
+    of each run, from its last three EM iterates x0, x1 = F(x0), x2 = F(x1)
+    over ``(AL, B)``.
+
+    ``state`` holds x2 with its product and log-likelihood, then x1 and x0.
+    With r = x1 - x0 and v = x2 - 2 x1 + x0 the point is
+    x' = x0 - 2 alpha r + alpha^2 v, alpha = min(-|r|/|v|, -1); alpha = -1
+    gives x2 back.  While x' has a negative entry, alpha moves halfway to -1.
+    Returns the points the next EM step starts from, their products, and
+    the mask of runs that start from x'; the others start from x2: their
+    alpha reached -1, or x' underflows at an observed cell.
+    """
+    AL2, B2, P2, _, AL1, B1, AL0, B0 = state
+    rA, rB = AL1 - AL0, B1 - B0
+    vA, vB = AL2 - 2 * AL1 + AL0, B2 - 2 * B1 + B0
+    r = np.sqrt((rA * rA).sum(axis=(1, 2)) + (rB * rB).sum(axis=(1, 2)))
+    v = np.sqrt((vA * vA).sum(axis=(1, 2)) + (vB * vB).sum(axis=(1, 2)))
+    # |v| is 0 or above 1e-162, so alpha is finite and the halving below ends
+    alpha = np.minimum(-np.divide(r, v, out=np.ones_like(r), where=v > 0), -1.0)
+    while True:
+        a = alpha[:, None, None]
+        AL, B = AL0 - 2 * a * rA + a * a * vA, B0 - 2 * a * rB + a * a * vB
+        use = alpha < -1
+        negative = use & ((AL < 0).any(axis=(1, 2)) | (B < 0).any(axis=(1, 2)))
+        if not negative.any():
+            break
+        alpha = np.where(negative, (alpha - 1) / 2, alpha)
+    P = AL @ B
+    bad = _loglik(counts, cells, P)[1]
+    if bad is not None:
+        use &= ~bad
+    if not use.all():
+        keep = ~use[:, None, None]
+        AL, B, P = np.where(keep, AL2, AL), np.where(keep, B2, B), np.where(keep, P2, P)
+    return AL, B, P, use
+
+
 def _em_loop(data: DataMatrix, A, lam, B, max_iter: int, tol: float,
-             trace: bool = False) -> tuple[RestartBatch, np.ndarray | None]:
+             trace: bool = False,
+             accelerate: bool = False) -> tuple[RestartBatch, np.ndarray | None]:
     """The EM driver: iterate a batch of starting points in lockstep.
 
     ``A`` (b, m, r), ``lam`` (b, r) and ``B`` (b, r, n) are the starting
-    parameters.  A run stops when the max entrywise change of its P drops
-    below ``tol``, and is frozen from then on, or after ``max_iter`` rounds.
-    A run whose mixture underflows at an observed cell is quarantined
-    (frozen, unconverged, log-likelihood -inf); the others go on, and
-    ``EMNumericalError`` is raised only when every run is quarantined.
-    With ``trace`` set on a batch of one, also returns its log-likelihood
-    before the first round and after each round.
+    parameters.  A run stops when one EM step moves its P by less than
+    ``tol`` (max entrywise change), and is frozen from then on, or after
+    ``max_iter`` evaluations of the EM map.  A run whose mixture underflows
+    at an observed cell is quarantined (frozen, unconverged, log-likelihood
+    -inf); the others go on, and ``EMNumericalError`` is raised only when
+    every run is quarantined.  With ``trace`` set on a batch of one, also
+    returns its log-likelihood before the first evaluation and after each.
+
+    With ``accelerate`` set, every third evaluation is a SQUAREM step: it
+    starts from the point ``_extrapolate`` makes of the two plain steps
+    before it, and its result is kept only where its log-likelihood is no
+    lower than that of the plain double step, which is kept otherwise.  The
+    stop test is made on plain steps only.
     """
     if max_iter < 0:
         raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
@@ -364,8 +424,8 @@ def _em_loop(data: DataMatrix, A, lam, B, max_iter: int, tol: float,
     converged = np.zeros(b, dtype=bool)
     slack = 0.0
     history = [float(ll[0])] if trace else None
-    live = np.arange(b)     # runs still iterating, and their state, compacted
-    state = (AL, B, P, ll)
+    live = np.arange(b)     # runs still iterating, and their state, compacted;
+    state = (AL, B, P, ll)  # accelerated, the state also holds the two iterates before
     rounds = 0
 
     def retire(stop, done):
@@ -373,7 +433,7 @@ def _em_loop(data: DataMatrix, A, lam, B, max_iter: int, tol: float,
         ``done``, and drop them from the live set."""
         nonlocal live, state
         idx = live[stop]
-        AL_stop, B_stop, P_stop, ll_stop = (part[stop] for part in state)
+        AL_stop, B_stop, P_stop, ll_stop = (part[stop] for part in state[:4])
         A[idx], lam[idx] = _split(AL_stop)
         B[idx], P[idx], ll[idx] = B_stop, P_stop, ll_stop
         iterations[idx] = rounds
@@ -385,13 +445,28 @@ def _em_loop(data: DataMatrix, A, lam, B, max_iter: int, tol: float,
         retire(bad, np.zeros_like(bad))
     while rounds < max_iter and len(live):
         rounds += 1
-        AL_old, B_old, P_old, ll_old = state
-        AL_new, B_new, P_new = _em_update(U, mask, data.u_plus, AL_old, B_old, P_old)
+        AL_old, B_old, P_old, ll_old = state[:4]
+        extrapolated = accelerate and rounds % 3 == 0
+        if extrapolated:
+            AL_in, B_in, P_in, ext = _extrapolate(counts, cells, state)
+        else:
+            AL_in, B_in, P_in = AL_old, B_old, P_old
+        AL_new, B_new, P_new = _em_update(U, mask, data.u_plus, AL_in, B_in, P_in)
         ll_new, bad = _loglik(counts, cells, P_new)
-        state = (AL_new, B_new, P_new, ll_new)
+        delta = np.abs(P_new - P_in).max(axis=(1, 2))
+        if extrapolated and ext.any():
+            # keep x2 where the step from x' is lower, or underflowed (-inf)
+            back = ext & ~(ll_new >= ll_old)
+            for new, old in zip((AL_new, B_new, P_new, ll_new), state):
+                new[back] = old[back]
+            delta[ext] = np.inf
+            if bad is not None:
+                bad &= ~ext
+                bad = bad if bad.any() else None
+        state = (AL_new, B_new, P_new, ll_new) + ((AL_old, B_old) + state[4:6]
+                                                  if accelerate else ())
         if trace:
             history.append(float(ll_new[0]))
-        delta = np.abs(P_new - P_old).max(axis=(1, 2))
         if bad is None:
             slack = max(slack, float((ll_old - ll_new).max()))
             if delta.min() < tol:
@@ -430,10 +505,14 @@ def run_em(U, r: int, init=None, max_iter: int = 2000, tol: float = 1e-10,
            crit_tol: float = 1e-6) -> EMResult:
     """Run EM on a count table until the estimate stabilizes.
 
-    ``init`` is a ParameterTriple, an integer seed, or None (seed 0).
-    Iteration stops when the max entrywise change of P drops below ``tol``
-    or after ``max_iter`` rounds.  The returned trace of log-likelihood
-    values is non-decreasing up to float rounding.
+    ``init`` is a ParameterTriple, an integer seed, or None (seed 0).  The
+    run is accelerated by SQUAREM: every third evaluation of the EM map
+    starts from an extrapolation of the two before it, and falls back to
+    the plain double step unless that raises the log-likelihood.  Iteration
+    stops when a plain EM step changes P by less than ``tol`` (max entrywise
+    change) or after ``max_iter`` evaluations of the EM map, which is what
+    ``iterations`` counts.  The returned trace holds the log-likelihood
+    after each evaluation; it is non-decreasing up to float rounding.
     """
     data = _as_counts(U)
     m, n = data.shape
@@ -445,7 +524,7 @@ def run_em(U, r: int, init=None, max_iter: int = 2000, tol: float = 1e-10,
         seed = 0 if init is None else int(init)
         theta = random_parameters(m, n, r, np.random.default_rng(np.random.SeedSequence(seed)))
     batch, trace = _em_loop(data, theta.A[None], theta.lam[None], theta.B[None],
-                            max_iter, tol, trace=True)
+                            max_iter, tol, trace=True, accelerate=True)
     return _result(data, batch, 0, trace, crit_tol, seed)
 
 
@@ -453,9 +532,9 @@ def em_restart_batch(U, r: int, seeds, max_iter: int = 2000,
                      tol: float = 1e-10) -> RestartBatch:
     """Vectorized EM over independent restarts (one RNG stream per seed).
 
-    All restarts advance in lockstep; elements that have converged are
-    frozen.  The result is bit-reproducible for a fixed seed list, and each
-    restart matches ``run_em`` started from the same draw.
+    All restarts advance in lockstep by plain EM rounds; elements that have
+    converged are frozen.  The result is bit-reproducible for a fixed seed
+    list, and each restart matches the same loop run on its draw alone.
     """
     data = _as_counts(U)
     m, n = data.shape
@@ -476,12 +555,14 @@ def run_em_restarts(U, r: int, restarts: int = 100, seed: int | tuple = 0,
 
     Restart k starts from ``SeedSequence((seed, k))``; a tuple seed is
     spliced in as ``(*seed, k)``.  The winner is the restart with the highest
-    log-likelihood.  If it has not converged within ``max_iter`` rounds,
-    ``run_em`` continues it for up to ``POLISH_ITER`` more, so the estimate
-    and its criticality describe the limit the winner is heading to.  The
-    command line (``em``, with any ``--restarts``) and the experiments both
-    come through here, so they classify the same point.  The result's
-    ``iterations`` counts batch and polish rounds together.
+    log-likelihood (see ``RestartBatch.best_index`` for ties).  If it has not
+    converged within ``max_iter`` rounds, ``run_em`` continues it, SQUAREM
+    accelerated, for up to ``POLISH_ITER`` more evaluations of the EM map,
+    so the estimate and its criticality describe the limit the winner is
+    heading to.  The command line (``em``, with any ``--restarts``) and the
+    experiments both come through here, so they classify the same point.
+    The result's ``iterations`` counts batch rounds and polish evaluations
+    together.
     """
     if restarts < 1:
         raise ValueError("restarts must be at least 1")

@@ -35,6 +35,8 @@ from . import em
 TABLE1 = "table1"
 PLANTED = "planted"
 BOUNDARY_FRACTION = "boundary_fraction"
+# criticality margins within which a boundary flag counts as fragile
+FRAGILE_MARGIN = (0.1, 10.0)
 
 
 @dataclass(frozen=True)
@@ -123,12 +125,14 @@ def _em_trial(cfg: ExperimentConfig, trial: int, U: np.ndarray) -> dict:
         "resid_ptr": crit.resid_ptr,
         "resid_rpt": crit.resid_rpt,
         "crit_threshold": crit.threshold,
+        # flagged exactly when at least 1; near 1 the flag turns on how far EM got
+        "crit_margin": max(crit.resid_ptr, crit.resid_rpt) / crit.threshold,
         "rank_p": crit.rank_p,
         "flagged_boundary": flagged,
-        "monotonicity_slack": batch.monotonicity_slack,
+        "monotonicity_slack": max(batch.monotonicity_slack, best.monotonicity_slack),
         "restarts_converged": int(batch.converged.sum()),
         "restarts_quarantined": batch.quarantined,
-        # rounds run on after the batch; 0 when the batch winner converged
+        # EM-map evaluations after the batch; 0 when the batch winner converged
         "polish_iterations": best.iterations - int(batch.iterations[batch.best_index]),
     }
     if flagged and cfg.check_boundary_consistency:
@@ -210,6 +214,9 @@ def _run(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
         extra["unconverged_trials"] = sum(1 for rec in records if not rec["converged"])
         extra["max_monotonicity_slack"] = max(
             (rec["monotonicity_slack"] for rec in records), default=0.0)
+        low, high = FRAGILE_MARGIN
+        extra["fragile_flags"] = sum(1 for rec in records if rec["flagged_boundary"]
+                                     and low <= rec["crit_margin"] <= high)
     return ExperimentReport(config=cfg, records=records, fraction=fraction,
                             runtime=time.perf_counter() - start, extra=extra)
 

@@ -326,8 +326,38 @@ class TestRunEM:
         rng = np.random.default_rng(10)
         U = rng.integers(1, 9, size=(3, 3)).astype(float)
         first = em.run_em(U, 2, init=4, max_iter=3000, tol=1e-14)
-        again = em.run_em(U, 2, init=first.params, max_iter=1, tol=0.0)
-        assert np.max(np.abs(again.P_hat - first.P_hat)) < 1e-12
+        for max_iter in (1, 3):  # one plain step, one SQUAREM cycle
+            again = em.run_em(U, 2, init=first.params, max_iter=max_iter, tol=0.0)
+            assert again.iterations == max_iter
+            assert np.max(np.abs(again.P_hat - first.P_hat)) < 1e-12
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_accelerated_run_on_a_boundary_table(self, u10, seed):
+        # the 0/1 table's maximizers have zero entries, so extrapolations
+        # overshoot into negative entries and must be cut back or dropped
+        res = em.run_em(u10, 3, init=seed, max_iter=3000, tol=1e-10)
+        assert len(res.loglik_trace) == res.iterations + 1
+        assert res.monotonicity_slack <= 1e-9
+        theta = res.params
+        theta.validate(atol=1e-12)
+        assert theta.A.min() >= 0 and theta.B.min() >= 0 and theta.lam.min() >= 0
+        np.testing.assert_allclose(res.P_hat, theta.product(), atol=1e-15)
+        assert res.P_hat.min() >= 0 and res.P_hat.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_accelerated_run_reaches_the_plain_limit_sooner(self):
+        # from one start, SQUAREM and plain EM reach the same fixed point;
+        # SQUAREM needs a fraction of the EM-map evaluations
+        rng = np.random.default_rng(14)
+        U = rng.integers(1, 40, size=(5, 5))
+        data = em.DataMatrix.from_array(U)
+        theta = em.random_parameters(5, 5, 3, np.random.default_rng(15))
+        fast = em.run_em(data, 3, init=theta, max_iter=20000, tol=1e-12)
+        plain, _ = em._em_loop(data, theta.A[None], theta.lam[None], theta.B[None],
+                               max_iter=200000, tol=1e-13)
+        assert fast.converged and plain.converged[0]
+        assert np.max(np.abs(fast.P_hat - plain.P[0])) < 1e-8
+        assert fast.loglik >= plain.loglik[0] - 1e-9 * abs(plain.loglik[0])
+        assert 3 * fast.iterations < plain.iterations[0]
 
     def test_three_named_fixed_points_of_the_zero_one_table(self, u10):
         # three known fixed-point estimates for the 0/1 table, in strictly
@@ -378,21 +408,22 @@ class TestRunEM:
         assert np.array_equal(b1.loglik, b2.loglik)
 
     def test_batch_restarts_match_single_runs(self):
-        # the restart batch and run_em share one loop: each restart must
-        # reproduce run_em from the same draw bit for bit
+        # a run does not depend on its batch: each restart must reproduce the
+        # same loop run on its draw alone, bit for bit
         rng = np.random.default_rng(11)
         U = rng.integers(0, 30, size=(4, 4))
         U[0, 0] += 1
+        data = em.DataMatrix.from_array(U)
         seeds = [(3, k) for k in range(12)]
         batch = em.em_restart_batch(U, 2, seeds, max_iter=300, tol=1e-10)
         assert 0 < batch.converged.sum() < len(seeds)  # both kinds of run
         for k, seed in enumerate(seeds):
             theta = em.random_parameters(
                 4, 4, 2, np.random.default_rng(np.random.SeedSequence(seed)))
-            single = em.run_em(U, 2, init=theta, max_iter=300, tol=1e-10)
-            assert np.array_equal(single.P_hat, batch.P[k])
-            assert single.iterations == batch.iterations[k]
-            assert single.converged == batch.converged[k]
+            single, _ = em._em_loop(data, theta.A[None], theta.lam[None], theta.B[None],
+                                    max_iter=300, tol=1e-10)
+            for name in ("P", "loglik", "iterations", "converged"):
+                assert np.array_equal(getattr(single, name)[0], getattr(batch, name)[k])
 
     def test_restarts_polish_an_unconverged_winner(self, u10):
         seeds = [(2, k) for k in range(8)]
@@ -407,6 +438,29 @@ class TestRunEM:
         assert np.array_equal(polished.P_hat, direct.P_hat)
         assert polished.iterations == 30 + direct.iterations
         assert polished.loglik >= batch.loglik[i]
+
+    @staticmethod
+    def _batch(loglik, converged):
+        b = len(loglik)
+        return em.RestartBatch(A=np.zeros((b, 2, 1)), lam=np.ones((b, 1)),
+                               B=np.zeros((b, 1, 2)), P=np.zeros((b, 2, 2)),
+                               loglik=np.array(loglik), iterations=np.zeros(b, dtype=int),
+                               converged=np.array(converged), monotonicity_slack=0.0)
+
+    def test_winner_ties_within_a_few_ulp(self):
+        top = -2396549.165878614
+        below = np.nextafter(top, -np.inf)  # one ulp lower
+        far = top * (1 + 1e-12)
+        # a one-ulp tie goes to the lower index, not to the larger value
+        assert self._batch([below, top], [True, True]).best_index == 0
+        # within the tie, a converged run beats an unconverged one
+        assert self._batch([top, below, top], [False, True, True]).best_index == 1
+        # with no converged run in the tie, the lowest index wins
+        assert self._batch([far, below, top], [True, False, False]).best_index == 1
+        # a run outside the band never wins, converged or not
+        assert self._batch([far, top], [True, False]).best_index == 1
+        # a quarantined run (-inf) is never tied
+        assert self._batch([-np.inf, top], [False, False]).best_index == 1
 
     def test_restarts_must_be_positive(self, u10):
         with pytest.raises(ValueError, match="restarts"):

@@ -9,8 +9,8 @@ import pytest
 
 from nnmix import em
 from nnmix.harness import (BOUNDARY_FRACTION, ExperimentConfig, PLANTED, TABLE1,
-                           boundary_fraction_experiment, planted_experiment,
-                           table1_experiment)
+                           _table1_trial, boundary_fraction_experiment,
+                           planted_experiment, table1_experiment)
 
 
 def tiny_cfg(mode, **kw):
@@ -76,6 +76,8 @@ class TestProtocols:
         assert rec["polish_iterations"] == rec["iterations"] - batch.iterations[batch.best_index]
         assert rec["converged"] == polished.converged
         assert rec["loglik"] == polished.loglik
+        assert rec["monotonicity_slack"] == max(batch.monotonicity_slack,
+                                                polished.monotonicity_slack)
         assert rec["restarts_converged"] == batch.converged.sum()
         assert rec["restarts_quarantined"] == 0
 
@@ -83,7 +85,7 @@ class TestProtocols:
                                            (PLANTED, planted_experiment)])
     def test_report_counts_unconverged_trials(self, monkeypatch, mode, run):
         # a short polish leaves some winners converged and some still moving
-        monkeypatch.setattr(em, "POLISH_ITER", 300)
+        monkeypatch.setattr(em, "POLISH_ITER", 50)
         rep = run(tiny_cfg(mode, max_iter=20))
         unconverged = sum(1 for rec in rep.records if not rec["converged"])
         assert 0 < unconverged < len(rep.records)
@@ -103,6 +105,36 @@ class TestProtocols:
             assert batch_rounds == 300 if was_polished else batch_rounds <= 300
             assert 0 <= rec["restarts_converged"] <= 8
             assert rec["restarts_quarantined"] == 0
+
+    def test_criticality_margin_and_fragile_flags(self):
+        # small planted samples flag often, with margins about 10^6; a loose
+        # criticality tolerance brings some of them within the fragile band
+        rep = planted_experiment(tiny_cfg(PLANTED, T=2, num_matrices=20, crit_tol=0.1))
+        for rec in rep.records:
+            margin = max(rec["resid_ptr"], rec["resid_rpt"]) / rec["crit_threshold"]
+            assert rec["crit_margin"] == margin
+            assert rec["flagged_boundary"] == (margin >= 1)
+        fragile = sum(1 for rec in rep.records
+                      if rec["flagged_boundary"] and 0.1 <= rec["crit_margin"] <= 10)
+        assert rep.extra["fragile_flags"] == fragile
+        assert json.loads(rep.to_json())["fragile_flags"] == fragile
+        assert 0 < fragile < sum(rec["flagged_boundary"] for rec in rep.records)
+
+    # seed-0 trials whose flag EM used to read before reaching its limit:
+    # (m, trial, loglik of the plain-EM polish)
+    @pytest.mark.parametrize("m, trial, plain_loglik", [
+        (4, 83, -2496611.456530819),     # stalled after 500 + 7960 rounds, ratio 2.77
+        (5, 15, -3030019.5141873565),    # unconverged after 500 + 10^4 rounds, ratio 30
+    ])
+    def test_polish_reaches_the_critical_limit(self, m, trial, plain_loglik):
+        cfg = ExperimentConfig(mode=TABLE1, m=m, n=m, r=3, num_matrices=200,
+                               num_restarts=100, max_iter=500, seed=0,
+                               check_boundary_consistency=False)
+        rec = _table1_trial(cfg, trial)
+        assert rec["polish_iterations"] > 0
+        assert rec["converged"]
+        assert not rec["flagged_boundary"] and rec["crit_margin"] < 0.5
+        assert rec["loglik"] >= plain_loglik
 
     def test_planted_mode_runs(self):
         rep = planted_experiment(tiny_cfg(PLANTED, T=20))

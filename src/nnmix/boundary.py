@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations, permutations
 from math import comb
 
 import numpy as np
@@ -143,6 +144,13 @@ class ZeroPattern:
     def validate(self):
         if self.kind not in ("a", "b"):
             raise ValueError(f"unknown pattern kind {self.kind!r}")
+        for name, zeros, rows, cols in (("A", self.A_zeros, self.m, 3),
+                                        ("B", self.B_zeros, 3, self.n)):
+            outside = [z for z in zeros if not (0 <= z[0] < rows and 0 <= z[1] < cols)]
+            if outside:
+                needs = "m >= 3 and n >= 4" if self.kind == "a" else "m >= 4 and n >= 3"
+                raise ValueError(f"zeros {outside} fall outside the {rows}-by-{cols} "
+                                 f"factor {name}; kind {self.kind} needs {needs}")
         a_rows = [r for r, _ in self.A_zeros]
         a_cols = [c for _, c in self.A_zeros]
         b_rows = [r for r, _ in self.B_zeros]
@@ -178,8 +186,6 @@ def enumerate_zero_patterns(m: int, n: int) -> list[ZeroPattern]:
     patterns: list[ZeroPattern] = []
     # kind (a): rows r1<r2<r3 of A hold the zeros, assigned to columns 0,1,2;
     # one row of B holds two zeros, the other rows one each in fresh columns.
-    from itertools import combinations, permutations
-
     for rows in combinations(range(m), 3):
         a_zeros = tuple((r, k) for k, r in enumerate(rows))
         for k0 in range(3):

@@ -21,7 +21,8 @@ from pathlib import Path
 
 from . import boundary as boundary_mod
 from . import em, families, harness
-from .exactla import EXACT, Matrix, format_matrix, parse_matrix
+from .exactla import (EXACT, Matrix, determinant, format_matrix, from_numpy,
+                      parse_matrix)
 from .rank3cert import (DomainError, NotInModelError, nnrank3_membership,
                         nonneg_rank3_factorize)
 
@@ -69,7 +70,6 @@ def _cmd_em(args) -> int:
     payload["restarts"] = args.restarts
     _emit(payload, args.output)
     if args.estimate_out:
-        from .exactla import from_numpy
         Path(args.estimate_out).write_text(format_matrix(from_numpy(best.P_hat)))
     return EXIT_OK
 
@@ -88,11 +88,10 @@ def _cmd_factorize(args) -> int:
     except NotInModelError as exc:
         _emit({"schema": "1", "error": str(exc)}, args.output)
         return EXIT_NEGATIVE_VERDICT
-    prefix = args.prefix or "factor"
-    Path(f"{prefix}_A.txt").write_text(format_matrix(A))
-    Path(f"{prefix}_B.txt").write_text(format_matrix(B))
+    Path(f"{args.prefix}_A.txt").write_text(format_matrix(A))
+    Path(f"{args.prefix}_B.txt").write_text(format_matrix(B))
     _emit({"schema": "1", "status": "ok",
-           "A": f"{prefix}_A.txt", "B": f"{prefix}_B.txt"}, args.output)
+           "A": f"{args.prefix}_A.txt", "B": f"{args.prefix}_B.txt"}, args.output)
     return EXIT_OK
 
 
@@ -147,14 +146,11 @@ def _cmd_family(args) -> int:
         M = families.rectangle_family(a, b)
         matrices.append(("P", M))
         summary["in_model"] = families.rectangle_in_model(a, b)
-    elif args.name == "greencurve":
+    else:  # greencurve
         x, y = _parse_param(args.a), _parse_param(args.b)
         M = families.greencurve_matrix(x, y)
         matrices.append(("P", M))
-        from .exactla import determinant
         summary["det"] = str(determinant(M))
-    else:
-        raise SystemExit(f"error: unknown family {args.name!r}")
     text = "".join(f"# {name}\n{format_matrix(M)}" for name, M in matrices)
     if args.matrix_out:
         Path(args.matrix_out).write_text(text)
@@ -165,9 +161,10 @@ def _cmd_family(args) -> int:
 
 
 # ExperimentConfig fields exposed as flags and config-file keys; their
-# defaults come from the dataclass
+# defaults and types come from the dataclass
 _EXPERIMENT_KEYS = ("m", "n", "r", "num_matrices", "num_restarts", "max_iter", "tol",
                     "crit_tol", "seed", "generator", "T", "dist", "dist_param")
+_CONFIG_DEFAULTS = {f.name: f.default for f in fields(harness.ExperimentConfig)}
 
 
 def _read_config(path: str) -> dict:
@@ -186,9 +183,8 @@ def _read_config(path: str) -> dict:
     unknown = set(values) - set(_EXPERIMENT_KEYS)
     if unknown:
         raise ValueError(f"unknown config keys {sorted(unknown)}")
-    defaults = {f.name: f.default for f in fields(harness.ExperimentConfig)}
     for key, value in values.items():
-        kind = type(defaults[key])
+        kind = type(_CONFIG_DEFAULTS[key])
         allowed = (int, float) if kind is float else kind
         if isinstance(value, bool) or not isinstance(value, allowed):
             raise ValueError(f"config key {key!r} must be {kind.__name__}, got {value!r}")
@@ -201,15 +197,10 @@ def _cmd_experiment(args) -> int:
     values.update({key: getattr(args, key) for key in _EXPERIMENT_KEYS
                    if getattr(args, key) is not None})
     cfg = harness.ExperimentConfig(mode=args.mode, **values)
-    runner = getattr(harness, f"{args.mode}_experiment")
-    report = runner(cfg, jobs=args.jobs)
+    report = harness.run_experiment(cfg, jobs=args.jobs)
     if args.csv:
         Path(args.csv).write_text(report.to_csv())
-    text = report.to_json()
-    if args.output:
-        Path(args.output).write_text(text + "\n")
-    else:
-        print(text)
+    _emit(report.as_dict(), args.output)
     return EXIT_OK
 
 
@@ -225,9 +216,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, default=3)
     p.add_argument("--restarts", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-iter", dest="max_iter", type=int, default=2000)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--crit-tol", dest="crit_tol", type=float, default=1e-6)
+    p.add_argument("--max-iter", dest="max_iter", type=int, default=em.MAX_ITER)
+    p.add_argument("--tol", type=float, default=em.TOL)
+    p.add_argument("--crit-tol", dest="crit_tol", type=float, default=em.CRIT_TOL)
     p.add_argument("--output")
     p.add_argument("--estimate-out", dest="estimate_out")
     p.set_defaults(func=_cmd_em)
@@ -248,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("factorize", help="exact nonnegative rank-3 factorization")
     p.add_argument("--input", required=True)
     p.add_argument("--backend", choices=["exact", "promote"], default="exact")
-    p.add_argument("--prefix")
+    p.add_argument("--prefix", default="factor")
     p.add_argument("--output")
     p.set_defaults(func=_cmd_factorize)
 
@@ -270,24 +261,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_family)
 
     p = sub.add_parser("experiment", help="seeded Monte-Carlo experiments")
-    p.add_argument("mode", choices=[harness.TABLE1, harness.PLANTED,
-                                    harness.BOUNDARY_FRACTION])
+    p.add_argument("mode", choices=list(harness.TRIALS))
     p.add_argument("--config", help="JSON file with base config values "
                                     "(explicit flags override)")
-    p.add_argument("--m", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--r", type=int)
-    p.add_argument("--num-matrices", dest="num_matrices", type=int)
-    p.add_argument("--restarts", dest="num_restarts", type=int)
-    p.add_argument("--max-iter", dest="max_iter", type=int)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--crit-tol", dest="crit_tol", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--generator", choices=["normalized_uniform", "dirichlet"],
-                   help="random-table generator for table1")
-    p.add_argument("--T", type=int)
-    p.add_argument("--dist", choices=["rational", "unit_rational", "int1to4"])
-    p.add_argument("--dist-param", dest="dist_param", type=int)
+    extra = {"generator": dict(choices=list(harness.GENERATORS),
+                               help="random-table generator for table1"),
+             "dist": dict(choices=list(harness.DISTS))}
+    for key in _EXPERIMENT_KEYS:
+        flag = "restarts" if key == "num_restarts" else key.replace("_", "-")
+        p.add_argument(f"--{flag}", dest=key, type=type(_CONFIG_DEFAULTS[key]),
+                       **extra.get(key, {}))
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--csv")
     p.add_argument("--output")

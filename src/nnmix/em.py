@@ -20,6 +20,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 _TINY = 1e-300
+# defaults of every EM entry point and of ``nnmix em``
+MAX_ITER = 2000   # EM-map evaluations per run
+TOL = 1e-10       # stop once a plain EM step moves P by less than this (max entrywise)
+CRIT_TOL = 1e-6   # relative criticality tolerance (see ``is_critical``)
 POLISH_ITER = 10**4  # EM-map evaluations allowed to converge an unconverged best restart
 # restarts whose log-likelihoods differ by less than this, relative (about 10
 # ulp), reach the same maximizer as far as the arithmetic can tell
@@ -212,7 +216,7 @@ class CriticalityResult:
         return self.critical
 
 
-def is_critical(P, R, u_plus: float, rel_tol: float = 1e-6) -> CriticalityResult:
+def is_critical(P, R, u_plus: float, rel_tol: float = CRIT_TOL) -> CriticalityResult:
     """Test whether P is a critical point of the likelihood on the rank-r variety.
 
     At a rank-r point the normal space is characterized by ``P.T @ R = 0``
@@ -501,8 +505,8 @@ def _result(data: DataMatrix, batch: RestartBatch, i: int, trace, crit_tol: floa
                     critical=crit, seed=seed)
 
 
-def run_em(U, r: int, init=None, max_iter: int = 2000, tol: float = 1e-10,
-           crit_tol: float = 1e-6) -> EMResult:
+def run_em(U, r: int, init=None, max_iter: int = MAX_ITER, tol: float = TOL,
+           crit_tol: float = CRIT_TOL) -> EMResult:
     """Run EM on a count table until the estimate stabilizes.
 
     ``init`` is a ParameterTriple, an integer seed, or None (seed 0).  The
@@ -528,8 +532,8 @@ def run_em(U, r: int, init=None, max_iter: int = 2000, tol: float = 1e-10,
     return _result(data, batch, 0, trace, crit_tol, seed)
 
 
-def em_restart_batch(U, r: int, seeds, max_iter: int = 2000,
-                     tol: float = 1e-10) -> RestartBatch:
+def em_restart_batch(U, r: int, seeds, max_iter: int = MAX_ITER,
+                     tol: float = TOL) -> RestartBatch:
     """Vectorized EM over independent restarts (one RNG stream per seed).
 
     All restarts advance in lockstep by plain EM rounds; elements that have
@@ -549,8 +553,8 @@ def em_restart_batch(U, r: int, seeds, max_iter: int = 2000,
 
 
 def run_em_restarts(U, r: int, restarts: int = 100, seed: int | tuple = 0,
-                    max_iter: int = 2000, tol: float = 1e-10,
-                    crit_tol: float = 1e-6) -> tuple[EMResult, RestartBatch]:
+                    max_iter: int = MAX_ITER, tol: float = TOL,
+                    crit_tol: float = CRIT_TOL) -> tuple[EMResult, RestartBatch]:
     """Best-of-``restarts`` EM, the one entry point for a maximizer estimate.
 
     Restart k starts from ``SeedSequence((seed, k))``; a tuple seed is

@@ -12,25 +12,26 @@ Three protocols:
 * ``boundary_fraction``: exact sampling on one algebraic-boundary stratum
   followed by the exact topological-boundary test.
 
-Trials are independent; each derives its RNG stream from (seed, trial), so
-reports are bit-identical for identical configs.  Trials run as a parallel
-map over a process pool when ``jobs`` exceeds one, and records are merged
-in trial order either way.
+``run_experiment`` runs every protocol.  Trials are independent; each
+derives its RNG stream from (seed, trial), so reports are bit-identical for
+identical configs.  Trials run as a parallel map over a process pool when
+``jobs`` exceeds one, and records come back in trial order either way.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 
 from . import boundary as boundary_mod
 from . import em
+from .exactla import from_numpy
 
 TABLE1 = "table1"
 PLANTED = "planted"
@@ -41,28 +42,40 @@ FRAGILE_MARGIN = (0.1, 10.0)
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    mode: str
+    mode: str                     # a key of TRIALS
     m: int = 4
     n: int = 4
     r: int = 3
     num_matrices: int = 200
     num_restarts: int = 100
     max_iter: int = 500
-    tol: float = 1e-10
-    crit_tol: float = 1e-6
+    tol: float = em.TOL
+    crit_tol: float = em.CRIT_TOL
     seed: int = 0
     scale: int = 10**6            # integer scaling of random tables (table1)
-    generator: str = "normalized_uniform"  # or "dirichlet" (table1)
+    generator: str = "normalized_uniform"  # a key of GENERATORS (table1)
     T: int = 10                   # samples per cell (planted)
-    dist: str = "rational"        # rational | unit_rational | int1to4 (boundary)
+    dist: str = "rational"        # a key of DISTS (boundary_fraction)
     dist_param: int = 100
     check_boundary_consistency: bool = True
 
     def validate(self):
-        if self.mode not in (TABLE1, PLANTED, BOUNDARY_FRACTION):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode in (TABLE1, PLANTED) and not self.r < min(self.m, self.n):
-            raise ValueError("requires r < min(m, n)")
+        """Raise ValueError on a config no trial can run, before any trial runs."""
+        for key, table in (("mode", TRIALS), ("generator", GENERATORS), ("dist", DISTS)):
+            if getattr(self, key) not in table:
+                raise ValueError(f"unknown {key} {getattr(self, key)!r}; "
+                                 f"choose from {', '.join(table)}")
+        at_least_one = ["num_matrices", "r"]
+        if self.mode == BOUNDARY_FRACTION:
+            at_least_one.append("dist_param")
+            boundary_mod.canonical_pattern(self.m, self.n)
+        else:
+            at_least_one += ["num_restarts", "T"]
+            if not self.r < min(self.m, self.n):
+                raise ValueError("requires r < min(m, n)")
+        for key in at_least_one:
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be at least 1, got {getattr(self, key)}")
 
 
 @dataclass
@@ -73,7 +86,7 @@ class ExperimentReport:
     runtime: float
     extra: dict = field(default_factory=dict)
 
-    def to_json(self) -> str:
+    def as_dict(self) -> dict:
         payload = {
             "schema": "1",
             "config": asdict(self.config),
@@ -82,7 +95,7 @@ class ExperimentReport:
             "runtime_sec": self.runtime,
         }
         payload.update(self.extra)
-        return json.dumps(payload, indent=2)
+        return payload
 
     def to_csv(self) -> str:
         if not self.records:
@@ -97,16 +110,6 @@ class ExperimentReport:
         writer.writeheader()
         writer.writerows(self.records)
         return buf.getvalue()
-
-
-def _entry_dist(cfg: ExperimentConfig):
-    if cfg.dist == "rational":
-        return boundary_mod.rational_dist(cfg.dist_param)
-    if cfg.dist == "unit_rational":
-        return boundary_mod.unit_rational_dist(cfg.dist_param)
-    if cfg.dist == "int1to4":
-        return boundary_mod.integer_dist(1, 4)
-    raise ValueError(f"unknown entry distribution {cfg.dist!r}")
 
 
 def _em_trial(cfg: ExperimentConfig, trial: int, U: np.ndarray) -> dict:
@@ -136,7 +139,6 @@ def _em_trial(cfg: ExperimentConfig, trial: int, U: np.ndarray) -> dict:
         "polish_iterations": best.iterations - int(batch.iterations[batch.best_index]),
     }
     if flagged and cfg.check_boundary_consistency:
-        from .exactla import from_numpy
         promoted = from_numpy(best.P_hat).as_exact()
         status = boundary_mod.boundary_test(promoted).status
         rec["promoted_status"] = status
@@ -146,12 +148,7 @@ def _em_trial(cfg: ExperimentConfig, trial: int, U: np.ndarray) -> dict:
 
 def _table1_trial(cfg: ExperimentConfig, trial: int) -> dict:
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, trial, 0xDA7A)))
-    if cfg.generator == "dirichlet":
-        p = rng.exponential(size=cfg.m * cfg.n)  # normalized: uniform on simplex
-    elif cfg.generator == "normalized_uniform":
-        p = rng.uniform(size=cfg.m * cfg.n)
-    else:
-        raise ValueError(f"unknown generator {cfg.generator!r}")
+    p = GENERATORS[cfg.generator](rng, cfg.m * cfg.n)
     p /= p.sum()
     U = np.rint(p * cfg.scale).reshape(cfg.m, cfg.n)
     return _em_trial(cfg, trial, U)
@@ -173,7 +170,7 @@ def _planted_trial(cfg: ExperimentConfig, trial: int) -> dict:
 def _boundary_trial(cfg: ExperimentConfig, trial: int) -> dict:
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, trial, 0xB0D1)))
     pattern = boundary_mod.canonical_pattern(cfg.m, cfg.n)
-    P, A, B = boundary_mod.sample_algebraic_boundary(pattern, rng, _entry_dist(cfg))
+    P, A, B = boundary_mod.sample_algebraic_boundary(pattern, rng, DISTS[cfg.dist](cfg.dist_param))
     cls = boundary_mod.boundary_test(P)
     return {
         "trial": trial,
@@ -185,24 +182,32 @@ def _boundary_trial(cfg: ExperimentConfig, trial: int) -> dict:
     }
 
 
-_TRIAL_FUNCS = {TABLE1: _table1_trial, PLANTED: _planted_trial,
-                BOUNDARY_FRACTION: _boundary_trial}
+# unnormalized table entries; normalized, the exponential draw is uniform on the simplex
+GENERATORS = {"normalized_uniform": lambda rng, size: rng.uniform(size=size),
+              "dirichlet": lambda rng, size: rng.exponential(size=size)}
+# stratum entry distributions, built from ``dist_param``
+DISTS = {"rational": boundary_mod.rational_dist,
+         "unit_rational": boundary_mod.unit_rational_dist,
+         "int1to4": lambda _: boundary_mod.integer_dist(1, 4)}
+TRIALS = {TABLE1: _table1_trial, PLANTED: _planted_trial,
+          BOUNDARY_FRACTION: _boundary_trial}
 
 
-def _run(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
+def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
+    """Run the ``cfg.mode`` protocol over ``cfg.num_matrices`` seeded trials."""
     cfg.validate()
-    func = _TRIAL_FUNCS[cfg.mode]
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    trial = partial(TRIALS[cfg.mode], cfg)
     start = time.perf_counter()
     trials = range(cfg.num_matrices)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_trial_worker, [(cfg, t) for t in trials],
-                                    chunksize=8))
+            records = list(pool.map(trial, trials, chunksize=8))
     else:
-        records = [func(cfg, t) for t in trials]
-    records.sort(key=lambda rec: rec["trial"])
+        records = list(map(trial, trials))
     flagged = sum(1 for rec in records if rec["flagged_boundary"])
-    fraction = flagged / len(records) if records else 0.0
+    fraction = flagged / len(records)
     extra = {}
     if cfg.mode == BOUNDARY_FRACTION:
         extra["all_members"] = all(rec["is_member"] for rec in records)
@@ -212,8 +217,7 @@ def _run(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
         # trials whose best restart is still moving after the polish: their
         # boundary flag is read at a point EM has not settled
         extra["unconverged_trials"] = sum(1 for rec in records if not rec["converged"])
-        extra["max_monotonicity_slack"] = max(
-            (rec["monotonicity_slack"] for rec in records), default=0.0)
+        extra["max_monotonicity_slack"] = max(rec["monotonicity_slack"] for rec in records)
         low, high = FRAGILE_MARGIN
         extra["fragile_flags"] = sum(1 for rec in records if rec["flagged_boundary"]
                                      and low <= rec["crit_margin"] <= high)
@@ -221,27 +225,5 @@ def _run(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
                             runtime=time.perf_counter() - start, extra=extra)
 
 
-def _trial_worker(args):
-    cfg, trial = args
-    return _TRIAL_FUNCS[cfg.mode](cfg, trial)
-
-
-def table1_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
-    """Fraction of random count tables whose maximizer is non-critical."""
-    if cfg.mode != TABLE1:
-        raise ValueError("config mode must be 'table1'")
-    return _run(cfg, jobs)
-
-
-def planted_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
-    """Boundary fraction for multinomial samples of a planted factorization."""
-    if cfg.mode != PLANTED:
-        raise ValueError("config mode must be 'planted'")
-    return _run(cfg, jobs)
-
-
-def boundary_fraction_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
-    """Topological-boundary fraction on one algebraic-boundary stratum."""
-    if cfg.mode != BOUNDARY_FRACTION:
-        raise ValueError("config mode must be 'boundary_fraction'")
-    return _run(cfg, jobs)
+# the per-mode names, kept for callers that look a runner up by mode
+table1_experiment = planted_experiment = boundary_fraction_experiment = run_experiment

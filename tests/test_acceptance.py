@@ -16,8 +16,7 @@ from nnmix.boundary import boundary_test, component_count
 from nnmix.exactla import Matrix, determinant, matrix_rank
 from nnmix.families import (greencurve_matrix, rectangle_family,
                             uab_closed_form_mle, uab_in_model, uab_matrix)
-from nnmix.harness import (ExperimentConfig, boundary_fraction_experiment,
-                           planted_experiment, table1_experiment)
+from nnmix.harness import ExperimentConfig, run_experiment
 from nnmix.rank3cert import (membership_from_factors, nnrank3_membership,
                              nonneg_rank3_factorize, six_three, meet_join)
 
@@ -171,11 +170,11 @@ def test_criterion_09_table1_reproduction():
     start = time.perf_counter()
     cfg44 = ExperimentConfig(mode="table1", m=4, n=4, r=3, num_matrices=200,
                              num_restarts=100, max_iter=500, seed=0)
-    f44 = table1_experiment(cfg44).fraction
+    f44 = run_experiment(cfg44).fraction
     assert 0.01 <= f44 <= 0.10
     cfg55 = ExperimentConfig(mode="table1", m=5, n=5, r=3, num_matrices=200,
                              num_restarts=100, max_iter=500, seed=0)
-    f55 = table1_experiment(cfg55).fraction
+    f55 = run_experiment(cfg55).fraction
     assert 0.13 <= f55 <= 0.33
     elapsed = time.perf_counter() - start
     assert elapsed < 1800.0
@@ -189,12 +188,12 @@ def test_criterion_10_planted_experiment():
     cfg10 = ExperimentConfig(mode="planted", m=4, n=4, r=3, T=10,
                              num_matrices=200, num_restarts=100,
                              max_iter=500, seed=0)
-    f10 = planted_experiment(cfg10).fraction
+    f10 = run_experiment(cfg10).fraction
     assert 0.07 <= f10 <= 0.20
     cfg25 = ExperimentConfig(mode="planted", m=4, n=4, r=3, T=25,
                              num_matrices=200, num_restarts=100,
                              max_iter=500, seed=0)
-    f25 = planted_experiment(cfg25).fraction
+    f25 = run_experiment(cfg25).fraction
     assert f25 < 0.05
     elapsed = time.perf_counter() - start
     assert elapsed < 1200.0
@@ -206,12 +205,12 @@ def test_criterion_10_planted_experiment():
 def test_criterion_11_boundary_fraction_experiment():
     cfg = ExperimentConfig(mode="boundary_fraction", num_matrices=2000,
                            seed=0, dist="rational", dist_param=100)
-    rep = boundary_fraction_experiment(cfg)
+    rep = run_experiment(cfg)
     assert rep.extra["all_members"]
     assert 0.01 < rep.fraction < 0.15
     cfg_int = ExperimentConfig(mode="boundary_fraction", num_matrices=1000,
                                seed=0, dist="int1to4")
-    rep_int = boundary_fraction_experiment(cfg_int)
+    rep_int = run_experiment(cfg_int)
     assert rep_int.extra["all_members"]
     assert rep_int.fraction < 0.02
     _report(11, f"stratum sampling: rational fraction {rep.fraction:.4f}, "

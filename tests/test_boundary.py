@@ -138,6 +138,18 @@ class TestPatterns:
         with pytest.raises(ValueError):
             bad.validate()
 
+    @pytest.mark.parametrize("m, n, factor", [(2, 4, "2-by-3 factor A"),
+                                              (3, 3, "3-by-3 factor B")])
+    def test_canonical_pattern_must_fit_the_factors(self, m, n, factor):
+        with pytest.raises(ValueError, match=f"outside the {factor}; kind a needs"):
+            canonical_pattern(m, n)
+
+    def test_kind_b_zeros_must_fit_the_factors(self):
+        pat = enumerate_zero_patterns(4, 3)[-1]
+        assert pat.kind == "b"
+        with pytest.raises(ValueError, match="kind b needs m >= 4 and n >= 3"):
+            ZeroPattern("b", 3, 3, pat.A_zeros, pat.B_zeros).validate()
+
 
 class TestSampling:
     def test_deterministic_fill_matches_hand_product(self):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from nnmix import em, harness
-from nnmix.cli import main
+from nnmix.cli import _EXPERIMENT_KEYS, build_parser, main
 from nnmix.exactla import Matrix, format_matrix, parse_matrix
 
 from conftest import NICE_P, uab_normalized
@@ -22,6 +22,11 @@ def workdir(tmp_path, monkeypatch):
 def write_matrix(path, M):
     path.write_text(format_matrix(M))
     return str(path)
+
+
+def _subparser(command):
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    return sub.choices[command]
 
 
 class TestVerdictCommands:
@@ -68,6 +73,12 @@ class TestFactorize:
         B = parse_matrix((workdir / "out_B.txt").read_text())
         assert A @ B == P
 
+    def test_default_prefix(self, workdir):
+        path = write_matrix(workdir / "p.txt", uab_normalized(100, 42))
+        assert main(["factorize", "--input", path, "--output", str(workdir / "f.json")]) == 0
+        assert json.loads((workdir / "f.json").read_text())["A"] == "factor_A.txt"
+        assert (workdir / "factor_A.txt").exists() and (workdir / "factor_B.txt").exists()
+
     def test_refusal_exits_one(self, workdir):
         path = write_matrix(workdir / "p.txt", uab_normalized(1, 0))
         assert main(["factorize", "--input", path,
@@ -103,6 +114,12 @@ class TestEmCommand:
         assert payload["converged"] is True
         assert payload["restarts"] == 1
         assert main(["em", "--input", path, "--r", "3", "--restarts", "0"]) == 2
+
+    def test_defaults_are_the_em_constants(self):
+        p = _subparser("em")
+        assert p.get_default("max_iter") == em.MAX_ITER
+        assert p.get_default("tol") == em.TOL
+        assert p.get_default("crit_tol") == em.CRIT_TOL
 
     @pytest.mark.parametrize("value", ["0.3", "0.02"])
     def test_non_integer_counts_exit_two(self, workdir, capsys, value):
@@ -181,9 +198,43 @@ class TestExperimentCommand:
             seen.append(cfg)
             return harness.ExperimentReport(config=cfg, records=[], fraction=0.0,
                                             runtime=0.0)
-        monkeypatch.setattr(harness, f"{mode}_experiment", fake_runner)
+        monkeypatch.setattr(harness, "run_experiment", fake_runner)
         assert main(["experiment", mode, "--output", str(workdir / "e.json")]) == 0
         assert seen == [harness.ExperimentConfig(mode=mode)]
+
+    @pytest.mark.parametrize("mode, config, flags, message", [
+        ("table1", None, ["--num-matrices", "0"], "num_matrices must be at least 1"),
+        ("table1", None, ["--r", "-1"], "r must be at least 1"),
+        ("boundary_fraction", None, ["--r", "0"], "r must be at least 1"),
+        ("table1", None, ["--restarts", "0"], "num_restarts must be at least 1"),
+        ("planted", None, ["--T", "0"], "T must be at least 1"),
+        ("boundary_fraction", None, ["--dist-param", "0"], "dist_param must be at least 1"),
+        ("boundary_fraction", None, ["--m", "2"], "kind a needs m >= 3 and n >= 4"),
+        ("boundary_fraction", None, ["--n", "3"], "kind a needs m >= 3 and n >= 4"),
+        ("table1", {"generator": "bogus"}, [], "unknown generator 'bogus'"),
+        ("boundary_fraction", {"generator": "bogus"}, [], "unknown generator 'bogus'"),
+        ("planted", {"dist": "bogus"}, [], "unknown dist 'bogus'"),
+        ("table1", None, ["--jobs", "0"], "jobs must be at least 1"),
+    ], ids=["no_matrices", "negative_r", "zero_r_boundary", "no_restarts", "zero_T",
+            "zero_dist_param", "m_below_stratum", "n_below_stratum", "generator",
+            "generator_unread", "dist_unread", "no_jobs"])
+    def test_bad_inputs_exit_two_before_any_trial(self, workdir, monkeypatch, capsys,
+                                                   mode, config, flags, message):
+        ran = []
+        for name in list(harness.TRIALS):
+            monkeypatch.setitem(harness.TRIALS, name, lambda cfg, trial: ran.append(trial))
+        argv = ["experiment", mode, *flags]
+        if config is not None:
+            (workdir / "cfg.json").write_text(json.dumps(config))
+            argv += ["--config", str(workdir / "cfg.json")]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert ran == []
+
+    def test_flags_cover_the_config_keys(self):
+        dests = {action.dest for action in _subparser("experiment")._actions}
+        assert dests - {"help"} == set(_EXPERIMENT_KEYS) | {
+            "mode", "config", "jobs", "csv", "output"}
 
     @pytest.mark.parametrize("config, message", [
         ({"bogus": 1}, "unknown config keys ['bogus']"),

@@ -1,5 +1,6 @@
 """EM iteration, likelihood, gradient, fixed points, and criticality."""
 
+import inspect
 import math
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from nnmix import em
 from nnmix.exactla import Matrix
+from nnmix.harness import ExperimentConfig
 from nnmix.rank3cert import nonneg_rank3_factorize
 
 from conftest import uab_normalized
@@ -474,3 +476,16 @@ class TestRunEM:
         assert rep["schema"] == "1"
         assert set(rep) >= {"estimate", "loglik", "iterations", "residuals",
                             "critical", "seed"}
+
+    def test_defaults_are_the_module_constants(self):
+        expected = {"max_iter": em.MAX_ITER, "tol": em.TOL, "crit_tol": em.CRIT_TOL,
+                    "rel_tol": em.CRIT_TOL}
+        for func, names in ((em.run_em, ("max_iter", "tol", "crit_tol")),
+                            (em.em_restart_batch, ("max_iter", "tol")),
+                            (em.run_em_restarts, ("max_iter", "tol", "crit_tol")),
+                            (em.is_critical, ("rel_tol",))):
+            params = inspect.signature(func).parameters
+            for name in names:
+                assert params[name].default == expected[name], (func.__name__, name)
+        cfg = ExperimentConfig(mode="table1")
+        assert (cfg.tol, cfg.crit_tol) == (em.TOL, em.CRIT_TOL)

@@ -7,10 +7,9 @@ import json
 import numpy as np
 import pytest
 
-from nnmix import em
+from nnmix import em, harness
 from nnmix.harness import (BOUNDARY_FRACTION, ExperimentConfig, PLANTED, TABLE1,
-                           _table1_trial, boundary_fraction_experiment,
-                           planted_experiment, table1_experiment)
+                           _table1_trial, run_experiment)
 
 
 def tiny_cfg(mode, **kw):
@@ -22,15 +21,15 @@ def tiny_cfg(mode, **kw):
 
 class TestDeterminism:
     def test_identical_configs_give_identical_reports(self):
-        a = table1_experiment(tiny_cfg(TABLE1))
-        b = table1_experiment(tiny_cfg(TABLE1))
+        a = run_experiment(tiny_cfg(TABLE1))
+        b = run_experiment(tiny_cfg(TABLE1))
         assert a.records == b.records
         assert a.fraction == b.fraction
 
     def test_parallel_map_matches_serial(self):
         cfg = tiny_cfg(BOUNDARY_FRACTION, num_matrices=12)
-        serial = boundary_fraction_experiment(cfg, jobs=1)
-        parallel = boundary_fraction_experiment(cfg, jobs=2)
+        serial = run_experiment(cfg, jobs=1)
+        parallel = run_experiment(cfg, jobs=2)
         assert serial.records == parallel.records
 
     def test_restart_dominance_in_nested_seed_sets(self):
@@ -47,7 +46,7 @@ class TestDeterminism:
 
 class TestProtocols:
     def test_table1_record_fields(self):
-        rep = table1_experiment(tiny_cfg(TABLE1))
+        rep = run_experiment(tiny_cfg(TABLE1))
         assert 0.0 <= rep.fraction <= 1.0
         rec = rep.records[0]
         assert {"trial", "loglik", "converged", "flagged_boundary",
@@ -55,7 +54,7 @@ class TestProtocols:
 
     def test_rank_one_target_never_flags(self):
         cfg = tiny_cfg(TABLE1, r=1, num_matrices=5, num_restarts=4)
-        rep = table1_experiment(cfg)
+        rep = run_experiment(cfg)
         assert rep.fraction == 0.0
 
     def test_polished_trial_counts_polish_iterations(self, monkeypatch):
@@ -67,7 +66,7 @@ class TestProtocols:
                 calls[_name] = _original(*args, **kwargs)
                 return calls[_name]
             monkeypatch.setattr(em, name, spy)
-        rep = table1_experiment(tiny_cfg(TABLE1, num_matrices=1, max_iter=20))
+        rep = run_experiment(tiny_cfg(TABLE1, num_matrices=1, max_iter=20))
         rec = rep.records[0]
         batch, polished = calls["em_restart_batch"], calls["run_em"]
         assert batch.iterations[batch.best_index] == 20
@@ -81,23 +80,22 @@ class TestProtocols:
         assert rec["restarts_converged"] == batch.converged.sum()
         assert rec["restarts_quarantined"] == 0
 
-    @pytest.mark.parametrize("mode, run", [(TABLE1, table1_experiment),
-                                           (PLANTED, planted_experiment)])
-    def test_report_counts_unconverged_trials(self, monkeypatch, mode, run):
+    @pytest.mark.parametrize("mode", [TABLE1, PLANTED])
+    def test_report_counts_unconverged_trials(self, monkeypatch, mode):
         # a short polish leaves some winners converged and some still moving
         monkeypatch.setattr(em, "POLISH_ITER", 50)
-        rep = run(tiny_cfg(mode, max_iter=20))
+        rep = run_experiment(tiny_cfg(mode, max_iter=20))
         unconverged = sum(1 for rec in rep.records if not rec["converged"])
         assert 0 < unconverged < len(rep.records)
         assert rep.extra["unconverged_trials"] == unconverged
-        assert json.loads(rep.to_json())["unconverged_trials"] == unconverged
+        assert rep.as_dict()["unconverged_trials"] == unconverged
         slack = max(rec["monotonicity_slack"] for rec in rep.records)
-        assert json.loads(rep.to_json())["max_monotonicity_slack"] == slack
+        assert rep.as_dict()["max_monotonicity_slack"] == slack
 
     def test_trial_counters(self):
         # winners that converged in the batch get no polish rounds; the
         # others were stopped at the batch cap and polished from there
-        rep = planted_experiment(tiny_cfg(PLANTED, max_iter=300))
+        rep = run_experiment(tiny_cfg(PLANTED, max_iter=300))
         polished = [rec["polish_iterations"] > 0 for rec in rep.records]
         assert any(polished) and not all(polished)
         for rec, was_polished in zip(rep.records, polished):
@@ -109,7 +107,7 @@ class TestProtocols:
     def test_criticality_margin_and_fragile_flags(self):
         # small planted samples flag often, with margins about 10^6; a loose
         # criticality tolerance brings some of them within the fragile band
-        rep = planted_experiment(tiny_cfg(PLANTED, T=2, num_matrices=20, crit_tol=0.1))
+        rep = run_experiment(tiny_cfg(PLANTED, T=2, num_matrices=20, crit_tol=0.1))
         for rec in rep.records:
             margin = max(rec["resid_ptr"], rec["resid_rpt"]) / rec["crit_threshold"]
             assert rec["crit_margin"] == margin
@@ -117,7 +115,7 @@ class TestProtocols:
         fragile = sum(1 for rec in rep.records
                       if rec["flagged_boundary"] and 0.1 <= rec["crit_margin"] <= 10)
         assert rep.extra["fragile_flags"] == fragile
-        assert json.loads(rep.to_json())["fragile_flags"] == fragile
+        assert rep.as_dict()["fragile_flags"] == fragile
         assert 0 < fragile < sum(rec["flagged_boundary"] for rec in rep.records)
 
     # seed-0 trials whose flag EM used to read before reaching its limit:
@@ -137,7 +135,7 @@ class TestProtocols:
         assert rec["loglik"] >= plain_loglik
 
     def test_planted_mode_runs(self):
-        rep = planted_experiment(tiny_cfg(PLANTED, T=20))
+        rep = run_experiment(tiny_cfg(PLANTED, T=20))
         assert 0.0 <= rep.fraction <= 1.0
         assert all(rec["u_plus"] == 20 * 16 for rec in rep.records)
 
@@ -146,7 +144,7 @@ class TestProtocols:
         # promoted to rationals and must not classify as interior
         cfg = tiny_cfg(PLANTED, T=2, num_matrices=10,
                        check_boundary_consistency=True)
-        rep = planted_experiment(cfg)
+        rep = run_experiment(cfg)
         assert "consistency_exceptions" in rep.extra
         assert rep.extra["consistency_exceptions"] == 0
         flagged = [r for r in rep.records if r["flagged_boundary"]]
@@ -154,35 +152,39 @@ class TestProtocols:
             assert rec["promoted_status"] in ("boundary", "outside_model")
 
     def test_boundary_fraction_samples_are_members(self):
-        rep = boundary_fraction_experiment(tiny_cfg(BOUNDARY_FRACTION,
-                                                    num_matrices=20))
+        rep = run_experiment(tiny_cfg(BOUNDARY_FRACTION, num_matrices=20))
         assert rep.extra["all_members"]
 
     def test_generator_choices(self):
-        u = table1_experiment(tiny_cfg(TABLE1, generator="normalized_uniform"))
-        d = table1_experiment(tiny_cfg(TABLE1, generator="dirichlet"))
+        u = run_experiment(tiny_cfg(TABLE1, generator="normalized_uniform"))
+        d = run_experiment(tiny_cfg(TABLE1, generator="dirichlet"))
         assert u.records != d.records
         with pytest.raises(ValueError):
-            table1_experiment(tiny_cfg(TABLE1, generator="bogus"))
+            run_experiment(tiny_cfg(TABLE1, generator="bogus"))
 
-    def test_mode_validation(self):
-        with pytest.raises(ValueError):
-            table1_experiment(tiny_cfg(PLANTED))
+    def test_mode_validation(self, monkeypatch):
+        ran = []
+        for mode in list(harness.TRIALS):
+            monkeypatch.setitem(harness.TRIALS, mode, lambda cfg, t: ran.append(t))
+        for bad in (dict(mode="bogus"), dict(mode=TABLE1, generator="bogus"),
+                    dict(mode=BOUNDARY_FRACTION, dist="bogus")):
+            with pytest.raises(ValueError, match="unknown"):
+                run_experiment(tiny_cfg(**bad))
+        assert ran == []
         with pytest.raises(ValueError):
             ExperimentConfig(mode=TABLE1, m=3, n=3, r=3).validate()
 
 
 class TestReports:
     def test_json_payload(self):
-        rep = table1_experiment(tiny_cfg(TABLE1))
-        payload = json.loads(rep.to_json())
+        rep = run_experiment(tiny_cfg(TABLE1))
+        payload = json.loads(json.dumps(rep.as_dict()))
         assert payload["schema"] == "1"
         assert payload["num_trials"] == 6
         assert payload["config"]["seed"] == 5
 
     def test_csv_round_trip(self):
-        rep = boundary_fraction_experiment(tiny_cfg(BOUNDARY_FRACTION,
-                                                    num_matrices=8))
+        rep = run_experiment(tiny_cfg(BOUNDARY_FRACTION, num_matrices=8))
         rows = list(csv.DictReader(io.StringIO(rep.to_csv())))
         assert len(rows) == 8
         assert rows[0]["trial"] == "0"
@@ -191,7 +193,7 @@ class TestReports:
         # flagged trials carry consistency columns the others lack
         cfg = tiny_cfg(PLANTED, T=2, num_matrices=10,
                        check_boundary_consistency=True)
-        rep = planted_experiment(cfg)
+        rep = run_experiment(cfg)
         assert any(r["flagged_boundary"] for r in rep.records)
         rows = list(csv.DictReader(io.StringIO(rep.to_csv())))
         assert len(rows) == 10

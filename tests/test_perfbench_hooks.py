@@ -40,7 +40,7 @@ def test_every_experiment_runner_resolves(tmp_path):
         if isinstance(workload, workloads.Experiment):
             prefix, runner = workload.kind.split(".", 1)
             assert prefix == "harness"
-            assert callable(getattr(harness, runner)), name
+            assert getattr(harness, runner) is harness.run_experiment, name
             experiments.append(name)
     assert experiments
 

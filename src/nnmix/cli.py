@@ -16,13 +16,12 @@ import argparse
 import json
 import sys
 from dataclasses import fields
-from fractions import Fraction
 from pathlib import Path
 
 from . import boundary as boundary_mod
 from . import em, families, harness
-from .exactla import (EXACT, Matrix, determinant, format_matrix, from_numpy,
-                      parse_matrix)
+from .exactla import (EXACT, PROMOTE_DENOMINATOR, Matrix, determinant, format_matrix,
+                      from_numpy, parse_matrix, parse_scalar)
 from .rank3cert import (DomainError, NotInModelError, nnrank3_membership,
                         nonneg_rank3_factorize)
 
@@ -32,19 +31,28 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 
-def _read_matrix(path: str, backend: str) -> Matrix:
-    """Load a matrix file; ``backend`` is auto/exact/float/promote.
+# --backend choices of the matrix commands; boundary_test and the exact
+# factorization need rational entries, so only nnrank3 decides on floats
+_BACKENDS = {"nnrank3": ("auto", "exact", "float", "promote"),
+             "boundary": ("exact", "promote"),
+             "factorize": ("exact", "promote")}
+
+
+def _read_matrix(args) -> Matrix:
+    """Load ``args.input`` on ``args.backend``: auto/exact/float/promote.
 
     Raises ValueError on unreadable or malformed input so the dispatcher
     maps it to the usage exit code.
     """
+    path, backend = args.input, args.backend
     try:
         M = parse_matrix(Path(path).read_text())
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
     if backend == "exact" and M.backend != EXACT:
+        others = [b for b in _BACKENDS[args.command] if b not in ("auto", "exact")]
         raise ValueError(f"{path} holds float entries; "
-                         "use --backend float or promote")
+                         f"use --backend {' or '.join(others)}")
     if backend == "float":
         M = M.as_float()
     elif backend == "promote":
@@ -61,8 +69,7 @@ def _emit(payload: dict, out: str | None):
 
 
 def _cmd_em(args) -> int:
-    M = _read_matrix(args.input, "float")
-    U = M.to_numpy()
+    U = _read_matrix(args).to_numpy()
     best, _ = em.run_em_restarts(U, args.r, restarts=args.restarts, seed=args.seed,
                                  max_iter=args.max_iter, tol=args.tol,
                                  crit_tol=args.crit_tol)
@@ -75,14 +82,14 @@ def _cmd_em(args) -> int:
 
 
 def _cmd_nnrank3(args) -> int:
-    M = _read_matrix(args.input, args.backend)
+    M = _read_matrix(args)
     dec = nnrank3_membership(M)
     _emit(dec.as_dict(), args.output)
     return EXIT_OK if dec else EXIT_NEGATIVE_VERDICT
 
 
 def _cmd_factorize(args) -> int:
-    M = _read_matrix(args.input, args.backend)
+    M = _read_matrix(args)
     try:
         A, B = nonneg_rank3_factorize(M)
     except NotInModelError as exc:
@@ -96,7 +103,7 @@ def _cmd_factorize(args) -> int:
 
 
 def _cmd_boundary(args) -> int:
-    M = _read_matrix(args.input, args.backend)
+    M = _read_matrix(args)
     cls = boundary_mod.boundary_test(M)
     _emit(cls.as_dict(), args.output)
     return EXIT_OK if cls.status == boundary_mod.INTERIOR else EXIT_NEGATIVE_VERDICT
@@ -120,11 +127,6 @@ def _cmd_patterns(args) -> int:
     return EXIT_OK
 
 
-def _parse_param(text: str):
-    return float(text) if ("." in text or "e" in text or "E" in text) \
-        else Fraction(text)
-
-
 def _cmd_family(args) -> int:
     summary: dict = {"schema": "1", "family": args.name}
     matrices: list[tuple[str, Matrix]] = []
@@ -142,12 +144,12 @@ def _cmd_family(args) -> int:
             for idx, M in enumerate(mle.matrices, start=1):
                 matrices.append((f"mle{idx}", M))
     elif args.name == "rectangle":
-        a, b = _parse_param(args.a), _parse_param(args.b)
+        a, b = parse_scalar(args.a), parse_scalar(args.b)
         M = families.rectangle_family(a, b)
         matrices.append(("P", M))
         summary["in_model"] = families.rectangle_in_model(a, b)
     else:  # greencurve
-        x, y = _parse_param(args.a), _parse_param(args.b)
+        x, y = parse_scalar(args.a), parse_scalar(args.b)
         M = families.greencurve_matrix(x, y)
         matrices.append(("P", M))
         summary["det"] = str(determinant(M))
@@ -221,27 +223,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--crit-tol", dest="crit_tol", type=float, default=em.CRIT_TOL)
     p.add_argument("--output")
     p.add_argument("--estimate-out", dest="estimate_out")
-    p.set_defaults(func=_cmd_em)
+    p.set_defaults(func=_cmd_em, backend="float")
 
     for name, func, help_text in [
             ("nnrank3", _cmd_nnrank3, "nonnegative-rank-3 membership verdict"),
+            ("factorize", _cmd_factorize, "exact nonnegative rank-3 factorization"),
             ("boundary", _cmd_boundary, "topological boundary classification")]:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--input", required=True)
-        p.add_argument("--backend",
-                       choices=["auto", "exact", "float", "promote"],
-                       default="exact" if name == "boundary" else "auto",
+        p.add_argument("--backend", choices=_BACKENDS[name], default=_BACKENDS[name][0],
                        help="exact requires rational entries; promote rounds "
-                            "floats to denominator 1e12")
+                            f"floats to denominator {PROMOTE_DENOMINATOR:.0e}")
+        if name == "factorize":
+            p.add_argument("--prefix", default="factor")
         p.add_argument("--output")
         p.set_defaults(func=func)
-
-    p = sub.add_parser("factorize", help="exact nonnegative rank-3 factorization")
-    p.add_argument("--input", required=True)
-    p.add_argument("--backend", choices=["exact", "promote"], default="exact")
-    p.add_argument("--prefix", default="factor")
-    p.add_argument("--output")
-    p.set_defaults(func=_cmd_factorize)
 
     p = sub.add_parser("patterns", help="boundary stratum zero patterns and counts")
     p.add_argument("--m", type=int, default=4)

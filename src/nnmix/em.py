@@ -19,6 +19,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .exactla import from_numpy, matrix_rank
+
 _TINY = 1e-300
 # defaults of every EM entry point and of ``nnmix em``
 MAX_ITER = 2000   # EM-map evaluations per run
@@ -190,18 +192,14 @@ def gradient_matrix(U, P) -> np.ndarray:
 def fixed_point_residual(theta: ParameterTriple, R) -> tuple[float, float]:
     """Max-abs entries of A * (R @ B.T) and B * (A.T @ R) (entrywise products).
 
-    Both vanish exactly at EM fixed points.  Accepts float or exact
-    (Fraction) arrays; exact inputs are evaluated exactly before taking the
-    float of the maximum.
+    Both vanish exactly at EM fixed points.
     """
     A, B = theta.A, theta.B
     R = np.asarray(R)
     first = A * (R @ np.transpose(B))
     second = B * (np.transpose(A) @ R)
-    to_mag = (lambda x: float(abs(x)))
-    m1 = max((to_mag(v) for v in np.ravel(first)), default=0.0)
-    m2 = max((to_mag(v) for v in np.ravel(second)), default=0.0)
-    return (m1, m2)
+    return (float(np.max(np.abs(first), initial=0.0)),
+            float(np.max(np.abs(second), initial=0.0)))
 
 
 @dataclass(frozen=True)
@@ -210,7 +208,7 @@ class CriticalityResult:
     resid_ptr: float  # max-abs entry of P.T @ R
     resid_rpt: float  # max-abs entry of R @ P.T
     threshold: float
-    rank_p: int
+    rank_p: int  # float rank of P: the pivot count of exactla.matrix_rank
 
     def __bool__(self) -> bool:
         return self.critical
@@ -228,10 +226,8 @@ def is_critical(P, R, u_plus: float, rel_tol: float = CRIT_TOL) -> CriticalityRe
     resid1 = float(np.max(np.abs(Pf.T @ Rf)))
     resid2 = float(np.max(np.abs(Rf @ Pf.T)))
     threshold = rel_tol * float(u_plus) * float(np.max(np.abs(Pf)))
-    sv = np.linalg.svd(Pf, compute_uv=False)
-    rank_p = int(np.sum(sv > 1e-9 * sv[0])) if sv[0] > 0 else 0
     return CriticalityResult(resid1 < threshold and resid2 < threshold,
-                             resid1, resid2, threshold, rank_p)
+                             resid1, resid2, threshold, matrix_rank(from_numpy(Pf)))
 
 
 @dataclass
@@ -570,6 +566,9 @@ def run_em_restarts(U, r: int, restarts: int = 100, seed: int | tuple = 0,
     """
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
+    for name, value in (("tol", tol), ("crit_tol", crit_tol)):
+        if not value > 0:
+            raise ValueError(f"{name} must be positive, got {value}")
     data = _as_counts(U)
     prefix = seed if isinstance(seed, tuple) else (seed,)
     batch = em_restart_batch(data, r, [(*prefix, k) for k in range(restarts)],

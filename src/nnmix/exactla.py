@@ -20,9 +20,11 @@ import numpy as np
 EXACT = "exact"
 FLOAT = "float"
 
-#: Default relative tolerance for float-backend rank decisions (relative to
-#: the largest singular value / pivot).
+#: Default relative tolerance for float-backend rank decisions: a pivot at or
+#: below ``DEFAULT_RANK_TOL * max|entry|`` counts as zero.
 DEFAULT_RANK_TOL = 1e-9
+#: Float entries promoted to the exact backend are rounded to this denominator.
+PROMOTE_DENOMINATOR = 10**12
 
 
 class DimensionError(ValueError):
@@ -98,16 +100,24 @@ class Matrix:
         return Matrix(len(data), len(data[0]), data, FLOAT)
 
     @staticmethod
-    def zeros(m: int, n: int, backend: str = EXACT) -> "Matrix":
-        zero = Fraction(0) if backend == EXACT else 0.0
-        return Matrix(m, n, tuple(tuple(zero for _ in range(n)) for _ in range(m)), backend)
+    def of(rows: Iterable[Iterable]) -> "Matrix":
+        """Exact when every entry is an int, a Fraction or a ``p/q`` string;
+        float when any entry is a float or cannot be read as a rational."""
+        rows = [list(r) for r in rows]
+        if not any(isinstance(x, float) for r in rows for x in r):
+            try:
+                return Matrix.exact(rows)
+            except TypeError:
+                pass
+        return Matrix.from_floats(rows)
 
     @staticmethod
-    def identity(n: int, backend: str = EXACT) -> "Matrix":
-        one = Fraction(1) if backend == EXACT else 1.0
-        zero = Fraction(0) if backend == EXACT else 0.0
-        return Matrix(n, n, tuple(tuple(one if i == j else zero for j in range(n))
-                                  for i in range(n)), backend)
+    def zeros(m: int, n: int) -> "Matrix":
+        return Matrix.exact([[0] * n for _ in range(m)])
+
+    @staticmethod
+    def identity(n: int) -> "Matrix":
+        return Matrix.exact([[int(i == j) for j in range(n)] for i in range(n)])
 
     # -- basic structure ----------------------------------------------
 
@@ -156,16 +166,16 @@ class Matrix:
             return self
         return Matrix.from_floats([[float(x) for x in r] for r in self.entries])
 
-    def as_exact(self, max_denominator: int | None = None) -> "Matrix":
+    def as_exact(self) -> "Matrix":
         """Promote to the exact backend.
 
-        Float entries are rounded to rationals with the given denominator
-        (default 10**12); this perturbs the matrix and should be reported by
-        callers that rely on it.
+        Float entries are rounded to rationals with denominator
+        ``PROMOTE_DENOMINATOR``; this perturbs the matrix and should be
+        reported by callers that rely on it.
         """
         if self.backend == EXACT:
             return self
-        den = 10**12 if max_denominator is None else max_denominator
+        den = PROMOTE_DENOMINATOR
         data = [[Fraction(round(x * den), den) for x in r] for r in self.entries]
         return Matrix.exact(data)
 
@@ -189,13 +199,15 @@ def from_numpy(arr: np.ndarray) -> Matrix:
 # -- elimination ------------------------------------------------------
 
 
-def rref(M: Matrix, tol: float = DEFAULT_RANK_TOL) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row echelon form and pivot columns.
+def _gauss_jordan(M: Matrix, tol: float = DEFAULT_RANK_TOL) -> tuple[list, list, Fraction | float]:
+    """Gauss-Jordan elimination, the one elimination of the exact layer.
 
-    Exact backend picks the first nonzero pivot in each column; the float
-    backend picks the largest-magnitude pivot and treats values below
-    ``tol * max|entry|`` as zero.  Columns are scanned left to right, which
-    makes the resulting factorizations deterministic.
+    Returns the reduced rows, the pivot columns and the signed product of
+    the pivots, which is the determinant when ``M`` is square and every
+    column has a pivot.  Exact backend picks the first nonzero pivot in each
+    column; the float backend picks the largest-magnitude pivot and treats
+    values at or below ``tol * max|entry|`` as zero.  Columns are scanned
+    left to right, which makes the resulting factorizations deterministic.
     """
     m, n = M.shape
     work = [list(r) for r in M.entries]
@@ -219,6 +231,7 @@ def rref(M: Matrix, tol: float = DEFAULT_RANK_TOL) -> tuple[Matrix, tuple[int, .
             return best
 
     pivots = []
+    det = Fraction(1) if exact else 1.0
     r = 0
     for c in range(n):
         if r >= m:
@@ -228,7 +241,9 @@ def rref(M: Matrix, tol: float = DEFAULT_RANK_TOL) -> tuple[Matrix, tuple[int, .
             continue
         if p != r:
             work[p], work[r] = work[r], work[p]
+            det = -det
         pv = work[r][c]
+        det *= pv
         work[r] = [x / pv for x in work[r]]
         for i in range(m):
             if i == r:
@@ -239,18 +254,18 @@ def rref(M: Matrix, tol: float = DEFAULT_RANK_TOL) -> tuple[Matrix, tuple[int, .
             work[i] = [x - f * y for x, y in zip(work[i], work[r])]
         pivots.append(c)
         r += 1
-    data = tuple(tuple(row) for row in work)
-    return Matrix(m, n, data, M.backend), tuple(pivots)
+    return work, pivots, det
+
+
+def rref(M: Matrix, tol: float = DEFAULT_RANK_TOL) -> tuple[Matrix, tuple[int, ...]]:
+    """Reduced row echelon form and pivot columns (see :func:`_gauss_jordan`)."""
+    work, pivots, _ = _gauss_jordan(M, tol)
+    return Matrix(M.rows, M.cols, tuple(map(tuple, work)), M.backend), tuple(pivots)
 
 
 def matrix_rank(M: Matrix, tol: float = DEFAULT_RANK_TOL) -> int:
-    """Linear-algebra rank; exact elimination or SVD with relative tolerance."""
-    if M.backend == EXACT:
-        return len(rref(M)[1])
-    sv = np.linalg.svd(M.to_numpy(), compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > tol * sv[0]))
+    """Linear-algebra rank: the pivot count of :func:`rref` on both backends."""
+    return len(rref(M, tol)[1])
 
 
 def determinant(M: Matrix):
@@ -260,28 +275,8 @@ def determinant(M: Matrix):
         raise DimensionError(f"determinant of non-square {m}x{n} matrix")
     if M.backend == FLOAT:
         return float(np.linalg.det(M.to_numpy()))
-    work = [list(r) for r in M.entries]
-    det = Fraction(1)
-    for c in range(n):
-        p = None
-        for i in range(c, n):
-            if work[i][c] != 0:
-                p = i
-                break
-        if p is None:
-            return Fraction(0)
-        if p != c:
-            work[p], work[c] = work[c], work[p]
-            det = -det
-        pv = work[c][c]
-        det *= pv
-        inv = 1 / pv
-        for i in range(c + 1, n):
-            f = work[i][c] * inv
-            if f == 0:
-                continue
-            work[i] = [x - f * y for x, y in zip(work[i], work[c])]
-    return det
+    _, pivots, det = _gauss_jordan(M)
+    return det if len(pivots) == n else Fraction(0)
 
 
 def rank_factorize(P: Matrix, r: int, tol: float = DEFAULT_RANK_TOL) -> tuple[Matrix, Matrix]:
@@ -354,9 +349,7 @@ def parse_matrix(text: str) -> Matrix:
     for lineno, row in enumerate(rows, start=1):
         if len(row) != width:
             raise ValueError(f"matrix parse error on line {lineno}: ragged row")
-    if any(isinstance(x, float) for row in rows for x in row):
-        return Matrix.from_floats([[float(x) for x in row] for row in rows])
-    return Matrix.exact(rows)
+    return Matrix.of(rows)
 
 
 def format_matrix(M: Matrix) -> str:

@@ -319,11 +319,7 @@ def uab_closed_form_mle(a: int, b: int) -> UabMle:
     matrices = []
     for pat in _UAB_PATTERNS:
         rows = [[letters[ch] for ch in chunk] for chunk in pat.split("|")]
-        if exact:
-            M = Matrix.exact(rows).scale(Fraction(1, denom))
-        else:
-            M = Matrix.from_floats(rows).scale(1.0 / denom)
-        matrices.append(M)
+        matrices.append(Matrix.of(rows).scale(Fraction(1, denom)))
     return UabMle(a=a, b=b, t=t, s=s, u=u, v=v, w=w, r=r,
                   matrices=matrices, exact=exact)
 
@@ -332,18 +328,17 @@ def uab_closed_form_mle(a: int, b: int) -> UabMle:
 
 
 def rectangle_family(a, b) -> Matrix:
-    """The 4-by-4 rectangle-in-square family for parameters in [0, 1]."""
-    a = Fraction(a) if not isinstance(a, float) else a
-    b = Fraction(b) if not isinstance(b, float) else b
+    """The 4-by-4 rectangle-in-square family for parameters in [0, 1].
+
+    Exact for rational parameters, float otherwise.
+    """
     if not (0 <= a <= 1 and 0 <= b <= 1):
         raise ValueError("parameters must lie in [0, 1]")
     rows = [[1 - a, 1 + a, 1 + a, 1 - a],
             [1 - b, 1 - b, 1 + b, 1 + b],
             [1 + a, 1 - a, 1 - a, 1 + a],
             [1 + b, 1 + b, 1 - b, 1 - b]]
-    if isinstance(a, float) or isinstance(b, float):
-        return Matrix.from_floats([[float(x) for x in row] for row in rows])
-    return Matrix.exact(rows)
+    return Matrix.of(rows)
 
 
 def rectangle_in_model(a, b) -> bool:
@@ -366,11 +361,6 @@ def greencurve_matrix(x, y) -> Matrix:
 
     Exact for rational parameters, float otherwise.
     """
-    if isinstance(x, float) or isinstance(y, float):
-        rows = [[_GREEN_BASE[i][j] + float(x) * _GREEN_M1[i][j]
-                 + float(y) * _GREEN_M2[i][j] for j in range(4)] for i in range(4)]
-        return Matrix.from_floats(rows)
-    x, y = Fraction(x), Fraction(y)
-    rows = [[_GREEN_BASE[i][j] + x * _GREEN_M1[i][j] + y * _GREEN_M2[i][j]
-             for j in range(4)] for i in range(4)]
-    return Matrix.exact(rows)
+    x, y = Matrix.of([[x, y]]).entries[0]
+    return Matrix.of([[_GREEN_BASE[i][j] + x * _GREEN_M1[i][j] + y * _GREEN_M2[i][j]
+                       for j in range(4)] for i in range(4)])

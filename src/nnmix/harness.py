@@ -73,6 +73,11 @@ class ExperimentConfig:
             at_least_one += ["num_restarts", "T"]
             if not self.r < min(self.m, self.n):
                 raise ValueError("requires r < min(m, n)")
+            if self.max_iter < 0:
+                raise ValueError(f"max_iter must be nonnegative, got {self.max_iter}")
+            for key in ("tol", "crit_tol"):
+                if not getattr(self, key) > 0:
+                    raise ValueError(f"{key} must be positive, got {getattr(self, key)}")
         for key in at_least_one:
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be at least 1, got {getattr(self, key)}")

@@ -348,17 +348,7 @@ def _strip_zero_lines(P: Matrix, task: str) -> tuple[Matrix, list[int], list[int
 
 
 def _prepare(P) -> Matrix:
-    if isinstance(P, Matrix):
-        return P
-    rows = [list(r) for r in P]
-    # floats (including numpy float64) route to the float backend; only
-    # integers, Fractions, and p/q strings are treated as exact
-    if any(isinstance(x, float) for row in rows for x in row):
-        return Matrix.from_floats(rows)
-    try:
-        return Matrix.exact(rows)
-    except TypeError:
-        return Matrix.from_floats(rows)
+    return P if isinstance(P, Matrix) else Matrix.of(P)
 
 
 def _witness_stream(A: Matrix, B: Matrix, row_map, col_map):

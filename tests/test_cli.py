@@ -51,8 +51,18 @@ class TestVerdictCommands:
     def test_float_file_refused_on_exact_backend(self, workdir, capsys):
         path = workdir / "f.txt"
         path.write_text("0.5,0.5\n0.25,0.75\n")
-        assert main(["boundary", "--input", str(path), "--backend", "exact"]) == 2
-        assert "float entries" in capsys.readouterr().err
+        for command, hint in [("boundary", "use --backend promote\n"),
+                              ("factorize", "use --backend promote\n"),
+                              ("nnrank3", "use --backend float or promote\n")]:
+            assert main([command, "--input", str(path), "--backend", "exact"]) == 2
+            err = capsys.readouterr().err
+            assert "float entries" in err and err.endswith(hint), command
+
+    @pytest.mark.parametrize("command", ["boundary", "factorize"])
+    def test_exact_commands_offer_only_exact_and_promote(self, command):
+        backend = next(a for a in _subparser(command)._actions if a.dest == "backend")
+        assert list(backend.choices) == ["exact", "promote"]
+        assert backend.default == "exact"
 
     def test_missing_file_is_usage_error(self, workdir):
         assert main(["nnrank3", "--input", str(workdir / "nope.txt")]) == 2
@@ -133,7 +143,10 @@ class TestEmCommand:
     @pytest.mark.parametrize("flags, message", [
         (["--r", "0"], "at least one component"),
         (["--max-iter", "-3"], "max_iter must be nonnegative"),
-    ], ids=["r0", "negative_max_iter"])
+        (["--tol", "-1"], "tol must be positive"),
+        (["--tol", "0"], "tol must be positive"),
+        (["--crit-tol", "-1"], "crit_tol must be positive"),
+    ], ids=["r0", "negative_max_iter", "negative_tol", "zero_tol", "negative_crit_tol"])
     def test_invalid_r_or_max_iter_exits_two(self, workdir, capsys, flags, message):
         path = write_matrix(workdir / "u.txt", Matrix.exact(
             [[1, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 1]]))
@@ -215,9 +228,14 @@ class TestExperimentCommand:
         ("boundary_fraction", {"generator": "bogus"}, [], "unknown generator 'bogus'"),
         ("planted", {"dist": "bogus"}, [], "unknown dist 'bogus'"),
         ("table1", None, ["--jobs", "0"], "jobs must be at least 1"),
+        ("table1", None, ["--max-iter", "-1"], "max_iter must be nonnegative, got -1"),
+        ("table1", None, ["--tol", "0"], "tol must be positive, got 0.0"),
+        ("planted", None, ["--tol=-1e-10"], "tol must be positive, got -1e-10"),
+        ("table1", None, ["--crit-tol", "-1"], "crit_tol must be positive, got -1.0"),
     ], ids=["no_matrices", "negative_r", "zero_r_boundary", "no_restarts", "zero_T",
             "zero_dist_param", "m_below_stratum", "n_below_stratum", "generator",
-            "generator_unread", "dist_unread", "no_jobs"])
+            "generator_unread", "dist_unread", "no_jobs", "negative_max_iter",
+            "zero_tol", "negative_tol", "negative_crit_tol"])
     def test_bad_inputs_exit_two_before_any_trial(self, workdir, monkeypatch, capsys,
                                                    mode, config, flags, message):
         ran = []

@@ -62,7 +62,7 @@ class TestRank:
             assert matrix_rank(MP) == r
             assert matrix_rank(M.transpose()) == r
 
-    def test_float_backend_svd_tolerance(self):
+    def test_float_backend_pivot_tolerance(self):
         # a numerically rank-1 matrix with 1e-12 noise
         base = np.outer([1.0, 2.0, 3.0], [4.0, 5.0, 6.0])
         noisy = base + 1e-12 * np.arange(9).reshape(3, 3)
@@ -94,6 +94,37 @@ class TestDeterminant:
     def test_non_square_rejected(self):
         with pytest.raises(DimensionError):
             determinant(Matrix.exact([[1, 2, 3], [4, 5, 6]]))
+
+    @staticmethod
+    def leibniz(M: Matrix):
+        """Permutation-sum oracle: sum of sign(p) * prod M[i][p(i)]."""
+        n = M.rows
+        total = Fraction(0)
+        for perm in itertools.permutations(range(n)):
+            inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+            term = Fraction(-1 if inversions % 2 else 1)
+            for i in range(n):
+                term *= M.entries[i][perm[i]]
+            total += term
+        return total
+
+    @pytest.mark.parametrize("rows, det", [
+        ([[0, 1], [1, 0]], -1),
+        ([[0, 0, 1], [0, 1, 0], [1, 0, 0]], -1),
+        ([[0, 1, 0], [0, 0, 1], [1, 0, 0]], 1),
+        ([[0, 2, 0], [3, 0, 0], [0, 0, 5]], -30),
+        ([[0, 1, 2], [3, 4, 5], [6, 7, 9]], -3),
+    ], ids=["swap2", "anti3", "cycle3", "swap_scaled", "leading_zero"])
+    def test_sign_under_row_swaps(self, rows, det):
+        M = Matrix.exact(rows)
+        assert determinant(M) == det == self.leibniz(M)
+
+    def test_leibniz_oracle_on_sparse_random_matrices(self):
+        rng = np.random.default_rng(11)
+        for n in range(1, 6):
+            for _ in range(40):
+                M = random_rational_matrix(rng, n, n, num_range=3)
+                assert determinant(M) == self.leibniz(M)
 
 
 class TestRankFactorize:
@@ -186,3 +217,19 @@ def test_nonfinite_entries_rejected():
         Matrix.from_floats([[float("nan")]])
     with pytest.raises(ValueError):
         Matrix.from_floats([[float("inf")]])
+
+
+@pytest.mark.parametrize("rows, backend", [
+    ([[1, 2], [3, 4]], "exact"),
+    ([[Fraction(1, 3), 0], [np.int64(2), 1]], "exact"),
+    ([["1/3", "2"], [0, 1]], "exact"),
+    ([[0.5, 1], [1, 1]], "float"),
+    ([[Fraction(1, 2), np.float64(0.25)], [1, 1]], "float"),
+    ([[np.float32(0.5), 1], [1, 1]], "float"),
+], ids=["ints", "fraction_and_numpy_int", "pq_strings", "one_float", "numpy_float",
+        "not_rational"])
+def test_matrix_of_is_exact_only_for_rational_entries(rows, backend):
+    M = Matrix.of(rows)
+    assert M.backend == backend
+    values = [[float(Fraction(x) if isinstance(x, str) else x) for x in row] for row in rows]
+    assert M.to_numpy().tolist() == values

@@ -25,7 +25,7 @@ from math import comb
 
 import numpy as np
 
-from .exactla import EXACT, Matrix
+from .exactla import EXACT, Matrix, clear_denominators
 from .rank3cert import DomainError, WitnessRecord, all_witnesses, _prepare
 
 INTERIOR = "interior"
@@ -254,6 +254,11 @@ def sample_algebraic_boundary(pattern: ZeroPattern, rng: np.random.Generator,
     Free positions of the two factors receive positive draws, the product is
     normalized to total 1, and the scaled left factor is returned so that
     A @ B equals P exactly.  The result is a member by construction.
+
+    The product runs on Python ints: each factor is cleared to integers over
+    one common denominator, ``Ai = A * da`` and ``Bi = B * db``, so with
+    ``Pi = Ai @ Bi`` the outputs are ``P = Pi / sum(Pi)`` and
+    ``A = Ai * db / sum(Pi)``.
     """
     pattern.validate()
     if entry_dist is None:
@@ -261,15 +266,17 @@ def sample_algebraic_boundary(pattern: ZeroPattern, rng: np.random.Generator,
     m, n = pattern.m, pattern.n
     a_zero = set(pattern.A_zeros)
     b_zero = set(pattern.B_zeros)
-    A = [[Fraction(0) if (i, k) in a_zero else entry_dist(rng)
-          for k in range(3)] for i in range(m)]
-    B = [[Fraction(0) if (k, j) in b_zero else entry_dist(rng)
-          for j in range(n)] for k in range(3)]
-    Am = Matrix.exact(A)
-    Bm = Matrix.exact(B)
-    P = Am @ Bm
-    total = P.total()
+    A = [0 if (i, k) in a_zero else entry_dist(rng) for i in range(m) for k in range(3)]
+    B = [0 if (k, j) in b_zero else entry_dist(rng) for k in range(3) for j in range(n)]
+    Ai, _ = clear_denominators(A)
+    Bi, db = clear_denominators(B)
+    Pi = [[sum(Ai[3 * i + k] * Bi[n * k + j] for k in range(3)) for j in range(n)]
+          for i in range(m)]
+    total = sum(map(sum, Pi))
     if total == 0:
         raise ArithmeticError("sampled factors produced a zero matrix")
-    inv = Fraction(1, 1) / total
-    return P.scale(inv), Am.scale(inv), Bm
+    P = tuple(tuple(Fraction(x, total) for x in row) for row in Pi)
+    A_out = tuple(tuple(Fraction(Ai[3 * i + k] * db, total) for k in range(3))
+                  for i in range(m))
+    return (Matrix(m, n, P, EXACT), Matrix(m, 3, A_out, EXACT),
+            Matrix.exact([B[n * k:n * (k + 1)] for k in range(3)]))

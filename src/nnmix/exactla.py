@@ -2,9 +2,13 @@
 
 Everything downstream (membership certification, boundary classification,
 the closed-form likelihood maximizers) ultimately reduces to sign tests on
-determinants, so the primary backend is ``fractions.Fraction`` arithmetic
-where a zero is a zero.  A float backend with tolerance-based rank decisions
-is provided for data that originates from floating-point computations.
+determinants, so the primary backend is exact rational arithmetic where a
+zero is a zero.  Exact entries are ``fractions.Fraction`` only at the edges:
+parsing, formatting and the matrices the functions here return.  The
+elimination itself clears each row to Python ints with
+:func:`clear_denominators` and runs fraction-free, so no gcd is taken inside
+it.  A float backend with tolerance-based rank decisions is provided for data
+that originates from floating-point computations.
 
 Matrices are immutable; all functions return new objects.
 """
@@ -13,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm, prod
 from typing import Iterable
 
 import numpy as np
@@ -102,8 +107,12 @@ class Matrix:
     @staticmethod
     def of(rows: Iterable[Iterable]) -> "Matrix":
         """Exact when every entry is an int, a Fraction or a ``p/q`` string;
-        float when any entry is a float or cannot be read as a rational."""
-        rows = [list(r) for r in rows]
+        float when any entry is a float or cannot be read as a rational.
+
+        String entries are read by :func:`parse_scalar`, as in a matrix file,
+        so a decimal string such as ``'0.5'`` is a float.
+        """
+        rows = [[parse_scalar(x) if isinstance(x, str) else x for x in r] for r in rows]
         if not any(isinstance(x, float) for r in rows for x in r):
             try:
                 return Matrix.exact(rows)
@@ -199,39 +208,77 @@ def from_numpy(arr: np.ndarray) -> Matrix:
 # -- elimination ------------------------------------------------------
 
 
-def _gauss_jordan(M: Matrix, tol: float = DEFAULT_RANK_TOL) -> tuple[list, list, Fraction | float]:
+def clear_denominators(values) -> tuple[list[int], int]:
+    """Integers ``d * x`` for each rational ``x`` and their positive multiplier ``d``.
+
+    ``d`` is the least common multiple of the denominators.  A positive
+    scaling changes no sign, no zero and no pivot column, which is what lets
+    the elimination and the witness scan run on ints.
+    """
+    d = lcm(*(x.denominator for x in values))
+    return [x.numerator * (d // x.denominator) for x in values], d
+
+
+def _gauss_jordan(M: Matrix, tol: float = DEFAULT_RANK_TOL
+                  ) -> tuple[list, list, int | float, Fraction | float]:
     """Gauss-Jordan elimination, the one elimination of the exact layer.
 
-    Returns the reduced rows, the pivot columns and the signed product of
-    the pivots, which is the determinant when ``M`` is square and every
-    column has a pivot.  Exact backend picks the first nonzero pivot in each
-    column; the float backend picks the largest-magnitude pivot and treats
-    values at or below ``tol * max|entry|`` as zero.  Columns are scanned
-    left to right, which makes the resulting factorizations deterministic.
+    Returns ``(rows, pivots, d, det)``: the reduced row echelon form is
+    ``rows / d``, ``pivots`` are its pivot columns and ``det`` is the
+    determinant of ``M`` when it is square and every column has a pivot.
+    Columns are scanned left to right, which makes the resulting
+    factorizations deterministic.
+
+    The exact backend takes the first nonzero pivot in each column and runs
+    fraction-free (Bareiss) Gauss-Jordan on the rows cleared to integers:
+    every intermediate is an integer minor, so no gcd is taken in the loop,
+    and the rows end as ``d * RREF`` for one positive integer ``d``.  The
+    float backend picks the largest-magnitude pivot, treats values at or
+    below ``tol * max|entry|`` as zero, and returns ``d = 1.0``.
     """
     m, n = M.shape
-    work = [list(r) for r in M.entries]
-    exact = M.backend == EXACT
-    if exact:
-        def find_pivot(col, start):
-            for i in range(start, m):
-                if work[i][col] != 0:
-                    return i
-            return None
-    else:
-        scale = max((abs(x) for r in M.entries for x in r), default=0.0)
-        cutoff = tol * scale if scale > 0 else 0.0
+    if M.backend == EXACT:
+        cleared = [clear_denominators(r) for r in M.entries]
+        work = [row for row, _ in cleared]
+        pivots = []
+        sign, prev = 1, 1
+        for c in range(n):
+            r = len(pivots)
+            if r >= m:
+                break
+            p = next((i for i in range(r, m) if work[i][c]), None)
+            if p is None:
+                continue
+            if p != r:
+                work[p], work[r] = work[r], work[p]
+                sign = -sign
+            pivot_row = work[r]
+            pv = pivot_row[c]
+            for i in range(m):
+                if i != r:
+                    f = work[i][c]
+                    work[i] = [(pv * x - f * y) // prev for x, y in zip(work[i], pivot_row)]
+            prev = pv
+            pivots.append(c)
+        if prev < 0:
+            work = [[-x for x in row] for row in work]
+        det = Fraction(sign * prev, prod(mult for _, mult in cleared))
+        return work, pivots, abs(prev), det
 
-        def find_pivot(col, start):
-            best, best_val = None, cutoff
-            for i in range(start, m):
-                v = abs(work[i][col])
-                if v > best_val:
-                    best, best_val = i, v
-            return best
+    work = [list(r) for r in M.entries]
+    scale = max((abs(x) for r in M.entries for x in r), default=0.0)
+    cutoff = tol * scale if scale > 0 else 0.0
+
+    def find_pivot(col, start):
+        best, best_val = None, cutoff
+        for i in range(start, m):
+            v = abs(work[i][col])
+            if v > best_val:
+                best, best_val = i, v
+        return best
 
     pivots = []
-    det = Fraction(1) if exact else 1.0
+    det = 1.0
     r = 0
     for c in range(n):
         if r >= m:
@@ -254,18 +301,20 @@ def _gauss_jordan(M: Matrix, tol: float = DEFAULT_RANK_TOL) -> tuple[list, list,
             work[i] = [x - f * y for x, y in zip(work[i], work[r])]
         pivots.append(c)
         r += 1
-    return work, pivots, det
+    return work, pivots, 1.0, det
 
 
 def rref(M: Matrix, tol: float = DEFAULT_RANK_TOL) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form and pivot columns (see :func:`_gauss_jordan`)."""
-    work, pivots, _ = _gauss_jordan(M, tol)
+    work, pivots, d, _ = _gauss_jordan(M, tol)
+    if M.backend == EXACT:
+        work = [[Fraction(x, d) for x in row] for row in work]
     return Matrix(M.rows, M.cols, tuple(map(tuple, work)), M.backend), tuple(pivots)
 
 
 def matrix_rank(M: Matrix, tol: float = DEFAULT_RANK_TOL) -> int:
     """Linear-algebra rank: the pivot count of :func:`rref` on both backends."""
-    return len(rref(M, tol)[1])
+    return len(_gauss_jordan(M, tol)[1])
 
 
 def determinant(M: Matrix):
@@ -275,7 +324,7 @@ def determinant(M: Matrix):
         raise DimensionError(f"determinant of non-square {m}x{n} matrix")
     if M.backend == FLOAT:
         return float(np.linalg.det(M.to_numpy()))
-    _, pivots, det = _gauss_jordan(M)
+    _, pivots, _, det = _gauss_jordan(M)
     return det if len(pivots) == n else Fraction(0)
 
 
@@ -313,10 +362,17 @@ def rank_factorize(P: Matrix, r: int, tol: float = DEFAULT_RANK_TOL) -> tuple[Ma
 
 
 def parse_scalar(token: str):
-    """Parse one entry: 'p/q' and integers are exact, decimals are float."""
+    """Parse one entry: 'p/q' and integers are exact, decimals are float.
+
+    Raises ValueError naming the token on anything else, a zero denominator
+    included.
+    """
     token = token.strip()
     if "/" in token:
-        return Fraction(token)
+        try:
+            return Fraction(token)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {token!r}") from None
     if any(ch in token for ch in ".eE") and not token.lstrip("+-").isdigit():
         return float(token)
     return Fraction(int(token))
@@ -341,7 +397,7 @@ def parse_matrix(text: str) -> Matrix:
             continue
         try:
             rows.append([parse_scalar(tok) for tok in line.split(",")])
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise ValueError(f"matrix parse error on line {lineno}: {exc}") from exc
     if not rows:
         raise DimensionError("no rows in matrix text")

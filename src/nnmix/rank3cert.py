@@ -24,9 +24,13 @@ order, then those with the roles of A and B.T swapped.  Each entry point
 reads only what it needs.  ``nnrank3_membership`` and
 ``membership_from_factors`` take the first record, ``all_witnesses`` takes
 them all, and ``nonneg_rank3_factorize`` takes the first whose triangle
-yields nonnegative factors.  All tests run in exact integer arithmetic on
-the rational backend; the float backend replaces sign tests with a tolerance
-band and flags marginal calls.
+yields nonnegative factors.  On the rational backend the scan runs on
+Python ints: each line and point of the ``rank_factorize`` factors is
+cleared to integers by ``exactla.clear_denominators``, a positive scaling
+that changes no sign.  ``Fraction`` stays at the edges: the factors
+``rank_factorize`` returns, and the triangle that ``nonneg_rank3_factorize``
+turns into the factors it writes.  The float backend replaces sign tests
+with a tolerance band and flags marginal calls.
 """
 
 from __future__ import annotations
@@ -35,10 +39,10 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 
 # matrix_rank is not called here; the benchmark's tracer wraps it by this name
-from .exactla import EXACT, Matrix, RankExcessError, matrix_rank, rank_factorize
+from .exactla import (EXACT, Matrix, RankExcessError, clear_denominators, matrix_rank,
+                      rank_factorize)
 
 
 class DomainError(ValueError):
@@ -172,17 +176,6 @@ class _FloatSigns:
                 self.marginal = True
             return True
         return False
-
-
-def _clear_vector(vec) -> tuple:
-    """Scale a rational 3-vector by a positive constant to integer entries.
-
-    Positive per-line / per-point scalings leave every sign family and every
-    exact-zero test invariant, so the scan can run on machine-friendly ints.
-    """
-    fracs = [x if isinstance(x, Fraction) else Fraction(x) for x in vec]
-    den = lcm(*(f.denominator for f in fracs))
-    return tuple(int(f * den) for f in fracs)
 
 
 # -- witness scan -------------------------------------------------------
@@ -360,8 +353,10 @@ def _witness_stream(A: Matrix, B: Matrix, row_map, col_map):
     caller that stops early has scanned, logged and flagged only that far.
     """
     if A.backend == EXACT:
-        lines = [_clear_vector(A.row(i)) for i in range(A.rows)]
-        points = [_clear_vector(B.col(j)) for j in range(B.cols)]
+        # positive per-line / per-point scalings leave every sign family and
+        # every exact-zero test invariant
+        lines = [clear_denominators(A.row(i))[0] for i in range(A.rows)]
+        points = [clear_denominators(B.col(j))[0] for j in range(B.cols)]
         ctx = _ExactSigns()
     else:
         lines = [A.row(i) for i in range(A.rows)]

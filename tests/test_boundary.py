@@ -11,6 +11,7 @@ from nnmix.boundary import (boundary_test, canonical_pattern, component_count,
                             rational_dist, sample_algebraic_boundary,
                             unit_rational_dist, ZeroPattern)
 from nnmix.exactla import Matrix
+from nnmix.harness import DISTS
 from nnmix.rank3cert import DomainError, nnrank3_membership
 
 from conftest import NICE_P, rect_rows, uab_normalized
@@ -190,3 +191,26 @@ class TestSampling:
         for pat in pats[:10]:
             P, A, B = sample_algebraic_boundary(pat, rng)
             assert bool(nnrank3_membership(P))
+
+    @staticmethod
+    def fraction_sample(pattern, rng, entry_dist):
+        """The sampler on Fraction matrices: the same draws in the same order,
+        multiplied out and scaled by 1/total without clearing to integers."""
+        A = [[Fraction(0) if (i, k) in pattern.A_zeros else entry_dist(rng)
+              for k in range(3)] for i in range(pattern.m)]
+        B = [[Fraction(0) if (k, j) in pattern.B_zeros else entry_dist(rng)
+              for j in range(pattern.n)] for k in range(3)]
+        Am, Bm = Matrix.exact(A), Matrix.exact(B)
+        P = Am @ Bm
+        inv = 1 / P.total()
+        return P.scale(inv), Am.scale(inv), Bm
+
+    @pytest.mark.parametrize("dist", sorted(DISTS))
+    def test_integer_product_matches_the_fraction_product(self, dist):
+        kind_b = next(p for p in enumerate_zero_patterns(4, 4) if p.kind == "b")
+        for pat in (canonical_pattern(), kind_b):
+            rng, oracle_rng = np.random.default_rng(31), np.random.default_rng(31)
+            for _ in range(60):
+                got = sample_algebraic_boundary(pat, rng, DISTS[dist](100))
+                assert got == self.fraction_sample(pat, oracle_rng, DISTS[dist](100))
+                assert all(m.backend == "exact" for m in got)

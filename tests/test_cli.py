@@ -179,6 +179,11 @@ class TestFamilyCommand:
                      "--output", str(workdir / "g.json")]) == 0
         assert json.loads((workdir / "g.json").read_text())["det"] == "0"
 
+    @pytest.mark.parametrize("name", ["rectangle", "greencurve"])
+    def test_zero_denominator_is_a_usage_error(self, workdir, capsys, name):
+        assert main(["family", name, "--a", "1/0", "--b", "0"]) == 2
+        assert "zero denominator in '1/0'" in capsys.readouterr().err
+
 
 class TestExperimentCommand:
     def test_tiny_boundary_fraction_run(self, workdir):

@@ -172,6 +172,82 @@ class TestRankFactorize:
         assert err < 1e-10 * np.max(np.abs(P))
 
 
+def fraction_gauss_jordan(M: Matrix):
+    """The Gauss-Jordan elimination on Fractions that the integer one replaced:
+    reduced rows, pivot columns and the signed product of the pivots."""
+    m, n = M.shape
+    work = [list(r) for r in M.entries]
+    pivots, det = [], Fraction(1)
+    for c in range(n):
+        r = len(pivots)
+        if r >= m:
+            break
+        p = next((i for i in range(r, m) if work[i][c] != 0), None)
+        if p is None:
+            continue
+        if p != r:
+            work[p], work[r] = work[r], work[p]
+            det = -det
+        pv = work[r][c]
+        det *= pv
+        work[r] = [x / pv for x in work[r]]
+        for i in range(m):
+            f = work[i][c]
+            if i != r and f != 0:
+                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        pivots.append(c)
+    return work, pivots, det
+
+
+def oracle_matrices(count: int, seed: int):
+    """Seeded rational matrices 1x1 to 7x7 with zero entries, zero columns
+    and rows that are combinations of earlier rows."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        m, n = (int(x) for x in rng.integers(1, 8, size=2))
+        rows = [[Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 8)))
+                 if rng.random() > 0.3 else Fraction(0) for _ in range(n)] for _ in range(m)]
+        for j in range(n):
+            if rng.random() < 0.1:
+                for row in rows:
+                    row[j] = Fraction(0)
+        for i in range(2, m):
+            if rng.random() < 0.3:
+                a, b = (Fraction(int(x), 3) for x in rng.integers(-4, 5, size=2))
+                rows[i] = [a * x + b * y for x, y in zip(rows[0], rows[i - 1])]
+        yield Matrix.exact(rows)
+
+
+class TestIntegerElimination:
+    """The elimination runs on integers; the Fraction one is the oracle."""
+
+    def test_agrees_with_the_fraction_elimination(self):
+        ranks = set()
+        for M in oracle_matrices(2000, seed=13):
+            work, pivots, det = fraction_gauss_jordan(M)
+            rank = len(pivots)
+            ranks.add(rank)
+            assert rref(M) == (Matrix(M.rows, M.cols, tuple(map(tuple, work)), "exact"),
+                               tuple(pivots))
+            assert matrix_rank(M) == rank
+            assert all(isinstance(x, Fraction) for row in rref(M)[0].entries for x in row)
+            if M.rows == M.cols:
+                assert determinant(M) == (det if rank == M.cols else 0)
+                assert isinstance(determinant(M), Fraction)
+            if rank > 3:
+                with pytest.raises(RankExcessError) as err:
+                    rank_factorize(M, 3)
+                assert err.value.rank == rank
+                continue
+            A, B = rank_factorize(M, 3)
+            assert A.entries == tuple(tuple([row[c] for c in pivots] + [0] * (3 - rank))
+                                      for row in M.entries)
+            assert B.entries == tuple(map(tuple, work[:rank] + [[0] * M.cols] * (3 - rank)))
+            assert A @ B == M
+            assert all(isinstance(x, Fraction) for F in (A, B) for row in F.entries for x in row)
+        assert ranks == set(range(8))
+
+
 class TestTextFormat:
     def test_exact_round_trip(self):
         M = Matrix.exact([[Fraction(1, 3), 2], [Fraction(-5, 7), 0]])
@@ -191,6 +267,10 @@ class TestTextFormat:
     def test_parse_error_reports_line(self):
         with pytest.raises(ValueError, match="line 2"):
             parse_matrix("1,2\nx,4\n")
+
+    def test_zero_denominator_reports_line_and_token(self):
+        with pytest.raises(ValueError, match="line 2: zero denominator in '1/0'"):
+            parse_matrix("1,2\n1/0,4\n")
 
     def test_ragged_rows_rejected(self):
         with pytest.raises(ValueError, match="ragged"):
@@ -226,8 +306,9 @@ def test_nonfinite_entries_rejected():
     ([[0.5, 1], [1, 1]], "float"),
     ([[Fraction(1, 2), np.float64(0.25)], [1, 1]], "float"),
     ([[np.float32(0.5), 1], [1, 1]], "float"),
+    ([["0.5", "1e-3"], [1, 1]], "float"),
 ], ids=["ints", "fraction_and_numpy_int", "pq_strings", "one_float", "numpy_float",
-        "not_rational"])
+        "not_rational", "decimal_strings"])
 def test_matrix_of_is_exact_only_for_rational_entries(rows, backend):
     M = Matrix.of(rows)
     assert M.backend == backend

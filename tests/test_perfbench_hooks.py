@@ -45,14 +45,20 @@ def test_every_experiment_runner_resolves(tmp_path):
     assert experiments
 
 
-@pytest.mark.parametrize("name", ["table1_5x5", "planted_T10"])
+# how many of each workload's first seed-0 trials the test reruns
+REFERENCE_TRIALS = {"table1_5x5": 4, "planted_T10": 4, "boundary_fraction": 100}
+
+
+@pytest.mark.parametrize("name", REFERENCE_TRIALS)
 def test_seed_zero_trials_match_the_reference(name):
-    # the first ops of the EM workloads, against the benchmark's recorded
-    # verdicts (flags exactly, log-likelihoods within its relative tolerance),
-    # so a kernel change that flips a verdict fails here too
+    # the first ops of each experiment workload, against the benchmark's
+    # recorded verdicts (flags, stratum statuses and witness counts exactly,
+    # log-likelihoods within its relative tolerance), so a kernel or exact
+    # layer change that flips a verdict fails here too
     workloads = _load("workloads")
     workload = workloads.WORKLOADS[name](0, None)
-    assert len(workload.reference) >= 4
-    for index in range(4):
+    trials = REFERENCE_TRIALS[name]
+    assert len(workload.reference) >= trials
+    for index in range(trials):
         report = workload.op(index).run()
         assert workload._check_reference(report.records[0], workload.reference[index]) == []

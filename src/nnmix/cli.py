@@ -13,6 +13,7 @@ errors, 3 for numeric failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import fields
@@ -206,7 +207,14 @@ def _cmd_experiment(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``nnmix`` argument parser, built on first use and shared after.
+
+    ``parse_args`` returns a fresh namespace each call and reads nothing
+    back into the parser, so one instance serves every ``main`` call in a
+    process; building it lazily keeps it out of the import.
+    """
     ap = argparse.ArgumentParser(
         prog="nnmix",
         description="EM, nonnegative-rank-3 certification, and boundary "
@@ -275,8 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (DomainError, ValueError) as exc:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import isfinite, lcm, prod
 from typing import Iterable
 
 import numpy as np
@@ -66,7 +66,7 @@ def _coerce_exact(x) -> Fraction:
 
 def _coerce_float(x) -> float:
     v = float(x)
-    if not np.isfinite(v):
+    if not isfinite(v):
         raise ValueError(f"non-finite entry {x!r} on float backend")
     return v
 

@@ -19,6 +19,18 @@ families:
 3. the chord products built from the degree-(6,3) brackets are nonnegative
    (the inner polygon lies inside the resulting triangle).
 
+The chord brackets are the costliest family, and they are evaluated by the
+Grassmann-Cayley expansion of a meet of two meets.  With the vertex
+v = a_i × a_j and the support lines L1 = v × p_i' and L2 = v × p_j',
+
+    det(L1 × a_k, L2 × a_l, p) = det(L1, a_k, a_l)·(L2·p) − det(L1, a_k, L2)·(a_l·p).
+
+So a candidate computes x[k, l] = det(L1, a_k, a_l), y[k'] = L2·p_k' and
+z[k] = det(L1, a_k, L2) once, an orientation computes a_l·p_k' once, and
+each chord sign is two products and a difference; swapping k and l negates
+x.  The identity is exact, so on integers every sign equals the composed
+bracket's.
+
 The witnesses form one lazy stream: the tuples of this orientation in index
 order, then those with the roles of A and B.T swapped.  Each entry point
 reads only what it needs.  ``nnrank3_membership`` and
@@ -105,19 +117,42 @@ def meet_join(A, B, i: int, j: int, ip: int, kp: int):
     return _det3(_cross(rows[i], rows[j]), cols[ip], cols[kp])
 
 
-def six_three(A, B, i: int, j: int, k: int, l: int, ip: int, jp: int, kp: int):
-    """Degree-(6,3) chord bracket, evaluated by composition.
+def _dot(p, q):
+    return p[0] * q[0] + p[1] * q[1] + p[2] * q[2]
 
-    Builds the two points where the support lines from the vertex
-    cross(a_i, a_j) through b_ip and b_jp meet the edge lines a_k and a_l,
-    then brackets them against b_kp.  Never expanded into its 330 monomials.
+
+def _chord_terms(L1, L2, lines, points):
+    """The per-candidate factors of the chord brackets of support lines L1, L2.
+
+    A meet of two meets expands as (L1 × a_k) × (L2 × a_l) =
+    det(L1, a_k, a_l)·L2 − det(L1, a_k, L2)·a_l, so
+
+        det(L1 × a_k, L2 × a_l, p) = x[k, l]·(L2·p) − z[k]·(a_l·p)
+
+    with x[k, l] = det(L1, a_k, a_l) = L1·(a_k × a_l) and z[k] =
+    det(L1, a_k, L2).  Returns ``y`` (L2·p over ``points``) and ``z`` (over
+    ``lines``).  The identity is exact, so on integers the value is the
+    composed bracket's, not an approximation of it.
+    """
+    w = _cross(L2, L1)  # det(L1, a, L2) = a · (L2 × L1)
+    return [_dot(L2, p) for p in points], [_dot(a, w) for a in lines]
+
+
+def six_three(A, B, i: int, j: int, k: int, l: int, ip: int, jp: int, kp: int):
+    """Degree-(6,3) chord bracket det(L1 × a_k, L2 × a_l, b_kp).
+
+    L1 and L2 are the support lines from the vertex cross(a_i, a_j) through
+    b_ip and b_jp; the bracket tests b_kp against the chord between their
+    meets with the edge lines a_k and a_l.  Evaluated by the expansion of
+    ``_chord_terms``, as the witness scan does; never expanded into its 330
+    monomials.
     """
     rows = _rows_of(A)
     cols = _cols_of(B)
     v = _cross(rows[i], rows[j])
-    p1 = _cross(_cross(v, cols[ip]), rows[k])
-    p2 = _cross(_cross(v, cols[jp]), rows[l])
-    return _det3(p1, p2, cols[kp])
+    L1 = _cross(v, cols[ip])
+    y, z = _chord_terms(L1, _cross(v, cols[jp]), rows, cols)
+    return _dot(L1, _cross(rows[k], rows[l])) * y[kp] - z[k] * _dot(rows[l], cols[kp])
 
 
 # -- sign contexts ------------------------------------------------------
@@ -246,48 +281,43 @@ def _scan_orientation(lines, points, ctx, swapped, line_map, point_map, log):
     scan passes them.
     """
     M, N = len(lines), len(points)
-    cross_cache: dict = {}
+    # a_k × a_l for k < l: the vertex of edge lines k, l, and the chord
+    # factor x[k, l] = L1 · (a_k × a_l) of every candidate
+    edges = {(k, l): _cross(lines[k], lines[l])
+             for k, l in itertools.combinations(range(M), 2)}
     supp_cache: dict = {}
-    pt_cache: dict = {}
+    incidence = [[_dot(a, p) for p in points] for a in lines]  # a_l · p_k'
 
-    def vertex(i, j):
-        # None marks a degenerate pair (parallel edge lines: no vertex).
-        key = (i, j)
-        if key not in cross_cache:
-            v = _cross(lines[i], lines[j])
-            cross_cache[key] = None if ctx.is_zero_vec(v, "x2") else v
-        return cross_cache[key]
-
-    def supports(i, j, t):
-        # The candidate support line through the vertex and point t must be a
-        # genuine line (the point must not coincide with the vertex), and all
-        # other points must sit on one side of it.
+    def support(i, j, t):
+        # The support line through the vertex and point t, or None.  It must
+        # be a genuine line (the point must not coincide with the vertex),
+        # and all other points must sit on one side of it.
         key = (i, j, t)
         if key not in supp_cache:
-            v = vertex(i, j)
-            supp_cache[key] = (not ctx.is_zero_vec(_cross(v, points[t]), "x21")
-                               and _one_sign(ctx.sign(_det3(v, points[t], points[kp]), "mj")
-                                             for kp in range(N) if kp != t))
+            v = edges[i, j]
+            L = _cross(v, points[t])
+            supp_cache[key] = L if (
+                not ctx.is_zero_vec(L, "x21")
+                and _one_sign(ctx.sign(_det3(v, points[t], points[kp]), "mj")
+                              for kp in range(N) if kp != t)) else None
         return supp_cache[key]
 
-    def tri_point(i, j, t, k):
-        key = (i, j, t, k)
-        if key not in pt_cache:
-            pt_cache[key] = _cross(_cross(vertex(i, j), points[t]), lines[k])
-        return pt_cache[key]
-
-    def chord_touches(i, j, ip, jp):
-        # The zero chord triples of a candidate, or None if a chord product
-        # is negative (the inner polygon leaves the triangle).
+    def chord_touches(L1, L2, others, ip, jp):
+        # The zero chord triples of the candidate with support lines L1, L2,
+        # or None if a chord product is negative (the inner polygon leaves
+        # the triangle).  Both chord brackets of (k, l, k') come from the
+        # ``_chord_terms`` expansion; swapping k and l negates x.
+        y, z = _chord_terms(L1, L2, lines, points)
+        sign = ctx.sign
+        kps = [kp for kp in range(N) if kp not in (ip, jp)]
         touches = []
-        for k, l in itertools.combinations([k for k in range(M) if k not in (i, j)], 2):
-            for kp in range(N):
-                if kp in (ip, jp):
-                    continue
-                s1 = ctx.sign(_det3(tri_point(i, j, ip, k), tri_point(i, j, jp, l),
-                                    points[kp]), "s63")
-                s2 = ctx.sign(_det3(tri_point(i, j, ip, l), tri_point(i, j, jp, k),
-                                    points[kp]), "s63")
+        for k, l in itertools.combinations(others, 2):
+            x = _dot(L1, edges[k, l])
+            zk, zl, qk, ql = z[k], z[l], incidence[k], incidence[l]
+            for kp in kps:
+                xy = x * y[kp]
+                s1 = sign(xy - zk * ql[kp], "s63")
+                s2 = sign(-xy - zl * qk[kp], "s63")
                 if s1 * s2 < 0:
                     return None
                 if s1 == 0 or s2 == 0:
@@ -297,22 +327,25 @@ def _scan_orientation(lines, points, ctx, swapped, line_map, point_map, log):
     side = "cols" if swapped else "rows"
     for i in range(M):
         for j in range(i + 1, M):
-            if vertex(i, j) is None:
+            if ctx.is_zero_vec(edges[i, j], "x2"):  # parallel edge lines: no vertex
                 log.append(f"{side} ({line_map[i]},{line_map[j]}): edge lines are parallel")
                 continue
             if not _one_sign(ctx.sign(_det3(lines[i], lines[j], lines[k]), "b3")
                              for k in range(M) if k not in (i, j)):
                 log.append(f"{side} ({line_map[i]},{line_map[j]}): vertex sign family mixed")
                 continue
+            others = [k for k in range(M) if k not in (i, j)]
             for ip in range(N):
-                if not supports(i, j, ip):
+                L1 = support(i, j, ip)
+                if L1 is None:
                     log.append(f"candidate ({line_map[i]},{line_map[j]},{point_map[ip]},*): "
                                "support family mixed")
                     continue
                 for jp in range(N):
-                    if jp == ip or not supports(i, j, jp):
+                    L2 = None if jp == ip else support(i, j, jp)
+                    if L2 is None:
                         continue
-                    touches = chord_touches(i, j, ip, jp)
+                    touches = chord_touches(L1, L2, others, ip, jp)
                     if touches is None:
                         log.append(f"candidate ({line_map[i]},{line_map[j]},"
                                    f"{point_map[ip]},{point_map[jp]}): chord product negative")

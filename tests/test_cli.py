@@ -1,7 +1,11 @@
 """Command-line interface: verdict exit codes, file round-trips, reports."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -270,6 +274,44 @@ class TestExperimentCommand:
             cfg.write_text(json.dumps(config))
         assert main(["experiment", "table1", "--config", str(cfg)]) == 2
         assert message in capsys.readouterr().err
+
+
+class TestParserReuse:
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_back_to_back_calls_do_not_leak_state(self, workdir, capsys):
+        exact = write_matrix(workdir / "p.txt", uab_normalized(100, 42))
+        floats = write_matrix(workdir / "f.txt", uab_normalized(100, 42).as_float())
+        out = workdir / "v.json"
+
+        def backend(argv):
+            assert main(argv + ["--output", str(out)]) == 0
+            return json.loads(out.read_text())["backend"]
+
+        assert main(["factorize", "--input", exact, "--prefix", "X"]) == 0
+        assert main(["factorize", "--input", exact]) == 0
+        assert (workdir / "X_A.txt").exists() and (workdir / "factor_A.txt").exists()
+        # a leaked --backend float would decide the exact file on floats
+        assert backend(["nnrank3", "--input", exact, "--backend", "float"]) == "float"
+        assert backend(["nnrank3", "--input", exact]) == "exact"
+        # a leaked --backend exact would refuse the float file with exit 2
+        assert backend(["nnrank3", "--input", exact, "--backend", "exact"]) == "exact"
+        assert backend(["nnrank3", "--input", floats]) == "float"
+        with pytest.raises(SystemExit) as err:
+            main(["nnrank3", "--input", floats, "--backend", "bogus"])
+        assert err.value.code == 2
+        assert backend(["nnrank3", "--input", floats]) == "float"
+        capsys.readouterr()
+
+    def test_python_dash_m_runs_the_cli(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "nnmix", "--help"], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: nnmix")
 
 
 class TestUsage:

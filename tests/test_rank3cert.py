@@ -1,19 +1,22 @@
 """Bracket evaluators, membership certification, factorization, polygons."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from nnmix import rank3cert
-from nnmix.boundary import boundary_test
+from nnmix.boundary import (boundary_test, enumerate_zero_patterns, integer_dist,
+                            rational_dist, sample_algebraic_boundary)
 from nnmix.cli import main
 from nnmix.exactla import Matrix, format_matrix, matrix_rank, rref
 from nnmix.rank3cert import (DomainError, GeometryError, NotInModelError,
                              all_witnesses, bracket3, meet_join,
                              membership_from_factors, nested_polygons,
                              nnrank3_membership, nonneg_rank3_factorize,
-                             six_three, _cross, _det3)
+                             six_three, Witness, WitnessRecord, _cross, _det3,
+                             _one_sign)
 
 from conftest import (NICE_A, NICE_B, NICE_P, random_rational_matrix, rect_rows,
                       uab_normalized)
@@ -205,6 +208,16 @@ class TestMembership:
         dec = nnrank3_membership(P)
         assert dec.verdict == "in"
         assert dec.backend == "float"
+
+    def test_float_backend_flags_a_touching_stratum_sample_marginal(self):
+        # a kind-b stratum sample touches its triangle: as floats, the exact
+        # zero chord products come out as rounding residue inside the band
+        pattern = next(p for p in enumerate_zero_patterns(4, 4) if p.kind == "b")
+        P, _, _ = sample_algebraic_boundary(pattern, np.random.default_rng(0), integer_dist())
+        exact, records = all_witnesses(P)
+        assert exact.verdict == "in" and any(rec.touches for rec in records)
+        dec = nnrank3_membership(P.as_float())
+        assert (dec.verdict, dec.backend, dec.marginal) == ("in", "float", True)
 
     def test_numpy_float_arrays_route_to_float_backend(self):
         P = uab_normalized(100, 42).to_numpy()
@@ -511,3 +524,196 @@ def test_one_elimination_per_entry_point_call(monkeypatch):
         except GeometryError:
             pass
         assert calls == [], entry
+
+
+# -- the chord expansion against the composed brackets ---------------------
+
+
+def composed_six_three(rows, cols, i, j, k, l, ip, jp, kp):
+    """The chord bracket as the scan evaluated it before the expansion: the
+    two triangle points as meets of meets, then one 3x3 determinant."""
+    v = _cross(rows[i], rows[j])
+    p1 = _cross(_cross(v, cols[ip]), rows[k])
+    p2 = _cross(_cross(v, cols[jp]), rows[l])
+    return _det3(p1, p2, cols[kp])
+
+
+def composed_scan_orientation(lines, points, ctx, swapped, line_map, point_map, log):
+    """``rank3cert._scan_orientation`` with every chord bracket composed, as
+    it ran before the expansion; the oracle for witness records and logs."""
+    M, N = len(lines), len(points)
+    cross_cache, supp_cache, pt_cache = {}, {}, {}
+
+    def vertex(i, j):
+        if (i, j) not in cross_cache:
+            v = _cross(lines[i], lines[j])
+            cross_cache[i, j] = None if ctx.is_zero_vec(v, "x2") else v
+        return cross_cache[i, j]
+
+    def supports(i, j, t):
+        if (i, j, t) not in supp_cache:
+            v = vertex(i, j)
+            supp_cache[i, j, t] = (not ctx.is_zero_vec(_cross(v, points[t]), "x21")
+                                   and _one_sign(ctx.sign(_det3(v, points[t], points[kp]), "mj")
+                                                 for kp in range(N) if kp != t))
+        return supp_cache[i, j, t]
+
+    def tri_point(i, j, t, k):
+        if (i, j, t, k) not in pt_cache:
+            pt_cache[i, j, t, k] = _cross(_cross(vertex(i, j), points[t]), lines[k])
+        return pt_cache[i, j, t, k]
+
+    def chord_touches(i, j, ip, jp):
+        touches = []
+        for k, l in itertools.combinations([k for k in range(M) if k not in (i, j)], 2):
+            for kp in range(N):
+                if kp in (ip, jp):
+                    continue
+                s1 = ctx.sign(_det3(tri_point(i, j, ip, k), tri_point(i, j, jp, l),
+                                    points[kp]), "s63")
+                s2 = ctx.sign(_det3(tri_point(i, j, ip, l), tri_point(i, j, jp, k),
+                                    points[kp]), "s63")
+                if s1 * s2 < 0:
+                    return None
+                if s1 == 0 or s2 == 0:
+                    touches.append((line_map[k], line_map[l], point_map[kp]))
+        return touches
+
+    side = "cols" if swapped else "rows"
+    for i in range(M):
+        for j in range(i + 1, M):
+            if vertex(i, j) is None:
+                log.append(f"{side} ({line_map[i]},{line_map[j]}): edge lines are parallel")
+                continue
+            if not _one_sign(ctx.sign(_det3(lines[i], lines[j], lines[k]), "b3")
+                             for k in range(M) if k not in (i, j)):
+                log.append(f"{side} ({line_map[i]},{line_map[j]}): vertex sign family mixed")
+                continue
+            for ip in range(N):
+                if not supports(i, j, ip):
+                    log.append(f"candidate ({line_map[i]},{line_map[j]},{point_map[ip]},*): "
+                               "support family mixed")
+                    continue
+                for jp in range(N):
+                    if jp == ip or not supports(i, j, jp):
+                        continue
+                    touches = chord_touches(i, j, ip, jp)
+                    if touches is None:
+                        log.append(f"candidate ({line_map[i]},{line_map[j]},"
+                                   f"{point_map[ip]},{point_map[jp]}): chord product negative")
+                        continue
+                    yield WitnessRecord(
+                        Witness(line_map[i], line_map[j], point_map[ip], point_map[jp], swapped),
+                        tuple(touches))
+
+
+def chord_configurations(count, seed):
+    """Seeded integer lines (5x3) and points (3x5) with planted degeneracies:
+    a point on a chord (a touching chord), a support point at the vertex,
+    one support line for both points with the tested point at the vertex,
+    and both edge lines a_2, a_3 through the vertex."""
+    rng = np.random.default_rng(seed)
+    for t in range(count):
+        rows = [tuple(int(x) for x in rng.integers(-9, 10, size=3)) for _ in range(5)]
+        cols = [tuple(int(x) for x in rng.integers(-9, 10, size=3)) for _ in range(5)]
+        v = _cross(rows[0], rows[1])
+        case = t % 5
+        if case == 1:    # b_4 on the chord of (k, l) = (2, 3) through b_0, b_1
+            p1 = _cross(_cross(v, cols[0]), rows[2])
+            p2 = _cross(_cross(v, cols[1]), rows[3])
+            a, b = (int(x) for x in rng.integers(-3, 4, size=2))
+            cols[4] = tuple(a * x + b * y for x, y in zip(p1, p2))
+        elif case == 2:  # support point b_0 at the vertex
+            cols[0] = v
+        elif case == 3:  # one support line, tested point b_4 at the vertex
+            cols[1] = cols[0]
+            cols[4] = v
+        elif case == 4:  # edge lines a_2 and a_3 through the vertex
+            rows[2] = tuple(x + y for x, y in zip(rows[0], rows[1]))
+            rows[3] = tuple(x - 2 * y for x, y in zip(rows[0], rows[1]))
+        yield rows, cols
+
+
+def test_chord_expansion_equals_the_composed_bracket():
+    signs = set()
+    for rows, cols in chord_configurations(60, seed=41):
+        B = [[c[r] for c in cols] for r in range(3)]
+        for k, l in itertools.permutations((2, 3, 4), 2):
+            for ip, jp, kp in itertools.permutations(range(5), 3):
+                want = composed_six_three(rows, cols, 0, 1, k, l, ip, jp, kp)
+                assert six_three(rows, B, 0, 1, k, l, ip, jp, kp) == want
+                signs.add((want > 0) - (want < 0))
+    assert signs == {-1, 0, 1}
+
+
+def test_planted_degeneracies_vanish():
+    for t, (rows, cols) in enumerate(chord_configurations(5, seed=42)):
+        B = [[c[r] for c in cols] for r in range(3)]
+        value = six_three(rows, B, 0, 1, 2, 3, 0, 1, 4)
+        assert (value == 0) == (t in (1, 2, 3, 4)), t
+
+
+def scan_corpus():
+    """Seeded (P, factors) pairs: integer rank-3 products at 4, 6, 8 and 12,
+    U(100, b) for b = 20..59, and stratum samples of both pattern kinds with
+    the factors they were drawn from (None for the others)."""
+    rng = np.random.default_rng(29)
+    for size, count in ((4, 6), (6, 4), (8, 3), (12, 2)):
+        for _ in range(count):
+            P = np.zeros((size, size), dtype=int)
+            while np.linalg.matrix_rank(P) != 3:
+                P = rng.integers(0, 10, size=(size, 3)) @ rng.integers(0, 10, size=(3, size))
+            yield Matrix.exact(P.tolist()), None
+    for b in range(20, 60):
+        yield uab_normalized(100, b), None
+    patterns = enumerate_zero_patterns(4, 4)
+    for kind in ("a", "b"):
+        of_kind = [p for p in patterns if p.kind == kind]
+        for t in range(16):
+            dist = integer_dist() if t % 2 else rational_dist()
+            P, A, B = sample_algebraic_boundary(of_kind[t % len(of_kind)], rng, dist)
+            yield P, (A, B)
+
+
+def _scan_outputs(P, factors):
+    member = nnrank3_membership(P)
+    full, records = all_witnesses(P)
+    out = [member.as_dict(), member.failure_log, full.as_dict(), full.failure_log,
+           records, boundary_test(P).as_dict()]
+    try:
+        out.append(nonneg_rank3_factorize(P))
+    except NotInModelError as exc:
+        out.append(str(exc))
+    if factors:
+        dec = membership_from_factors(*factors)
+        out += [dec.as_dict(), dec.failure_log]
+    return out
+
+
+def test_scan_matches_the_composed_scan(monkeypatch):
+    corpus = list(scan_corpus())
+    expanded = [_scan_outputs(P, factors) for P, factors in corpus]
+    monkeypatch.setattr(rank3cert, "_scan_orientation", composed_scan_orientation)
+    for (P, factors), got in zip(corpus, expanded):
+        assert got == _scan_outputs(P, factors), P
+    touching = sum(1 for out in expanded if any(rec.touches for rec in out[4]))
+    logged = sum(1 for out in expanded if any("chord product negative" in line
+                                              for line in out[3]))
+    assert touching >= 20 and logged >= 15, (touching, logged)
+
+
+def test_float_verdicts_agree_or_are_marginal():
+    # the float/exact contract: a float verdict that differs from the exact
+    # verdict on the same rational matrix is flagged marginal
+    calls = 0
+    for P, factors in scan_corpus():
+        pairs = [(nnrank3_membership(P), nnrank3_membership(P.as_float()))]
+        if factors:
+            A, B = factors
+            pairs.append((membership_from_factors(A, B),
+                          membership_from_factors(A.as_float(), B.as_float())))
+        for exact, approx in pairs:
+            calls += 1
+            assert approx.backend == "float"
+            assert approx.verdict == exact.verdict or approx.marginal, P
+    assert calls == 119

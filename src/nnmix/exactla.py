@@ -4,11 +4,12 @@ Everything downstream (membership certification, boundary classification,
 the closed-form likelihood maximizers) ultimately reduces to sign tests on
 determinants, so the primary backend is exact rational arithmetic where a
 zero is a zero.  Exact entries are ``fractions.Fraction`` only at the edges:
-parsing, formatting and the matrices the functions here return.  The
-elimination itself clears each row to Python ints with
-:func:`clear_denominators` and runs fraction-free, so no gcd is taken inside
-it.  A float backend with tolerance-based rank decisions is provided for data
-that originates from floating-point computations.
+parsing, formatting and the matrices the functions here return.  Inside,
+rows and columns are cleared to Python ints with :func:`clear_denominators`:
+the elimination runs fraction-free, so no gcd is taken inside it, and an
+entry of an exact product is one integer dot product.  A float backend with
+tolerance-based rank decisions is provided for data that originates from
+floating-point computations.
 
 Matrices are immutable; all functions return new objects.
 """
@@ -18,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isfinite, lcm, prod
+from operator import mul
 from typing import Iterable
 
 import numpy as np
@@ -55,9 +57,7 @@ def _coerce_exact(x) -> Fraction:
         return x
     if isinstance(x, (int, np.integer)):
         return Fraction(int(x))
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, float):
+    if isinstance(x, (str, float)):
         # every float is exactly a dyadic rational; callers who want a
         # rounded promotion use Matrix.as_exact instead
         return Fraction(x)
@@ -155,9 +155,12 @@ class Matrix:
             raise DimensionError(f"cannot multiply {self.shape} by {other.shape}")
         if self.backend != other.backend:
             raise ValueError("backend mismatch in matrix product")
-        ot = other.transpose().entries
-        data = tuple(tuple(sum(a * b for a, b in zip(ra, cb)) for cb in ot)
-                     for ra in self.entries)
+        if self.backend == EXACT:
+            data = tuple(tuple(Fraction(*nd) for nd in row)
+                         for row in _cleared_product(self, other))
+        else:
+            ot = tuple(zip(*other.entries))
+            data = tuple(tuple(sum(map(mul, ra, cb)) for cb in ot) for ra in self.entries)
         return Matrix(self.rows, other.cols, data, self.backend)
 
     def scale(self, c) -> "Matrix":
@@ -173,7 +176,7 @@ class Matrix:
     def as_float(self) -> "Matrix":
         if self.backend == FLOAT:
             return self
-        return Matrix.from_floats([[float(x) for x in r] for r in self.entries])
+        return Matrix.from_floats(self.entries)
 
     def as_exact(self) -> "Matrix":
         """Promote to the exact backend.
@@ -219,22 +222,34 @@ def clear_denominators(values) -> tuple[list[int], int]:
     return [x.numerator * (d // x.denominator) for x in values], d
 
 
-def _gauss_jordan(M: Matrix, tol: float = DEFAULT_RANK_TOL
-                  ) -> tuple[list, list, int | float, Fraction | float]:
+def _cleared_product(A: Matrix, B: Matrix) -> list[list[tuple[int, int]]]:
+    """The exact ``A @ B`` as unreduced ``(numerator, denominator)`` pairs.
+
+    Each row of A and each column of B is cleared once, so an entry is one
+    integer dot product over the product of two multipliers.
+    """
+    rows = [clear_denominators(r) for r in A.entries]
+    cols = [clear_denominators(c) for c in zip(*B.entries)]
+    return [[(sum(map(mul, ra, cb)), da * db) for cb, db in cols] for ra, da in rows]
+
+
+def _gauss_jordan(M: Matrix, tol: float = DEFAULT_RANK_TOL) -> tuple:
     """Gauss-Jordan elimination, the one elimination of the exact layer.
 
-    Returns ``(rows, pivots, d, det)``: the reduced row echelon form is
-    ``rows / d``, ``pivots`` are its pivot columns and ``det`` is the
-    determinant of ``M`` when it is square and every column has a pivot.
-    Columns are scanned left to right, which makes the resulting
-    factorizations deterministic.
+    Returns ``(rows, pivots, d, cleared, det)``: the reduced row echelon
+    form is ``rows / d`` and ``pivots`` are its pivot columns.  ``cleared``
+    holds the rows of ``M`` as ``(ints, multiplier)`` pairs from
+    :func:`clear_denominators` (on floats the rows themselves, multiplier 1),
+    and ``det`` is the determinant of the cleared rows when ``M`` is square
+    and every column has a pivot (None on floats).  Columns are scanned left
+    to right, which makes the resulting factorizations deterministic.
 
     The exact backend takes the first nonzero pivot in each column and runs
-    fraction-free (Bareiss) Gauss-Jordan on the rows cleared to integers:
-    every intermediate is an integer minor, so no gcd is taken in the loop,
-    and the rows end as ``d * RREF`` for one positive integer ``d``.  The
-    float backend picks the largest-magnitude pivot, treats values at or
-    below ``tol * max|entry|`` as zero, and returns ``d = 1.0``.
+    fraction-free (Bareiss) Gauss-Jordan on the cleared rows: every
+    intermediate is an integer minor, so no gcd is taken in the loop, and
+    the rows end as ``d * RREF`` for one positive integer ``d``.  The float
+    backend picks the largest-magnitude pivot, treats values at or below
+    ``tol * max|entry|`` as zero, and returns ``d = 1.0``.
     """
     m, n = M.shape
     if M.backend == EXACT:
@@ -262,8 +277,7 @@ def _gauss_jordan(M: Matrix, tol: float = DEFAULT_RANK_TOL
             pivots.append(c)
         if prev < 0:
             work = [[-x for x in row] for row in work]
-        det = Fraction(sign * prev, prod(mult for _, mult in cleared))
-        return work, pivots, abs(prev), det
+        return work, pivots, abs(prev), cleared, sign * prev
 
     work = [list(r) for r in M.entries]
     scale = max((abs(x) for r in M.entries for x in r), default=0.0)
@@ -278,7 +292,6 @@ def _gauss_jordan(M: Matrix, tol: float = DEFAULT_RANK_TOL
         return best
 
     pivots = []
-    det = 1.0
     r = 0
     for c in range(n):
         if r >= m:
@@ -288,9 +301,7 @@ def _gauss_jordan(M: Matrix, tol: float = DEFAULT_RANK_TOL
             continue
         if p != r:
             work[p], work[r] = work[r], work[p]
-            det = -det
         pv = work[r][c]
-        det *= pv
         work[r] = [x / pv for x in work[r]]
         for i in range(m):
             if i == r:
@@ -301,12 +312,12 @@ def _gauss_jordan(M: Matrix, tol: float = DEFAULT_RANK_TOL
             work[i] = [x - f * y for x, y in zip(work[i], work[r])]
         pivots.append(c)
         r += 1
-    return work, pivots, 1.0, det
+    return work, pivots, 1.0, [(row, 1) for row in M.entries], None
 
 
 def rref(M: Matrix, tol: float = DEFAULT_RANK_TOL) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form and pivot columns (see :func:`_gauss_jordan`)."""
-    work, pivots, d, _ = _gauss_jordan(M, tol)
+    work, pivots, d, _, _ = _gauss_jordan(M, tol)
     if M.backend == EXACT:
         work = [[Fraction(x, d) for x in row] for row in work]
     return Matrix(M.rows, M.cols, tuple(map(tuple, work)), M.backend), tuple(pivots)
@@ -324,8 +335,8 @@ def determinant(M: Matrix):
         raise DimensionError(f"determinant of non-square {m}x{n} matrix")
     if M.backend == FLOAT:
         return float(np.linalg.det(M.to_numpy()))
-    _, pivots, _, det = _gauss_jordan(M)
-    return det if len(pivots) == n else Fraction(0)
+    _, pivots, _, cleared, det = _gauss_jordan(M)
+    return Fraction(det, prod(d for _, d in cleared)) if len(pivots) == n else Fraction(0)
 
 
 def rank_factorize(P: Matrix, r: int, tol: float = DEFAULT_RANK_TOL) -> tuple[Matrix, Matrix]:
@@ -342,20 +353,16 @@ def rank_factorize(P: Matrix, r: int, tol: float = DEFAULT_RANK_TOL) -> tuple[Ma
     elimination's conditioning.
     """
     m, n = P.shape
-    R, pivots = rref(P, tol)
+    work, pivots, d, _, _ = _gauss_jordan(P, tol)
     rank = len(pivots)
     if rank > r:
         raise RankExcessError(rank, r)
     zero = Fraction(0) if P.backend == EXACT else 0.0
-    a_rows = []
-    for i in range(m):
-        row = [P.entries[i][c] for c in pivots] + [zero] * (r - rank)
-        a_rows.append(row)
-    b_rows = [list(R.entries[k]) for k in range(rank)]
-    b_rows += [[zero] * n for _ in range(r - rank)]
-    A = Matrix(m, r, tuple(tuple(x) for x in a_rows), P.backend)
-    B = Matrix(r, n, tuple(tuple(x) for x in b_rows), P.backend)
-    return A, B
+    if P.backend == EXACT:
+        work = [[Fraction(x, d) for x in row] for row in work[:rank]]
+    A = tuple(tuple([row[c] for c in pivots] + [zero] * (r - rank)) for row in P.entries)
+    B = tuple(map(tuple, work[:rank])) + ((zero,) * n,) * (r - rank)
+    return Matrix(m, r, A, P.backend), Matrix(r, n, B, P.backend)
 
 
 # -- shared text format ------------------------------------------------

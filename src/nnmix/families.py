@@ -12,7 +12,11 @@ Three 4-by-4 families with known exact behavior:
 
 The cubic is solved by exact square-free decomposition plus Sturm-chain
 root isolation over the rationals, so a rational simple root comes back as
-a Fraction and everything downstream stays exactly representable.
+a Fraction and everything downstream stays exactly representable.  The
+isolating interval is then refined by bisection on integer numerators over
+one power-of-two denominator; ``Fraction`` remains in the polynomial
+helpers, the isolation, the interval ``refine_root`` returns, and the
+letters and matrices of the maximizers.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactla import Matrix
+from .exactla import Matrix, clear_denominators
 
 # -- exact polynomial helpers (dense, ascending coefficients) -----------
 
@@ -84,15 +88,8 @@ def sturm_chain(f):
 
 
 def _sign_variations(values):
-    count, prev = 0, 0
-    for v in values:
-        s = (v > 0) - (v < 0)
-        if s == 0:
-            continue
-        if prev != 0 and s != prev:
-            count += 1
-        prev = s
-    return count
+    signs = [s for s in ((v > 0) - (v < 0) for v in values) if s]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def sturm_count(chain, lo, hi):
@@ -142,22 +139,33 @@ def isolate_real_roots(f):
 
 
 def refine_root(f, lo, hi, width=Fraction(1, 10**24)):
-    """Shrink an isolating interval by exact bisection to the given width."""
+    """Shrink an isolating interval by exact bisection to the given width.
+
+    The bisection runs on integers.  With ``lo = a / q`` and ``hi = b / q``,
+    every point it visits after k halvings is ``x = N / D`` with ``D = q * 2**k``,
+    and f(x) has the sign of the homogeneous form ``sum F_i N**i D**(deg - i)``
+    of the integer coefficients ``F`` of f.  The interval it returns is the
+    one the same bisection on ``Fraction``s returns.
+    """
     if lo == hi:
         return lo, hi
-    flo = polyval(f, lo)
-    if flo == 0:
+    F, _ = clear_denominators(f)
+
+    def sign(N, D):  # the sign of f(N / D) for D > 0
+        value = polyval([c * D ** (len(F) - 1 - i) for i, c in enumerate(F)], N)
+        return (value > 0) - (value < 0)
+
+    (a, b), D = clear_denominators((lo, hi))
+    slo = sign(a, D)
+    if slo == 0:
         return lo, lo
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        fm = polyval(f, mid)
-        if fm == 0:
-            return mid, mid
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return lo, hi
+    while (b - a) * width.denominator > width.numerator * D:
+        mid, a, b, D = a + b, 2 * a, 2 * b, 2 * D
+        sm = sign(mid, D)
+        if sm == 0:
+            return Fraction(mid, D), Fraction(mid, D)
+        a, b = (mid, b) if sm == slo else (a, mid)
+    return Fraction(a, D), Fraction(b, D)
 
 
 class AmbiguousRootError(ArithmeticError):
@@ -196,10 +204,8 @@ def unique_simple_real_root(coeffs):
              for lo, hi in intervals]
     only = [iv for iv, simple in zip(intervals, flags) if simple]
     if len(only) != 1:
-        approx = []
-        for lo, hi in intervals:
-            rlo, rhi = refine_root(squarefree, lo, hi, Fraction(1, 10**18))
-            approx.append(float((rlo + rhi) / 2))
+        approx = [float(sum(refine_root(squarefree, lo, hi, Fraction(1, 10**18))) / 2)
+                  for lo, hi in intervals]
         raise AmbiguousRootError(
             f"expected one simple real root, found {len(only)}", approx)
     if len(squarefree) == 2:

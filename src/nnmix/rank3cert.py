@@ -36,12 +36,13 @@ order, then those with the roles of A and B.T swapped.  Each entry point
 reads only what it needs.  ``nnrank3_membership`` and
 ``membership_from_factors`` take the first record, ``all_witnesses`` takes
 them all, and ``nonneg_rank3_factorize`` takes the first whose triangle
-yields nonnegative factors.  On the rational backend the scan runs on
-Python ints: each line and point of the ``rank_factorize`` factors is
-cleared to integers by ``exactla.clear_denominators``, a positive scaling
-that changes no sign.  ``Fraction`` stays at the edges: the factors
-``rank_factorize`` returns, and the triangle that ``nonneg_rank3_factorize``
-turns into the factors it writes.  The float backend replaces sign tests
+yields nonnegative factors.  On the rational backend the path from the
+elimination to the verdict runs on Python ints: the lines are P's rows as
+the elimination cleared them, at its pivot columns, and the points are the
+columns of d·RREF in lowest terms, positive scalings that change no sign.
+The triangle is found in homogeneous integer coordinates too, so
+``Fraction`` stays at the edges: the input, and the factors
+``nonneg_rank3_factorize`` returns.  The float backend replaces sign tests
 with a tolerance band and flags marginal calls.
 """
 
@@ -51,10 +52,12 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 
-# matrix_rank is not called here; the benchmark's tracer wraps it by this name
-from .exactla import (EXACT, Matrix, RankExcessError, clear_denominators, matrix_rank,
-                      rank_factorize)
+# matrix_rank and rank_factorize are not called here; the benchmark's tracer
+# wraps them by these names
+from .exactla import (EXACT, Matrix, _cleared_product, _gauss_jordan, clear_denominators,
+                      matrix_rank, rank_factorize)
 
 
 class DomainError(ValueError):
@@ -89,16 +92,11 @@ def _det3(p, q, r):
 
 
 def _rows_of(A) -> list[tuple]:
-    if isinstance(A, Matrix):
-        return [tuple(r) for r in A.entries]
-    return [tuple(r) for r in A]
+    return [tuple(r) for r in (A.entries if isinstance(A, Matrix) else A)]
 
 
 def _cols_of(B) -> list[tuple]:
-    if isinstance(B, Matrix):
-        return [B.col(j) for j in range(B.cols)]
-    rows = [tuple(r) for r in B]
-    return [tuple(r[j] for r in rows) for j in range(len(rows[0]))]
+    return list(zip(*_rows_of(B)))
 
 
 def bracket3(A, i: int, j: int, k: int):
@@ -289,16 +287,17 @@ def _scan_orientation(lines, points, ctx, swapped, line_map, point_map, log):
     incidence = [[_dot(a, p) for p in points] for a in lines]  # a_l · p_k'
 
     def support(i, j, t):
-        # The support line through the vertex and point t, or None.  It must
-        # be a genuine line (the point must not coincide with the vertex),
-        # and all other points must sit on one side of it.
+        # The support line L = v × p_t through the vertex and point t, or
+        # None.  It must be a genuine line (the point must not coincide with
+        # the vertex), and all other points must sit on one side of it:
+        # det(v, p_t, p_k') = L · p_k' shares one sign.
         key = (i, j, t)
         if key not in supp_cache:
             v = edges[i, j]
             L = _cross(v, points[t])
             supp_cache[key] = L if (
                 not ctx.is_zero_vec(L, "x21")
-                and _one_sign(ctx.sign(_det3(v, points[t], points[kp]), "mj")
+                and _one_sign(ctx.sign(_dot(L, points[kp]), "mj")
                               for kp in range(N) if kp != t)) else None
         return supp_cache[key]
 
@@ -330,7 +329,8 @@ def _scan_orientation(lines, points, ctx, swapped, line_map, point_map, log):
             if ctx.is_zero_vec(edges[i, j], "x2"):  # parallel edge lines: no vertex
                 log.append(f"{side} ({line_map[i]},{line_map[j]}): edge lines are parallel")
                 continue
-            if not _one_sign(ctx.sign(_det3(lines[i], lines[j], lines[k]), "b3")
+            # det(a_i, a_j, a_k) = (a_i × a_j) · a_k shares one sign
+            if not _one_sign(ctx.sign(_dot(edges[i, j], lines[k]), "b3")
                              for k in range(M) if k not in (i, j)):
                 log.append(f"{side} ({line_map[i]},{line_map[j]}): vertex sign family mixed")
                 continue
@@ -377,23 +377,17 @@ def _prepare(P) -> Matrix:
     return P if isinstance(P, Matrix) else Matrix.of(P)
 
 
-def _witness_stream(A: Matrix, B: Matrix, row_map, col_map):
-    """The witnesses of P = A @ B as one lazy stream.
+def _witness_stream(lines, points, backend: str, row_map, col_map):
+    """The witnesses of the lines and points of P = A @ B as one lazy stream.
 
     Returns ``(records, log, ctx)``: an iterator over the unswapped
     orientation and then the swapped one, the failure log it fills as it
     advances, and the sign context whose ``marginal`` flag it raises.  A
     caller that stops early has scanned, logged and flagged only that far.
     """
-    if A.backend == EXACT:
-        # positive per-line / per-point scalings leave every sign family and
-        # every exact-zero test invariant
-        lines = [clear_denominators(A.row(i))[0] for i in range(A.rows)]
-        points = [clear_denominators(B.col(j))[0] for j in range(B.cols)]
+    if backend == EXACT:
         ctx = _ExactSigns()
     else:
-        lines = [A.row(i) for i in range(A.rows)]
-        points = [B.col(j) for j in range(B.cols)]
         lscale = max(abs(x) for v in lines for x in v)
         pscale = max(abs(x) for v in points for x in v)
         ctx = _FloatSigns(lscale, pscale)
@@ -409,27 +403,49 @@ def _head(records) -> list:
     return list(itertools.islice(records, 1))
 
 
+def _form_matrices(form) -> tuple[Matrix, Matrix]:
+    """The exact factors A, B of an integer form, for callers that need them."""
+    lines, line_den, points, point_den = form
+    return (Matrix.exact([[Fraction(x, c) for x in a] for a, c in zip(lines, line_den)]),
+            Matrix.exact([[Fraction(p[k], e) for p, e in zip(points, point_den)]
+                          for k in range(3)]))
+
+
 def _eliminate(P: Matrix):
     """The rank of P and, when it is at most 3, its padded rank-3 factors.
 
-    One elimination gives both: a rank <= 3 is the count of nonzero rows of
-    B, and a larger one comes with the error ``rank_factorize`` raises.
+    One elimination gives both.  The factors come in integer form,
+    ``(lines, line_den, points, point_den)``: row i of A is
+    ``lines[i] / line_den[i]``, P's cleared row i at the pivot columns, and
+    column j of B is ``points[j] / point_den[j]``, column j of ``d * RREF``
+    divided by its common factor with ``d``.  These are the factors
+    ``rank_factorize`` returns; the witness scan reads the integer vectors
+    directly, and ``_form_matrices`` builds the ``Matrix`` pair where a
+    caller needs it.
     """
-    try:
-        A, B = rank_factorize(P, 3)
-    except RankExcessError as exc:
-        return exc.rank, None
-    return sum(1 for row in B.entries if any(row)), (A, B)
+    work, pivots, d, cleared, _ = _gauss_jordan(P)
+    rank = len(pivots)
+    if rank > 3:
+        return rank, None
+    pad = [0] * (3 - rank)
+    lines = [tuple([row[c] for c in pivots] + pad) for row, _ in cleared]
+    points, point_den = list(zip(*work[:rank], *[[0] * P.cols] * (3 - rank))), [d] * P.cols
+    if P.backend == EXACT:  # lowest terms: smaller integers, cheaper brackets
+        gs = [gcd(d, *p) for p in points]
+        points = [tuple(x // g for x in p) for p, g in zip(points, gs)]
+        point_den = [d // g for g in gs]
+    return rank, (lines, [c for _, c in cleared], points, point_den)
 
 
 def _decide(P: Matrix, factors, row_map, col_map, take):
     """The membership ladder every entry point shares, on one elimination.
 
     Rank > 3 is ``out``, rank < 3 is ``rank_deficient_in``; otherwise the
-    witness stream of ``factors`` (a rank-3 factorization of P, the one
-    eliminated here when None) decides, and a matrix with no witness is
-    ``in`` only when thin.  Returns the decision, what ``take`` read from
-    the stream, and the eliminated factors (None for rank > 3).
+    witness stream of ``factors`` (the lines and points of a rank-3
+    factorization of P, the one eliminated here when None) decides, and a
+    matrix with no witness is ``in`` only when thin.  Returns the decision,
+    what ``take`` read from the stream, and the eliminated factors in
+    integer form (None for rank > 3).
     """
     rank, built = _eliminate(P)
     if rank > 3:
@@ -437,7 +453,8 @@ def _decide(P: Matrix, factors, row_map, col_map, take):
                                   failure_log=[f"rank {rank} exceeds 3"]), [], None
     if rank < 3:
         return MembershipDecision("rank_deficient_in", None, rank, P.backend), [], built
-    records, log, ctx = _witness_stream(*(factors or built), row_map, col_map)
+    lines, points = factors or (built[0], built[2])
+    records, log, ctx = _witness_stream(lines, points, P.backend, row_map, col_map)
     head = _head(records)
     found = take(itertools.chain(head, records))
     if head:
@@ -476,7 +493,12 @@ def membership_from_factors(A, B) -> MembershipDecision:
     P = A @ B
     if not P.is_nonnegative():
         raise DomainError("product has negative entries")
-    return _decide(P, (A, B), list(range(A.rows)), list(range(B.cols)), _head)[0]
+    if A.backend == EXACT:  # a positive scaling changes no sign
+        lines = [clear_denominators(r)[0] for r in A.entries]
+        points = [clear_denominators(c)[0] for c in zip(*B.entries)]
+    else:
+        lines, points = A.entries, list(zip(*B.entries))
+    return _decide(P, (lines, points), list(range(A.rows)), list(range(B.cols)), _head)[0]
 
 
 def nnrank3_membership(P) -> MembershipDecision:
@@ -507,123 +529,76 @@ def all_witnesses(P):
 # -- constructive nonnegative factorization -----------------------------
 
 
-def _normalize_point(v, s):
-    """Scale a homogeneous point to the affine chart sum(A @ y) = 1."""
-    sigma = sum(si * vi for si, vi in zip(s, v))
-    if sigma == 0:
-        return None
-    return tuple(vi / sigma for vi in v)
+def _build_triangle(lines, points, s, wit: Witness):
+    """Triangle vertices, as homogeneous integer points, for a witness.
 
-
-def _inv3(T):
-    det = _det3(T[0], T[1], T[2])
-    if det == 0:
-        return None
-    cof = [[(T[(r + 1) % 3][(c + 1) % 3] * T[(r + 2) % 3][(c + 2) % 3]
-             - T[(r + 1) % 3][(c + 2) % 3] * T[(r + 2) % 3][(c + 1) % 3])
-            for c in range(3)] for r in range(3)]
-    # cof[r][c] is the (r,c) cofactor of the row-major T; inverse = adj/det
-    return [[cof[c][r] / det for c in range(3)] for r in range(3)]
-
-
-def _build_triangle(A: Matrix, B: Matrix, wit: Witness):
-    """Triangle vertices (in span coordinates) for a witness read on (A, B).
-
-    Edge lines i, j index rows of A and points i', j' columns of B.  The
+    Edge lines i, j index ``lines`` and points i', j' index ``points``.  The
     apex is the outer-polygon vertex cut out by edge lines i and j; the other
     two vertices are where the support lines through points i' and j' exit
-    the outer polygon.  Returns None when this witness is degenerate.
+    the outer polygon.  ``s`` is the chart functional sum(A @ y) up to a
+    positive factor, and each vertex w is scaled to s·w > 0, so a·w has the
+    sign a takes at the affine point w / (s·w).  Two points are equal when
+    their cross product is zero.  Returns None when this witness is
+    degenerate.
     """
-    lines = [A.row(i) for i in range(A.rows)]
-    points = [B.col(j) for j in range(B.cols)]
-    s = tuple(sum(A.col(k)) for k in range(3))
+    def on_chart(w):
+        sigma = _dot(s, w)
+        return None if sigma == 0 else w if sigma > 0 else tuple(-x for x in w)
+
+    def same(p, q):
+        return not any(_cross(p, q))
+
     i, j = wit.i, wit.j
-    v = _cross(lines[i], lines[j])
-    vhat = _normalize_point(v, s)
-    if vhat is None:
+    v = on_chart(_cross(lines[i], lines[j]))
+    if v is None:
         return None
 
-    def exit_point(t_local):
-        support = _cross(v, points[t_local])
+    def exit_point(t):
+        support = _cross(v, points[t])
         candidates = []
         for k in range(len(lines)):
             if k in (i, j):
                 continue
-            w = _cross(support, lines[k])
-            what = _normalize_point(w, s)
-            if what is None or what == vhat:
+            w = on_chart(_cross(support, lines[k]))
+            if w is None or same(w, v):
                 continue
-            inside = all(sum(a * y for a, y in zip(lines[r], what)) >= 0
-                         for r in range(len(lines)))
-            if inside and what not in candidates:
-                candidates.append(what)
-        if len(candidates) != 1:
-            return None
-        return candidates[0]
+            if (all(_dot(a, w) >= 0 for a in lines)
+                    and not any(same(w, c) for c in candidates)):
+                candidates.append(w)
+        return candidates[0] if len(candidates) == 1 else None
 
     w1 = exit_point(wit.iprime)
     w2 = exit_point(wit.jprime)
-    if w1 is None or w2 is None:
-        return None
-    T = [[vhat[r], w1[r], w2[r]] for r in range(3)]  # columns are vertices
-    Tinv = _inv3(T)
-    if Tinv is None:
-        return None
-    return T, Tinv
+    return None if w1 is None or w2 is None else (v, w1, w2)
 
 
 def _reembed(A: Matrix, B: Matrix, m: int, n: int, row_map, col_map):
-    zero = Fraction(0)
-    a_rows = [[zero] * 3 for _ in range(m)]
-    for local, orig in enumerate(row_map):
-        a_rows[orig] = list(A.row(local))
-    b_rows = [[zero] * n for _ in range(3)]
-    for k in range(3):
-        for local, orig in enumerate(col_map):
-            b_rows[k][orig] = B.entries[k][local]
-    return Matrix.exact(a_rows), Matrix.exact(b_rows)
+    zero = (Fraction(0),) * 3
+    rows, cols = dict(zip(row_map, A.entries)), dict(zip(col_map, zip(*B.entries)))
+    return (Matrix.exact(rows.get(i, zero) for i in range(m)),
+            Matrix.exact(zip(*(cols.get(j, zero) for j in range(n)))))
 
 
-def _thin_factorization(P: Matrix) -> tuple[Matrix, Matrix]:
-    m, n = P.shape
-    zero = Fraction(0)
-    if n <= 3:
-        a_rows = [list(P.row(i)) + [zero] * (3 - n) for i in range(m)]
-        b_rows = [[Fraction(1) if j == k else zero for j in range(n)] for k in range(n)]
-        b_rows += [[zero] * n for _ in range(3 - n)]
-        return Matrix.exact(a_rows), Matrix.exact(b_rows)
-    # m <= 3: P = I_m (padded) @ P
-    a_rows = [[Fraction(1) if k == i else zero for k in range(3)] for i in range(m)]
-    b_rows = [list(P.row(i)) for i in range(m)] + [[zero] * n for _ in range(3 - m)]
-    return Matrix.exact(a_rows), Matrix.exact(b_rows)
-
-
-def _low_rank_factorization(P: Matrix, rank: int, A: Matrix, B: Matrix):
-    """Nonnegative factors of a rank-1 or rank-2 P from its padded rank
-    factorization (A, B); nonnegative rank equals rank here."""
+def _low_rank_factorization(P: Matrix, rank: int, form):
+    """Nonnegative factors of a rank-1 or rank-2 P from the integer form of
+    its padded rank factorization; nonnegative rank equals rank here."""
     if rank == 1:
-        return A, B  # a column of P times a nonnegative multiple of a row of P
-    # rank 2: columns live in a pointed planar cone; find two extreme columns
-    m, n = P.shape
-    zero = Fraction(0)
-    ys = [B.col(j) for j in range(n)]
-    for a in range(n):
-        for b in range(a + 1, n):
-            det = ys[a][0] * ys[b][1] - ys[a][1] * ys[b][0]
-            if det == 0:
-                continue
-            coeffs = []
-            for y in ys:
-                alpha = (y[0] * ys[b][1] - y[1] * ys[b][0]) / det
-                beta = (ys[a][0] * y[1] - ys[a][1] * y[0]) / det
-                coeffs.append((alpha, beta))
-            if all(al >= 0 and be >= 0 for al, be in coeffs):
-                A = Matrix.exact([[P.entries[i][a], P.entries[i][b], zero]
-                                  for i in range(m)])
-                B = Matrix.exact([[al for al, _ in coeffs],
-                                  [be for _, be in coeffs],
-                                  [zero] * n])
-                return A, B
+        return _form_matrices(form)  # a column of P times a nonnegative multiple of a row
+    # rank 2: columns live in a pointed planar cone; find two extreme columns,
+    # the pair whose coordinates give every column nonnegative coefficients
+    (_, _, points, den), zero = form, Fraction(0)
+    for a, b in itertools.combinations(range(P.cols), 2):
+        (a0, a1, _), (b0, b1, _) = points[a], points[b]
+        det = a0 * b1 - a1 * b0
+        coeffs = [(y0 * b1 - y1 * b0, a0 * y1 - a1 * y0) for y0, y1, _ in points]
+        if det and all(al * det >= 0 and be * det >= 0 for al, be in coeffs):
+            # column y of B is points[y] / den[y], which scales its two
+            # coefficients by den[a] / den[y] and den[b] / den[y]
+            A = Matrix.exact([row[a], row[b], zero] for row in P.entries)
+            B = Matrix.exact([[Fraction(al * den[a], det * e) for (al, _), e in zip(coeffs, den)],
+                              [Fraction(be * den[b], det * e) for (_, be), e in zip(coeffs, den)],
+                              [zero] * P.cols])
+            return A, B
     raise NotInModelError("no extreme column pair found for a rank-2 matrix")
 
 
@@ -649,41 +624,62 @@ def nonneg_rank3_factorize(P) -> tuple[Matrix, Matrix]:
         raise NotInModelError(f"rank {dec.rank} exceeds 3" if dec.rank > 3
                               else "matrix has nonnegative rank greater than 3")
     if dec.rank < 3:
-        A, B = _low_rank_factorization(stripped, dec.rank, *factors)
-    elif min(stripped.rows, stripped.cols) <= 3:
-        A, B = _thin_factorization(stripped)
+        A, B = _low_rank_factorization(stripped, dec.rank, factors)
+    elif min(stripped.rows, stripped.cols) <= 3:  # P = P @ I or P = I @ P
+        I3 = Matrix.identity(3)
+        A, B = (stripped, I3) if stripped.cols == 3 else (I3, stripped)
     else:
-        clean = (_triangle_factors(*factors, rec.witness) for rec in records)
+        clean = (_triangle_factors(factors, rec.witness) for rec in records)
         A, B = next(filter(None, clean), (None, None))
         if A is None:
             raise ArithmeticError("internal error: no usable witness in either orientation")
     A, B = _reembed(A, B, m, n, row_map, col_map)
-    if A @ B != P:
+    if any(num * x.denominator != x.numerator * den
+           for got, want in zip(_cleared_product(A, B), P.entries)
+           for (num, den), x in zip(got, want)):
         raise ArithmeticError("internal error: factorization does not reproduce input")
     if not (A.is_nonnegative() and B.is_nonnegative()):
         raise ArithmeticError("internal error: factorization has negative entries")
     return A, B
 
 
-def _triangle_factors(A: Matrix, B: Matrix, wit: Witness):
+def _triangle_factors(form, wit: Witness):
     """Nonnegative factors of A @ B from one witness's triangle, or None.
 
-    A swapped witness is an unswapped witness of (A @ B).T = B.T @ A.T, so
-    its triangle is built on (B.T, A.T) and the factors are transposed back.
+    ``form`` is the integer form of (A, B) (see ``_eliminate``).  With the
+    triangle's vertices w_c as the columns of W and the chart functional
+    s = sum of A's rows, the vertex matrix is T = W diag(1 / s·w_c), the
+    factors are A @ T and T^-1 @ B, and T^-1 has the rows
+    (s·w_c) (w_c+1 × w_c+2) / det W.  Signs are read on integers; only the
+    factors returned are built as ``Fraction``s, one per entry.  A swapped
+    witness is an unswapped witness of (A @ B).T = B.T @ A.T, so its
+    triangle is built on the swapped form and the factors are transposed
+    back.
     """
+    lines, line_den, points, point_den = form
     if wit.swapped:
-        A, B = B.transpose(), A.transpose()
-    built = _build_triangle(A, B, wit)
-    if built is None:
+        lines, line_den, points, point_den = points, point_den, lines, line_den
+    sigma = lcm(*line_den)  # s = s_int / sigma
+    s = [sum(a[k] * (sigma // c) for a, c in zip(lines, line_den)) for k in range(3)]
+    W = _build_triangle(lines, points, s, wit)
+    if W is None:
         return None
-    T, Tinv = built
-    A_nn = A @ Matrix.exact(T)
-    B_nn = Matrix.exact(Tinv) @ B
-    if not (A_nn.is_nonnegative() and B_nn.is_nonnegative()):
+    inverse = [_cross(W[(c + 1) % 3], W[(c + 2) % 3]) for c in range(3)]
+    det = _dot(W[0], inverse[0])
+    if det == 0:
         return None
+    a_num = [[_dot(a, w) for w in W] for a in lines]
+    b_num = [[_dot(r, p) for p in points] for r in inverse]
+    if any(x < 0 for row in a_num for x in row) or any(x * det < 0 for row in b_num for x in row):
+        return None
+    sw = [_dot(s, w) for w in W]
+    A_nn = tuple(tuple(Fraction(sigma * x, c * y) for x, y in zip(row, sw))
+                 for row, c in zip(a_num, line_den))
+    B_nn = tuple(tuple(Fraction(y * x, sigma * det * e) for x, e in zip(row, point_den))
+                 for row, y in zip(b_num, sw))
     if wit.swapped:
-        return B_nn.transpose(), A_nn.transpose()
-    return A_nn, B_nn
+        A_nn, B_nn = tuple(zip(*B_nn)), tuple(zip(*A_nn))
+    return (Matrix(len(A_nn), 3, A_nn, EXACT), Matrix(3, len(B_nn[0]), B_nn, EXACT))
 
 
 # -- nested polygons -----------------------------------------------------
@@ -742,21 +738,18 @@ def nested_polygons(P) -> NestedPolygons:
     rank, factors = _eliminate(P)
     if rank != 3:
         raise GeometryError("nested polygon geometry is defined for rank 3 only")
-    A, B = factors
+    A, B = _form_matrices(factors)
     m = P.rows
     lines = [A.row(i) for i in range(m)]
     s = tuple(sum(A.col(k)) for k in range(3))
 
     verts = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            v = _cross(lines[i], lines[j])
-            vhat = _normalize_point(v, s)
-            if vhat is None:
-                continue
-            if all(sum(a * y for a, y in zip(lines[r], vhat)) >= 0 for r in range(m)):
-                if vhat not in verts:
-                    verts.append(vhat)
+    for i, j in itertools.combinations(range(m), 2):
+        v = _cross(lines[i], lines[j])
+        sigma = _dot(s, v)  # v scaled to the affine chart sum(A @ y) = 1
+        vhat = tuple(x / sigma for x in v) if sigma else None
+        if vhat and all(_dot(a, vhat) >= 0 for a in lines) and vhat not in verts:
+            verts.append(vhat)
     if len(verts) < 3:
         raise GeometryError("outer polygon is degenerate")
 
@@ -775,17 +768,11 @@ def nested_polygons(P) -> NestedPolygons:
     order = {to2d(v): v for v in verts}
     outer_sorted = [order[p] for p in outer2d]
 
-    inner = []
-    for j in range(P.cols):
-        colsum = sum(P.col(j))
-        y = tuple(x / colsum for x in B.col(j))
-        inner.append(y)
-
+    colsums = [sum(P.col(j)) for j in range(P.cols)]
     return NestedPolygons(
         outer=outer2d,
-        inner=[to2d(y) for y in inner],
+        inner=[to2d(tuple(x / c for x in B.col(j))) for j, c in enumerate(colsums)],
         outer_ambient=[ambient(v) for v in outer_sorted],
-        inner_ambient=[tuple(x / sum(P.col(j)) for x in P.col(j))
-                       for j in range(P.cols)],
+        inner_ambient=[tuple(x / c for x in P.col(j)) for j, c in enumerate(colsums)],
         chart=chart,
     )

@@ -44,6 +44,22 @@ def p1_orbit():
     return [M.to_numpy() for M in uab_closed_form_mle(1, 0).matrices]
 
 
+def fractions_built(monkeypatch, call):
+    """Run ``call()`` and count the Fractions it constructs, the results of
+    Fraction arithmetic included.  Returns ``(count, result)``."""
+    count = 0
+    real = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        nonlocal count
+        count += 1
+        return real(cls, *args, **kwargs)
+    with monkeypatch.context() as mp:
+        mp.setattr(Fraction, "__new__", counted)
+        result = call()
+    return count, result
+
+
 def random_rational_matrix(rng, m, n, num_range=9, den_range=5):
     return Matrix.exact([[Fraction(int(rng.integers(0, num_range + 1)),
                                    int(rng.integers(1, den_range + 1)))

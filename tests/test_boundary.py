@@ -14,7 +14,7 @@ from nnmix.exactla import Matrix
 from nnmix.harness import DISTS
 from nnmix.rank3cert import DomainError, nnrank3_membership
 
-from conftest import NICE_P, rect_rows, uab_normalized
+from conftest import NICE_P, fractions_built, rect_rows, uab_normalized
 
 
 class TestBoundaryTest:
@@ -214,3 +214,15 @@ class TestSampling:
                 got = sample_algebraic_boundary(pat, rng, DISTS[dist](100))
                 assert got == self.fraction_sample(pat, oracle_rng, DISTS[dist](100))
                 assert all(m.backend == "exact" for m in got)
+
+
+def test_boundary_test_builds_no_fraction(monkeypatch):
+    # the sampler's Fractions are the public edge; the verdict runs on ints
+    rng = np.random.default_rng(6)
+    kind_b = next(p for p in enumerate_zero_patterns(4, 4) if p.kind == "b")
+    for pat in (canonical_pattern(), kind_b):
+        for _ in range(10):
+            P, _, _ = sample_algebraic_boundary(pat, rng)
+            count, cls = fractions_built(monkeypatch, lambda: boundary_test(P))
+            assert count == 0
+            assert cls.status in ("interior", "boundary")

@@ -248,6 +248,55 @@ class TestIntegerElimination:
         assert ranks == set(range(8))
 
 
+def fraction_matmul(A: Matrix, B: Matrix) -> tuple:
+    """The product by its definition: a sum of Fraction products per entry."""
+    return tuple(tuple(sum((a * b for a, b in zip(row, col)), Fraction(0))
+                       for col in zip(*B.entries)) for row in A.entries)
+
+
+class TestProduct:
+    """The exact product clears rows and columns to ints; the Fraction
+    definition is the oracle."""
+
+    @staticmethod
+    def operands(count: int, seed: int):
+        rng = np.random.default_rng(seed)
+        for t in range(count):
+            m, k, n = (int(x) for x in rng.integers(1, 7, size=3))
+            m, n = (1, n) if t % 5 == 1 else (m, 1) if t % 5 == 2 else (m, n)
+            A, B = ([[Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 8)))
+                      if rng.random() > 0.3 else Fraction(0) for _ in range(c)]
+                     for _ in range(r)] for r, c in ((m, k), (k, n)))
+            yield Matrix.exact(A), Matrix.exact(B)
+
+    def test_exact_product_agrees_with_the_fraction_definition(self):
+        shapes = set()
+        for A, B in self.operands(400, seed=17):
+            P = A @ B
+            assert P.entries == fraction_matmul(A, B)
+            assert P.shape == (A.rows, B.cols) and P.backend == "exact"
+            assert all(isinstance(x, Fraction) for row in P.entries for x in row)
+            shapes.add((A.rows == 1, B.cols == 1))
+        assert shapes == {(False, False), (True, False), (False, True), (True, True)}
+
+    def test_mismatched_shapes_raise(self):
+        with pytest.raises(DimensionError):
+            Matrix.exact([[1, 2]]) @ Matrix.exact([[1, 2]])
+        with pytest.raises(DimensionError):
+            Matrix.from_floats([[1.0], [2.0]]) @ Matrix.from_floats([[1.0], [2.0]])
+
+    def test_float_product_is_the_plain_sum(self):
+        rng = np.random.default_rng(18)
+        for A, B in self.operands(200, seed=19):
+            Af = Matrix.from_floats(rng.normal(size=A.shape).tolist())
+            Bf = Matrix.from_floats(rng.normal(size=B.shape).tolist())
+            want = tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in zip(*Bf.entries))
+                         for row in Af.entries)
+            got = (Af @ Bf).entries
+            assert [[x.hex() for x in row] for row in got] == \
+                [[x.hex() for x in row] for row in want]
+
+
 class TestTextFormat:
     def test_exact_round_trip(self):
         M = Matrix.exact([[Fraction(1, 3), 2], [Fraction(-5, 7), 0]])
@@ -290,6 +339,12 @@ def test_promotion_round_trip():
     assert E.backend == "exact"
     assert E.entries[0][0] == Fraction(1, 2)
     assert np.allclose(E.as_float().to_numpy(), M.to_numpy())
+
+
+def test_as_float_of_an_entry_too_large_for_a_float():
+    with pytest.raises(OverflowError, match="too large for a float"):
+        Matrix.exact([[1, Fraction(10**400, 3)]]).as_float()
+    assert Matrix.exact([[Fraction(1, 3), -2]]).as_float().entries == ((1 / 3, -2.0),)
 
 
 def test_nonfinite_entries_rejected():

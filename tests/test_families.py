@@ -9,10 +9,11 @@ import pytest
 from nnmix import em
 from nnmix.boundary import boundary_test
 from nnmix.exactla import Matrix, determinant, matrix_rank
-from nnmix.families import (AmbiguousRootError, greencurve_matrix,
-                            isolate_real_roots, polyval, rectangle_family,
-                            rectangle_in_model, uab_closed_form_mle,
-                            uab_in_model, uab_matrix, unique_simple_real_root)
+from nnmix.families import (AmbiguousRootError, _uab_mle_cubic, greencurve_matrix,
+                            isolate_real_roots, polyderiv, polydivmod, polygcd,
+                            polyval, rectangle_family, rectangle_in_model,
+                            refine_root, uab_closed_form_mle, uab_in_model,
+                            uab_matrix, unique_simple_real_root)
 from nnmix.rank3cert import nnrank3_membership, nonneg_rank3_factorize
 
 
@@ -49,6 +50,82 @@ class TestRootIsolation:
         assert len(intervals) == 3
         for lo, hi in intervals:
             assert polyval(coeffs, lo) * polyval(coeffs, hi) < 0
+
+
+def fraction_refine_root(f, lo, hi, width=Fraction(1, 10**24)):
+    """The bisection on Fractions that the integer one replaced."""
+    if lo == hi:
+        return lo, hi
+    flo = polyval(f, lo)
+    if flo == 0:
+        return lo, lo
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        fm = polyval(f, mid)
+        if fm == 0:
+            return mid, mid
+        if (fm > 0) == (flo > 0):
+            lo, flo = mid, fm
+        else:
+            hi = mid
+    return lo, hi
+
+
+def square_free(coeffs):
+    f = [Fraction(c) for c in coeffs]
+    g = polygcd(f, polyderiv(f))
+    return polydivmod(f, g)[0] if len(g) > 1 else f
+
+
+class TestIntegerBisection:
+    """``refine_root`` bisects on integers; the Fraction bisection is the oracle."""
+
+    @staticmethod
+    def assert_same_intervals(coeffs):
+        f = square_free(coeffs)
+        intervals = isolate_real_roots(f)
+        for lo, hi in intervals:
+            for width in (Fraction(1, 10**24), Fraction(1, 10**18), Fraction(3, 7)):
+                got = refine_root(f, lo, hi, width)
+                assert got == fraction_refine_root(f, lo, hi, width), (coeffs, lo, hi)
+                assert all(isinstance(x, Fraction) for x in got)
+        return len(intervals)
+
+    def test_uab_cubic_at_every_off_model_b(self):
+        bs = [b for b in range(100) if not uab_in_model(100, b)]
+        assert bs == list(range(42))
+        assert all(self.assert_same_intervals(_uab_mle_cubic(100, b)) for b in bs)
+
+    def test_seeded_cubics_with_rational_roots(self):
+        rng = np.random.default_rng(51)
+        for _ in range(40):
+            roots = [Fraction(int(rng.integers(-30, 31)), int(rng.integers(1, 12)))
+                     for _ in range(3)]
+            coeffs = [Fraction(1)]
+            for r in roots:  # multiply by (x - r)
+                coeffs = [a - r * b for a, b in zip([0] + coeffs, coeffs + [0])]
+            scale = int(rng.integers(1, 50))
+            self.assert_same_intervals([c * scale for c in coeffs])
+
+    def test_seeded_cubics_with_irrational_roots(self):
+        rng = np.random.default_rng(52)
+        found = 0
+        for _ in range(60):
+            coeffs = [int(x) for x in rng.integers(-40, 41, size=4)]
+            if coeffs[-1] == 0:
+                continue
+            found += self.assert_same_intervals(coeffs)
+        assert found > 60
+
+    def test_root_at_an_endpoint_or_a_midpoint(self):
+        f = [Fraction(c) for c in (-1, 2)]  # 2x - 1, root 1/2
+        assert refine_root(f, Fraction(1, 2), Fraction(3)) == (Fraction(1, 2), Fraction(1, 2))
+        assert refine_root(f, Fraction(0), Fraction(1)) == (Fraction(1, 2), Fraction(1, 2))
+        # (3x - 1)(x^2 + 1): the root 1/3 is hit after one halving of (-1/3, 1)
+        g = [Fraction(c) for c in (-1, 3, -1, 3)]
+        for lo, hi in ((Fraction(-1, 3), Fraction(1)), (Fraction(1, 3), Fraction(2))):
+            assert refine_root(g, lo, hi) == fraction_refine_root(g, lo, hi) == \
+                (Fraction(1, 3), Fraction(1, 3))
 
 
 class TestUabFamily:

@@ -18,8 +18,8 @@ from nnmix.rank3cert import (DomainError, GeometryError, NotInModelError,
                              six_three, Witness, WitnessRecord, _cross, _det3,
                              _one_sign)
 
-from conftest import (NICE_A, NICE_B, NICE_P, random_rational_matrix, rect_rows,
-                      uab_normalized)
+from conftest import (NICE_A, NICE_B, NICE_P, fractions_built, random_rational_matrix,
+                      rect_rows, uab_normalized)
 
 
 def _rand_frac(rng, lo=-9, hi=9, den=7):
@@ -295,13 +295,13 @@ class TestFactorize:
         # NICE_P has no unswapped witness and two swapped ones: the factors
         # come from the transposed triangle of the one rank-3 factorization.
         calls = []
-        real = rank3cert.rank_factorize
+        real = rank3cert._gauss_jordan
 
-        def spy(P, r, *args, **kwargs):
+        def spy(P, *args, **kwargs):
             calls.append(P.shape)
-            return real(P, r, *args, **kwargs)
+            return real(P, *args, **kwargs)
 
-        monkeypatch.setattr(rank3cert, "rank_factorize", spy)
+        monkeypatch.setattr(rank3cert, "_gauss_jordan", spy)
         P = Matrix.exact(NICE_P)
         assert [rec.witness.swapped for rec in all_witnesses(P)[1]] == [True, True]
         calls.clear()
@@ -310,6 +310,17 @@ class TestFactorize:
         assert A == Matrix.exact([[0, 18, 5], [4, 24, 0], [16, 0, 20], [16, 12, 5]])
         assert B == Matrix.exact([["0", "0", "1/2", "1/2"], ["1/6", "2/3", "1/6", "0"],
                                   ["3/5", "1/5", "0", "1/5"]])
+
+    def test_builds_only_the_returned_fractions(self, monkeypatch):
+        # the triangle runs on ints: the Fractions built are the 3(m + n)
+        # entries of the factors and the one zero that pads stripped lines
+        rng = np.random.default_rng(8)
+        for size in (4, 4, 12, 12):
+            P = Matrix.exact((rng.integers(1, 10, size=(size, 3))
+                              @ rng.integers(1, 10, size=(3, size))).tolist())
+            count, (A, B) = fractions_built(monkeypatch, lambda: nonneg_rank3_factorize(P))
+            assert count <= 3 * (size + size) + 1, (size, count)
+            assert A @ B == P and A.is_nonnegative() and B.is_nonnegative()
 
 
 class TestNestedPolygons:
@@ -496,7 +507,7 @@ def test_one_elimination_per_entry_point_call(monkeypatch):
             return real(*args, **kwargs)
         return counted
 
-    for name in ("rank_factorize", "matrix_rank"):
+    for name in ("_gauss_jordan", "rank_factorize", "matrix_rank"):
         monkeypatch.setattr(rank3cert, name, spy(name))
     rng = np.random.default_rng(4)
     cases = []
@@ -515,7 +526,7 @@ def test_one_elimination_per_entry_point_call(monkeypatch):
                 entry(P)
             except (NotInModelError, GeometryError):
                 pass
-            assert calls == ["rank_factorize"], (entry, P)
+            assert calls == ["_gauss_jordan"], (entry, P)
     zero = Matrix.zeros(4, 4)
     for entry in entry_points:
         calls.clear()

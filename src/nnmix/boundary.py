@@ -18,14 +18,16 @@ is the discrepancy the sampling experiment quantifies.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import comb
+from math import comb, lcm
+from operator import mul
 
 import numpy as np
 
-from .exactla import EXACT, Matrix, clear_denominators
+from .exactla import EXACT, Matrix
 from .rank3cert import DomainError, WitnessRecord, all_witnesses, _prepare
 
 INTERIOR = "interior"
@@ -45,17 +47,10 @@ class BoundaryClassification:
         return self.status == BOUNDARY
 
     def as_dict(self) -> dict:
-        return {
-            "schema": "1",
-            "status": self.status,
-            "reason": self.reason,
-            "rank": self.rank,
-            "witnesses": self.witnesses,
-            "touching": [
-                {"witness": rec.witness.as_dict(), "triples": list(rec.touches)}
-                for rec in self.touching
-            ],
-        }
+        return {"schema": "1", "status": self.status, "reason": self.reason,
+                "rank": self.rank, "witnesses": self.witnesses,
+                "touching": [{"witness": rec.witness.as_dict(), "triples": list(rec.touches)}
+                             for rec in self.touching]}
 
 
 def boundary_test(P) -> BoundaryClassification:
@@ -67,6 +62,7 @@ def boundary_test(P) -> BoundaryClassification:
     with a zero entry is ``boundary``; a strictly positive member of rank
     below 3 is ``interior``; a strictly positive rank-3 member is ``boundary``
     iff every witness carries at least one exactly-zero chord product.
+    P's entries are read once, as their signs (``Matrix.signs``).
     """
     P = _prepare(P)
     if P.backend != EXACT:
@@ -77,7 +73,7 @@ def boundary_test(P) -> BoundaryClassification:
     decision, records = all_witnesses(P)
     if not decision:
         return BoundaryClassification(OUTSIDE, "not_member", decision.rank)
-    if any(x == 0 for row in P.entries for x in row):
+    if not all(map(all, P.signs)):  # a zero entry
         return BoundaryClassification(BOUNDARY, "zero_entry", decision.rank,
                                       witnesses=len(records))
     if decision.rank != 3:
@@ -151,10 +147,8 @@ class ZeroPattern:
                 needs = "m >= 3 and n >= 4" if self.kind == "a" else "m >= 4 and n >= 3"
                 raise ValueError(f"zeros {outside} fall outside the {rows}-by-{cols} "
                                  f"factor {name}; kind {self.kind} needs {needs}")
-        a_rows = [r for r, _ in self.A_zeros]
-        a_cols = [c for _, c in self.A_zeros]
-        b_rows = [r for r, _ in self.B_zeros]
-        b_cols = [c for _, c in self.B_zeros]
+        a_rows, a_cols = [r for r, _ in self.A_zeros], [c for _, c in self.A_zeros]
+        b_rows, b_cols = [r for r, _ in self.B_zeros], [c for _, c in self.B_zeros]
         if self.kind == "a":
             ok = (len(self.A_zeros) == 3 and len(set(a_rows)) == 3
                   and sorted(a_cols) == [0, 1, 2]
@@ -169,12 +163,22 @@ class ZeroPattern:
             raise ValueError(f"invalid kind-{self.kind} zero pattern")
 
 
+@functools.cache
 def canonical_pattern(m: int = 4, n: int = 4) -> ZeroPattern:
-    """The representative kind-(a) stratum pattern used by the experiments."""
+    """The kind-(a) stratum pattern the experiments use, built once per shape."""
     pat = ZeroPattern("a", m, n, ((0, 0), (1, 1), (2, 2)),
                       ((0, 0), (0, 1), (1, 2), (2, 3)))
     pat.validate()
     return pat
+
+
+@functools.lru_cache(maxsize=64)
+def _free_slots(pattern: ZeroPattern) -> tuple[tuple, tuple]:
+    """The free positions of A and B, row-major; validates each pattern once."""
+    pattern.validate()
+    a_zero, b_zero = set(pattern.A_zeros), set(pattern.B_zeros)
+    return (tuple((i, k) not in a_zero for i in range(pattern.m) for k in range(3)),
+            tuple((k, j) not in b_zero for k in range(3) for j in range(pattern.n)))
 
 
 def enumerate_zero_patterns(m: int, n: int) -> list[ZeroPattern]:
@@ -216,24 +220,27 @@ def enumerate_zero_patterns(m: int, n: int) -> list[ZeroPattern]:
 
 
 # -- entry distributions for stratum sampling ---------------------------
+# ``draw(rng, count)``: integer numerators and denominators of ``count`` entries
 
 
 def rational_dist(max_height: int = 100):
     """Positive rationals p/q with numerator and denominator uniform in
     1..max_height (ratio of bounded random integers)."""
-    def draw(rng: np.random.Generator) -> Fraction:
-        return Fraction(int(rng.integers(1, max_height + 1)),
-                        int(rng.integers(1, max_height + 1)))
+    def draw(rng: np.random.Generator, count: int) -> tuple[list[int], list[int]]:
+        pq = rng.integers(1, max_height + 1, size=2 * count).tolist()  # p, q, p, q, ...
+        return pq[0::2], pq[1::2]
     return draw
 
 
 def unit_rational_dist(max_den: int = 100):
     """Positive rationals in (0, 1]: denominator uniform in 1..max_den,
     numerator uniform in 1..denominator."""
-    def draw(rng: np.random.Generator) -> Fraction:
-        d = int(rng.integers(1, max_den + 1))
-        p = int(rng.integers(1, d + 1))
-        return Fraction(p, d)
+    def draw(rng: np.random.Generator, count: int) -> tuple[list[int], list[int]]:
+        nums, dens = [], []
+        for _ in range(count):  # d, then p for that d
+            dens.append(d := int(rng.integers(1, max_den + 1)))
+            nums.append(int(rng.integers(1, d + 1)))
+        return nums, dens
     return draw
 
 
@@ -242,8 +249,8 @@ def integer_dist(lo: int = 1, hi: int = 4):
     if lo < 1:
         raise ValueError("entries must be positive")
 
-    def draw(rng: np.random.Generator) -> Fraction:
-        return Fraction(int(rng.integers(lo, hi + 1)))
+    def draw(rng: np.random.Generator, count: int) -> tuple[list[int], list[int]]:
+        return rng.integers(lo, hi + 1, size=count).tolist(), [1] * count
     return draw
 
 
@@ -255,28 +262,26 @@ def sample_algebraic_boundary(pattern: ZeroPattern, rng: np.random.Generator,
     normalized to total 1, and the scaled left factor is returned so that
     A @ B equals P exactly.  The result is a member by construction.
 
-    The product runs on Python ints: each factor is cleared to integers over
-    one common denominator, ``Ai = A * da`` and ``Bi = B * db``, so with
-    ``Pi = Ai @ Bi`` the outputs are ``P = Pi / sum(Pi)`` and
-    ``A = Ai * db / sum(Pi)``.
+    One ``entry_dist(rng, count)`` call draws the free entries of A, then
+    of B, row-major, and the product runs on Python ints: with each factor
+    cleared over the lcm of its denominators, ``Ai = A * da`` and
+    ``Bi = B * db``, and ``Pi = Ai @ Bi``, the outputs are ``P = Pi / sum(Pi)``
+    and ``A = Ai * db / sum(Pi)``.  Only the returned entries are ``Fraction``s.
     """
-    pattern.validate()
-    if entry_dist is None:
-        entry_dist = rational_dist()
+    a_free, b_free = _free_slots(pattern)
     m, n = pattern.m, pattern.n
-    a_zero = set(pattern.A_zeros)
-    b_zero = set(pattern.B_zeros)
-    A = [0 if (i, k) in a_zero else entry_dist(rng) for i in range(m) for k in range(3)]
-    B = [0 if (k, j) in b_zero else entry_dist(rng) for k in range(3) for j in range(n)]
-    Ai, _ = clear_denominators(A)
-    Bi, db = clear_denominators(B)
-    Pi = [[sum(Ai[3 * i + k] * Bi[n * k + j] for k in range(3)) for j in range(n)]
-          for i in range(m)]
+    drawn = zip(*(entry_dist or rational_dist())(rng, sum(a_free) + sum(b_free)))
+    A = [next(drawn) if free else (0, 1) for free in a_free]  # (p, q) pairs
+    B = [next(drawn) if free else (0, 1) for free in b_free]
+    da, db = lcm(*(q for _, q in A)), lcm(*(q for _, q in B))
+    Ai, Bi = [p * (da // q) for p, q in A], [p * (db // q) for p, q in B]
+    rows = [Ai[3 * i:3 * i + 3] for i in range(m)]
+    cols = list(zip(Bi[:n], Bi[n:2 * n], Bi[2 * n:]))
+    Pi = [[sum(map(mul, r, c)) for c in cols] for r in rows]
     total = sum(map(sum, Pi))
     if total == 0:
         raise ArithmeticError("sampled factors produced a zero matrix")
     P = tuple(tuple(Fraction(x, total) for x in row) for row in Pi)
-    A_out = tuple(tuple(Fraction(Ai[3 * i + k] * db, total) for k in range(3))
-                  for i in range(m))
-    return (Matrix(m, n, P, EXACT), Matrix(m, 3, A_out, EXACT),
-            Matrix.exact([B[n * k:n * (k + 1)] for k in range(3)]))
+    A_out = tuple(tuple(Fraction(x * db, total) for x in r) for r in rows)
+    B_out = tuple(tuple(Fraction(p, q) for p, q in B[n * k:n * k + n]) for k in range(3))
+    return Matrix(m, n, P, EXACT), Matrix(m, 3, A_out, EXACT), Matrix(3, n, B_out, EXACT)

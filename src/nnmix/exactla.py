@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import isfinite, lcm, prod
 from operator import mul
 from typing import Iterable
@@ -191,8 +192,16 @@ class Matrix:
         data = [[Fraction(round(x * den), den) for x in r] for r in self.entries]
         return Matrix.exact(data)
 
+    @cached_property
+    def signs(self) -> tuple:
+        """The sign of each entry, -1, 0 or 1; the entries are read once per
+        matrix, an exact one by its numerator."""
+        rows = ([x.numerator for x in r] for r in self.entries) if self.backend == EXACT \
+            else self.entries
+        return tuple(tuple((x > 0) - (x < 0) for x in r) for r in rows)
+
     def is_nonnegative(self) -> bool:
-        return all(x >= 0 for r in self.entries for x in r)
+        return min(map(min, self.signs)) >= 0
 
     def total(self):
         return sum(x for r in self.entries for x in r)

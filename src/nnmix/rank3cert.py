@@ -19,17 +19,19 @@ families:
 3. the chord products built from the degree-(6,3) brackets are nonnegative
    (the inner polygon lies inside the resulting triangle).
 
-The chord brackets are the costliest family, and they are evaluated by the
-Grassmann-Cayley expansion of a meet of two meets.  With the vertex
-v = a_i × a_j and the support lines L1 = v × p_i' and L2 = v × p_j',
+Every bracket of a vertex v = a_i × a_j is read from three tables: the
+vertex brackets V_k = v·a_k, the incidences q_l(t) = a_l·p_t, and the
+antisymmetric support brackets F_t(u) = det(v, p_t, p_u) = v·(p_t × p_u).
+The crosses of line pairs and of point pairs are taken once per stream; one
+orientation's vertices are the other's point crosses.  With the support
+lines L1 = v × p_i' and L2 = v × p_j', a chord bracket is
 
-    det(L1 × a_k, L2 × a_l, p) = det(L1, a_k, a_l)·(L2·p) − det(L1, a_k, L2)·(a_l·p).
+    det(L1 × a_k, L2 × a_l, p) = x[k, l]·(L2·p) − z[k]·(a_l·p),
 
-So a candidate computes x[k, l] = det(L1, a_k, a_l), y[k'] = L2·p_k' and
-z[k] = det(L1, a_k, L2) once, an orientation computes a_l·p_k' once, and
-each chord sign is two products and a difference; swapping k and l negates
-x.  The identity is exact, so on integers every sign equals the composed
-bracket's.
+where L2·p_k' = F_j'(k'), z[k] = det(L1, a_k, L2) = F_j'(i')·V_k since
+(v × p_j') × (v × p_i') = det(v, p_j', p_i')·v, and x[k, l] = L1·(a_k × a_l)
+= V_k·q_l(i') − V_l·q_k(i') by Binet–Cauchy: no cross product per candidate.
+The identities are exact, so on integers every sign is the composed bracket's.
 
 The witnesses form one lazy stream: the tuples of this orientation in index
 order, then those with the roles of A and B.T swapped.  Each entry point
@@ -50,7 +52,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -110,8 +112,7 @@ def bracket3(A, i: int, j: int, k: int):
 def meet_join(A, B, i: int, j: int, ip: int, kp: int):
     """Bracket testing whether lines i, j of A meet on the line through
     columns ip, kp of B: det(cross(a_i, a_j), b_ip, b_kp)."""
-    rows = _rows_of(A)
-    cols = _cols_of(B)
+    rows, cols = _rows_of(A), _cols_of(B)
     return _det3(_cross(rows[i], rows[j]), cols[ip], cols[kp])
 
 
@@ -119,21 +120,28 @@ def _dot(p, q):
     return p[0] * q[0] + p[1] * q[1] + p[2] * q[2]
 
 
-def _chord_terms(L1, L2, lines, points):
-    """The per-candidate factors of the chord brackets of support lines L1, L2.
+def _crosses(vectors) -> list[list]:
+    """u_k × u_l for every k < l, as a square table (None on and below the
+    diagonal): the vertices of line pairs, and the supports of point pairs."""
+    return [[_cross(u, w) if k < l else None for l, w in enumerate(vectors)]
+            for k, u in enumerate(vectors)]
 
-    A meet of two meets expands as (L1 × a_k) × (L2 × a_l) =
-    det(L1, a_k, a_l)·L2 − det(L1, a_k, L2)·a_l, so
 
-        det(L1 × a_k, L2 × a_l, p) = x[k, l]·(L2·p) − z[k]·(a_l·p)
+def _support_table(v, point_crosses) -> list[list]:
+    """The support brackets F[t][u] = det(v, p_t, p_u) = v·(p_t × p_u) of vertex
+    v from the point crosses of ``_crosses``: one dot product per pair."""
+    F: list[list] = []
+    for t, crosses in enumerate(point_crosses):
+        F.append([-F[u][t] for u in range(t)] + [0] + [_dot(v, c) for c in crosses[t + 1:]])
+    return F
 
-    with x[k, l] = det(L1, a_k, a_l) = L1·(a_k × a_l) and z[k] =
-    det(L1, a_k, L2).  Returns ``y`` (L2·p over ``points``) and ``z`` (over
-    ``lines``).  The identity is exact, so on integers the value is the
-    composed bracket's, not an approximation of it.
-    """
-    w = _cross(L2, L1)  # det(L1, a, L2) = a · (L2 × L1)
-    return [_dot(L2, p) for p in points], [_dot(a, w) for a in lines]
+
+def _chord_factors(V, q, ip, f, k, l):
+    """x[k, l] = L1·(a_k × a_l) = V_k·q_l(ip) − V_l·q_k(ip), z[k] = f·V_k and
+    z[l] = f·V_l of the support lines L1 = v × p_ip, L2 = v × p_jp, where
+    f = F_jp(ip) (see the module docstring) and q[l][t] = a_l·p_t."""
+    Vk, Vl = V[k], V[l]
+    return Vk * q[l][ip] - Vl * q[k][ip], f * Vk, f * Vl
 
 
 def six_three(A, B, i: int, j: int, k: int, l: int, ip: int, jp: int, kp: int):
@@ -141,16 +149,15 @@ def six_three(A, B, i: int, j: int, k: int, l: int, ip: int, jp: int, kp: int):
 
     L1 and L2 are the support lines from the vertex cross(a_i, a_j) through
     b_ip and b_jp; the bracket tests b_kp against the chord between their
-    meets with the edge lines a_k and a_l.  Evaluated by the expansion of
-    ``_chord_terms``, as the witness scan does; never expanded into its 330
-    monomials.
+    meets with the edge lines a_k and a_l.  Read from the tables as the
+    witness scan reads it; never expanded into its 330 monomials.
     """
-    rows = _rows_of(A)
-    cols = _cols_of(B)
+    rows, cols = _rows_of(A), _cols_of(B)
     v = _cross(rows[i], rows[j])
-    L1 = _cross(v, cols[ip])
-    y, z = _chord_terms(L1, _cross(v, cols[jp]), rows, cols)
-    return _dot(L1, _cross(rows[k], rows[l])) * y[kp] - z[k] * _dot(rows[l], cols[kp])
+    V, F = [_dot(v, a) for a in rows], _support_table(v, _crosses(cols))
+    q = [[_dot(a, p) for p in cols] for a in rows]
+    x, zk, _ = _chord_factors(V, q, ip, F[jp][ip], k, l)
+    return x * F[jp][kp] - zk * q[l][kp]
 
 
 # -- sign contexts ------------------------------------------------------
@@ -163,15 +170,16 @@ class _ExactSigns:
 
     @staticmethod
     def sign(value, kind: str) -> int:
-        if value > 0:
-            return 1
-        if value < 0:
-            return -1
-        return 0
+        return (value > 0) - (value < 0)
 
     @staticmethod
     def is_zero_vec(vec, kind: str) -> bool:
-        return all(x == 0 for x in vec)
+        return not any(vec)
+
+    @staticmethod
+    def one_sign(values, kind: str) -> bool:
+        """Whether the nonzero values share one sign."""
+        return min(values) >= 0 or max(values) <= 0
 
 
 class _FloatSigns:
@@ -184,12 +192,11 @@ class _FloatSigns:
     """
 
     def __init__(self, line_scale: float, point_scale: float):
-        ls = float(line_scale)
-        ps = float(point_scale)
+        ls, ps = float(line_scale), float(point_scale)
         eps = 1e-9  # the one relative band width
         self.bands = {
             "x2": eps * ls**2,        # cross of two lines
-            "x21": eps * ls**2 * ps,  # cross of a vertex with a point
+            "x11": eps * ls * ps,     # incidence of a line and a point
             "b3": eps * ls**3,
             "mj": eps * ls**2 * ps**2,
             "s63": eps * ls**6 * ps**3,
@@ -210,6 +217,9 @@ class _FloatSigns:
             return True
         return False
 
+    def one_sign(self, values, kind: str) -> bool:
+        return _one_sign(self.sign(x, kind) for x in values)
+
 
 # -- witness scan -------------------------------------------------------
 
@@ -223,8 +233,7 @@ class Witness:
     swapped: bool
 
     def as_dict(self) -> dict:
-        return {"i": self.i, "j": self.j, "iprime": self.iprime,
-                "jprime": self.jprime, "swapped": self.swapped}
+        return asdict(self)  # i, j, iprime, jprime, swapped
 
 
 @dataclass(frozen=True)
@@ -247,15 +256,10 @@ class MembershipDecision:
         return self.verdict in ("in", "rank_deficient_in")
 
     def as_dict(self) -> dict:
-        return {
-            "schema": "1",
-            "verdict": self.verdict,
-            "witness": self.witness.as_dict() if self.witness else None,
-            "rank": self.rank,
-            "backend": self.backend,
-            "marginal": self.marginal,
-            "note": self.note,
-        }
+        return {"schema": "1", "verdict": self.verdict,
+                "witness": self.witness.as_dict() if self.witness else None,
+                "rank": self.rank, "backend": self.backend, "marginal": self.marginal,
+                "note": self.note}
 
 
 def _one_sign(signs) -> bool:
@@ -269,50 +273,33 @@ def _one_sign(signs) -> bool:
     return True
 
 
-def _scan_orientation(lines, points, ctx, swapped, line_map, point_map, log):
+def _scan_orientation(lines, points, ctx, swapped, line_map, point_map, log, tables):
     """Yield the witnesses of one orientation in index order, lazily.
 
     ``lines``/``points`` are 3-vectors; index maps translate back to row and
-    column indices of the unstripped input.  Each record carries the chord
-    triples (k, l, k') whose product vanished, which is what the boundary
-    classifier consumes.  Rejected candidates are appended to ``log`` as the
-    scan passes them.
+    column indices of the unstripped input.  ``tables`` holds the crosses of
+    line pairs and of point pairs (see ``_crosses``) and the incidences
+    ``q[l][t] = a_l·p_t``; with the vertex brackets V and the support table
+    F of each vertex, every bracket is read from them.  Each record carries
+    the chord triples (k, l, k') whose product vanished, which is what the
+    boundary classifier consumes.  Rejected candidates are appended to
+    ``log`` as the scan passes them.
     """
+    edges, point_crosses, q = tables
     M, N = len(lines), len(points)
-    # a_k × a_l for k < l: the vertex of edge lines k, l, and the chord
-    # factor x[k, l] = L1 · (a_k × a_l) of every candidate
-    edges = {(k, l): _cross(lines[k], lines[l])
-             for k, l in itertools.combinations(range(M), 2)}
-    supp_cache: dict = {}
-    incidence = [[_dot(a, p) for p in points] for a in lines]  # a_l · p_k'
+    sign = ctx.sign
 
-    def support(i, j, t):
-        # The support line L = v × p_t through the vertex and point t, or
-        # None.  It must be a genuine line (the point must not coincide with
-        # the vertex), and all other points must sit on one side of it:
-        # det(v, p_t, p_k') = L · p_k' shares one sign.
-        key = (i, j, t)
-        if key not in supp_cache:
-            v = edges[i, j]
-            L = _cross(v, points[t])
-            supp_cache[key] = L if (
-                not ctx.is_zero_vec(L, "x21")
-                and _one_sign(ctx.sign(_dot(L, points[kp]), "mj")
-                              for kp in range(N) if kp != t)) else None
-        return supp_cache[key]
-
-    def chord_touches(L1, L2, others, ip, jp):
-        # The zero chord triples of the candidate with support lines L1, L2,
-        # or None if a chord product is negative (the inner polygon leaves
-        # the triangle).  Both chord brackets of (k, l, k') come from the
-        # ``_chord_terms`` expansion; swapping k and l negates x.
-        y, z = _chord_terms(L1, L2, lines, points)
-        sign = ctx.sign
+    def chord_touches(V, F, others, ip, jp):
+        # The zero chord triples of candidate (ip, jp), or None if a chord
+        # product is negative (the inner polygon leaves the triangle).  The
+        # chord brackets of (k, l, k') and (l, k, k') are x·y − z_k·q_l and
+        # −x·y − z_l·q_k with y = F_jp(k'), which is L2·p_k'.
+        y, f = F[jp], F[jp][ip]
         kps = [kp for kp in range(N) if kp not in (ip, jp)]
         touches = []
         for k, l in itertools.combinations(others, 2):
-            x = _dot(L1, edges[k, l])
-            zk, zl, qk, ql = z[k], z[l], incidence[k], incidence[l]
+            x, zk, zl = _chord_factors(V, q, ip, f, k, l)
+            qk, ql = q[k], q[l]
             for kp in kps:
                 xy = x * y[kp]
                 s1 = sign(xy - zk * ql[kp], "s63")
@@ -326,26 +313,38 @@ def _scan_orientation(lines, points, ctx, swapped, line_map, point_map, log):
     side = "cols" if swapped else "rows"
     for i in range(M):
         for j in range(i + 1, M):
-            if ctx.is_zero_vec(edges[i, j], "x2"):  # parallel edge lines: no vertex
+            v = edges[i][j]
+            if ctx.is_zero_vec(v, "x2"):  # parallel edge lines: no vertex
                 log.append(f"{side} ({line_map[i]},{line_map[j]}): edge lines are parallel")
                 continue
-            # det(a_i, a_j, a_k) = (a_i × a_j) · a_k shares one sign
-            if not _one_sign(ctx.sign(_dot(edges[i, j], lines[k]), "b3")
-                             for k in range(M) if k not in (i, j)):
+            others = [k for k in range(M) if k not in (i, j)]
+            # V_k = det(a_i, a_j, a_k) shares one sign; V_i = V_j = 0 identically
+            V = [0 if k == i or k == j else _dot(v, a) for k, a in enumerate(lines)]
+            if not ctx.one_sign(V, "b3"):
                 log.append(f"{side} ({line_map[i]},{line_map[j]}): vertex sign family mixed")
                 continue
-            others = [k for k in range(M) if k not in (i, j)]
+            F, qi, qj = _support_table(v, point_crosses), q[i], q[j]
+
+            def supports(t):
+                # whether v × p_t is a line (p_t is not v, the one point on
+                # both edge lines) with every other point on one side of it
+                return (not ctx.is_zero_vec((qi[t], qj[t]), "x11")
+                        and ctx.one_sign(F[t], "mj"))  # F[t][t] = 0
+
+            ok = [None] * N  # supports(t), decided on first use
             for ip in range(N):
-                L1 = support(i, j, ip)
-                if L1 is None:
+                if ok[ip] is None:
+                    ok[ip] = supports(ip)
+                if not ok[ip]:
                     log.append(f"candidate ({line_map[i]},{line_map[j]},{point_map[ip]},*): "
                                "support family mixed")
                     continue
                 for jp in range(N):
-                    L2 = None if jp == ip else support(i, j, jp)
-                    if L2 is None:
+                    if ok[jp] is None:  # ok[ip] is set
+                        ok[jp] = supports(jp)
+                    if jp == ip or not ok[jp]:
                         continue
-                    touches = chord_touches(L1, L2, others, ip, jp)
+                    touches = chord_touches(V, F, others, ip, jp)
                     if touches is None:
                         log.append(f"candidate ({line_map[i]},{line_map[j]},"
                                    f"{point_map[ip]},{point_map[jp]}): chord product negative")
@@ -363,12 +362,10 @@ def _strip_zero_lines(P: Matrix, task: str) -> tuple[Matrix, list[int], list[int
     """
     if not P.is_nonnegative():
         raise DomainError(f"{task} requires a nonnegative matrix")
-    rows = [i for i in range(P.rows) if any(x != 0 for x in P.row(i))]
-    cols = [j for j in range(P.cols) if any(x != 0 for x in P.col(j))]
-    if len(rows) == P.rows and len(cols) == P.cols:
+    rows = [i for i, r in enumerate(P.signs) if any(r)]
+    cols = [j for j, c in enumerate(zip(*P.signs)) if any(c)]
+    if not rows or (len(rows), len(cols)) == P.shape:  # the zero matrix, or nothing to drop
         return P, rows, cols
-    if not rows or not cols:
-        return P, rows, cols  # all-zero matrix
     data = tuple(tuple(P.entries[i][j] for j in cols) for i in rows)
     return Matrix(len(rows), len(cols), data, P.backend), rows, cols
 
@@ -385,16 +382,16 @@ def _witness_stream(lines, points, backend: str, row_map, col_map):
     advances, and the sign context whose ``marginal`` flag it raises.  A
     caller that stops early has scanned, logged and flagged only that far.
     """
-    if backend == EXACT:
-        ctx = _ExactSigns()
-    else:
-        lscale = max(abs(x) for v in lines for x in v)
-        pscale = max(abs(x) for v in points for x in v)
-        ctx = _FloatSigns(lscale, pscale)
+    ctx = _ExactSigns() if backend == EXACT else _FloatSigns(
+        max(abs(x) for v in lines for x in v), max(abs(x) for v in points for x in v))
     log: list[str] = []
+    line_crosses, point_crosses = _crosses(lines), _crosses(points)
+    q = [[_dot(a, p) for p in points] for a in lines]
     records = itertools.chain(
-        _scan_orientation(lines, points, ctx, False, row_map, col_map, log),
-        _scan_orientation(points, lines, ctx, True, col_map, row_map, log))
+        _scan_orientation(lines, points, ctx, False, row_map, col_map, log,
+                          (line_crosses, point_crosses, q)),
+        _scan_orientation(points, lines, ctx, True, col_map, row_map, log,
+                          (point_crosses, line_crosses, list(zip(*q)))))
     return records, log, ctx
 
 
@@ -458,8 +455,7 @@ def _decide(P: Matrix, factors, row_map, col_map, take):
     head = _head(records)
     found = take(itertools.chain(head, records))
     if head:
-        dec = MembershipDecision("in", head[0].witness, rank, P.backend,
-                                 marginal=ctx.marginal)
+        dec = MembershipDecision("in", head[0].witness, rank, P.backend, marginal=ctx.marginal)
     elif min(P.rows, P.cols) <= 3:
         dec = MembershipDecision("in", None, rank, P.backend, marginal=ctx.marginal,
                                  note="thin matrix: nonnegative rank equals rank")
@@ -488,8 +484,7 @@ def membership_from_factors(A, B) -> MembershipDecision:
     it; P is still eliminated once, for its rank.  It stops the scan at the
     first witness, as ``nnrank3_membership`` does.
     """
-    A = _prepare(A)
-    B = _prepare(B)
+    A, B = _prepare(A), _prepare(B)
     P = A @ B
     if not P.is_nonnegative():
         raise DomainError("product has negative entries")
@@ -651,10 +646,9 @@ def _triangle_factors(form, wit: Witness):
     s = sum of A's rows, the vertex matrix is T = W diag(1 / s·w_c), the
     factors are A @ T and T^-1 @ B, and T^-1 has the rows
     (s·w_c) (w_c+1 × w_c+2) / det W.  Signs are read on integers; only the
-    factors returned are built as ``Fraction``s, one per entry.  A swapped
-    witness is an unswapped witness of (A @ B).T = B.T @ A.T, so its
-    triangle is built on the swapped form and the factors are transposed
-    back.
+    factors returned are built as ``Fraction``s.  A swapped witness is an
+    unswapped one of (A @ B).T = B.T @ A.T: its triangle is built on the
+    swapped form and the factors are transposed back.
     """
     lines, line_den, points, point_den = form
     if wit.swapped:
@@ -703,8 +697,7 @@ class NestedPolygons:
 
 def _ccw_cycle(points2d):
     n = len(points2d)
-    cx = sum(p[0] for p in points2d) / n
-    cy = sum(p[1] for p in points2d) / n
+    cx, cy = sum(p[0] for p in points2d) / n, sum(p[1] for p in points2d) / n
 
     def half(p):
         dx, dy = p[0] - cx, p[1] - cy

@@ -152,13 +152,51 @@ class TestPatterns:
             ZeroPattern("b", 3, 3, pat.A_zeros, pat.B_zeros).validate()
 
 
+# -- the per-entry distributions and the Fraction sampler, as oracles -----
+
+
+def scalar_rational_dist(max_height=100):
+    return lambda rng: Fraction(int(rng.integers(1, max_height + 1)),
+                                int(rng.integers(1, max_height + 1)))
+
+
+def scalar_unit_rational_dist(max_den=100):
+    def draw(rng):
+        d = int(rng.integers(1, max_den + 1))
+        return Fraction(int(rng.integers(1, d + 1)), d)
+    return draw
+
+
+def scalar_integer_dist(lo=1, hi=4):
+    return lambda rng: Fraction(int(rng.integers(lo, hi + 1)))
+
+
+SCALAR_DISTS = {"rational": scalar_rational_dist,
+                "unit_rational": scalar_unit_rational_dist,
+                "int1to4": lambda _: scalar_integer_dist(1, 4)}
+
+
+def fraction_sample(pattern, rng, entry_dist):
+    """The sampler on Fraction matrices with one scalar draw per entry, in
+    the same order, multiplied out and scaled by 1/total without clearing
+    to integers."""
+    A = [[Fraction(0) if (i, k) in pattern.A_zeros else entry_dist(rng)
+          for k in range(3)] for i in range(pattern.m)]
+    B = [[Fraction(0) if (k, j) in pattern.B_zeros else entry_dist(rng)
+          for j in range(pattern.n)] for k in range(3)]
+    Am, Bm = Matrix.exact(A), Matrix.exact(B)
+    P = Am @ Bm
+    inv = 1 / P.total()
+    return P.scale(inv), Am.scale(inv), Bm
+
+
 class TestSampling:
     def test_deterministic_fill_matches_hand_product(self):
         # kind-(b) pattern with every free entry set to one
         pat = ZeroPattern("b", 4, 4,
                           ((0, 0), (1, 0), (2, 1), (3, 2)),
                           ((0, 0), (1, 1), (2, 2)))
-        ones = lambda rng: Fraction(1)
+        ones = lambda rng, count: ([1] * count, [1] * count)
         rng = np.random.default_rng(0)
         P, A, B = sample_algebraic_boundary(pat, rng, ones)
         expected = Matrix.exact([[2, 1, 1, 2], [2, 1, 1, 2],
@@ -167,9 +205,12 @@ class TestSampling:
 
     def test_planted_example_reproduced(self):
         pat = canonical_pattern(4, 4)
-        entries = iter([1, 3, 1, 4, 4, 4, 4, 1, 2,   # A free slots, row-major
-                        2, 2, 3, 1, 1, 1, 4, 1])     # B free slots, row-major
-        draw = lambda rng: Fraction(next(entries))
+        entries = [1, 3, 1, 4, 4, 4, 4, 1, 2,   # A free slots, row-major
+                   2, 2, 3, 1, 1, 1, 4, 1]      # B free slots, row-major
+
+        def draw(rng, count):
+            assert count == len(entries)
+            return entries, [1] * count
         rng = np.random.default_rng(0)
         P, A, B = sample_algebraic_boundary(pat, rng, draw)
         total = sum(x for row in NICE_P for x in row)
@@ -192,19 +233,6 @@ class TestSampling:
             P, A, B = sample_algebraic_boundary(pat, rng)
             assert bool(nnrank3_membership(P))
 
-    @staticmethod
-    def fraction_sample(pattern, rng, entry_dist):
-        """The sampler on Fraction matrices: the same draws in the same order,
-        multiplied out and scaled by 1/total without clearing to integers."""
-        A = [[Fraction(0) if (i, k) in pattern.A_zeros else entry_dist(rng)
-              for k in range(3)] for i in range(pattern.m)]
-        B = [[Fraction(0) if (k, j) in pattern.B_zeros else entry_dist(rng)
-              for j in range(pattern.n)] for k in range(3)]
-        Am, Bm = Matrix.exact(A), Matrix.exact(B)
-        P = Am @ Bm
-        inv = 1 / P.total()
-        return P.scale(inv), Am.scale(inv), Bm
-
     @pytest.mark.parametrize("dist", sorted(DISTS))
     def test_integer_product_matches_the_fraction_product(self, dist):
         kind_b = next(p for p in enumerate_zero_patterns(4, 4) if p.kind == "b")
@@ -212,8 +240,19 @@ class TestSampling:
             rng, oracle_rng = np.random.default_rng(31), np.random.default_rng(31)
             for _ in range(60):
                 got = sample_algebraic_boundary(pat, rng, DISTS[dist](100))
-                assert got == self.fraction_sample(pat, oracle_rng, DISTS[dist](100))
+                assert got == fraction_sample(pat, oracle_rng, SCALAR_DISTS[dist](100))
                 assert all(m.backend == "exact" for m in got)
+
+    @pytest.mark.parametrize("dist", sorted(DISTS))
+    def test_batched_draws_equal_scalar_draws(self, dist):
+        for param in (1, 7, 100):
+            rng, oracle_rng = np.random.default_rng(param), np.random.default_rng(param)
+            nums, dens = DISTS[dist](param)(rng, 1000)
+            want = [SCALAR_DISTS[dist](param)(oracle_rng) for _ in range(1000)]
+            assert [Fraction(p, q) for p, q in zip(nums, dens)] == want
+            assert all(type(x) is int for x in nums + dens)
+            # the stream is left where the scalar draws leave it
+            assert rng.integers(1 << 30) == oracle_rng.integers(1 << 30)
 
 
 def test_boundary_test_builds_no_fraction(monkeypatch):

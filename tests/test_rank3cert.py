@@ -15,8 +15,8 @@ from nnmix.rank3cert import (DomainError, GeometryError, NotInModelError,
                              all_witnesses, bracket3, meet_join,
                              membership_from_factors, nested_polygons,
                              nnrank3_membership, nonneg_rank3_factorize,
-                             six_three, Witness, WitnessRecord, _cross, _det3,
-                             _one_sign)
+                             six_three, Witness, WitnessRecord, _chord_factors, _cross,
+                             _crosses, _det3, _dot, _one_sign, _support_table)
 
 from conftest import (NICE_A, NICE_B, NICE_P, fractions_built, random_rational_matrix,
                       rect_rows, uab_normalized)
@@ -549,9 +549,11 @@ def composed_six_three(rows, cols, i, j, k, l, ip, jp, kp):
     return _det3(p1, p2, cols[kp])
 
 
-def composed_scan_orientation(lines, points, ctx, swapped, line_map, point_map, log):
+def composed_scan_orientation(lines, points, ctx, swapped, line_map, point_map, log, _tables):
     """``rank3cert._scan_orientation`` with every chord bracket composed, as
-    it ran before the expansion; the oracle for witness records and logs."""
+    it ran before the expansion; the oracle for witness records and logs.
+    It composes each bracket from ``lines`` and ``points`` and ignores the
+    scan's bracket tables."""
     M, N = len(lines), len(points)
     cross_cache, supp_cache, pt_cache = {}, {}, {}
 
@@ -655,6 +657,27 @@ def test_chord_expansion_equals_the_composed_bracket():
                 assert six_three(rows, B, 0, 1, k, l, ip, jp, kp) == want
                 signs.add((want > 0) - (want < 0))
     assert signs == {-1, 0, 1}
+
+
+def test_tables_equal_the_composed_chord_factors():
+    # the scan's tables against the brackets they stand for: F is
+    # antisymmetric, x[k, l] = L1·(a_k × a_l) and z[k] = det(L1, a_k, L2)
+    signs = {"x": set(), "z": set()}
+    for rows, cols in chord_configurations(60, seed=43):
+        v = _cross(rows[0], rows[1])
+        V, F = [_dot(v, a) for a in rows], _support_table(v, _crosses(cols))
+        q = [[_dot(a, p) for p in cols] for a in rows]
+        for t, u in itertools.product(range(5), repeat=2):
+            assert F[t][u] == -F[u][t] == _det3(v, cols[t], cols[u])
+        for ip, jp in itertools.permutations(range(5), 2):
+            L1, L2 = _cross(v, cols[ip]), _cross(v, cols[jp])
+            for k, l in itertools.permutations(range(5), 2):
+                x, zk, zl = _chord_factors(V, q, ip, F[jp][ip], k, l)
+                assert x == _dot(L1, _cross(rows[k], rows[l]))
+                assert (zk, zl) == (_det3(L1, rows[k], L2), _det3(L1, rows[l], L2))
+                signs["x"].add((x > 0) - (x < 0))
+                signs["z"].add((zk > 0) - (zk < 0))
+    assert signs == {"x": {-1, 0, 1}, "z": {-1, 0, 1}}
 
 
 def test_planted_degeneracies_vanish():

@@ -33,6 +33,27 @@ where L2·p_k' = F_j'(k'), z[k] = det(L1, a_k, L2) = F_j'(i')·V_k since
 = V_k·q_l(i') − V_l·q_k(i') by Binet–Cauchy: no cross product per candidate.
 The identities are exact, so on integers every sign is the composed bracket's.
 
+A candidate has C(M − 2, 2)·(N − 2) chord values for M lines and N points.
+From ``_CHORD_BLOCK_MIN`` of them on (9x9 and larger; not 4x4 stratum
+samples or 8x8 products) the orientation evaluates each candidate's
+family as one float64 block in numpy (``_ChordBlocks``) in front of the
+scalar loop, with the loop's operation order: x = V_k·q_l(i') − V_l·q_k(i'),
+then x·y − z_k·q_l(k') and −x·y − z_l·q_k(k').  On floats the values are
+therefore the scalar loop's bit for bit, and so are the touches and the
+``marginal`` flag, which counts an in-band value only up to the first
+negative pair, where the loop stops reading.  On integers a static filter
+(Fortune and Van Wyk, ACM TOG 15, 1996; Shewchuk, DCG 18, 1997) decides each
+sign: a value ŝ is sure when |ŝ| > 1e-15·((|t1| + |t2|)·|y| + |z·q|), with t1
+and t2 the two products of x.  Each term of a value passes through at most
+seven roundings (three conversions, two products, two differences), so
+|ŝ − s| <= gamma_7 times that sum of magnitudes, gamma_7 = 7u/(1 − 7u) < 7.8e-16
+for u = 2^-53; the bound leaves margin for the roundings of the sum itself,
+and as the tables hold integers no value underflows.  A sure ŝ has the sign
+of s, and s is not zero.  Every other value, zeros, nan and inf included, is
+recomputed on the integers (``_ExactSigns.rechecks`` counts them), so touches
+stay exact; an integer beyond the float range sends the orientation to the
+scalar loop.
+
 The witnesses form one lazy stream: the tuples of this orientation in index
 order, then those with the roles of A and B.T swapped.  Each entry point
 reads only what it needs.  ``nnrank3_membership`` and
@@ -54,7 +75,9 @@ import functools
 import itertools
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
+
+import numpy as np
 
 # matrix_rank and rank_factorize are not called here; the benchmark's tracer
 # wraps them by these names
@@ -164,9 +187,16 @@ def six_three(A, B, i: int, j: int, k: int, l: int, ip: int, jp: int, kp: int):
 
 
 class _ExactSigns:
-    """Decidable sign tests on integer-cleared data."""
+    """Decidable sign tests on integer-cleared data.
+
+    ``rechecks`` counts the chord values the float filter of ``_ChordBlocks``
+    left undecided, which were decided on the integers instead.
+    """
 
     marginal = False
+
+    def __init__(self):
+        self.rechecks = 0
 
     @staticmethod
     def sign(value, kind: str) -> int:
@@ -273,6 +303,121 @@ def _one_sign(signs) -> bool:
     return True
 
 
+# A scan evaluates its chord family as numpy blocks (``_ChordBlocks``) when a
+# candidate has at least this many chord values, C(M − 2, 2)·(N − 2): 450 at
+# 12x12, 147 at 9x9, 90 at 8x8.  The scalar loop stops at the first negative
+# pair, so small blocks do not pay: in a sweep of seeded products, at 8x8 the
+# blocks were 4% faster on boundary tests but 7-11% slower on membership and
+# factorization, at 9x9 22% faster on boundary tests and within 2% on the rest.
+_CHORD_BLOCK_MIN = 120
+# The static filter's relative bound on a float chord value from integer
+# tables: gamma_7 = 7u/(1 − 7u) ≈ 7.8e-16 for its seven roundings, with margin.
+_CHORD_FILTER = 1e-15
+_PLUS_MINUS = np.array([1.0, -1.0])[:, None, None]
+
+
+@functools.lru_cache(maxsize=1024)
+def _pairs_of(M: int, others: tuple):
+    """The pairs k < l of the lines ``others`` in combination order, as a tuple,
+    as index rows (k, l), and as positions among all the pairs of M lines.
+    Shared by every caller, so the arrays are read-only."""
+    every = list(itertools.combinations(range(M), 2))
+    pos = [r for r, (k, l) in enumerate(every) if k in others and l in others]
+    pairs = tuple(every[r] for r in pos)
+    KL, pos = np.array(pairs, dtype=np.intp).reshape(-1, 2).T, np.array(pos, dtype=np.intp)
+    KL.flags.writeable = pos.flags.writeable = False
+    return pairs, KL, pos
+
+
+class _ChordBlocks:
+    """One orientation's chord family in float64, a (k, l) × k' block per candidate.
+
+    A block's rows are the vertex's (k, l) pairs in combination order and
+    its columns all N points; a candidate's own columns i', j' are masked,
+    so row-major order is the scalar loop's order.  The values follow that
+    loop's operation order, so on floats they are its values bit for bit and
+    the band decides them as ``_FloatSigns.sign`` does.  On integers a value
+    is decided in float only when it clears the static filter; every other
+    value is recomputed on the integers.  ``touches`` returns what the scalar
+    loop of ``chord_touches`` returns, and raises ``OverflowError`` when an
+    integer exceeds the float range.
+    """
+
+    V = None  # the vertex brackets of the vertex gathered last
+
+    def __init__(self, ctx, q, line_map, point_map):
+        self.ctx, self.q, self.line_map, self.point_map = ctx, q, line_map, point_map
+        self.exact = not isinstance(ctx, _FloatSigns)
+        KL = _pairs_of(len(q), tuple(range(len(q))))[1]
+        self.QQ_all = np.array(q, dtype=float)[KL[::-1]]  # q_l(t), q_k(t) of every pair
+
+    def _gather(self, V, others):
+        """Take a vertex's V and q rows of its (k, l) pairs."""
+        self.pairs, KL, pos = _pairs_of(len(V), tuple(others))
+        self.VV = np.array(V, dtype=float)[KL]  # V_k, V_l
+        self.QQ = self.QQ_all[:, pos]
+        self.V = V
+
+    def _triples(self, rows, cols):
+        return [(self.line_map[self.pairs[r][0]], self.line_map[self.pairs[r][1]],
+                 self.point_map[kp]) for r, kp in zip(rows, cols)]
+
+    def touches(self, V, F, others, ip, jp):
+        if V is not self.V:
+            self._gather(V, others)
+        y = np.array(F[jp], dtype=float)
+        # an overflow gives inf or nan, as in the scalar loop: silently
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = self.VV * self.QQ[:, :, ip]  # V_k·q_l(i'), V_l·q_k(i')
+            xy = (t[0] - t[1])[:, None] * y
+            zq = (y[ip] * self.VV)[:, :, None] * self.QQ
+            s = _PLUS_MINUS * xy - zq  # x·y − z_k·q_l(k'), −x·y − z_l·q_k(k')
+            if not self.exact:
+                return self._banded(s, ip, jp)
+            # |error| <= gamma_7·((|t1| + |t2|)·|y| + |z·q|), see the module docstring
+            at = np.abs(t)
+            bound = (at[0] + at[1])[:, None] * np.abs(y) + np.abs(zq)
+            sure = np.abs(s) > _CHORD_FILTER * bound
+            # a sure value is finite and, the tables being integers, at least
+            # 1 in magnitude: the product of two has the product of their signs
+            opposite = sure[0] & sure[1] & (s[0] * s[1] < 0)
+        return self._filtered(opposite, sure, F[jp], ip, jp)
+
+    def _filtered(self, opposite, sure, y, ip, jp):
+        opposite[:, ip] = opposite[:, jp] = False
+        if opposite.any():
+            return None
+        decided = sure[0] & sure[1]
+        decided[:, ip] = decided[:, jp] = True
+        ctx, V, q, zero = self.ctx, self.V, self.q, []
+        for r, kp in zip(*(a.tolist() for a in np.nonzero(~decided))):
+            k, l = self.pairs[r]
+            x, zk, zl = _chord_factors(V, q, ip, y[ip], k, l)
+            s1 = ctx.sign(x * y[kp] - zk * q[l][kp], "s63")
+            s2 = ctx.sign(-x * y[kp] - zl * q[k][kp], "s63")
+            ctx.rechecks += 2
+            if s1 * s2 < 0:
+                return None
+            if s1 == 0 or s2 == 0:
+                zero.append((r, kp))
+        return self._triples(*zip(*zero)) if zero else []
+
+    def _banded(self, s, ip, jp):
+        inband = np.abs(s) <= self.ctx.bands["s63"]
+        zero = inband[0] | inband[1]
+        opposite = ~zero & ((s[0] < 0) != (s[1] < 0))
+        flagged = (inband & (s != 0)).any(0)  # where the scalar loop raises marginal
+        for a in (zero, opposite, flagged):
+            a[:, ip] = a[:, jp] = False
+        if opposite.any():  # the scalar loop reads up to the first negative pair
+            if flagged.ravel()[:opposite.argmax() + 1].any():
+                self.ctx.marginal = True
+            return None
+        if flagged.any():
+            self.ctx.marginal = True
+        return self._triples(*(a.tolist() for a in np.nonzero(zero)))
+
+
 def _scan_orientation(lines, points, ctx, swapped, line_map, point_map, log, tables):
     """Yield the witnesses of one orientation in index order, lazily.
 
@@ -288,12 +433,23 @@ def _scan_orientation(lines, points, ctx, swapped, line_map, point_map, log, tab
     edges, point_crosses, q = tables
     M, N = len(lines), len(points)
     sign = ctx.sign
+    # the numpy path, chosen by a candidate's count of chord values and set
+    # up with the first chord test
+    use_blocks, blocks = comb(M - 2, 2) * (N - 2) >= _CHORD_BLOCK_MIN, None
 
     def chord_touches(V, F, others, ip, jp):
         # The zero chord triples of candidate (ip, jp), or None if a chord
         # product is negative (the inner polygon leaves the triangle).  The
         # chord brackets of (k, l, k') and (l, k, k') are x·y − z_k·q_l and
         # −x·y − z_l·q_k with y = F_jp(k'), which is L2·p_k'.
+        nonlocal use_blocks, blocks
+        if use_blocks:
+            try:
+                if blocks is None:
+                    blocks = _ChordBlocks(ctx, q, line_map, point_map)
+                return blocks.touches(V, F, others, ip, jp)
+            except OverflowError:  # beyond float range: the scalar loop decides
+                use_blocks = False
         y, f = F[jp], F[jp][ip]
         kps = [kp for kp in range(N) if kp not in (ip, jp)]
         touches = []
@@ -317,12 +473,12 @@ def _scan_orientation(lines, points, ctx, swapped, line_map, point_map, log, tab
             if ctx.is_zero_vec(v, "x2"):  # parallel edge lines: no vertex
                 log.append(f"{side} ({line_map[i]},{line_map[j]}): edge lines are parallel")
                 continue
-            others = [k for k in range(M) if k not in (i, j)]
             # V_k = det(a_i, a_j, a_k) shares one sign; V_i = V_j = 0 identically
             V = [0 if k == i or k == j else _dot(v, a) for k, a in enumerate(lines)]
             if not ctx.one_sign(V, "b3"):
                 log.append(f"{side} ({line_map[i]},{line_map[j]}): vertex sign family mixed")
                 continue
+            others = [k for k in range(M) if k not in (i, j)]
             F, qi, qj = _support_table(v, point_crosses), q[i], q[j]
 
             def supports(t):

@@ -751,3 +751,103 @@ def test_float_verdicts_agree_or_are_marginal():
             assert approx.backend == "float"
             assert approx.verdict == exact.verdict or approx.marginal, P
     assert calls == 119
+
+
+def _chord_path_corpus():
+    """``scan_corpus()``, seeded rank-3 products at 10, 12 and 16 with their
+    factors, and one 12x12 product scaled past 2**53 and one whose integers
+    pass the float range, each exact and (but the last) as floats."""
+    rng = np.random.default_rng(41)
+    exact = list(scan_corpus())
+    for size in (10, 12, 16):
+        A, B = rng.integers(1, 10, (size, 3)), rng.integers(0, 10, (3, size))
+        exact.append((Matrix.exact((A @ B).tolist()),
+                      (Matrix.exact(A.tolist()), Matrix.exact(B.tolist()))))
+    P = exact[-2][0]
+    exact += [(P.scale(3**40), None), (P.scale(10**200), None)]
+    return exact + [(P.as_float(), factors and tuple(f.as_float() for f in factors))
+                    for P, factors in exact[:-1]]
+
+
+def _path_outputs(P, factors):
+    member = nnrank3_membership(P)
+    full, records = all_witnesses(P)
+    out = [member.as_dict(), member.failure_log, full.as_dict(), full.failure_log, records]
+    if P.backend == "exact":
+        out.append(boundary_test(P).as_dict())
+        try:
+            out.append(nonneg_rank3_factorize(P))
+        except NotInModelError as exc:
+            out.append(str(exc))
+    if factors:
+        dec = membership_from_factors(*factors)
+        out += [dec.as_dict(), dec.failure_log]
+    return out
+
+
+def test_numpy_chord_path_matches_the_scalar_loop(monkeypatch):
+    # records, touching triples, failure logs and marginal flags are the
+    # scalar loop's, on both backends, past 2**53 and past the float range
+    corpus = _chord_path_corpus()
+    seen = {"blocks": 0, "overflow": 0}
+    touches = rank3cert._ChordBlocks.touches
+
+    def counted(self, *args):
+        seen["blocks"] += 1
+        try:
+            return touches(self, *args)
+        except OverflowError:
+            seen["overflow"] += 1
+            raise
+
+    monkeypatch.setattr(rank3cert._ChordBlocks, "touches", counted)
+    monkeypatch.setattr(rank3cert, "_CHORD_BLOCK_MIN", 0)
+    on_numpy = [_path_outputs(P, factors) for P, factors in corpus]
+    assert seen["blocks"] > 1000 and seen["overflow"] > 0, seen
+    assert any(out[0]["marginal"] for out in on_numpy)
+    monkeypatch.setattr(rank3cert, "_CHORD_BLOCK_MIN", 10**9)
+    seen["blocks"] = 0
+    for (P, factors), got in zip(corpus, on_numpy):
+        assert got == _path_outputs(P, factors), P
+    assert seen["blocks"] == 0
+
+
+def test_exact_rechecks_cover_every_touching_triple(monkeypatch):
+    # factors with zeros make many chord values vanish; a zero is never
+    # decided by the float filter, so each touching pair is rechecked
+    rng = np.random.default_rng(18)
+    P = Matrix.exact((rng.integers(0, 4, (12, 3)) @ rng.integers(0, 4, (3, 12))).tolist())
+    contexts, stream = [], rank3cert._witness_stream
+
+    def spy(*args):
+        out = stream(*args)
+        contexts.append(out[2])
+        return out
+
+    monkeypatch.setattr(rank3cert, "_witness_stream", spy)
+    decision, records = all_witnesses(P)
+    touching = sum(len(rec.touches) for rec in records)
+    assert decision.rank == 3 and touching > 100
+    assert contexts[-1].rechecks >= 2 * touching
+    monkeypatch.setattr(rank3cert, "_CHORD_BLOCK_MIN", 10**9)
+    assert all_witnesses(P) == (decision, records)
+    assert contexts[-1].rechecks == 0
+
+
+def test_four_by_four_boundary_test_builds_no_array(monkeypatch):
+    # a 4x4 candidate has 2 chord values: the scalar loop decides them, and
+    # numpy is not reached
+    P, _, _ = sample_algebraic_boundary(enumerate_zero_patterns(4, 4)[0],
+                                        np.random.default_rng(7))
+    array, calls = np.array, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return array(*args, **kwargs)
+
+    monkeypatch.setattr(rank3cert.np, "array", counted)
+    assert boundary_test(P).witnesses > 0
+    assert calls == []
+    rng = np.random.default_rng(3)
+    boundary_test(Matrix.exact((rng.integers(1, 10, (12, 3)) @ rng.integers(1, 10, (3, 12))).tolist()))
+    assert calls  # the counter sees the numpy path

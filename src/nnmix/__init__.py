@@ -15,9 +15,9 @@ Subpackages by concern:
 """
 
 from .exactla import Matrix, determinant, matrix_rank, parse_matrix, rank_factorize
-from .em import (DataMatrix, EMResult, ParameterTriple, e_step, gradient_matrix,
-                 fixed_point_residual, is_critical, log_likelihood, m_step,
-                 model_dimension, parameter_dimension, run_em, run_em_restarts)
+from .em import (DataMatrix, EMResult, ParameterTriple, fixed_point_residual,
+                 gradient_matrix, is_critical, log_likelihood, model_dimension,
+                 parameter_dimension, run_em, run_em_restarts)
 from .rank3cert import (MembershipDecision, Witness, bracket3, meet_join,
                         nested_polygons, nnrank3_membership,
                         nonneg_rank3_factorize, six_three)
@@ -31,9 +31,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Matrix", "determinant", "matrix_rank", "parse_matrix", "rank_factorize",
-    "DataMatrix", "EMResult", "ParameterTriple", "e_step", "gradient_matrix",
-    "fixed_point_residual", "is_critical", "log_likelihood", "m_step",
-    "model_dimension", "parameter_dimension", "run_em", "run_em_restarts",
+    "DataMatrix", "EMResult", "ParameterTriple", "fixed_point_residual",
+    "gradient_matrix", "is_critical", "log_likelihood", "model_dimension",
+    "parameter_dimension", "run_em", "run_em_restarts",
     "MembershipDecision", "Witness", "bracket3", "meet_join",
     "nested_polygons", "nnrank3_membership", "nonneg_rank3_factorize",
     "six_three",

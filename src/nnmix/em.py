@@ -113,16 +113,26 @@ def model_dimension(m: int, n: int, r: int) -> int:
     return r * (m + n) - r * r - 1
 
 
-def random_parameters(m: int, n: int, r: int, rng: np.random.Generator) -> ParameterTriple:
-    """Uniform draws from each simplex via normalized exponential variates."""
+def _exponential_draws(m: int, n: int, r: int, rng: np.random.Generator):
+    """The unnormalized draws of ``random_parameters``: A, lam, B in turn."""
     if r < 1:
         raise ValueError(f"mixture needs at least one component, got r={r}")
-    A = rng.exponential(size=(m, r))
-    A /= A.sum(axis=0, keepdims=True)
-    lam = rng.exponential(size=r)
-    lam /= lam.sum()
-    B = rng.exponential(size=(r, n))
-    B /= B.sum(axis=1, keepdims=True)
+    return tuple(rng.exponential(size=shape) for shape in ((m, r), (r,), (r, n)))
+
+
+def _normalize(A, lam, B):
+    """Scale exponential draws, in place, to the columns of A, lam and the
+    rows of B summing to 1.  Arrays may carry a leading batch axis; each
+    slice gets the bits it gets alone."""
+    A /= A.sum(axis=-2, keepdims=True)
+    lam /= lam.sum(axis=-1, keepdims=True)
+    B /= B.sum(axis=-1, keepdims=True)
+
+
+def random_parameters(m: int, n: int, r: int, rng: np.random.Generator) -> ParameterTriple:
+    """Uniform draws from each simplex via normalized exponential variates."""
+    A, lam, B = _exponential_draws(m, n, r, rng)
+    _normalize(A, lam, B)
     return ParameterTriple(A, lam, B)
 
 
@@ -137,40 +147,6 @@ def log_likelihood(U, P) -> float:
     if np.any(P[mask] <= 0.0):
         return float("-inf")
     return float(np.sum(data.U[mask] * np.log(P[mask])))
-
-
-def e_step(U, theta: ParameterTriple) -> np.ndarray:
-    """Responsibility table v[i,k,j]; zero whenever the mixture cell is zero."""
-    data = _as_counts(U)
-    contrib = np.einsum("ik,k,kj->ikj", theta.A, theta.lam, theta.B)
-    denom = contrib.sum(axis=1)  # = P
-    with np.errstate(divide="ignore", invalid="ignore"):
-        V = contrib * (data.U / np.where(denom > 0, denom, 1.0))[:, None, :]
-    return np.where((denom > 0)[:, None, :], V, 0.0)
-
-
-def m_step(V: np.ndarray, u_plus: int) -> ParameterTriple:
-    """Maximize the complete-data likelihood for a responsibility table.
-
-    Components whose weight comes out exactly zero receive uniform
-    conditionals and are flagged in ``degenerate``; with positive data this
-    only happens for degenerate inputs, since the weights stay positive
-    along EM trajectories started in the interior.
-    """
-    if u_plus <= 0:
-        raise ValueError("u_plus must be positive")
-    m, r, n = V.shape
-    col = V.sum(axis=2)  # (m, r): sum over j
-    rowt = V.sum(axis=0)  # (r, n): sum over i
-    lam = col.sum(axis=0) / u_plus
-    degenerate = tuple(int(k) for k in np.nonzero(lam == 0.0)[0])
-    safe = np.where(lam > 0, lam, 1.0)
-    A = col / (u_plus * safe)[None, :]
-    B = rowt / (u_plus * safe)[:, None]
-    for k in degenerate:
-        A[:, k] = 1.0 / m
-        B[k, :] = 1.0 / n
-    return ParameterTriple(A, lam, B, degenerate=degenerate)
 
 
 def gradient_matrix(U, P) -> np.ndarray:
@@ -272,16 +248,23 @@ def _em_update(U, mask, u_plus, AL, B, P):
     """One E+M round in collapsed form (the m-by-r-by-n table is never built).
 
     The round works on ``AL = A @ diag(lam)`` and ``B``.  ``P = AL @ B`` is
-    the current product, above ``_TINY`` at every observed cell (``mask``);
-    returns the new ``AL`` and ``B`` and their product.  Arrays may carry a
-    leading batch axis: a single run and a batch go through the same calls.
-    A component whose weight comes out zero gets the uniform row 1/n in
-    ``B`` (and, from ``_split``, the uniform column 1/m in ``A``).
+    the current product, above ``_TINY`` at every observed cell: those
+    marked in ``mask``, or every cell when ``mask`` is None.  Returns the
+    new ``AL`` and ``B`` and their product.  Arrays may carry a leading
+    batch axis: a single run and a batch go through the same calls.  A
+    component whose weight comes out zero gets the uniform row 1/n in ``B``
+    (and, from ``_split``, the uniform column 1/m in ``A``).
     """
-    W = np.divide(U, P, out=np.zeros(P.shape), where=mask)
-    Sa = AL * (W @ B.swapaxes(-1, -2))    # u_plus * AL_new
-    Sb = B * (AL.swapaxes(-1, -2) @ W)    # u_plus * lam_new * B_new
-    s = Sa.sum(axis=-2)[..., :, None]     # u_plus * lam_new
+    W = U / P if mask is None else np.divide(U, P, out=np.zeros(P.shape), where=mask)
+    # B.T is copied: the product on a contiguous operand is faster, same bits
+    Sa = AL * (W @ B.swapaxes(-1, -2).copy())  # u_plus * AL_new
+    Sb = B * (AL.swapaxes(-1, -2) @ W)         # u_plus * lam_new * B_new
+    # u_plus * lam_new: the rows of Sa added in order, the order in which
+    # Sa.sum(axis=-2) adds them, without the reduction's set-up
+    s = Sa[..., 0, :]
+    for i in range(1, Sa.shape[-2]):
+        s = s + Sa[..., i, :]
+    s = s[..., None]
     if s.all():
         B_new = Sb / s
     else:
@@ -333,13 +316,16 @@ class RestartBatch:
 
 def _loglik(counts, cells, P):
     """Log-likelihood of each matrix in a (b, m, n) stack, from the counts
-    at the observed cells (flat indices ``cells``).
+    at the observed cells: flat indices ``cells``, or every cell when
+    ``cells`` is None.
 
     Returns it with the mask of runs whose probability at an observed cell
     is ``_TINY`` or below, or with None when there is no such run; those
     runs get -inf.
     """
-    Pm = P.reshape(len(P), -1).take(cells, axis=1)
+    Pm = P.reshape(len(P), -1)
+    if cells is not None:
+        Pm = Pm.take(cells, axis=1)
     # one dot product per run, not one matrix-vector product, so that a
     # run's value does not depend on the other runs in the batch
     if Pm.min() > _TINY:
@@ -414,8 +400,12 @@ def _em_loop(data: DataMatrix, A, lam, B, max_iter: int, tol: float,
     if not len(A):
         raise ValueError("EM needs at least one starting point")
     U, mask = data.U, data.U > 0
-    cells = np.flatnonzero(mask)
-    counts = U.ravel()[cells]
+    if mask.all():  # no cell to leave out of W and the log-likelihood
+        mask = cells = None
+        counts = U.ravel()
+    else:
+        cells = np.flatnonzero(mask)
+        counts = U.ravel()[cells]
     AL = A * lam[:, None, :]
     P = AL @ B
     ll, bad = _loglik(counts, cells, P)
@@ -543,8 +533,9 @@ def em_restart_batch(U, r: int, seeds, max_iter: int = MAX_ITER,
     lam = np.empty((b, r))
     B = np.empty((b, r, n))
     for idx, seed in enumerate(seeds):
-        theta = random_parameters(m, n, r, np.random.default_rng(np.random.SeedSequence(seed)))
-        A[idx], lam[idx], B[idx] = theta.A, theta.lam, theta.B
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        A[idx], lam[idx], B[idx] = _exponential_draws(m, n, r, rng)
+    _normalize(A, lam, B)  # restart k starts from random_parameters on seed k
     return _em_loop(data, A, lam, B, max_iter, tol)[0]
 
 

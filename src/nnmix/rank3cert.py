@@ -75,7 +75,7 @@ import functools
 import itertools
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, frexp, gcd, lcm, ldexp
 
 import numpy as np
 
@@ -215,8 +215,9 @@ class _ExactSigns:
 class _FloatSigns:
     """Banded sign tests: |v| below eps * scale^degree counts as zero.
 
-    The scales are the largest line/point magnitudes, so each band is
-    relative to the largest value the bracket of that degree can attain;
+    The scales are the largest line/point magnitudes (both in [0.5, 1)
+    after ``_unit_scaled``), so each band is relative to the largest value
+    the bracket of that degree can attain;
     values formed from unusually small rows or columns are classified
     conservatively (zero plus a marginal flag).
     """
@@ -538,8 +539,12 @@ def _witness_stream(lines, points, backend: str, row_map, col_map):
     advances, and the sign context whose ``marginal`` flag it raises.  A
     caller that stops early has scanned, logged and flagged only that far.
     """
-    ctx = _ExactSigns() if backend == EXACT else _FloatSigns(
-        max(abs(x) for v in lines for x in v), max(abs(x) for v in points for x in v))
+    if backend == EXACT:
+        ctx = _ExactSigns()
+    else:
+        lines, points = _unit_scaled(lines), _unit_scaled(points)
+        ctx = _FloatSigns(max(abs(x) for v in lines for x in v),
+                          max(abs(x) for v in points for x in v))
     log: list[str] = []
     line_crosses, point_crosses = _crosses(lines), _crosses(points)
     q = [[_dot(a, p) for p in points] for a in lines]
@@ -549,6 +554,22 @@ def _witness_stream(lines, points, backend: str, row_map, col_map):
         _scan_orientation(points, lines, ctx, True, col_map, row_map, log,
                           (point_crosses, line_crosses, list(zip(*q)))))
     return records, log, ctx
+
+
+def _unit_scaled(vectors) -> list:
+    """Float ``vectors`` times the power of two that brings their largest
+    magnitude into [0.5, 1).
+
+    The scan scales its lines and its points apart, which rounds nothing.
+    A float verdict then does not depend on the scale of the input, and
+    the degree-9 bands and brackets of an input far from 1 stay inside the
+    float range.  It also evens out the bands of the swapped orientation:
+    there the brackets have their degrees in lines and points swapped, so
+    without the scaling a band would be off by (line scale / point scale)
+    to a power.
+    """
+    shift = -frexp(max(abs(x) for v in vectors for x in v))[1]
+    return [tuple(ldexp(x, shift) for x in v) for v in vectors]
 
 
 def _head(records) -> list:

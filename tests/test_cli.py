@@ -76,6 +76,19 @@ class TestVerdictCommands:
         path.write_text("0.25,0.25\n0.25,0.25\n")
         assert main(["boundary", "--input", str(path), "--backend", "promote"]) == 0
 
+    @pytest.mark.parametrize("scale", [1e60, 1e200])
+    def test_float_nnrank3_far_from_one(self, workdir, scale):
+        # a rank-3 integer product scaled far past 1 is decided on floats,
+        # not refused as a numeric failure
+        rng = np.random.default_rng(5)
+        P = rng.integers(1, 10, (5, 3)) @ rng.integers(1, 10, (3, 5))
+        path = write_matrix(workdir / "big.txt", Matrix.of((P * scale).tolist()))
+        out = workdir / "v.json"
+        assert main(["nnrank3", "--input", path, "--backend", "float",
+                     "--output", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert (report["verdict"], report["backend"]) == ("in", "float")
+
 
 class TestFactorize:
     def test_writes_factors_that_multiply_back(self, workdir):

@@ -36,6 +36,41 @@ def _theta_from_factors(A: Matrix, B: Matrix) -> em.ParameterTriple:
     return theta
 
 
+# The E-step and M-step as the textbook defines them, on the full
+# m-by-r-by-n responsibility table: the oracle of the collapsed round
+# ``em._em_update``, which never builds that table.
+
+
+def e_step(U, theta: em.ParameterTriple) -> np.ndarray:
+    """Responsibility table v[i,k,j]; zero whenever the mixture cell is zero."""
+    U = np.asarray(U, dtype=float)
+    contrib = np.einsum("ik,k,kj->ikj", theta.A, theta.lam, theta.B)
+    denom = contrib.sum(axis=1)  # = P
+    with np.errstate(divide="ignore", invalid="ignore"):
+        V = contrib * (U / np.where(denom > 0, denom, 1.0))[:, None, :]
+    return np.where((denom > 0)[:, None, :], V, 0.0)
+
+
+def m_step(V: np.ndarray, u_plus: int) -> em.ParameterTriple:
+    """Maximize the complete-data likelihood for a responsibility table.
+
+    Components whose weight comes out exactly zero receive uniform
+    conditionals and are flagged in ``degenerate``.
+    """
+    m, r, n = V.shape
+    col = V.sum(axis=2)  # (m, r): sum over j
+    rowt = V.sum(axis=0)  # (r, n): sum over i
+    lam = col.sum(axis=0) / u_plus
+    degenerate = tuple(int(k) for k in np.nonzero(lam == 0.0)[0])
+    safe = np.where(lam > 0, lam, 1.0)
+    A = col / (u_plus * safe)[None, :]
+    B = rowt / (u_plus * safe)[:, None]
+    for k in degenerate:
+        A[:, k] = 1.0 / m
+        B[k, :] = 1.0 / n
+    return em.ParameterTriple(A, lam, B, degenerate=degenerate)
+
+
 class TestCountTables:
     @pytest.mark.parametrize("value", [0.3, 0.02])
     def test_non_integer_table_rejected(self, value):
@@ -78,7 +113,7 @@ class TestESteps:
         rng = np.random.default_rng(0)
         U = rng.integers(0, 9, size=(3, 4))
         theta = em.random_parameters(3, 4, 1, rng)
-        V = em.e_step(U, theta)
+        V = e_step(U, theta)
         np.testing.assert_allclose(V[:, 0, :], U)
 
     def test_identical_components_split_evenly(self):
@@ -86,7 +121,7 @@ class TestESteps:
         A = np.full((3, 2), 1 / 3)
         B = np.full((2, 4), 1 / 4)
         theta = em.ParameterTriple(A, np.array([0.5, 0.5]), B)
-        V = em.e_step(U, theta)
+        V = e_step(U, theta)
         np.testing.assert_allclose(V[:, 0, :], U / 2)
         np.testing.assert_allclose(V[:, 1, :], U / 2)
 
@@ -99,7 +134,7 @@ class TestESteps:
         if U.sum() == 0:
             U[0, 0] = 1
         theta = em.random_parameters(m, n, r, rng)
-        V = em.e_step(U, theta)
+        V = e_step(U, theta)
         np.testing.assert_allclose(V.sum(axis=1), U, rtol=1e-12, atol=1e-12)
 
 
@@ -107,7 +142,7 @@ class TestMStep:
     def test_concentrated_mass_gives_unit_weight(self):
         V = np.zeros((2, 3, 2))
         V[:, 0, :] = [[1, 2], [3, 4]]
-        theta = em.m_step(V, 10)
+        theta = m_step(V, 10)
         np.testing.assert_allclose(theta.lam, [1.0, 0.0, 0.0])
         assert theta.degenerate == (1, 2)
 
@@ -115,7 +150,7 @@ class TestMStep:
         rng = np.random.default_rng(1)
         U = rng.integers(1, 9, size=(3, 4)).astype(float)
         theta0 = em.random_parameters(3, 4, 1, rng)
-        theta = em.m_step(em.e_step(U, theta0), int(U.sum()))
+        theta = m_step(e_step(U, theta0), int(U.sum()))
         np.testing.assert_allclose(theta.A[:, 0], U.sum(axis=1) / U.sum())
         np.testing.assert_allclose(theta.B[0, :], U.sum(axis=0) / U.sum())
 
@@ -124,7 +159,7 @@ class TestMStep:
         for _ in range(20):
             V = rng.exponential(size=(4, 3, 5))
             V *= 50 / V.sum()
-            theta = em.m_step(V, 50)
+            theta = m_step(V, 50)
             theta.validate(atol=1e-12)
 
 
@@ -230,7 +265,7 @@ def _assert_round_matches_composition(U, got, theta):
     # followed by m_step, placeholders of dead components included
     AL, B, P_new = got
     A, lam = em._split(AL)
-    composed = em.m_step(em.e_step(U, theta), int(U.sum()))
+    composed = m_step(e_step(U, theta), int(U.sum()))
     np.testing.assert_allclose(A, composed.A, rtol=1e-13, atol=1e-15)
     np.testing.assert_allclose(lam, composed.lam, rtol=1e-13, atol=1e-15)
     np.testing.assert_allclose(B, composed.B, rtol=1e-13, atol=1e-15)
@@ -239,14 +274,22 @@ def _assert_round_matches_composition(U, got, theta):
 
 
 def test_collapsed_update_matches_definitional_composition():
-    # one round of the collapsed update must equal e_step followed by m_step
+    # one round of the collapsed update must equal e_step followed by m_step,
+    # on a fully observed table (W is the plain quotient U / P) and on one
+    # with zero cells (W is masked)
     rng = np.random.default_rng(42)
-    U = rng.integers(0, 15, size=(4, 5)).astype(float)
-    U[0, 0] += 1  # keep the total positive
-    theta = em.random_parameters(4, 5, 3, rng)
-    got = em._em_update(U, U > 0, int(U.sum()), theta.A * theta.lam, theta.B,
-                        theta.product())
-    _assert_round_matches_composition(U, got, theta)
+    full = rng.integers(1, 15, size=(4, 5)).astype(float)
+    holed = full.copy()
+    holed.flat[[1, 7, 8, 18]] = 0.0
+    for U in (full, holed):
+        theta = em.random_parameters(4, 5, 3, rng)
+        mask = U > 0
+        args = (int(U.sum()), theta.A * theta.lam, theta.B, theta.product())
+        got = em._em_update(U, None if mask.all() else mask, *args)
+        _assert_round_matches_composition(U, got, theta)
+        if mask.all():  # the plain quotient gives the masked one's bits
+            masked = em._em_update(U, mask, *args)
+            assert all(np.array_equal(a, b) for a, b in zip(got, masked))
 
 
 def test_batched_update_with_a_dead_component():
@@ -411,21 +454,26 @@ class TestRunEM:
 
     def test_batch_restarts_match_single_runs(self):
         # a run does not depend on its batch: each restart must reproduce the
-        # same loop run on its draw alone, bit for bit
+        # same loop run alone from ``random_parameters`` on its seed, bit for
+        # bit, on a table with a zero cell (masked W) and on a fully observed
+        # one (plain U / P)
         rng = np.random.default_rng(11)
-        U = rng.integers(0, 30, size=(4, 4))
-        U[0, 0] += 1
-        data = em.DataMatrix.from_array(U)
+        holed = rng.integers(0, 30, size=(4, 4))
+        holed[0, 0] += 1
+        full = rng.integers(1, 30, size=(4, 4))
+        assert not (holed > 0).all() and (full > 0).all()
         seeds = [(3, k) for k in range(12)]
-        batch = em.em_restart_batch(U, 2, seeds, max_iter=300, tol=1e-10)
-        assert 0 < batch.converged.sum() < len(seeds)  # both kinds of run
-        for k, seed in enumerate(seeds):
-            theta = em.random_parameters(
-                4, 4, 2, np.random.default_rng(np.random.SeedSequence(seed)))
-            single, _ = em._em_loop(data, theta.A[None], theta.lam[None], theta.B[None],
-                                    max_iter=300, tol=1e-10)
-            for name in ("P", "loglik", "iterations", "converged"):
-                assert np.array_equal(getattr(single, name)[0], getattr(batch, name)[k])
+        for U in (holed, full):
+            data = em.DataMatrix.from_array(U)
+            batch = em.em_restart_batch(U, 2, seeds, max_iter=300, tol=1e-10)
+            assert 0 < batch.converged.sum() < len(seeds)  # both kinds of run
+            for k, seed in enumerate(seeds):
+                theta = em.random_parameters(
+                    4, 4, 2, np.random.default_rng(np.random.SeedSequence(seed)))
+                single, _ = em._em_loop(data, theta.A[None], theta.lam[None],
+                                        theta.B[None], max_iter=300, tol=1e-10)
+                for name in ("P", "loglik", "iterations", "converged"):
+                    assert np.array_equal(getattr(single, name)[0], getattr(batch, name)[k])
 
     def test_restarts_polish_an_unconverged_winner(self, u10):
         seeds = [(2, k) for k in range(8)]

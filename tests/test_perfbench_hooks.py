@@ -6,7 +6,9 @@ reference."""
 
 import importlib
 import importlib.util
+import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -62,3 +64,25 @@ def test_seed_zero_trials_match_the_reference(name):
     for index in range(trials):
         report = workload.op(index).run()
         assert workload._check_reference(report.records[0], workload.reference[index]) == []
+
+
+# the EM workloads' first seed-0 trials recorded in reference.json
+EM_REFERENCE_TRIALS = 24
+
+
+@pytest.mark.parametrize("name", ["table1_5x5", "planted_T10"])
+def test_em_reference_trials_through_run_experiment(name):
+    # op i of a workload at seed 0 is a one-trial experiment at harness seed
+    # i; every recorded trial, run straight through harness.run_experiment,
+    # keeps its flag exactly and its log-likelihood within the benchmark's
+    # tolerance, so an EM change that would fail the benchmark's reference
+    # check fails here
+    workloads = _load("workloads")
+    reference = json.loads(workloads.REFERENCE.read_text())[name]["trials"]
+    assert len(reference) == EM_REFERENCE_TRIALS
+    cfg = workloads.WORKLOADS[name](0, None).cfg
+    for seed, ref in enumerate(reference):
+        rec = harness.run_experiment(replace(cfg, seed=seed)).records[0]
+        assert rec["flagged_boundary"] == ref["flagged_boundary"], (name, seed)
+        assert abs(rec["loglik"] - ref["loglik"]) <= \
+            workloads.LOGLIK_REL_TOL * abs(ref["loglik"]), (name, seed)

@@ -1,6 +1,7 @@
 """Bracket evaluators, membership certification, factorization, polygons."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -218,6 +219,21 @@ class TestMembership:
         assert exact.verdict == "in" and any(rec.touches for rec in records)
         dec = nnrank3_membership(P.as_float())
         assert (dec.verdict, dec.backend, dec.marginal) == ("in", "float", True)
+
+    @pytest.mark.parametrize("scale", [1e60, 1e200])
+    def test_float_backend_decides_inputs_far_from_one(self, scale):
+        # the degree-9 bands and brackets of these lines pass the float range
+        # unless the scan rescales them; the scaled product keeps the
+        # verdict, witness and flag of the unscaled one, and a power-of-two
+        # scale changes no output at all
+        rng = np.random.default_rng(5)
+        P = rng.integers(1, 10, (5, 3)) @ rng.integers(1, 10, (3, 5))
+        base = Matrix.of(P.astype(float).tolist())
+        dec = nnrank3_membership(Matrix.of((P * scale).tolist()))
+        assert dec.as_dict() == nnrank3_membership(base).as_dict()
+        assert dec.verdict == nnrank3_membership(Matrix.exact(P.tolist())).verdict == "in"
+        power = math.ldexp(1.0, round(math.log2(scale)))
+        assert all_witnesses(Matrix.of((P * power).tolist())) == all_witnesses(base)
 
     def test_numpy_float_arrays_route_to_float_backend(self):
         P = uab_normalized(100, 42).to_numpy()

@@ -491,6 +491,19 @@ def _result(data: DataMatrix, batch: RestartBatch, i: int, trace, crit_tol: floa
                     critical=crit, seed=seed)
 
 
+def check_tolerances(tol: float, crit_tol: float, zero_tol: bool = False) -> None:
+    """Raise ValueError unless the stop and criticality tolerances are positive.
+
+    NaN is rejected.  ``zero_tol`` also admits ``tol == 0``, with which a
+    single ``run_em`` never stops early and makes exactly ``max_iter``
+    evaluations of the EM map.
+    """
+    if not (tol > 0 or zero_tol and tol == 0):
+        raise ValueError(f"tol must be {'nonnegative' if zero_tol else 'positive'}, got {tol}")
+    if not crit_tol > 0:
+        raise ValueError(f"crit_tol must be positive, got {crit_tol}")
+
+
 def run_em(U, r: int, init=None, max_iter: int = MAX_ITER, tol: float = TOL,
            crit_tol: float = CRIT_TOL) -> EMResult:
     """Run EM on a count table until the estimate stabilizes.
@@ -500,10 +513,12 @@ def run_em(U, r: int, init=None, max_iter: int = MAX_ITER, tol: float = TOL,
     starts from an extrapolation of the two before it, and falls back to
     the plain double step unless that raises the log-likelihood.  Iteration
     stops when a plain EM step changes P by less than ``tol`` (max entrywise
-    change) or after ``max_iter`` evaluations of the EM map, which is what
-    ``iterations`` counts.  The returned trace holds the log-likelihood
-    after each evaluation; it is non-decreasing up to float rounding.
+    change; ``tol = 0`` never stops early) or after ``max_iter`` evaluations
+    of the EM map, which is what ``iterations`` counts.  The returned trace
+    holds the log-likelihood after each evaluation; it is non-decreasing up
+    to float rounding.
     """
+    check_tolerances(tol, crit_tol, zero_tol=True)
     data = _as_counts(U)
     m, n = data.shape
     seed = None
@@ -557,9 +572,7 @@ def run_em_restarts(U, r: int, restarts: int = 100, seed: int | tuple = 0,
     """
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
-    for name, value in (("tol", tol), ("crit_tol", crit_tol)):
-        if not value > 0:
-            raise ValueError(f"{name} must be positive, got {value}")
+    check_tolerances(tol, crit_tol)
     data = _as_counts(U)
     prefix = seed if isinstance(seed, tuple) else (seed,)
     batch = em_restart_batch(data, r, [(*prefix, k) for k in range(restarts)],

@@ -10,12 +10,13 @@ Three 4-by-4 families with known exact behavior:
 * a two-parameter pencil whose determinant cuts out a quartic curve, used
   for membership spot checks along that curve.
 
-The cubic is solved by exact square-free decomposition plus Sturm-chain
-root isolation over the rationals, so a rational simple root comes back as
-a Fraction and everything downstream stays exactly representable.  The
-isolating interval is then refined by bisection on integer numerators over
-one power-of-two denominator; ``Fraction`` remains in the polynomial
-helpers, the isolation, the interval ``refine_root`` returns, and the
+The sign of the cubic's integer discriminant decides its real roots.  A
+double root leaves the simple one as an exact rational formula; a lone real
+root is refined from the Cauchy bound by bisection on integer numerators
+over one power-of-two denominator.  A rational simple root comes back as a
+Fraction, so everything downstream stays exactly representable, and an
+irrational one as the float nearest the refined interval's midpoint.
+``Fraction`` remains in the interval ``refine_root`` returns and in the
 letters and matrices of the maximizers.
 """
 
@@ -24,9 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .exactla import Matrix, clear_denominators
 
-# -- exact polynomial helpers (dense, ascending coefficients) -----------
+# -- the cubic root --------------------------------------------------------
 
 
 def polyval(coeffs, x):
@@ -34,108 +37,6 @@ def polyval(coeffs, x):
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
-
-
-def polyderiv(coeffs):
-    return [k * c for k, c in enumerate(coeffs)][1:]
-
-
-def _trim(coeffs):
-    while coeffs and coeffs[-1] == 0:
-        coeffs = coeffs[:-1]
-    return coeffs
-
-
-def polydivmod(f, g):
-    f = list(f)
-    g = _trim(list(g))
-    if not g:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(0, len(f) - len(g) + 1)
-    r = list(f)
-    while _trim(r) and len(_trim(r)) >= len(g):
-        r = _trim(r)
-        k = len(r) - len(g)
-        c = r[-1] / g[-1]
-        q[k] = c
-        for i, gc in enumerate(g):
-            r[i + k] -= c * gc
-        r = r[:-1]
-    return _trim(q), _trim(r)
-
-
-def polygcd(f, g):
-    """Monic gcd over the rationals (Euclid)."""
-    a, b = _trim(list(f)), _trim(list(g))
-    while b:
-        _, r = polydivmod(a, b)
-        a, b = b, r
-    if not a:
-        return a
-    lead = a[-1]
-    return [c / lead for c in a]
-
-
-def sturm_chain(f):
-    chain = [_trim(list(f))]
-    chain.append(_trim(polyderiv(chain[0])))
-    while chain[-1]:
-        _, r = polydivmod(chain[-2], chain[-1])
-        if not r:
-            break
-        chain.append([-c for c in r])
-    return [p for p in chain if p]
-
-
-def _sign_variations(values):
-    signs = [s for s in ((v > 0) - (v < 0) for v in values) if s]
-    return sum(a != b for a, b in zip(signs, signs[1:]))
-
-
-def sturm_count(chain, lo, hi):
-    """Number of distinct real roots in (lo, hi] for a square-free chain."""
-    va = _sign_variations([polyval(p, lo) for p in chain])
-    vb = _sign_variations([polyval(p, hi) for p in chain])
-    return va - vb
-
-
-def cauchy_bound(f):
-    lead = f[-1]
-    return 1 + max(abs(c / lead) for c in f[:-1]) if len(f) > 1 else Fraction(1)
-
-
-def isolate_real_roots(f):
-    """Disjoint isolating intervals (lo, hi) for the real roots of a
-    square-free rational polynomial, by Sturm-count bisection.
-
-    Interval endpoints are never roots (split points are chosen non-root and
-    the starting Cauchy bound strictly exceeds all root magnitudes).
-    """
-    f = _trim([Fraction(c) for c in f])
-    if len(f) <= 1:
-        return []
-    chain = sturm_chain(f)
-    bound = cauchy_bound(f)
-    stack = [(-bound, bound)]
-    out = []
-    while stack:
-        lo, hi = stack.pop()
-        k = sturm_count(chain, lo, hi)
-        if k == 0:
-            continue
-        if k == 1:
-            out.append((lo, hi))
-            continue
-        # split at a non-root interior point (at most deg(f) offsets can fail)
-        for num, den in ((1, 2), (1, 3), (2, 5), (3, 7), (4, 9)):
-            mid = lo + (hi - lo) * Fraction(num, den)
-            if polyval(f, mid) != 0:
-                break
-        else:
-            raise ArithmeticError("could not find a non-root split point")
-        stack.append((lo, mid))
-        stack.append((mid, hi))
-    return sorted(out)
 
 
 def refine_root(f, lo, hi, width=Fraction(1, 10**24)):
@@ -177,52 +78,40 @@ class AmbiguousRootError(ArithmeticError):
 
 
 def unique_simple_real_root(coeffs):
-    """The unique real root of multiplicity exactly one.
+    """The unique real root of multiplicity exactly one of a cubic.
 
-    Roots of even multiplicity are discarded via the square-free
-    decomposition; if the remaining simple real roots do not number exactly
-    one, an AmbiguousRootError carries float approximations of all real
-    roots.  Returns an exact Fraction when the root is rational, otherwise
-    a float polished by Newton steps.
+    ``coeffs`` are the rational coefficients ``[d, c, b, a]`` of
+    ``a t^3 + b t^2 + c t + d``, ascending, with ``a != 0``.  The sign of the
+    integer discriminant decides the real roots: three distinct ones when it
+    is positive, one simple root and a complex pair when it is negative, and
+    a double and a simple root (or one triple root) when it is zero.  Unless
+    exactly one real root is simple, an AmbiguousRootError carries float
+    approximations of the real roots.  Returns an exact Fraction when the
+    root is rational, otherwise the float nearest the midpoint of an
+    isolating interval 1e-24 wide.
     """
-    f = _trim([Fraction(c) for c in coeffs])
-    if len(f) < 2:
-        raise ValueError("constant polynomial has no roots")
-    g = polygcd(f, polyderiv(f))
-    if len(g) > 1:
-        squarefree, rem = polydivmod(f, g)
-        if rem:
-            raise ArithmeticError("square-free division left a remainder")
-        gchain = sturm_chain(g)
-    else:
-        squarefree, gchain = f, None
-    intervals = isolate_real_roots(squarefree)
-    # a root of the square-free part is simple for f iff it is not a root of
-    # g = gcd(f, f'); roots of g are among the square-free roots, so the
-    # isolating interval either contains one root of g (multiple) or none.
-    flags = [gchain is None or sturm_count(gchain, lo, hi) == 0
-             for lo, hi in intervals]
-    only = [iv for iv, simple in zip(intervals, flags) if simple]
-    if len(only) != 1:
-        approx = [float(sum(refine_root(squarefree, lo, hi, Fraction(1, 10**18))) / 2)
-                  for lo, hi in intervals]
-        raise AmbiguousRootError(
-            f"expected one simple real root, found {len(only)}", approx)
-    if len(squarefree) == 2:
-        return -squarefree[0] / squarefree[1]
-    lo, hi = refine_root(squarefree, *only[0])
+    if len(coeffs) != 4 or coeffs[3] == 0:
+        raise ValueError("expected the four coefficients of a cubic")
+    F, _ = clear_denominators([Fraction(x) for x in coeffs])
+    d, c, b, a = F
+    disc = (18 * a * b * c * d - 4 * b**3 * d + b * b * c * c - 4 * a * c**3
+            - 27 * a * a * d * d)
+    if disc > 0:
+        monic = [float(Fraction(x, a)) for x in (a, b, c, d)]
+        roots = sorted(float(x) for x in np.roots(monic).real)
+        raise AmbiguousRootError("expected one simple real root, found 3", roots)
+    if disc == 0:
+        if b * b == 3 * a * c:
+            raise AmbiguousRootError("expected one simple real root, found 0",
+                                     [float(Fraction(-b, 3 * a))])
+        return Fraction(4 * a * b * c - 9 * a * a * d - b**3, a * (b * b - 3 * a * c))
+    # one real root, inside the Cauchy bound
+    bound = 1 + Fraction(max(abs(x) for x in F[:3]), abs(a))
+    lo, hi = refine_root(F, -bound, bound)
     cand = ((lo + hi) / 2).limit_denominator(10**9)
-    if lo <= cand <= hi and polyval(squarefree, cand) == 0:
+    if lo <= cand <= hi and polyval(F, cand) == 0:
         return cand
-    mid = float((lo + hi) / 2)
-    # two float Newton steps to land on the nearest double
-    fs = [float(c) for c in squarefree]
-    ds = [float(c) for c in polyderiv(squarefree)]
-    for _ in range(2):
-        d = polyval(ds, mid)
-        if d != 0:
-            mid -= polyval(fs, mid) / d
-    return mid
+    return float((lo + hi) / 2)
 
 
 # -- the U(a, b) family --------------------------------------------------
@@ -248,13 +137,11 @@ def uab_in_model(a: int, b: int) -> bool:
     return b * b + 2 * a * b - a * a >= 0
 
 
-def _uab_mle_cubic(a: int, b: int) -> list[Fraction]:
-    return [Fraction(c) for c in (
-        -(8 * a**6 + 16 * a**5 * b + 10 * a**4 * b**2 + 2 * a**3 * b**3),
-        22 * a**5 + 43 * a**4 * b + 30 * a**3 * b**2 + 7 * a**2 * b**3,
-        -(20 * a**4 + 44 * a**3 * b + 8 * a * b**3 + 32 * a**2 * b**2),
-        6 * a**3 + 16 * a**2 * b + 14 * a * b**2 + 4 * b**3,
-    )]
+def _uab_mle_cubic(a: int, b: int) -> list[int]:
+    return [-(8 * a**6 + 16 * a**5 * b + 10 * a**4 * b**2 + 2 * a**3 * b**3),
+            22 * a**5 + 43 * a**4 * b + 30 * a**3 * b**2 + 7 * a**2 * b**3,
+            -(20 * a**4 + 44 * a**3 * b + 8 * a * b**3 + 32 * a**2 * b**2),
+            6 * a**3 + 16 * a**2 * b + 14 * a * b**2 + 4 * b**3]
 
 
 _UAB_PATTERNS = [

@@ -75,9 +75,9 @@ class ExperimentConfig:
                 raise ValueError("requires r < min(m, n)")
             if self.max_iter < 0:
                 raise ValueError(f"max_iter must be nonnegative, got {self.max_iter}")
-            for key in ("tol", "crit_tol"):
-                if not getattr(self, key) > 0:
-                    raise ValueError(f"{key} must be positive, got {getattr(self, key)}")
+            em.check_tolerances(self.tol, self.crit_tol)
+            if self.mode == TABLE1:
+                at_least_one.append("scale")
         for key in at_least_one:
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be at least 1, got {getattr(self, key)}")

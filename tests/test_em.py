@@ -518,6 +518,16 @@ class TestRunEM:
         with pytest.raises(ValueError, match="starting point"):
             em.em_restart_batch(u10, 3, [])
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(tol=-1), "tol must be nonnegative, got -1"),
+        (dict(tol=float("nan")), "tol must be nonnegative, got nan"),
+        (dict(crit_tol=0), "crit_tol must be positive, got 0"),
+        (dict(crit_tol=float("nan")), "crit_tol must be positive, got nan"),
+    ], ids=["negative_tol", "nan_tol", "zero_crit_tol", "nan_crit_tol"])
+    def test_run_em_rejects_bad_tolerances(self, u10, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            em.run_em(u10, 3, init=0, max_iter=5, **kwargs)
+
     def test_report_shape(self):
         res = em.run_em(np.array([[3, 1], [1, 3]]), 1, init=0, max_iter=10, tol=1e-9)
         rep = res.report()

@@ -10,11 +10,18 @@ from nnmix import em
 from nnmix.boundary import boundary_test
 from nnmix.exactla import Matrix, determinant, matrix_rank
 from nnmix.families import (AmbiguousRootError, _uab_mle_cubic, greencurve_matrix,
-                            isolate_real_roots, polyderiv, polydivmod, polygcd,
                             polyval, rectangle_family, rectangle_in_model,
                             refine_root, uab_closed_form_mle, uab_in_model,
                             uab_matrix, unique_simple_real_root)
 from nnmix.rank3cert import nnrank3_membership, nonneg_rank3_factorize
+
+
+def cubic(*roots, scale=1):
+    """Ascending coefficients of ``scale * prod(t - r)`` over the given roots."""
+    coeffs = [Fraction(scale)]
+    for r in roots:  # multiply by (t - r)
+        coeffs = [a - r * b for a, b in zip([0] + coeffs, coeffs + [0])]
+    return coeffs
 
 
 class TestRootIsolation:
@@ -25,14 +32,15 @@ class TestRootIsolation:
 
     def test_three_simple_real_roots_is_ambiguous(self):
         # (t - 1)(t - 2)(t - 3)
-        with pytest.raises(AmbiguousRootError) as err:
+        with pytest.raises(AmbiguousRootError, match="found 3") as err:
             unique_simple_real_root([-6, 11, -6, 1])
         assert sorted(round(r) for r in err.value.roots) == [1, 2, 3]
 
     def test_triple_root_has_no_simple_root(self):
         # (t - 2)^3
-        with pytest.raises(AmbiguousRootError):
+        with pytest.raises(AmbiguousRootError, match="found 0") as err:
             unique_simple_real_root([-8, 12, -6, 1])
+        assert err.value.roots == [2.0]
 
     def test_irrational_simple_root_is_polished(self):
         root = unique_simple_real_root([-2, 0, 0, 1])  # t^3 = 2
@@ -44,12 +52,77 @@ class TestRootIsolation:
         coeffs = [-3, -1, -1, 2]
         assert unique_simple_real_root(coeffs) == Fraction(3, 2)
 
-    def test_isolation_intervals_bracket_roots(self):
-        coeffs = [Fraction(c) for c in (-6, 11, -6, 1)]
-        intervals = isolate_real_roots(coeffs)
-        assert len(intervals) == 3
-        for lo, hi in intervals:
-            assert polyval(coeffs, lo) * polyval(coeffs, hi) < 0
+    def test_constructed_root_patterns(self):
+        p, q = Fraction(1, 3), Fraction(-5, 2)
+        # double + simple, on rational coefficients, either order of the roots
+        assert unique_simple_real_root(cubic(p, p, q, scale=-7)) == q
+        assert unique_simple_real_root(cubic(q, p, q, scale=2)) == p
+        # a simple root at zero next to a double one
+        assert unique_simple_real_root(cubic(3, 3, 0)) == 0
+        # triple
+        with pytest.raises(AmbiguousRootError, match="found 0") as err:
+            unique_simple_real_root(cubic(q, q, q, scale=4))
+        assert err.value.roots == [-2.5]
+        # three distinct
+        with pytest.raises(AmbiguousRootError, match="found 3") as err:
+            unique_simple_real_root(cubic(p, q, 7))
+        assert err.value.roots == pytest.approx([-2.5, 1 / 3, 7.0])
+        # rational x irreducible quadratic: (5t + 2)(t^2 - 2t + 3)
+        assert unique_simple_real_root([6, 11, -8, 5]) == Fraction(-2, 5)
+        # rational x quadratic with two irrational real roots: (2t + 3)(t^2 - 2)
+        with pytest.raises(AmbiguousRootError, match="found 3"):
+            unique_simple_real_root([-6, -4, 3, 2])
+
+    def test_only_cubics_are_accepted(self):
+        for coeffs in ([1, 0, 1], [1, 0, 0, 0, 1], [1, 2, 3, 0]):
+            with pytest.raises(ValueError, match="cubic"):
+                unique_simple_real_root(coeffs)
+
+
+def sympy_simple_real_roots(coeffs):
+    """The real roots of multiplicity one, by sympy."""
+    sympy = pytest.importorskip("sympy")
+    f = [Fraction(c) for c in reversed(coeffs)]
+    roots = sympy.real_roots(sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                                         for c in f], sympy.Symbol("t")))
+    return [r for r in set(roots) if roots.count(r) == 1]
+
+
+class TestRootAgainstSympy:
+    """The discriminant decision and the returned root against sympy's real
+    roots and their multiplicities."""
+
+    @staticmethod
+    def assert_agrees(coeffs):
+        sympy = pytest.importorskip("sympy")
+        simple = sympy_simple_real_roots(coeffs)
+        if len(simple) != 1:
+            with pytest.raises(AmbiguousRootError, match=f"found {len(simple)}"):
+                unique_simple_real_root(coeffs)
+            return None
+        want = simple[0]
+        got = unique_simple_real_root(coeffs)
+        if want.is_rational:
+            assert got == Fraction(int(want.p), int(want.q)), coeffs
+        else:
+            assert isinstance(got, float)
+            assert got == float(sympy.N(want, 50)), coeffs
+        return got
+
+    def test_seeded_integer_cubics(self):
+        rng = np.random.default_rng(53)
+        kinds = set()
+        for _ in range(150):
+            coeffs = [int(x) for x in rng.integers(-40, 41, size=4)]
+            if coeffs[-1] == 0:
+                continue
+            kinds.add(type(self.assert_agrees(coeffs)).__name__)
+        assert kinds == {"NoneType", "float", "Fraction"}
+
+    def test_uab_cubics_at_a_100(self):
+        roots = [self.assert_agrees(_uab_mle_cubic(100, b)) for b in range(42)]
+        assert roots[0] == Fraction(400, 3)
+        assert all(isinstance(t, float) for t in roots[1:])
 
 
 def fraction_refine_root(f, lo, hi, width=Fraction(1, 10**24)):
@@ -71,51 +144,60 @@ def fraction_refine_root(f, lo, hi, width=Fraction(1, 10**24)):
     return lo, hi
 
 
-def square_free(coeffs):
+def discriminant(coeffs):
+    d, c, b, a = coeffs
+    return (18 * a * b * c * d - 4 * b**3 * d + b * b * c * c - 4 * a * c**3
+            - 27 * a * a * d * d)
+
+
+def cauchy_interval(coeffs):
+    """``(-B, B)`` with ``B`` the Cauchy bound: it holds every real root."""
     f = [Fraction(c) for c in coeffs]
-    g = polygcd(f, polyderiv(f))
-    return polydivmod(f, g)[0] if len(g) > 1 else f
+    bound = 1 + max(abs(c / f[-1]) for c in f[:-1])
+    return -bound, bound
 
 
 class TestIntegerBisection:
     """``refine_root`` bisects on integers; the Fraction bisection is the oracle."""
 
     @staticmethod
-    def assert_same_intervals(coeffs):
-        f = square_free(coeffs)
-        intervals = isolate_real_roots(f)
+    def assert_same_intervals(f, intervals):
         for lo, hi in intervals:
+            assert polyval(f, lo) * polyval(f, hi) < 0, (f, lo, hi)
             for width in (Fraction(1, 10**24), Fraction(1, 10**18), Fraction(3, 7)):
                 got = refine_root(f, lo, hi, width)
-                assert got == fraction_refine_root(f, lo, hi, width), (coeffs, lo, hi)
+                assert got == fraction_refine_root(f, lo, hi, width), (f, lo, hi)
                 assert all(isinstance(x, Fraction) for x in got)
-        return len(intervals)
 
     def test_uab_cubic_at_every_off_model_b(self):
         bs = [b for b in range(100) if not uab_in_model(100, b)]
         assert bs == list(range(42))
-        assert all(self.assert_same_intervals(_uab_mle_cubic(100, b)) for b in bs)
+        for b in bs:
+            f = _uab_mle_cubic(100, b)
+            self.assert_same_intervals(f, [cauchy_interval(f)])
 
     def test_seeded_cubics_with_rational_roots(self):
+        # the square-free cubic on known distinct roots, each isolated
+        # between the midpoints to its neighbours
         rng = np.random.default_rng(51)
         for _ in range(40):
-            roots = [Fraction(int(rng.integers(-30, 31)), int(rng.integers(1, 12)))
-                     for _ in range(3)]
-            coeffs = [Fraction(1)]
-            for r in roots:  # multiply by (x - r)
-                coeffs = [a - r * b for a, b in zip([0] + coeffs, coeffs + [0])]
-            scale = int(rng.integers(1, 50))
-            self.assert_same_intervals([c * scale for c in coeffs])
+            roots = sorted({Fraction(int(rng.integers(-30, 31)), int(rng.integers(1, 12)))
+                            for _ in range(3)})
+            f = cubic(*roots, scale=int(rng.integers(1, 50)))
+            cuts = [roots[0] - 1, *((x + y) / 2 for x, y in zip(roots, roots[1:])),
+                    roots[-1] + 1]
+            self.assert_same_intervals(f, list(zip(cuts, cuts[1:])))
 
     def test_seeded_cubics_with_irrational_roots(self):
         rng = np.random.default_rng(52)
         found = 0
         for _ in range(60):
             coeffs = [int(x) for x in rng.integers(-40, 41, size=4)]
-            if coeffs[-1] == 0:
-                continue
-            found += self.assert_same_intervals(coeffs)
-        assert found > 60
+            if coeffs[-1] == 0 or discriminant(coeffs) >= 0:
+                continue  # keep the cubics with one real root
+            self.assert_same_intervals(coeffs, [cauchy_interval(coeffs)])
+            found += 1
+        assert found > 40
 
     def test_root_at_an_endpoint_or_a_midpoint(self):
         f = [Fraction(c) for c in (-1, 2)]  # 2x - 1, root 1/2

@@ -174,6 +174,14 @@ class TestProtocols:
         with pytest.raises(ValueError):
             ExperimentConfig(mode=TABLE1, m=3, n=3, r=3).validate()
 
+    @pytest.mark.parametrize("scale", [0, -5])
+    def test_table1_scale_below_one_rejected_before_any_trial(self, monkeypatch, scale):
+        ran = []
+        monkeypatch.setitem(harness.TRIALS, TABLE1, lambda cfg, t: ran.append(t))
+        with pytest.raises(ValueError, match=f"scale must be at least 1, got {scale}"):
+            run_experiment(tiny_cfg(TABLE1, scale=scale))
+        assert ran == []
+
 
 class TestReports:
     def test_json_payload(self):

@@ -163,18 +163,19 @@ def _cmd_family(args) -> int:
     return EXIT_OK
 
 
-# ExperimentConfig fields exposed as flags and config-file keys; their
-# defaults and types come from the dataclass
-_EXPERIMENT_KEYS = ("m", "n", "r", "num_matrices", "num_restarts", "max_iter", "tol",
-                    "crit_tol", "seed", "generator", "T", "dist", "dist_param")
-_CONFIG_DEFAULTS = {f.name: f.default for f in fields(harness.ExperimentConfig)}
+# ExperimentConfig fields but mode, each an experiment flag and a config-file
+# key, with the dataclass default
+_CONFIG_DEFAULTS = {f.name: f.default for f in fields(harness.ExperimentConfig)
+                    if f.name != "mode"}
 
 
-def _read_config(path: str) -> dict:
-    """Load an experiment config file: a JSON object of ``_EXPERIMENT_KEYS``.
+def _read_config(path: str, mode: str) -> dict:
+    """Load an experiment config file: a JSON object of ``_CONFIG_DEFAULTS``
+    keys, and optionally ``mode``, which must then be the command's.
 
-    Raises ValueError on an unreadable file, an unknown key or a value of
-    the wrong type, so the dispatcher maps it to the usage exit code.
+    Raises ValueError on an unreadable file, an unknown key, another mode or
+    a value of the wrong type, so the dispatcher maps it to the usage exit
+    code.
     """
     try:
         values = json.loads(Path(path).read_text())
@@ -182,8 +183,10 @@ def _read_config(path: str) -> dict:
         raise ValueError(f"cannot read {path}: {exc}") from exc
     if not isinstance(values, dict):
         raise ValueError(f"{path} must hold a JSON object")
-    values.pop("mode", None)
-    unknown = set(values) - set(_EXPERIMENT_KEYS)
+    file_mode = values.pop("mode", mode)
+    if file_mode != mode:
+        raise ValueError(f"config mode {file_mode!r} is not the command's {mode!r}")
+    unknown = set(values) - set(_CONFIG_DEFAULTS)
     if unknown:
         raise ValueError(f"unknown config keys {sorted(unknown)}")
     for key, value in values.items():
@@ -196,8 +199,8 @@ def _read_config(path: str) -> dict:
 
 def _cmd_experiment(args) -> int:
     # config file supplies the base values; explicitly given flags override
-    values = _read_config(args.config) if args.config else {}
-    values.update({key: getattr(args, key) for key in _EXPERIMENT_KEYS
+    values = _read_config(args.config, args.mode) if args.config else {}
+    values.update({key: getattr(args, key) for key in _CONFIG_DEFAULTS
                    if getattr(args, key) is not None})
     cfg = harness.ExperimentConfig(mode=args.mode, **values)
     report = harness.run_experiment(cfg, jobs=args.jobs)
@@ -271,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     extra = {"generator": dict(choices=list(harness.GENERATORS),
                                help="random-table generator for table1"),
              "dist": dict(choices=list(harness.DISTS))}
-    for key in _EXPERIMENT_KEYS:
+    for key in _CONFIG_DEFAULTS:
         flag = "restarts" if key == "num_restarts" else key.replace("_", "-")
         p.add_argument(f"--{flag}", dest=key, type=type(_CONFIG_DEFAULTS[key]),
                        **extra.get(key, {}))

@@ -79,7 +79,6 @@ class ParameterTriple:
     A: np.ndarray
     lam: np.ndarray
     B: np.ndarray
-    degenerate: tuple[int, ...] = ()  # components whose weight hit zero in an M-step
 
     def validate(self, atol: float = 1e-9):
         m, r = self.A.shape

@@ -182,14 +182,15 @@ class Matrix:
     def as_exact(self) -> "Matrix":
         """Promote to the exact backend.
 
-        Float entries are rounded to rationals with denominator
-        ``PROMOTE_DENOMINATOR``; this perturbs the matrix and should be
-        reported by callers that rely on it.
+        Float entries are rounded exactly (half to even) to the nearest
+        rational with denominator ``PROMOTE_DENOMINATOR``, so every finite
+        float promotes; this perturbs the matrix and should be reported by
+        callers that rely on it.
         """
         if self.backend == EXACT:
             return self
         den = PROMOTE_DENOMINATOR
-        data = [[Fraction(round(x * den), den) for x in r] for r in self.entries]
+        data = [[Fraction(round(Fraction(x) * den), den) for x in r] for r in self.entries]
         return Matrix.exact(data)
 
     @cached_property

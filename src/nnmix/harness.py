@@ -14,8 +14,9 @@ Three protocols:
 
 ``run_experiment`` runs every protocol.  Trials are independent; each
 derives its RNG stream from (seed, trial), so reports are bit-identical for
-identical configs.  Trials run as a parallel map over a process pool when
-``jobs`` exceeds one, and records come back in trial order either way.
+identical configs.  Trials run as a parallel map over a pool of up to
+``jobs`` processes, never more than there are trials, and records come back
+in trial order either way.
 """
 
 from __future__ import annotations
@@ -31,13 +32,14 @@ import numpy as np
 
 from . import boundary as boundary_mod
 from . import em
-from .exactla import from_numpy
 
 TABLE1 = "table1"
 PLANTED = "planted"
 BOUNDARY_FRACTION = "boundary_fraction"
 # criticality margins within which a boundary flag counts as fragile
 FRAGILE_MARGIN = (0.1, 10.0)
+# a table1 count table is its normalized draw times this, rounded to integers
+TABLE1_SCALE = 10**6
 
 
 @dataclass(frozen=True)
@@ -52,12 +54,10 @@ class ExperimentConfig:
     tol: float = em.TOL
     crit_tol: float = em.CRIT_TOL
     seed: int = 0
-    scale: int = 10**6            # integer scaling of random tables (table1)
     generator: str = "normalized_uniform"  # a key of GENERATORS (table1)
     T: int = 10                   # samples per cell (planted)
     dist: str = "rational"        # a key of DISTS (boundary_fraction)
     dist_param: int = 100
-    check_boundary_consistency: bool = True
 
     def validate(self):
         """Raise ValueError on a config no trial can run, before any trial runs."""
@@ -76,8 +76,6 @@ class ExperimentConfig:
             if self.max_iter < 0:
                 raise ValueError(f"max_iter must be nonnegative, got {self.max_iter}")
             em.check_tolerances(self.tol, self.crit_tol)
-            if self.mode == TABLE1:
-                at_least_one.append("scale")
         for key in at_least_one:
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be at least 1, got {getattr(self, key)}")
@@ -105,13 +103,8 @@ class ExperimentReport:
     def to_csv(self) -> str:
         if not self.records:
             return ""
-        fieldnames: list[str] = []
-        for rec in self.records:  # flagged trials carry extra columns
-            for key in rec:
-                if key not in fieldnames:
-                    fieldnames.append(key)
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=fieldnames, restval="")
+        writer = csv.DictWriter(buf, fieldnames=list(self.records[0]))
         writer.writeheader()
         writer.writerows(self.records)
         return buf.getvalue()
@@ -123,8 +116,7 @@ def _em_trial(cfg: ExperimentConfig, trial: int, U: np.ndarray) -> dict:
                                      seed=(cfg.seed, trial), max_iter=cfg.max_iter,
                                      tol=cfg.tol, crit_tol=cfg.crit_tol)
     crit = best.critical
-    flagged = not crit.critical
-    rec = {
+    return {
         "trial": trial,
         "u_plus": data.u_plus,
         "loglik": best.loglik,
@@ -136,26 +128,20 @@ def _em_trial(cfg: ExperimentConfig, trial: int, U: np.ndarray) -> dict:
         # flagged exactly when at least 1; near 1 the flag turns on how far EM got
         "crit_margin": max(crit.resid_ptr, crit.resid_rpt) / crit.threshold,
         "rank_p": crit.rank_p,
-        "flagged_boundary": flagged,
+        "flagged_boundary": not crit.critical,
         "monotonicity_slack": max(batch.monotonicity_slack, best.monotonicity_slack),
         "restarts_converged": int(batch.converged.sum()),
         "restarts_quarantined": batch.quarantined,
         # EM-map evaluations after the batch; 0 when the batch winner converged
         "polish_iterations": best.iterations - int(batch.iterations[batch.best_index]),
     }
-    if flagged and cfg.check_boundary_consistency:
-        promoted = from_numpy(best.P_hat).as_exact()
-        status = boundary_mod.boundary_test(promoted).status
-        rec["promoted_status"] = status
-        rec["consistency_exception"] = status == boundary_mod.INTERIOR
-    return rec
 
 
 def _table1_trial(cfg: ExperimentConfig, trial: int) -> dict:
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, trial, 0xDA7A)))
     p = GENERATORS[cfg.generator](rng, cfg.m * cfg.n)
     p /= p.sum()
-    U = np.rint(p * cfg.scale).reshape(cfg.m, cfg.n)
+    U = np.rint(p * TABLE1_SCALE).reshape(cfg.m, cfg.n)
     return _em_trial(cfg, trial, U)
 
 
@@ -206,8 +192,9 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
     trial = partial(TRIALS[cfg.mode], cfg)
     start = time.perf_counter()
     trials = range(cfg.num_matrices)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, cfg.num_matrices)  # a pool may fork all its workers at once
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(trial, trials, chunksize=8))
     else:
         records = list(map(trial, trials))
@@ -217,8 +204,6 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
     if cfg.mode == BOUNDARY_FRACTION:
         extra["all_members"] = all(rec["is_member"] for rec in records)
     else:
-        exceptions = sum(1 for rec in records if rec.get("consistency_exception"))
-        extra["consistency_exceptions"] = exceptions
         # trials whose best restart is still moving after the polish: their
         # boundary flag is read at a point EM has not settled
         extra["unconverged_trials"] = sum(1 for rec in records if not rec["converged"])

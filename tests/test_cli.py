@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from nnmix import em, harness
-from nnmix.cli import _EXPERIMENT_KEYS, build_parser, main
+from nnmix.cli import build_parser, main
 from nnmix.exactla import Matrix, format_matrix, parse_matrix
 
 from conftest import NICE_P, uab_normalized
@@ -71,10 +72,11 @@ class TestVerdictCommands:
     def test_missing_file_is_usage_error(self, workdir):
         assert main(["nnrank3", "--input", str(workdir / "nope.txt")]) == 2
 
-    def test_promote_backend(self, workdir):
-        path = workdir / "f.txt"
-        path.write_text("0.25,0.25\n0.25,0.25\n")
-        assert main(["boundary", "--input", str(path), "--backend", "promote"]) == 0
+    @pytest.mark.parametrize("scale", [1, 1e300])
+    def test_promote_backend(self, workdir, scale):
+        # promotion rounds exactly, so a large finite float promotes too
+        path = write_matrix(workdir / "f.txt", Matrix.of([[0.25 * scale] * 2] * 2))
+        assert main(["boundary", "--input", path, "--backend", "promote"]) == 0
 
     @pytest.mark.parametrize("scale", [1e60, 1e200])
     def test_float_nnrank3_far_from_one(self, workdir, scale):
@@ -273,14 +275,43 @@ class TestExperimentCommand:
 
     def test_flags_cover_the_config_keys(self):
         dests = {action.dest for action in _subparser("experiment")._actions}
-        assert dests - {"help"} == set(_EXPERIMENT_KEYS) | {
-            "mode", "config", "jobs", "csv", "output"}
+        assert dests - {"help"} == {f.name for f in fields(harness.ExperimentConfig)} | {
+            "config", "jobs", "csv", "output"}
+
+    @pytest.mark.parametrize("mode, flags", [
+        ("table1", ["--generator", "dirichlet"]),
+        ("planted", ["--T", "5"]),
+        ("boundary_fraction", ["--dist", "int1to4"]),
+    ], ids=["table1", "planted", "boundary_fraction"])
+    def test_report_config_replays(self, workdir, monkeypatch, mode, flags):
+        # a report's config block, mode included, is a config file that
+        # reruns the experiment to the same records
+        reports = []
+        original = harness.run_experiment
+
+        def spy(cfg, jobs=1):
+            reports.append(original(cfg, jobs))
+            return reports[-1]
+        monkeypatch.setattr(harness, "run_experiment", spy)
+        out = workdir / "first.json"
+        assert main(["experiment", mode, "--num-matrices", "3", "--restarts", "4",
+                     "--max-iter", "50", "--seed", "11", *flags,
+                     "--output", str(out)]) == 0
+        cfg = workdir / "cfg.json"
+        cfg.write_text(json.dumps(json.loads(out.read_text())["config"]))
+        assert main(["experiment", mode, "--config", str(cfg),
+                     "--output", str(workdir / "second.json")]) == 0
+        first, second = reports
+        assert second.config == first.config
+        assert second.records == first.records
+        assert second.fraction == first.fraction
 
     @pytest.mark.parametrize("config, message", [
         ({"bogus": 1}, "unknown config keys ['bogus']"),
         (None, "cannot read"),
         ({"m": "x"}, "config key 'm' must be int"),
-    ], ids=["unknown_key", "missing_file", "wrong_type"])
+        ({"mode": "planted"}, "config mode 'planted' is not the command's 'table1'"),
+    ], ids=["unknown_key", "missing_file", "wrong_type", "other_mode"])
     def test_config_errors_exit_two(self, workdir, capsys, config, message):
         cfg = workdir / "cfg.json"
         if config is not None:

@@ -51,11 +51,11 @@ def e_step(U, theta: em.ParameterTriple) -> np.ndarray:
     return np.where((denom > 0)[:, None, :], V, 0.0)
 
 
-def m_step(V: np.ndarray, u_plus: int) -> em.ParameterTriple:
+def m_step(V: np.ndarray, u_plus: int) -> tuple[em.ParameterTriple, tuple[int, ...]]:
     """Maximize the complete-data likelihood for a responsibility table.
 
-    Components whose weight comes out exactly zero receive uniform
-    conditionals and are flagged in ``degenerate``.
+    Returns the estimate and the components whose weight came out exactly
+    zero; those receive uniform conditionals.
     """
     m, r, n = V.shape
     col = V.sum(axis=2)  # (m, r): sum over j
@@ -68,7 +68,7 @@ def m_step(V: np.ndarray, u_plus: int) -> em.ParameterTriple:
     for k in degenerate:
         A[:, k] = 1.0 / m
         B[k, :] = 1.0 / n
-    return em.ParameterTriple(A, lam, B, degenerate=degenerate)
+    return em.ParameterTriple(A, lam, B), degenerate
 
 
 class TestCountTables:
@@ -142,15 +142,15 @@ class TestMStep:
     def test_concentrated_mass_gives_unit_weight(self):
         V = np.zeros((2, 3, 2))
         V[:, 0, :] = [[1, 2], [3, 4]]
-        theta = m_step(V, 10)
+        theta, degenerate = m_step(V, 10)
         np.testing.assert_allclose(theta.lam, [1.0, 0.0, 0.0])
-        assert theta.degenerate == (1, 2)
+        assert degenerate == (1, 2)
 
     def test_single_component_independence_estimate(self):
         rng = np.random.default_rng(1)
         U = rng.integers(1, 9, size=(3, 4)).astype(float)
         theta0 = em.random_parameters(3, 4, 1, rng)
-        theta = m_step(e_step(U, theta0), int(U.sum()))
+        theta, _ = m_step(e_step(U, theta0), int(U.sum()))
         np.testing.assert_allclose(theta.A[:, 0], U.sum(axis=1) / U.sum())
         np.testing.assert_allclose(theta.B[0, :], U.sum(axis=0) / U.sum())
 
@@ -159,7 +159,7 @@ class TestMStep:
         for _ in range(20):
             V = rng.exponential(size=(4, 3, 5))
             V *= 50 / V.sum()
-            theta = m_step(V, 50)
+            theta, _ = m_step(V, 50)
             theta.validate(atol=1e-12)
 
 
@@ -265,12 +265,12 @@ def _assert_round_matches_composition(U, got, theta):
     # followed by m_step, placeholders of dead components included
     AL, B, P_new = got
     A, lam = em._split(AL)
-    composed = m_step(e_step(U, theta), int(U.sum()))
+    composed, degenerate = m_step(e_step(U, theta), int(U.sum()))
     np.testing.assert_allclose(A, composed.A, rtol=1e-13, atol=1e-15)
     np.testing.assert_allclose(lam, composed.lam, rtol=1e-13, atol=1e-15)
     np.testing.assert_allclose(B, composed.B, rtol=1e-13, atol=1e-15)
     np.testing.assert_allclose(P_new, composed.product(), rtol=1e-13, atol=1e-15)
-    return composed
+    return degenerate
 
 
 def test_collapsed_update_matches_definitional_composition():
@@ -307,8 +307,8 @@ def test_batched_update_with_a_dead_component():
                         np.stack([t.B for t in thetas]),
                         np.stack([t.product() for t in thetas]))
     for k, theta in enumerate(thetas):
-        composed = _assert_round_matches_composition(U, [part[k] for part in got], theta)
-        assert composed.degenerate == ((1,) if k == 1 else ())
+        degenerate = _assert_round_matches_composition(U, [part[k] for part in got], theta)
+        assert degenerate == ((1,) if k == 1 else ())
     assert np.all(got[1][1, 1] == 1 / 5)
 
 

@@ -2,8 +2,10 @@
 tracer wraps module attributes and its experiment workloads look up harness
 runners.  A rename that would break ``perfbench/run.py`` fails here first,
 and so does a change that moves the first seed-0 trials off the benchmark's
-reference."""
+reference.  The tracer's wrapped imports are also why the package's own
+unused-import check lives here."""
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -16,6 +18,7 @@ import pytest
 from nnmix import harness
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "nnmix"
 
 
 def _load(name):
@@ -32,6 +35,39 @@ def test_every_wrapped_attribute_resolves():
     assert tracing.WRAPPED
     for modname, attr, _ in tracing.WRAPPED:
         assert callable(getattr(importlib.import_module(modname), attr)), (modname, attr)
+
+
+def _module_imports(tree):
+    """(bound name, line) of each import at the top level of a module."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def _exported(tree) -> set:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def test_no_unused_module_imports():
+    # every module-level import is used in its module, exported in
+    # __all__, or kept for the tracer to wrap in that module
+    wrapped = {(modname, attr) for modname, attr, _ in _load("tracing").WRAPPED}
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        kept = used | _exported(tree)
+        unused += [f"{path.name}:{line} {name}" for name, line in _module_imports(tree)
+                   if name not in kept and (f"nnmix.{path.stem}", name) not in wrapped]
+    assert unused == []
 
 
 def test_every_experiment_runner_resolves(tmp_path):

@@ -382,7 +382,7 @@ def parse_scalar(token: str):
     """Parse one entry: 'p/q' and integers are exact, decimals are float.
 
     Raises ValueError naming the token on anything else, a zero denominator
-    included.
+    and a non-finite float ('nan', 'inf', '1e400') included.
     """
     token = token.strip()
     if "/" in token:
@@ -390,9 +390,16 @@ def parse_scalar(token: str):
             return Fraction(token)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {token!r}") from None
-    if any(ch in token for ch in ".eE") and not token.lstrip("+-").isdigit():
-        return float(token)
-    return Fraction(int(token))
+    if any(ch in token for ch in ".eE"):
+        value = float(token)
+    else:
+        try:
+            return Fraction(int(token))
+        except ValueError:
+            value = float(token)  # 'nan' and 'inf'; anything else raises, naming the token
+    if not isfinite(value):
+        raise ValueError(f"non-finite entry {token!r}")
+    return value
 
 
 def format_scalar(x) -> str:

@@ -35,36 +35,51 @@ The identities are exact, so on integers every sign is the composed bracket's.
 
 A candidate has C(M − 2, 2)·(N − 2) chord values for M lines and N points.
 From ``_CHORD_BLOCK_MIN`` of them on (9x9 and larger; not 4x4 stratum
-samples or 8x8 products) the orientation evaluates each candidate's
-family as one float64 block in numpy (``_ChordBlocks``) in front of the
-scalar loop, with the loop's operation order: x = V_k·q_l(i') − V_l·q_k(i'),
-then x·y − z_k·q_l(k') and −x·y − z_l·q_k(k').  On floats the values are
+samples or 8x8 products) the lazy scan evaluates each candidate's family
+as one float64 block in numpy (``_ChordBlocks``) in front of the scalar
+loop, with the loop's operation order: x = V_k·q_l(i') − V_l·q_k(i'), then
+x·y − z_k·q_l(k') and −x·y − z_l·q_k(k').  On floats the values are
 therefore the scalar loop's bit for bit, and so are the touches and the
 ``marginal`` flag, which counts an in-band value only up to the first
-negative pair, where the loop stops reading.  On integers a static filter
-(Fortune and Van Wyk, ACM TOG 15, 1996; Shewchuk, DCG 18, 1997) decides each
-sign: a value ŝ is sure when |ŝ| > 1e-15·((|t1| + |t2|)·|y| + |z·q|), with t1
-and t2 the two products of x.  Each term of a value passes through at most
-seven roundings (three conversions, two products, two differences), so
-|ŝ − s| <= gamma_7 times that sum of magnitudes, gamma_7 = 7u/(1 − 7u) < 7.8e-16
-for u = 2^-53; the bound leaves margin for the roundings of the sum itself,
-and as the tables hold integers no value underflows.  A sure ŝ has the sign
-of s, and s is not zero.  Every other value, zeros, nan and inf included, is
-recomputed on the integers (``_ExactSigns.rechecks`` counts them), so touches
-stay exact; an integer beyond the float range sends the orientation to the
-scalar loop.
+negative pair, where the loop stops reading.
+
+On integers a static filter (Fortune and Van Wyk, ACM TOG 15, 1996;
+Shewchuk, DCG 18, 1997) decides each sign: a value ŝ is sure when
+|ŝ| > 2e-15·m, where m is the sum of the magnitudes of its terms expanded
+down to the integers the float evaluation starts from.  The lazy block
+starts from V, q and F, so m = (|t1| + |t2|)·|y| + |z·q| with t1 and t2 the
+two products of x.  Each term passes through at most fifteen roundings:
+V and F, when they are float dot products themselves, take five (two
+conversions, a product, two sums), x three more with the conversion of q,
+x·y six more and the difference one.  So |ŝ − s| <= gamma_15·m with
+gamma_15 = 15u/(1 − 15u) < 1.67e-15 for u = 2^-53; the bound leaves margin
+for the roundings of m itself, and as the tables hold integers no value
+underflows.  A sure ŝ has the sign of s, and s is not zero.  Every other
+value, zeros, nan and inf included, is recomputed on the integers
+(``_ExactSigns.rechecks`` counts them), so touches stay exact; an integer
+beyond the float range sends the orientation to the scalar loop.
 
 The witnesses form one lazy stream: the tuples of this orientation in index
 order, then those with the roles of A and B.T swapped.  Each entry point
 reads only what it needs.  ``nnrank3_membership`` and
-``membership_from_factors`` take the first record, ``all_witnesses`` takes
-them all, and ``nonneg_rank3_factorize`` takes the first whose triangle
-yields nonnegative factors.  On the rational backend the path from the
-elimination to the verdict runs on Python ints: the lines are P's rows as
-the elimination cleared them, at its pivot columns, and the points are the
-columns of d·RREF in lowest terms, positive scalings that change no sign.
-The triangle is found in homogeneous integer coordinates too, so
-``Fraction`` stays at the edges: the input, and the factors
+``membership_from_factors`` take the first record, ``all_witnesses`` (and so
+``boundary_test``) takes them all, and ``nonneg_rank3_factorize`` takes the
+first whose triangle yields nonnegative factors.  The consumer that takes
+them all on the rational backend has each orientation with at least
+``_ORIENTATION_BATCH_MIN`` = 30 chord values per candidate (6x7 and larger;
+the measured break-even lies between 6x6 and 6x7) decided up front in one
+``_OrientationBatch``: every vertex bracket in one product, the support
+tables of the surviving vertices in a second, and the chord values of every
+surviving candidate in stacks of at most ``_CHORD_CHUNK`` entries, each
+behind the static filter, with m built from the magnitudes of V and F.  The
+scan then walks these decisions, so records, touches and failure logs are
+the lazy scan's.  The head readers, the float backend and smaller inputs
+keep the lazy scan; no option selects the path.  On the rational backend the
+path from the elimination to the verdict runs on Python ints: the lines are
+P's rows as the elimination cleared them, at its pivot columns, and the
+points are the columns of d·RREF in lowest terms, positive scalings that
+change no sign.  The triangle is found in homogeneous integer coordinates
+too, so ``Fraction`` stays at the edges: the input, and the factors
 ``nonneg_rank3_factorize`` returns.  The float backend replaces sign tests
 with a tolerance band and flags marginal calls.
 """
@@ -189,13 +204,16 @@ def six_three(A, B, i: int, j: int, k: int, l: int, ip: int, jp: int, kp: int):
 class _ExactSigns:
     """Decidable sign tests on integer-cleared data.
 
-    ``rechecks`` counts the chord values the float filter of ``_ChordBlocks``
-    left undecided, which were decided on the integers instead.
+    ``reads_all`` says that the consumer reads every record, so a large
+    orientation is decided in one batch (``_OrientationBatch``).
+    ``rechecks`` counts the values the static float filters left undecided,
+    which were decided on the integers instead.
     """
 
     marginal = False
 
-    def __init__(self):
+    def __init__(self, reads_all: bool = False):
+        self.reads_all = reads_all
         self.rechecks = 0
 
     @staticmethod
@@ -221,6 +239,8 @@ class _FloatSigns:
     values formed from unusually small rows or columns are classified
     conservatively (zero plus a marginal flag).
     """
+
+    reads_all = False  # float values stay the scalar loop's, bit for bit: no batch
 
     def __init__(self, line_scale: float, point_scale: float):
         ls, ps = float(line_scale), float(point_scale)
@@ -304,17 +324,29 @@ def _one_sign(signs) -> bool:
     return True
 
 
-# A scan evaluates its chord family as numpy blocks (``_ChordBlocks``) when a
-# candidate has at least this many chord values, C(M − 2, 2)·(N − 2): 450 at
-# 12x12, 147 at 9x9, 90 at 8x8.  The scalar loop stops at the first negative
-# pair, so small blocks do not pay: in a sweep of seeded products, at 8x8 the
-# blocks were 4% faster on boundary tests but 7-11% slower on membership and
-# factorization, at 9x9 22% faster on boundary tests and within 2% on the rest.
+# The lazy scan evaluates a candidate's chord family as a numpy block
+# (``_ChordBlocks``) when it has at least this many chord values,
+# C(M − 2, 2)·(N − 2): 450 at 12x12, 147 at 9x9, 90 at 8x8.  The scalar loop
+# stops at the first negative pair, so small blocks do not pay: in a sweep of
+# seeded products, at 8x8 the blocks were 4% faster on boundary tests but 7-11%
+# slower on membership and factorization, at 9x9 22% faster on boundary tests
+# and within 2% on the rest.
 _CHORD_BLOCK_MIN = 120
-# The static filter's relative bound on a float chord value from integer
-# tables: gamma_7 = 7u/(1 − 7u) ≈ 7.8e-16 for its seven roundings, with margin.
-_CHORD_FILTER = 1e-15
-_PLUS_MINUS = np.array([1.0, -1.0])[:, None, None]
+# A consumer that reads every record has an exact orientation decided in one
+# batch (``_OrientationBatch``) from this many chord values per candidate on:
+# 30 at 6x7, 50 at 7x7.  On seeded products the batch took 1.14x the lazy
+# scan's time for a boundary test at 6x6 (24 values), 0.89x at 6x7, 0.77x at
+# 7x7, 0.58x at 8x8 and 0.42x at 9x9.
+_ORIENTATION_BATCH_MIN = 30
+# The batch evaluates at most this many (k, l, k') entries of its candidates'
+# blocks in one stack, which bounds its memory: 15 candidates at 12x12, 5 at
+# 16x16.
+_CHORD_CHUNK = 8192
+# The static filters' relative bound on a float value computed from integer
+# tables: a term passes through at most fifteen roundings, and
+# gamma_15 = 15u/(1 − 15u) < 1.67e-15 for u = 2^-53, with margin.
+_FILTER = 2e-15
+_PLUS_MINUS = np.array([1.0, -1.0])[:, None, None, None]
 
 
 @functools.lru_cache(maxsize=1024)
@@ -331,16 +363,18 @@ def _pairs_of(M: int, others: tuple):
 
 
 class _ChordBlocks:
-    """One orientation's chord family in float64, a (k, l) × k' block per candidate.
+    """One orientation's chord family in float64, for a stack of candidates.
 
-    A block's rows are the vertex's (k, l) pairs in combination order and
-    its columns all N points; a candidate's own columns i', j' are masked,
-    so row-major order is the scalar loop's order.  The values follow that
-    loop's operation order, so on floats they are its values bit for bit and
-    the band decides them as ``_FloatSigns.sign`` does.  On integers a value
-    is decided in float only when it clears the static filter; every other
-    value is recomputed on the integers.  ``touches`` returns what the scalar
-    loop of ``chord_touches`` returns, and raises ``OverflowError`` when an
+    A candidate's block has the vertex's (k, l) pairs in combination order as
+    rows and all N points as columns; its own columns i', j' are masked, so
+    row-major order is the scalar loop's order.  ``values`` evaluates a stack
+    of blocks in that loop's operation order, so on floats the values are its
+    values bit for bit and the band decides them as ``_FloatSigns.sign`` does.
+    On integers a value is decided in float only when it clears the static
+    filter, and ``decide`` recomputes every other value on the integers.  The
+    lazy scan passes a stack of one (``touches``, which returns what the
+    scalar loop of ``chord_touches`` returns); ``_OrientationBatch`` passes
+    chunks of its candidates.  The tables raise ``OverflowError`` when an
     integer exceeds the float range.
     """
 
@@ -349,59 +383,89 @@ class _ChordBlocks:
     def __init__(self, ctx, q, line_map, point_map):
         self.ctx, self.q, self.line_map, self.point_map = ctx, q, line_map, point_map
         self.exact = not isinstance(ctx, _FloatSigns)
-        KL = _pairs_of(len(q), tuple(range(len(q))))[1]
-        self.QQ_all = np.array(q, dtype=float)[KL[::-1]]  # q_l(t), q_k(t) of every pair
+        self.Q = np.array(q, dtype=float)
+        self.every, KL, _ = _pairs_of(len(q), tuple(range(len(q))))
+        self.QQ_all = self.Q[KL[::-1]]  # q_l(t), q_k(t) of every pair
 
-    def _gather(self, V, others):
-        """Take a vertex's V and q rows of its (k, l) pairs."""
-        self.pairs, KL, pos = _pairs_of(len(V), tuple(others))
-        self.VV = np.array(V, dtype=float)[KL]  # V_k, V_l
-        self.QQ = self.QQ_all[:, pos]
-        self.V = V
+    def values(self, VV, mVV, y, my, QQ, Qip, ip):
+        """The chord values (2, C, R, N) of a stack of C candidates and, on
+        integers, where the static filter decides them (None on floats).
 
-    def _triples(self, rows, cols):
-        return [(self.line_map[self.pairs[r][0]], self.line_map[self.pairs[r][1]],
-                 self.point_map[kp]) for r, kp in zip(rows, cols)]
-
-    def touches(self, V, F, others, ip, jp):
-        if V is not self.V:
-            self._gather(V, others)
-        y = np.array(F[jp], dtype=float)
+        ``VV`` (2, C, R) holds V_k and V_l of each candidate's (k, l) pairs,
+        ``QQ`` (2, C, R, N) their rows q_l and q_k, ``Qip`` (2, C, R) those
+        rows at i', and ``y`` (C, N) the support row F_j'.  ``mVV`` and ``my``
+        are the sums of the magnitudes of the terms of V and F (see the
+        module docstring); ``mVV`` is None where V and F are the integers'
+        own conversions, whose magnitudes are their absolute values.
+        """
+        c = np.arange(len(ip))
         # an overflow gives inf or nan, as in the scalar loop: silently
         with np.errstate(over="ignore", invalid="ignore"):
-            t = self.VV * self.QQ[:, :, ip]  # V_k·q_l(i'), V_l·q_k(i')
-            xy = (t[0] - t[1])[:, None] * y
-            zq = (y[ip] * self.VV)[:, :, None] * self.QQ
-            s = _PLUS_MINUS * xy - zq  # x·y − z_k·q_l(k'), −x·y − z_l·q_k(k')
+            t = VV * Qip  # V_k·q_l(i'), V_l·q_k(i')
+            s = _PLUS_MINUS * ((t[0] - t[1])[:, :, None] * y[:, None])
+            zq = (y[c, ip][:, None] * VV)[..., None] * QQ  # z_k·q_l(k'), z_l·q_k(k')
+            s -= zq  # x·y − z_k·q_l(k'), −x·y − z_l·q_k(k')
             if not self.exact:
-                return self._banded(s, ip, jp)
-            # |error| <= gamma_7·((|t1| + |t2|)·|y| + |z·q|), see the module docstring
-            at = np.abs(t)
-            bound = (at[0] + at[1])[:, None] * np.abs(y) + np.abs(zq)
-            sure = np.abs(s) > _CHORD_FILTER * bound
-            # a sure value is finite and, the tables being integers, at least
-            # 1 in magnitude: the product of two has the product of their signs
-            opposite = sure[0] & sure[1] & (s[0] * s[1] < 0)
-        return self._filtered(opposite, sure, F[jp], ip, jp)
+                return s, None
+            # |error| <= gamma_15 times the sum of the magnitudes of the terms;
+            # the bound is built in place, which keeps a chunk's peak memory low
+            if mVV is None:
+                mt, bound = np.abs(t), np.abs(zq, out=zq)
+            else:
+                mt, bound = mVV * np.abs(Qip), np.abs(QQ, out=zq)
+                bound *= (my[c, ip][:, None] * mVV)[..., None]
+            bound += (mt[0] + mt[1])[:, :, None] * my[:, None]
+            bound *= _FILTER
+            return s, np.abs(s) > bound
 
-    def _filtered(self, opposite, sure, y, ip, jp):
-        opposite[:, ip] = opposite[:, jp] = False
-        if opposite.any():
-            return None
+    def decide(self, s, sure, ip, jp, pos, exact) -> list:
+        """Each candidate's zero chord triples, or None where a chord product
+        is negative, from ``values`` on integers.
+
+        ``pos`` (C, R) holds the positions of each candidate's (k, l) rows
+        among all pairs, and ``exact(c)`` gives candidate c's integer vertex
+        brackets and support row F_j', which decide every value the filter
+        left open.  A sure value has the sign of its exact value, which is not
+        zero.
+        """
+        stack = np.arange(len(ip))
         decided = sure[0] & sure[1]
-        decided[:, ip] = decided[:, jp] = True
-        ctx, V, q, zero = self.ctx, self.V, self.q, []
-        for r, kp in zip(*(a.tolist() for a in np.nonzero(~decided))):
-            k, l = self.pairs[r]
-            x, zk, zl = _chord_factors(V, q, ip, y[ip], k, l)
+        opposite = decided & ((s[0] < 0) != (s[1] < 0))
+        opposite[stack, :, ip] = opposite[stack, :, jp] = False
+        negative = opposite.any((1, 2))
+        out = [None if neg else [] for neg in negative.tolist()]
+        if negative.all():
+            return out
+        decided[stack, :, ip] = decided[stack, :, jp] = True
+        decided[negative] = True
+        ctx, q, every, ip, rows = self.ctx, self.q, self.every, ip.tolist(), pos.tolist()
+        for c, r, kp in zip(*(a.tolist() for a in np.nonzero(~decided))):
+            if out[c] is None:
+                continue
+            V, y = exact(c)
+            k, l = every[rows[c][r]]
+            x, zk, zl = _chord_factors(V, q, ip[c], y[ip[c]], k, l)
             s1 = ctx.sign(x * y[kp] - zk * q[l][kp], "s63")
             s2 = ctx.sign(-x * y[kp] - zl * q[k][kp], "s63")
             ctx.rechecks += 2
             if s1 * s2 < 0:
-                return None
-            if s1 == 0 or s2 == 0:
-                zero.append((r, kp))
-        return self._triples(*zip(*zero)) if zero else []
+                out[c] = None
+            elif s1 == 0 or s2 == 0:
+                out[c].append((self.line_map[k], self.line_map[l], self.point_map[kp]))
+        return out
+
+    def touches(self, V, F, others, ip, jp):
+        """The zero chord triples of one candidate, or None: a stack of one."""
+        if V is not self.V:  # gather the vertex's V and q rows of its (k, l) pairs
+            self.pairs, KL, pos = _pairs_of(len(V), tuple(others))
+            VV = np.array(V, dtype=float)[KL][:, None]  # V_k, V_l
+            self.VV, self.QQ, self.pos, self.V = VV, self.QQ_all[:, pos][:, None], pos[None], V
+        y = np.array([F[jp]], dtype=float)
+        stack = np.array([ip]), np.array([jp])
+        s, sure = self.values(self.VV, None, y, np.abs(y), self.QQ, self.QQ[..., ip], stack[0])
+        if not self.exact:
+            return self._banded(s[:, 0], ip, jp)
+        return self.decide(s, sure, *stack, self.pos, lambda c: (V, F[jp]))[0]
 
     def _banded(self, s, ip, jp):
         inband = np.abs(s) <= self.ctx.bands["s63"]
@@ -416,7 +480,128 @@ class _ChordBlocks:
             return None
         if flagged.any():
             self.ctx.marginal = True
-        return self._triples(*(a.tolist() for a in np.nonzero(zero)))
+        pairs, lm, pm = self.pairs, self.line_map, self.point_map
+        return [(lm[pairs[r][0]], lm[pairs[r][1]], pm[kp])
+                for r, kp in zip(*(a.tolist() for a in np.nonzero(zero)))]
+
+
+class _OrientationBatch:
+    """Every decision of one exact orientation, made up front for a consumer
+    that reads every record.
+
+    Three stages run in float64 from the integer tables, behind the static
+    filter, and every value a stage leaves open is recomputed on the integers:
+
+    1. the vertex brackets V of every pair of lines, in one product;
+    2. the support tables F of the vertices whose V has one sign, in a second;
+    3. the chord values of every candidate (vertex, i', j') whose two points
+       support, in stacks of at most ``_CHORD_CHUNK`` entries
+       (``_ChordBlocks``).
+
+    ``found`` maps each vertex (i, j) whose V has one sign to its support
+    flags and its candidates' chord touches (None where a chord product is
+    negative); the scan walks them in its own order.
+    Raises ``OverflowError`` when an integer, or a bound on the chord values,
+    exceeds the float range.
+    """
+
+    def __init__(self, lines, points, ctx, tables, line_map, point_map):
+        edges, point_crosses, q = tables
+        M, N = len(lines), len(points)
+        self.ctx, self.found = ctx, {}
+        blocks = _ChordBlocks(ctx, q, line_map, point_map)
+        KL = _pairs_of(M, tuple(range(M)))[1]
+        vertices = [v for i, row in enumerate(edges) for v in row[i + 1:]]
+        E, L = np.array(vertices, dtype=float), np.array(lines, dtype=float)
+        pc = np.array([c for t, row in enumerate(point_crosses) for c in row[t + 1:]], dtype=float)
+        # the chord values' sums of magnitudes are below 27·|e|²·|a|·|p × p'|·|q|
+        # (maxima); past the float range with a margin of 3, every value would
+        # be left to the integers, and the lazy scan decides faster
+        if not np.isfinite(81 * np.abs(E).max() ** 2 * np.abs(L).max() * np.abs(pc).max()
+                           * np.abs(blocks.Q).max()):
+            raise OverflowError("chord values beyond the float range")
+        # 1. V[p, k] = v·a_k for the vertex v of pair p; V_i = V_j = 0.  The
+        # products are einsum's own loops: a first BLAS call would keep about
+        # 0.25 MB of work buffers resident, for products this small
+        V, mV = np.einsum("pc,kc->pk", E, L), np.einsum("pc,kc->pk", np.abs(E), np.abs(L))
+        rows = np.arange(len(vertices))
+        V[rows, KL] = mV[rows, KL] = 0.0
+        live = np.flatnonzero(self._one_sign(V, mV, (E != 0).any(1),
+                                             lambda p, k: _dot(vertices[p], lines[k])))
+        if not live.size:
+            return
+        # 2. F[a, t, u] = v·(p_t × p_u) of the live vertices; F[a, t, t] = 0
+        T, U = _pairs_of(N, tuple(range(N)))[1]
+        PC = np.zeros((N, N, 3))
+        PC[T, U], PC[U, T] = pc, -pc
+        Es, (I, J), S = E[live], KL[:, live].tolist(), len(live)
+        F = np.einsum("tuc,ac->atu", PC, Es)
+        mF = np.einsum("tuc,ac->atu", np.abs(PC), np.abs(Es))
+        exact = {}
+
+        def exact_of(a):  # the integer V and F of live vertex a, for the rechecks
+            if a not in exact:  # on integers V_i = V_j = 0 exactly
+                v = vertices[live[a]]
+                exact[a] = [_dot(v, line) for line in lines], _support_table(v, point_crosses)
+            return exact[a]
+
+        # p_t supports when it is not the vertex (q_i(t), q_j(t) not both 0)
+        # and F_t has one sign
+        ok = self._one_sign(F.reshape(S * N, N), mF.reshape(S * N, N),
+                            ((blocks.Q[I] != 0) | (blocks.Q[J] != 0)).ravel(),
+                            lambda r, u: exact_of(r // N)[1][r % N][u])
+        # 3. the chord values of every candidate, a chunk of them per stack
+        cands = []
+        for a in range(S):
+            sup = [t for t in range(N) if ok[a * N + t]]
+            cands += [(a, ip, jp) for ip in sup for jp in sup if ip != jp]
+        # each live vertex's (k, l) rows: the pairs apart from its two lines,
+        # by position among all pairs
+        apart = (KL.T[live][:, None, :, None] != KL.T[None, :, None, :]).all((2, 3))
+        POS = np.nonzero(apart)[1].reshape(S, -1)
+        KLs, Vs, mVs = KL[:, POS], V[live], mV[live]
+        results, step = [], max(1, _CHORD_CHUNK // (POS.shape[1] * N))
+        for lo in range(0, len(cands), step):  # no chunk's arrays outlive its turn
+            a, ip, jp = np.array(cands[lo:lo + step]).T
+            at, KLc, pos, al, jl = a[None, :, None], KLs[:, a], POS[a], a.tolist(), jp.tolist()
+            results += blocks.decide(
+                *blocks.values(Vs[at, KLc], mVs[at, KLc], F[a, jp], mF[a, jp],
+                               np.take(blocks.QQ_all, pos, axis=1),
+                               np.take(blocks.QQ_all.reshape(2, -1), pos * N + ip[:, None], 1),
+                               ip),
+                ip, jp, pos, lambda c: (exact_of(al[c])[0], exact_of(al[c])[1][jl[c]]))
+        by_vertex = [{} for _ in range(S)]
+        for (a, ip, jp), touches in zip(cands, results):
+            by_vertex[a][ip, jp] = touches
+        for a in range(S):
+            self.found[I[a], J[a]] = ok[a * N:(a + 1) * N], by_vertex[a]
+
+    def _one_sign(self, X, mX, rows, exact) -> list:
+        """Whether the nonzero values in each row of X share one sign, for the
+        rows marked in ``rows`` (False for the others).
+
+        ``mX`` is the sum of the magnitudes of each value's terms, so a zero
+        one is an exact zero; ``exact(row, col)`` gives a value on the
+        integers where the filter leaves it open.
+        """
+        sure = np.abs(X) > _FILTER * mX
+        pos, neg = (sure & (X > 0)).any(1), (sure & (X < 0)).any(1)
+        ok = rows & ~(pos & neg)
+        first = (pos.astype(int) - neg).tolist()
+        open_ = ok[:, None] & ~sure & (mX != 0)
+        ok = ok.tolist()
+        for r, col in zip(*(a.tolist() for a in np.nonzero(open_))):
+            if not ok[r]:
+                continue
+            value = exact(r, col)
+            self.ctx.rechecks += 1
+            sign = (value > 0) - (value < 0)
+            if sign and first[r] and sign != first[r]:
+                ok[r] = False
+            elif sign:
+                first[r] = sign
+        return ok
+
 
 
 def _scan_orientation(lines, points, ctx, swapped, line_map, point_map, log, tables):
@@ -429,14 +614,17 @@ def _scan_orientation(lines, points, ctx, swapped, line_map, point_map, log, tab
     F of each vertex, every bracket is read from them.  Each record carries
     the chord triples (k, l, k') whose product vanished, which is what the
     boundary classifier consumes.  Rejected candidates are appended to
-    ``log`` as the scan passes them.
+    ``log`` as the scan passes them.  When ``ctx.reads_all``, a large exact
+    orientation is decided in one ``_OrientationBatch`` before the first
+    record, and the scan walks its decisions.
     """
     edges, point_crosses, q = tables
     M, N = len(lines), len(points)
     sign = ctx.sign
+    per_candidate = comb(M - 2, 2) * (N - 2)
     # the numpy path, chosen by a candidate's count of chord values and set
     # up with the first chord test
-    use_blocks, blocks = comb(M - 2, 2) * (N - 2) >= _CHORD_BLOCK_MIN, None
+    use_blocks, blocks = per_candidate >= _CHORD_BLOCK_MIN, None
 
     def chord_touches(V, F, others, ip, jp):
         # The zero chord triples of candidate (ip, jp), or None if a chord
@@ -467,6 +655,14 @@ def _scan_orientation(lines, points, ctx, swapped, line_map, point_map, log, tab
                     touches.append((line_map[k], line_map[l], point_map[kp]))
         return touches
 
+    batch = None
+    if ctx.reads_all and per_candidate >= _ORIENTATION_BATCH_MIN:
+        try:
+            # an overflow gives inf or nan, which the filters leave to the integers
+            with np.errstate(over="ignore", invalid="ignore"):
+                batch = _OrientationBatch(lines, points, ctx, tables, line_map, point_map).found
+        except OverflowError:  # an integer beyond the float range: the lazy path decides
+            pass
     side = "cols" if swapped else "rows"
     for i in range(M):
         for j in range(i + 1, M):
@@ -474,21 +670,25 @@ def _scan_orientation(lines, points, ctx, swapped, line_map, point_map, log, tab
             if ctx.is_zero_vec(v, "x2"):  # parallel edge lines: no vertex
                 log.append(f"{side} ({line_map[i]},{line_map[j]}): edge lines are parallel")
                 continue
-            # V_k = det(a_i, a_j, a_k) shares one sign; V_i = V_j = 0 identically
-            V = [0 if k == i or k == j else _dot(v, a) for k, a in enumerate(lines)]
-            if not ctx.one_sign(V, "b3"):
+            if batch is None:  # V_k = det(a_i, a_j, a_k) shares one sign; V_i = V_j = 0
+                V = [0 if k == i or k == j else _dot(v, a) for k, a in enumerate(lines)]
+                found = ([None] * N, None) if ctx.one_sign(V, "b3") else None
+            else:
+                found = batch.get((i, j))
+            if found is None:
                 log.append(f"{side} ({line_map[i]},{line_map[j]}): vertex sign family mixed")
                 continue
-            others = [k for k in range(M) if k not in (i, j)]
-            F, qi, qj = _support_table(v, point_crosses), q[i], q[j]
+            ok, decided = found  # the support flags, and the batch's chord touches
+            if batch is None:  # decided as the scan reaches them
+                others = [k for k in range(M) if k not in (i, j)]
+                F, qi, qj = _support_table(v, point_crosses), q[i], q[j]
 
-            def supports(t):
-                # whether v × p_t is a line (p_t is not v, the one point on
-                # both edge lines) with every other point on one side of it
-                return (not ctx.is_zero_vec((qi[t], qj[t]), "x11")
-                        and ctx.one_sign(F[t], "mj"))  # F[t][t] = 0
+                def supports(t):
+                    # whether v × p_t is a line (p_t is not v, the one point on
+                    # both edge lines) with every other point on one side of it
+                    return (not ctx.is_zero_vec((qi[t], qj[t]), "x11")
+                            and ctx.one_sign(F[t], "mj"))  # F[t][t] = 0
 
-            ok = [None] * N  # supports(t), decided on first use
             for ip in range(N):
                 if ok[ip] is None:
                     ok[ip] = supports(ip)
@@ -501,7 +701,8 @@ def _scan_orientation(lines, points, ctx, swapped, line_map, point_map, log, tab
                         ok[jp] = supports(jp)
                     if jp == ip or not ok[jp]:
                         continue
-                    touches = chord_touches(V, F, others, ip, jp)
+                    touches = (chord_touches(V, F, others, ip, jp) if batch is None
+                               else decided[ip, jp])
                     if touches is None:
                         log.append(f"candidate ({line_map[i]},{line_map[j]},"
                                    f"{point_map[ip]},{point_map[jp]}): chord product negative")
@@ -531,16 +732,17 @@ def _prepare(P) -> Matrix:
     return P if isinstance(P, Matrix) else Matrix.of(P)
 
 
-def _witness_stream(lines, points, backend: str, row_map, col_map):
+def _witness_stream(lines, points, backend: str, row_map, col_map, reads_all=False):
     """The witnesses of the lines and points of P = A @ B as one lazy stream.
 
     Returns ``(records, log, ctx)``: an iterator over the unswapped
     orientation and then the swapped one, the failure log it fills as it
     advances, and the sign context whose ``marginal`` flag it raises.  A
-    caller that stops early has scanned, logged and flagged only that far.
+    caller that stops early has scanned, logged and flagged only that far;
+    one that reads every record says so with ``reads_all``.
     """
     if backend == EXACT:
-        ctx = _ExactSigns()
+        ctx = _ExactSigns(reads_all)
     else:
         lines, points = _unit_scaled(lines), _unit_scaled(points)
         ctx = _FloatSigns(max(abs(x) for v in lines for x in v),
@@ -628,7 +830,8 @@ def _decide(P: Matrix, factors, row_map, col_map, take):
     if rank < 3:
         return MembershipDecision("rank_deficient_in", None, rank, P.backend), [], built
     lines, points = factors or (built[0], built[2])
-    records, log, ctx = _witness_stream(lines, points, P.backend, row_map, col_map)
+    # ``list`` reads every record
+    records, log, ctx = _witness_stream(lines, points, P.backend, row_map, col_map, take is list)
     head = _head(records)
     found = take(itertools.chain(head, records))
     if head:

@@ -72,6 +72,13 @@ class TestVerdictCommands:
     def test_missing_file_is_usage_error(self, workdir):
         assert main(["nnrank3", "--input", str(workdir / "nope.txt")]) == 2
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-Infinity", "1e400"])
+    def test_non_finite_entry_is_usage_error(self, workdir, capsys, token):
+        path = workdir / "nonfinite.txt"
+        path.write_text(f"1,2\n{token},4\n")
+        assert main(["nnrank3", "--input", str(path)]) == 2
+        assert f"line 2: non-finite entry '{token}'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("scale", [1, 1e300])
     def test_promote_backend(self, workdir, scale):
         # promotion rounds exactly, so a large finite float promotes too

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nnmix.exactla import (DimensionError, Matrix, RankExcessError, determinant,
-                           format_matrix, matrix_rank, parse_matrix,
+                           format_matrix, matrix_rank, parse_matrix, parse_scalar,
                            rank_factorize, rref)
 
 from conftest import CURVE_BASE, random_rational_matrix, uab_rows
@@ -352,6 +352,16 @@ def test_nonfinite_entries_rejected():
         Matrix.from_floats([[float("nan")]])
     with pytest.raises(ValueError):
         Matrix.from_floats([[float("inf")]])
+
+
+@pytest.mark.parametrize("token", ["nan", "-inf", "Infinity", "1e400"])
+def test_non_finite_tokens_are_reported_as_such(token):
+    with pytest.raises(ValueError, match=f"^non-finite entry '{token}'$"):
+        parse_scalar(f" {token} ")
+    with pytest.raises(ValueError, match=f"line 2: non-finite entry '{token}'$"):
+        parse_matrix(f"1,2\n3,{token}\n")
+    with pytest.raises(ValueError, match="non-finite entry"):
+        Matrix.of([[1, token]])
 
 
 @pytest.mark.parametrize("rows, backend", [

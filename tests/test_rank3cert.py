@@ -744,6 +744,7 @@ def test_scan_matches_the_composed_scan(monkeypatch):
     corpus = list(scan_corpus())
     expanded = [_scan_outputs(P, factors) for P, factors in corpus]
     monkeypatch.setattr(rank3cert, "_scan_orientation", composed_scan_orientation)
+    monkeypatch.setattr(rank3cert, "_ORIENTATION_BATCH_MIN", 10**9)
     for (P, factors), got in zip(corpus, expanded):
         assert got == _scan_outputs(P, factors), P
     touching = sum(1 for out in expanded if any(rec.touches for rec in out[4]))
@@ -817,6 +818,7 @@ def test_numpy_chord_path_matches_the_scalar_loop(monkeypatch):
             raise
 
     monkeypatch.setattr(rank3cert._ChordBlocks, "touches", counted)
+    monkeypatch.setattr(rank3cert, "_ORIENTATION_BATCH_MIN", 10**9)
     monkeypatch.setattr(rank3cert, "_CHORD_BLOCK_MIN", 0)
     on_numpy = [_path_outputs(P, factors) for P, factors in corpus]
     assert seen["blocks"] > 1000 and seen["overflow"] > 0, seen
@@ -846,8 +848,107 @@ def test_exact_rechecks_cover_every_touching_triple(monkeypatch):
     assert decision.rank == 3 and touching > 100
     assert contexts[-1].rechecks >= 2 * touching
     monkeypatch.setattr(rank3cert, "_CHORD_BLOCK_MIN", 10**9)
+    monkeypatch.setattr(rank3cert, "_ORIENTATION_BATCH_MIN", 10**9)
     assert all_witnesses(P) == (decision, records)
     assert contexts[-1].rechecks == 0
+
+
+def _zero_heavy_products():
+    """Rank-3 products of factors with entries 0..3 at 8, 12 and 16: repeated
+    and proportional lines, so many brackets vanish and the filters leave
+    many values to the integers."""
+    rng = np.random.default_rng(23)
+    for size in (8, 12, 16):
+        P = np.zeros((size, size), dtype=int)
+        while np.linalg.matrix_rank(P) != 3:
+            P = rng.integers(0, 4, (size, 3)) @ rng.integers(0, 4, (3, size))
+        yield Matrix.exact(P.tolist())
+
+
+def _spy_batches(monkeypatch):
+    """Count the orientation batches built, and those that met an integer
+    beyond the float range."""
+    seen, build = {"built": 0, "overflow": 0}, rank3cert._OrientationBatch.__init__
+
+    def counted(self, *args):
+        seen["built"] += 1
+        try:
+            build(self, *args)
+        except OverflowError:
+            seen["overflow"] += 1
+            raise
+
+    monkeypatch.setattr(rank3cert._OrientationBatch, "__init__", counted)
+    return seen
+
+
+def test_orientation_batch_matches_the_scalar_loop(monkeypatch):
+    # all_witnesses records, touching triples, failure logs and boundary
+    # classifications from one batch per orientation are the scalar loop's,
+    # past 2**53 too; past the float range the batch falls back to it
+    corpus = [P for P, _ in _chord_path_corpus() if P.backend == "exact"]
+    corpus += list(_zero_heavy_products())
+    seen, logs, stream = _spy_batches(monkeypatch), [], rank3cert._witness_stream
+
+    def spy(*args):
+        out = stream(*args)
+        logs.append(out[1])
+        return out
+
+    monkeypatch.setattr(rank3cert, "_witness_stream", spy)
+
+    def outputs(P):
+        decision, records = all_witnesses(P)
+        return [decision, decision.failure_log, records, list(logs[-1]),
+                boundary_test(P).as_dict()]
+
+    batched, built = [], []
+    for P in corpus:
+        before = dict(seen)
+        batched.append(outputs(P))
+        built.append({k: seen[k] - before[k] for k in seen})
+    assert sum(b["built"] for b in built) > 50, built
+    assert built[-4] == {"built": 4, "overflow": 4}  # scale(10**200): both orientations, twice
+    assert sum(any(rec.touches for rec in out[2]) for out in batched) >= 20
+    monkeypatch.setattr(rank3cert, "_ORIENTATION_BATCH_MIN", 10**9)
+    monkeypatch.setattr(rank3cert, "_CHORD_BLOCK_MIN", 10**9)
+    seen.update(built=0, overflow=0)
+    for P, got in zip(corpus, batched):
+        assert got == outputs(P), P
+    assert seen["built"] == 0
+
+
+def test_head_readers_build_no_orientation_batch(monkeypatch):
+    # membership, membership from factors and factorization stop at a head
+    # of the stream, so they keep the lazy scan; only all_witnesses batches
+    rng = np.random.default_rng(5)
+    A, B = rng.integers(1, 10, (12, 3)), rng.integers(1, 10, (3, 12))
+    P = Matrix.exact((A @ B).tolist())
+    seen = _spy_batches(monkeypatch)
+    assert nnrank3_membership(P)
+    assert membership_from_factors(Matrix.exact(A.tolist()), Matrix.exact(B.tolist()))
+    nonneg_rank3_factorize(P)
+    assert seen["built"] == 0
+    all_witnesses(P)
+    assert seen["built"] == 2
+
+
+def test_orientation_batch_evaluates_bounded_chunks(monkeypatch):
+    # a 16x16 orientation has more candidates than one chunk holds; no stack
+    # passed to the chord evaluator exceeds the chunk
+    rng = np.random.default_rng(16)
+    P = Matrix.exact((rng.integers(1, 10, (16, 3)) @ rng.integers(1, 10, (3, 16))).tolist())
+    stacks, values = [], rank3cert._ChordBlocks.values
+
+    def spy(self, VV, mVV, y, my, QQ, Qip, ip):
+        stacks.append((len(ip), QQ[0].size))  # candidates, (k, l, k') entries
+        return values(self, VV, mVV, y, my, QQ, Qip, ip)
+
+    monkeypatch.setattr(rank3cert._ChordBlocks, "values", spy)
+    decision, records = all_witnesses(P)
+    assert decision.verdict == "in" and records
+    assert len(stacks) > 2 and max(c for c, _ in stacks) > 1
+    assert max(entries for _, entries in stacks) <= rank3cert._CHORD_CHUNK, stacks
 
 
 def test_four_by_four_boundary_test_builds_no_array(monkeypatch):

@@ -254,19 +254,21 @@ def integer_dist(lo: int = 1, hi: int = 4):
     return draw
 
 
-def sample_algebraic_boundary(pattern: ZeroPattern, rng: np.random.Generator,
-                              entry_dist=None) -> tuple[Matrix, Matrix, Matrix]:
-    """Sample one matrix from a boundary stratum.
-
-    Free positions of the two factors receive positive draws, the product is
-    normalized to total 1, and the scaled left factor is returned so that
-    A @ B equals P exactly.  The result is a member by construction.
+def sample_integer_product(pattern: ZeroPattern, rng: np.random.Generator,
+                           entry_dist=None) -> tuple[list, list, int, list]:
+    """Sample one stratum point as the integer product of cleared factors.
 
     One ``entry_dist(rng, count)`` call draws the free entries of A, then
-    of B, row-major, and the product runs on Python ints: with each factor
-    cleared over the lcm of its denominators, ``Ai = A * da`` and
-    ``Bi = B * db``, and ``Pi = Ai @ Bi``, the outputs are ``P = Pi / sum(Pi)``
-    and ``A = Ai * db / sum(Pi)``.  Only the returned entries are ``Fraction``s.
+    of B, row-major, as ``(p, q)`` pairs; the zeros of the pattern are
+    ``(0, 1)``.  Each factor is cleared over the lcm of its denominators,
+    ``Ai = A * da`` and ``Bi = B * db``, and ``Pi = Ai @ Bi`` is formed on
+    Python ints.  Returns ``(Pi, rows, db, B)``: ``Pi`` as lists of ints,
+    the rows of ``Ai``, ``db``, and B's ``(p, q)`` pairs, row-major.
+
+    ``Pi`` is ``da * db`` times ``A @ B``, a positive multiple for positive
+    draws, so it has the rank, the signs, the witnesses and the touching
+    chords of the normalized sample: a caller that only classifies the
+    sample builds no ``Fraction``.
     """
     a_free, b_free = _free_slots(pattern)
     m, n = pattern.m, pattern.n
@@ -277,7 +279,23 @@ def sample_algebraic_boundary(pattern: ZeroPattern, rng: np.random.Generator,
     Ai, Bi = [p * (da // q) for p, q in A], [p * (db // q) for p, q in B]
     rows = [Ai[3 * i:3 * i + 3] for i in range(m)]
     cols = list(zip(Bi[:n], Bi[n:2 * n], Bi[2 * n:]))
-    Pi = [[sum(map(mul, r, c)) for c in cols] for r in rows]
+    return [[sum(map(mul, r, c)) for c in cols] for r in rows], rows, db, B
+
+
+def sample_algebraic_boundary(pattern: ZeroPattern, rng: np.random.Generator,
+                              entry_dist=None) -> tuple[Matrix, Matrix, Matrix]:
+    """Sample one matrix from a boundary stratum.
+
+    Free positions of the two factors receive positive draws, the product is
+    normalized to total 1, and the scaled left factor is returned so that
+    A @ B equals P exactly.  The result is a member by construction.
+
+    The draws and the product are those of :func:`sample_integer_product`;
+    with ``total = sum(Pi)`` the outputs are ``P = Pi / total`` and
+    ``A = Ai * db / total``.  Only the returned entries are ``Fraction``s.
+    """
+    m, n = pattern.m, pattern.n
+    Pi, rows, db, B = sample_integer_product(pattern, rng, entry_dist)
     total = sum(map(sum, Pi))
     if total == 0:
         raise ArithmeticError("sampled factors produced a zero matrix")

@@ -413,23 +413,34 @@ def parse_matrix(text: str) -> Matrix:
 
     The file is exact when every entry is an integer or a ``p/q`` fraction;
     any decimal or scientific-notation entry makes the whole matrix float.
+    A line of integers is read in one pass; any other line token by token
+    with :func:`parse_scalar`, whose errors name the line.
     """
-    rows = []
+    rows, exact = [], True
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
+        tokens = line.split(",")
         try:
-            rows.append([parse_scalar(tok) for tok in line.split(",")])
+            rows.append([Fraction(int(tok)) for tok in tokens])
+            continue
+        except ValueError:
+            pass
+        try:
+            rows.append([parse_scalar(tok) for tok in tokens])
         except ValueError as exc:
             raise ValueError(f"matrix parse error on line {lineno}: {exc}") from exc
+        exact = exact and not any(isinstance(x, float) for x in rows[-1])
     if not rows:
         raise DimensionError("no rows in matrix text")
     width = len(rows[0])
     for lineno, row in enumerate(rows, start=1):
         if len(row) != width:
             raise ValueError(f"matrix parse error on line {lineno}: ragged row")
-    return Matrix.of(rows)
+    if exact:  # Fractions already: the exact-or-float rule of ``Matrix.of``
+        return Matrix(len(rows), width, tuple(map(tuple, rows)), EXACT)
+    return Matrix.from_floats(rows)
 
 
 def format_matrix(M: Matrix) -> str:

@@ -10,13 +10,16 @@ Three protocols:
   low-rank product, exercising how sample size per cell drives the
   boundary fraction;
 * ``boundary_fraction``: exact sampling on one algebraic-boundary stratum
-  followed by the exact topological-boundary test.
+  followed by the exact topological-boundary test, both on the integer
+  product of the sampled factors (``boundary.sample_integer_product``), a
+  positive multiple of the normalized sample that classifies the same.
 
 ``run_experiment`` runs every protocol.  Trials are independent; each
 derives its RNG stream from (seed, trial), so reports are bit-identical for
 identical configs.  Trials run as a parallel map over a pool of up to
 ``jobs`` processes, never more than there are trials, and records come back
-in trial order either way.
+in trial order either way; the pool's module is imported only when one
+starts.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from __future__ import annotations
 import csv
 import io
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import partial
 
@@ -32,6 +34,7 @@ import numpy as np
 
 from . import boundary as boundary_mod
 from . import em
+from .exactla import Matrix
 
 TABLE1 = "table1"
 PLANTED = "planted"
@@ -161,8 +164,10 @@ def _planted_trial(cfg: ExperimentConfig, trial: int) -> dict:
 def _boundary_trial(cfg: ExperimentConfig, trial: int) -> dict:
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, trial, 0xB0D1)))
     pattern = boundary_mod.canonical_pattern(cfg.m, cfg.n)
-    P, A, B = boundary_mod.sample_algebraic_boundary(pattern, rng, DISTS[cfg.dist](cfg.dist_param))
-    cls = boundary_mod.boundary_test(P)
+    # the integer product is a positive multiple of the normalized sample, so
+    # it classifies the same and no Fraction is built but its entries
+    Pi = boundary_mod.sample_integer_product(pattern, rng, DISTS[cfg.dist](cfg.dist_param))[0]
+    cls = boundary_mod.boundary_test(Matrix.exact(Pi))
     return {
         "trial": trial,
         "status": cls.status,
@@ -194,6 +199,8 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
     trials = range(cfg.num_matrices)
     workers = min(jobs, cfg.num_matrices)  # a pool may fork all its workers at once
     if workers > 1:
+        # imported here: multiprocessing is a cost of every import otherwise
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(trial, trials, chunksize=8))
     else:

@@ -76,12 +76,14 @@ scan then walks these decisions, so records, touches and failure logs are
 the lazy scan's.  The head readers, the float backend and smaller inputs
 keep the lazy scan; no option selects the path.  On the rational backend the
 path from the elimination to the verdict runs on Python ints: the lines are
-P's rows as the elimination cleared them, at its pivot columns, and the
-points are the columns of d·RREF in lowest terms, positive scalings that
-change no sign.  The triangle is found in homogeneous integer coordinates
-too, so ``Fraction`` stays at the edges: the input, and the factors
-``nonneg_rank3_factorize`` returns.  The float backend replaces sign tests
-with a tolerance band and flags marginal calls.
+P's rows as the elimination cleared them, at its pivot columns, each divided
+by the gcd of its entries, and the points are the columns of d·RREF in
+lowest terms, positive scalings that change no sign.  A scaled input is
+therefore scanned on the integers of the unscaled one, which keeps its
+chord values inside the float filters' range.  The triangle is found in
+homogeneous integer coordinates too, so ``Fraction`` stays at the edges:
+the input, and the factors ``nonneg_rank3_factorize`` returns.  The float
+backend replaces sign tests with a tolerance band and flags marginal calls.
 """
 
 from __future__ import annotations
@@ -168,9 +170,11 @@ def _crosses(vectors) -> list[list]:
 def _support_table(v, point_crosses) -> list[list]:
     """The support brackets F[t][u] = det(v, p_t, p_u) = v·(p_t × p_u) of vertex
     v from the point crosses of ``_crosses``: one dot product per pair."""
+    v0, v1, v2 = v
     F: list[list] = []
     for t, crosses in enumerate(point_crosses):
-        F.append([-F[u][t] for u in range(t)] + [0] + [_dot(v, c) for c in crosses[t + 1:]])
+        F.append([-F[u][t] for u in range(t)] + [0]
+                 + [v0 * c0 + v1 * c1 + v2 * c2 for c0, c1, c2 in crosses[t + 1:]])
     return F
 
 
@@ -626,11 +630,12 @@ def _scan_orientation(lines, points, ctx, swapped, line_map, point_map, log, tab
     # up with the first chord test
     use_blocks, blocks = per_candidate >= _CHORD_BLOCK_MIN, None
 
-    def chord_touches(V, F, others, ip, jp):
+    def chord_touches(V, F, others, pairs, ip, jp):
         # The zero chord triples of candidate (ip, jp), or None if a chord
         # product is negative (the inner polygon leaves the triangle).  The
         # chord brackets of (k, l, k') and (l, k, k') are x·y − z_k·q_l and
-        # −x·y − z_l·q_k with y = F_jp(k'), which is L2·p_k'.
+        # −x·y − z_l·q_k with y = F_jp(k'), which is L2·p_k'.  ``pairs`` are
+        # the vertex's (k, l) pairs of ``others``, in combination order.
         nonlocal use_blocks, blocks
         if use_blocks:
             try:
@@ -640,9 +645,9 @@ def _scan_orientation(lines, points, ctx, swapped, line_map, point_map, log, tab
             except OverflowError:  # beyond float range: the scalar loop decides
                 use_blocks = False
         y, f = F[jp], F[jp][ip]
-        kps = [kp for kp in range(N) if kp not in (ip, jp)]
+        kps = [kp for kp in range(N) if kp != ip and kp != jp]
         touches = []
-        for k, l in itertools.combinations(others, 2):
+        for k, l in pairs:
             x, zk, zl = _chord_factors(V, q, ip, f, k, l)
             qk, ql = q[k], q[l]
             for kp in kps:
@@ -671,7 +676,9 @@ def _scan_orientation(lines, points, ctx, swapped, line_map, point_map, log, tab
                 log.append(f"{side} ({line_map[i]},{line_map[j]}): edge lines are parallel")
                 continue
             if batch is None:  # V_k = det(a_i, a_j, a_k) shares one sign; V_i = V_j = 0
-                V = [0 if k == i or k == j else _dot(v, a) for k, a in enumerate(lines)]
+                v0, v1, v2 = v
+                V = [0 if k == i or k == j else v0 * a0 + v1 * a1 + v2 * a2
+                     for k, (a0, a1, a2) in enumerate(lines)]
                 found = ([None] * N, None) if ctx.one_sign(V, "b3") else None
             else:
                 found = batch.get((i, j))
@@ -680,7 +687,8 @@ def _scan_orientation(lines, points, ctx, swapped, line_map, point_map, log, tab
                 continue
             ok, decided = found  # the support flags, and the batch's chord touches
             if batch is None:  # decided as the scan reaches them
-                others = [k for k in range(M) if k not in (i, j)]
+                others = [k for k in range(M) if k != i and k != j]
+                pairs = list(itertools.combinations(others, 2))
                 F, qi, qj = _support_table(v, point_crosses), q[i], q[j]
 
                 def supports(t):
@@ -701,7 +709,7 @@ def _scan_orientation(lines, points, ctx, swapped, line_map, point_map, log, tab
                         ok[jp] = supports(jp)
                     if jp == ip or not ok[jp]:
                         continue
-                    touches = (chord_touches(V, F, others, ip, jp) if batch is None
+                    touches = (chord_touches(V, F, others, pairs, ip, jp) if batch is None
                                else decided[ip, jp])
                     if touches is None:
                         log.append(f"candidate ({line_map[i]},{line_map[j]},"
@@ -813,15 +821,21 @@ def _eliminate(P: Matrix):
     return rank, (lines, [c for _, c in cleared], points, point_den)
 
 
+def _primitive(vector) -> tuple:
+    """An integer vector divided by the gcd of its entries (zero stays zero)."""
+    g = gcd(*vector)
+    return tuple(x // g for x in vector) if g > 1 else vector
+
+
 def _decide(P: Matrix, factors, row_map, col_map, take):
     """The membership ladder every entry point shares, on one elimination.
 
     Rank > 3 is ``out``, rank < 3 is ``rank_deficient_in``; otherwise the
     witness stream of ``factors`` (the lines and points of a rank-3
-    factorization of P, the one eliminated here when None) decides, and a
-    matrix with no witness is ``in`` only when thin.  Returns the decision,
-    what ``take`` read from the stream, and the eliminated factors in
-    integer form (None for rank > 3).
+    factorization of P, the one eliminated here when None, its exact lines
+    in lowest terms) decides, and a matrix with no witness is ``in`` only
+    when thin.  Returns the decision, what ``take`` read from the stream,
+    and the eliminated factors in integer form (None for rank > 3).
     """
     rank, built = _eliminate(P)
     if rank > 3:
@@ -830,6 +844,8 @@ def _decide(P: Matrix, factors, row_map, col_map, take):
     if rank < 3:
         return MembershipDecision("rank_deficient_in", None, rank, P.backend), [], built
     lines, points = factors or (built[0], built[2])
+    if not factors and P.backend == EXACT:  # lowest terms, as the points: same signs
+        lines = list(map(_primitive, lines))
     # ``list`` reads every record
     records, log, ctx = _witness_stream(lines, points, P.backend, row_map, col_map, take is list)
     head = _head(records)

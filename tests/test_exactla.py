@@ -326,6 +326,57 @@ class TestTextFormat:
             parse_matrix("1,2\n3\n")
 
 
+def _per_token_parse(text: str) -> Matrix:
+    """The reference reading: every token through ``parse_scalar``, then the
+    exact-or-float rule of ``Matrix.of``."""
+    rows = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            rows.append([parse_scalar(tok) for tok in line.split(",")])
+        except ValueError as exc:
+            raise ValueError(f"matrix parse error on line {lineno}: {exc}") from exc
+    if not rows:
+        raise DimensionError("no rows in matrix text")
+    for lineno, row in enumerate(rows, start=1):
+        if len(row) != len(rows[0]):
+            raise ValueError(f"matrix parse error on line {lineno}: ragged row")
+    return Matrix.of(rows)
+
+
+def _parsed(parse, text):
+    try:
+        M = parse(text)
+    except ValueError as exc:  # DimensionError included
+        return type(exc), str(exc)
+    return M.backend, M.shape, [[(type(x), x) for x in row] for row in M.entries]
+
+
+@pytest.mark.parametrize("text", [
+    "1,2\n3,4\n",
+    " 1 , -2 \n\t+3,4  \n",                 # spaces, tabs and signs
+    "1_000,2\n3,-4_5\n",                     # underscores
+    "# header\n1,2\n\n   \n# note, with a comma\n3,4\n",
+    "1/2,3\n-4/6,5\n",                       # p/q
+    "1,2/3\n4,5\n",                          # integer and p/q lines
+    "0.5,1e-3\n2.5,3E2\n",                   # decimals
+    "1,2\n0.5,4\n",                          # integer and decimal lines
+    "0.5,2\n3,4\n",
+    "-0,+0\n007,1\n",
+    "1,2\n3,nan\n", "inf,2\n3,4\n", "1,2\n3,-Infinity\n", "1,2\n1e400,4\n",
+    "1,2\nx,4\n", "1,,2\n3,4,5\n", "1,2\n1/0,4\n", "1,2\n3\n", "1,2\n3,4,5\n",
+    "1 2\n3 4\n", "1,2.5.1\n3,4\n", "1e,2\n3,4\n", "0x10,1\n2,3\n", "1,2,\n3,4,\n",
+    "1/2/3,1\n2,3\n", "1__0,2\n3,4\n",
+    "", "# only a comment\n\n",
+])
+def test_parse_matrix_agrees_with_the_per_token_reading(text):
+    # integer lines are read in one pass; values, types, backend and every
+    # error message are those of the per-token reading
+    assert _parsed(parse_matrix, text) == _parsed(_per_token_parse, text)
+
+
 def test_rref_pivots_deterministic():
     M = Matrix.exact([[0, 1, 2], [0, 2, 4], [1, 0, 1]])
     R, pivots = rref(M)

@@ -1,5 +1,6 @@
 """Experiment runner: determinism, protocols, report emission."""
 
+import concurrent.futures
 import csv
 import io
 import json
@@ -7,9 +8,14 @@ import json
 import numpy as np
 import pytest
 
-from nnmix import em, harness
+from nnmix import boundary, em, harness
+from nnmix.boundary import (boundary_test, canonical_pattern, sample_algebraic_boundary,
+                            sample_integer_product)
+from nnmix.exactla import Matrix
 from nnmix.harness import (BOUNDARY_FRACTION, ExperimentConfig, PLANTED, TABLE1,
-                           _table1_trial, run_experiment)
+                           _boundary_trial, _table1_trial, run_experiment)
+
+from conftest import fractions_built
 
 
 def tiny_cfg(mode, **kw):
@@ -50,7 +56,8 @@ class TestDeterminism:
             def map(self, func, items, chunksize=1):
                 return map(func, items)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        # run_experiment imports the pool where it starts one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         cfg = tiny_cfg(BOUNDARY_FRACTION, num_matrices=4)
         assert run_experiment(cfg, jobs=64).records == run_experiment(cfg).records
         assert pools == [4]
@@ -166,6 +173,36 @@ class TestProtocols:
     def test_boundary_fraction_samples_are_members(self):
         rep = run_experiment(tiny_cfg(BOUNDARY_FRACTION, num_matrices=20))
         assert rep.extra["all_members"]
+
+    @pytest.mark.parametrize("dist", ["rational", "unit_rational", "int1to4"])
+    def test_boundary_trial_classifies_the_normalized_sample(self, dist):
+        # a trial classifies the integer product, a positive multiple of the
+        # public sampler's P: same record, same touching witnesses
+        for seed in range(200):
+            cfg = ExperimentConfig(mode=BOUNDARY_FRACTION, seed=seed, dist=dist)
+            rng = np.random.default_rng(np.random.SeedSequence((seed, 0, 0xB0D1)))
+            P, _, _ = sample_algebraic_boundary(canonical_pattern(), rng,
+                                                harness.DISTS[dist](cfg.dist_param))
+            cls = boundary_test(P)
+            assert _boundary_trial(cfg, 0) == {
+                "trial": 0, "status": cls.status, "rank": cls.rank,
+                "witnesses": cls.witnesses, "flagged_boundary": cls.status == "boundary",
+                "is_member": cls.status != "outside_model"}, seed
+            rng = np.random.default_rng(np.random.SeedSequence((seed, 0, 0xB0D1)))
+            Pi = sample_integer_product(canonical_pattern(), rng,
+                                        harness.DISTS[dist](cfg.dist_param))[0]
+            assert boundary_test(Matrix.exact(Pi)).as_dict() == cls.as_dict(), seed
+
+    def test_boundary_trial_skips_the_public_sampler(self, monkeypatch):
+        # the trial builds no Fraction but the entries of its integer product
+        def refuse(*args):
+            raise AssertionError("a trial called sample_algebraic_boundary")
+
+        monkeypatch.setattr(boundary, "sample_algebraic_boundary", refuse)
+        cfg = tiny_cfg(BOUNDARY_FRACTION, num_matrices=1)
+        count, rep = fractions_built(monkeypatch, lambda: run_experiment(cfg))
+        assert count == 16 and rep.extra["all_members"]
+        assert run_experiment(tiny_cfg(BOUNDARY_FRACTION, num_matrices=20)).extra["all_members"]
 
     def test_generator_choices(self):
         u = run_experiment(tiny_cfg(TABLE1, generator="normalized_uniform"))

@@ -770,10 +770,21 @@ def test_float_verdicts_agree_or_are_marginal():
     assert calls == 119
 
 
+def _big_product(rng, size: int):
+    """A rank-3 product whose brackets pass the float range in lowest terms
+    too: the left factor is A·10**200 + A' in Python ints, so a row's
+    entries share no large factor, and its vertex brackets pass 10**400."""
+    A, B = rng.integers(1, 10, (size, 3)).tolist(), rng.integers(0, 10, (3, size)).tolist()
+    A = [[a * 10**200 + b for a, b in zip(row, rng.integers(1, 10, 3).tolist())] for row in A]
+    return Matrix.exact([[sum(a * b for a, b in zip(row, col)) for col in zip(*B)]
+                         for row in A])
+
+
 def _chord_path_corpus():
     """``scan_corpus()``, seeded rank-3 products at 10, 12 and 16 with their
-    factors, and one 12x12 product scaled past 2**53 and one whose integers
-    pass the float range, each exact and (but the last) as floats."""
+    factors, one 12x12 product scaled past 2**53 and one scaled by 10**200,
+    each exact and (but the last) as floats, and a 12x12 product whose
+    brackets pass the float range in lowest terms too, exact."""
     rng = np.random.default_rng(41)
     exact = list(scan_corpus())
     for size in (10, 12, 16):
@@ -782,8 +793,9 @@ def _chord_path_corpus():
                       (Matrix.exact(A.tolist()), Matrix.exact(B.tolist()))))
     P = exact[-2][0]
     exact += [(P.scale(3**40), None), (P.scale(10**200), None)]
-    return exact + [(P.as_float(), factors and tuple(f.as_float() for f in factors))
-                    for P, factors in exact[:-1]]
+    floats = [(P.as_float(), factors and tuple(f.as_float() for f in factors))
+              for P, factors in exact[:-1]]
+    return exact + [(_big_product(rng, 12), None)] + floats
 
 
 def _path_outputs(P, factors):
@@ -908,7 +920,10 @@ def test_orientation_batch_matches_the_scalar_loop(monkeypatch):
         batched.append(outputs(P))
         built.append({k: seen[k] - before[k] for k in seen})
     assert sum(b["built"] for b in built) > 50, built
-    assert built[-4] == {"built": 4, "overflow": 4}  # scale(10**200): both orientations, twice
+    # scale(10**200) is read in lowest terms, inside the float range; the big
+    # product is not: both orientations overflow, twice
+    assert built[-5] == {"built": 4, "overflow": 0}
+    assert built[-4] == {"built": 4, "overflow": 4}
     assert sum(any(rec.touches for rec in out[2]) for out in batched) >= 20
     monkeypatch.setattr(rank3cert, "_ORIENTATION_BATCH_MIN", 10**9)
     monkeypatch.setattr(rank3cert, "_CHORD_BLOCK_MIN", 10**9)
@@ -916,6 +931,20 @@ def test_orientation_batch_matches_the_scalar_loop(monkeypatch):
     for P, got in zip(corpus, batched):
         assert got == outputs(P), P
     assert seen["built"] == 0
+
+
+def test_scaled_products_are_read_in_lowest_terms(monkeypatch):
+    # the scan divides each line by the gcd of its entries, as it does each
+    # point, so a scaled product is decided on the integers of the unscaled
+    # one: same records and classification, and no batch leaves the float range
+    rng = np.random.default_rng(12)
+    P = Matrix.exact((rng.integers(1, 10, (12, 3)) @ rng.integers(0, 10, (3, 12))).tolist())
+    want = all_witnesses(P), boundary_test(P).as_dict()
+    assert want[0][0].rank == 3 and want[0][1]
+    seen = _spy_batches(monkeypatch)
+    for scale in (10**50, 10**100):
+        assert (all_witnesses(P.scale(scale)), boundary_test(P.scale(scale)).as_dict()) == want
+    assert seen == {"built": 8, "overflow": 0}
 
 
 def test_head_readers_build_no_orientation_batch(monkeypatch):

@@ -248,29 +248,35 @@ def _em_update(U, mask, u_plus, AL, B, P):
 
     The round works on ``AL = A @ diag(lam)`` and ``B``.  ``P = AL @ B`` is
     the current product, above ``_TINY`` at every observed cell: those
-    marked in ``mask``, or every cell when ``mask`` is None.  Returns the
-    new ``AL`` and ``B`` and their product.  Arrays may carry a leading
-    batch axis: a single run and a batch go through the same calls.  A
-    component whose weight comes out zero gets the uniform row 1/n in ``B``
-    (and, from ``_split``, the uniform column 1/m in ``A``).
+    marked in ``mask``, or every cell when ``mask`` is None.  ``U`` is the
+    count table, or a copy of it per run.  Returns the new ``AL`` and ``B``
+    and their product.  Arrays may carry a leading batch axis: a single run
+    and a batch go through the same calls.  When m, n and r are all 2 or
+    more, the new ``AL`` is a view of an (m, batch, r) buffer, whose strided
+    matrices BLAS reads and writes in place.  A component whose weight comes
+    out zero gets the uniform row 1/n in ``B`` (and, from ``_split``, the
+    uniform column 1/m in ``A``).
     """
     W = U / P if mask is None else np.divide(U, P, out=np.zeros(P.shape), where=mask)
+    m, r = AL.shape[-2:]
+    # the batch axis goes inside unless a product is a matrix-vector one (a
+    # dimension is 1): the bits of those depend on the strides
+    inside = min(m, r, B.shape[-1]) > 1
+    rows = np.empty((m,) + AL.shape[:-2] + (r,)) if inside else np.empty(AL.shape).swapaxes(0, -2)
     # B.T is copied: the product on a contiguous operand is faster, same bits
-    Sa = AL * (W @ B.swapaxes(-1, -2).copy())  # u_plus * AL_new
+    Sa = np.matmul(W, B.swapaxes(-1, -2).copy(), out=rows.swapaxes(0, -2))
+    Sa *= AL                                   # u_plus * AL_new
     Sb = B * (AL.swapaxes(-1, -2) @ W)         # u_plus * lam_new * B_new
-    # u_plus * lam_new: the rows of Sa added in order, the order in which
-    # Sa.sum(axis=-2) adds them, without the reduction's set-up
-    s = Sa[..., 0, :]
-    for i in range(1, Sa.shape[-2]):
-        s = s + Sa[..., i, :]
-    s = s[..., None]
+    # u_plus * lam_new: the rows of Sa added in order, which sum(axis=0) does
+    # on contiguous rows of two or more numbers, and accumulate on any rows
+    s = (rows.sum(axis=0) if inside else np.add.accumulate(rows)[-1])[..., None]
     if s.all():
         B_new = Sb / s
     else:
         dead = s == 0
         B_new = np.where(dead, 1.0 / B.shape[-1], Sb / np.where(dead, 1.0, s))
-    AL_new = Sa / u_plus
-    return AL_new, B_new, AL_new @ B_new
+    Sa /= u_plus
+    return Sa, B_new, Sa @ B_new
 
 
 def _split(AL):
@@ -349,6 +355,9 @@ def _extrapolate(counts, cells, state):
     alpha reached -1, or x' underflows at an observed cell.
     """
     AL2, B2, P2, _, AL1, B1, AL0, B0 = state
+    # run-major copies of the (m, batch, r) iterates, so that a run's norms
+    # are summed in the same order in any batch
+    AL2, AL1, AL0 = (np.ascontiguousarray(x) for x in (AL2, AL1, AL0))
     rA, rB = AL1 - AL0, B1 - B0
     vA, vB = AL2 - 2 * AL1 + AL0, B2 - 2 * B1 + B0
     r = np.sqrt((rA * rA).sum(axis=(1, 2)) + (rB * rB).sum(axis=(1, 2)))
@@ -381,11 +390,13 @@ def _em_loop(data: DataMatrix, A, lam, B, max_iter: int, tol: float,
     ``A`` (b, m, r), ``lam`` (b, r) and ``B`` (b, r, n) are the starting
     parameters.  A run stops when one EM step moves its P by less than
     ``tol`` (max entrywise change), and is frozen from then on, or after
-    ``max_iter`` evaluations of the EM map.  A run whose mixture underflows
-    at an observed cell is quarantined (frozen, unconverged, log-likelihood
-    -inf); the others go on, and ``EMNumericalError`` is raised only when
-    every run is quarantined.  With ``trace`` set on a batch of one, also
-    returns its log-likelihood before the first evaluation and after each.
+    ``max_iter`` evaluations of the EM map; single runs are looked at only
+    once m*n entries of the batch moved that little.  A run whose mixture
+    underflows at an observed cell is quarantined (frozen, unconverged,
+    log-likelihood -inf); the others go on, and ``EMNumericalError`` is
+    raised only when every run is quarantined.  With ``trace`` set on a
+    batch of one, also returns its log-likelihood before the first
+    evaluation and after each.
 
     With ``accelerate`` set, every third evaluation is a SQUAREM step: it
     starts from the point ``_extrapolate`` makes of the two plain steps
@@ -409,6 +420,7 @@ def _em_loop(data: DataMatrix, A, lam, B, max_iter: int, tol: float,
     P = AL @ B
     ll, bad = _loglik(counts, cells, P)
     b = len(ll)
+    Us = np.repeat(U[None], b, axis=0)  # the counts per live run, a contiguous stack
     iterations = np.zeros(b, dtype=int)
     converged = np.zeros(b, dtype=bool)
     slack = 0.0
@@ -420,7 +432,7 @@ def _em_loop(data: DataMatrix, A, lam, B, max_iter: int, tol: float,
     def retire(stop, done):
         """Write the runs selected by ``stop`` back, as converged where
         ``done``, and drop them from the live set."""
-        nonlocal live, state
+        nonlocal live, state, Us
         idx = live[stop]
         AL_stop, B_stop, P_stop, ll_stop = (part[stop] for part in state[:4])
         A[idx], lam[idx] = _split(AL_stop)
@@ -428,7 +440,7 @@ def _em_loop(data: DataMatrix, A, lam, B, max_iter: int, tol: float,
         iterations[idx] = rounds
         converged[idx] = done[stop]
         keep = ~stop
-        live, state = live[keep], tuple(part[keep] for part in state)
+        live, Us, state = live[keep], Us[keep], tuple(part[keep] for part in state)
 
     if bad is not None:
         retire(bad, np.zeros_like(bad))
@@ -440,15 +452,15 @@ def _em_loop(data: DataMatrix, A, lam, B, max_iter: int, tol: float,
             AL_in, B_in, P_in, ext = _extrapolate(counts, cells, state)
         else:
             AL_in, B_in, P_in = AL_old, B_old, P_old
-        AL_new, B_new, P_new = _em_update(U, mask, data.u_plus, AL_in, B_in, P_in)
+        AL_new, B_new, P_new = _em_update(Us, mask, data.u_plus, AL_in, B_in, P_in)
         ll_new, bad = _loglik(counts, cells, P_new)
-        delta = np.abs(P_new - P_in).max(axis=(1, 2))
+        close = np.abs(P_new - P_in) < tol  # entries that moved by less than tol
         if extrapolated and ext.any():
             # keep x2 where the step from x' is lower, or underflowed (-inf)
             back = ext & ~(ll_new >= ll_old)
             for new, old in zip((AL_new, B_new, P_new, ll_new), state):
                 new[back] = old[back]
-            delta[ext] = np.inf
+            close[ext] = False
             if bad is not None:
                 bad &= ~ext
                 bad = bad if bad.any() else None
@@ -458,12 +470,15 @@ def _em_loop(data: DataMatrix, A, lam, B, max_iter: int, tol: float,
             history.append(float(ll_new[0]))
         if bad is None:
             slack = max(slack, float((ll_old - ll_new).max()))
-            if delta.min() < tol:
-                done = delta < tol
-                retire(done, done)
+            # a run stops when all its m*n entries are close: reduce per run
+            # only when the batch has that many close entries
+            if np.count_nonzero(close) >= U.size:
+                done = close.all(axis=(1, 2))
+                if done.any():
+                    retire(done, done)
         else:
             slack = float((ll_old - ll_new)[~bad].max(initial=slack))
-            done = ~bad & (delta < tol)
+            done = ~bad & close.all(axis=(1, 2))
             retire(bad | done, done)
     retire(np.ones(len(live), dtype=bool), np.zeros(len(live), dtype=bool))
     quarantined = int(np.isneginf(ll).sum())  # no other run has loglik -inf

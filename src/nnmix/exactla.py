@@ -54,6 +54,8 @@ class RankExcessError(ValueError):
 
 
 def _coerce_exact(x) -> Fraction:
+    if type(x) is int:  # the common entry, before the costlier ABC check
+        return Fraction(x)
     if isinstance(x, Fraction):
         return x
     if isinstance(x, (int, np.integer)):

@@ -475,6 +475,92 @@ class TestRunEM:
                 for name in ("P", "loglik", "iterations", "converged"):
                     assert np.array_equal(getattr(single, name)[0], getattr(batch, name)[k])
 
+    @pytest.mark.parametrize("shapes, r, accelerate", [
+        (((6, 4), (4, 4)), 3, True),   # SQUAREM norms, summed per run
+        (((8, 3), (3, 12)), 1, False),  # matrix-vector products, whose bits
+        (((8, 3), (3, 12)), 1, True),   # depend on the strides
+        (((7, 1), (10, 1)), 2, False),
+    ], ids=["squarem", "one_component", "one_component_squarem", "one_column"])
+    def test_batch_runs_match_single_runs_in_every_layout(self, shapes, r, accelerate):
+        # the batch keeps its state with the run axis inside; a run must
+        # still get the bits it gets alone
+        for shape in shapes:
+            U = np.random.default_rng(12).integers(0, 30, size=shape)
+            data = em.DataMatrix.from_array(U)
+            starts = TestQuarantine._starts(U, r, range(6))
+            batch, _ = em._em_loop(data, *starts, max_iter=300, tol=1e-10,
+                                   accelerate=accelerate)
+            for k in range(6):
+                single, _ = em._em_loop(data, *(x[[k]] for x in starts), max_iter=300,
+                                        tol=1e-10, accelerate=accelerate)
+                for name in ("A", "lam", "B", "P", "loglik", "iterations", "converged"):
+                    assert np.array_equal(getattr(single, name)[0], getattr(batch, name)[k])
+
+    @staticmethod
+    def _stop_round(U, r, seed, max_iter, tol):
+        # the stop rule on one run alone, checked on every round: the round
+        # at which max|P_new - P| first falls below tol, or max_iter
+        m, n = U.shape
+        theta = em.random_parameters(m, n, r, np.random.default_rng(np.random.SeedSequence(seed)))
+        mask = U > 0
+        AL, B = (theta.A * theta.lam)[None], theta.B[None]
+        P = AL @ B
+        for rounds in range(1, max_iter + 1):
+            AL, B, P_new = em._em_update(U, None if mask.all() else mask, int(U.sum()),
+                                         AL, B, P)
+            if np.abs(P_new - P).max() < tol:
+                return rounds, True
+            P = P_new
+        return max_iter, False
+
+    def test_each_restart_stops_at_its_own_round(self):
+        # the batch looks at single runs only once enough entries are close;
+        # every restart must still stop on the round the plain rule names,
+        # in the full batch and in a batch of its own, where a stopping run
+        # has exactly m*n close entries
+        rng = np.random.default_rng(11)
+        holed = rng.integers(0, 30, size=(4, 4))
+        holed[0, 0] += 1
+        full = rng.integers(1, 30, size=(4, 4))
+        seeds = [(5, k) for k in range(16)]
+        for U in (holed, full):
+            batch = em.em_restart_batch(U, 3, seeds, max_iter=200, tol=1e-6)
+            stopped = batch.iterations[batch.converged]
+            assert len(set(stopped)) == len(stopped) >= 2  # distinct stop rounds
+            assert not batch.converged.all()
+            for k, seed in enumerate(seeds):
+                want = self._stop_round(U, 3, seed, 200, 1e-6)
+                assert (batch.iterations[k], batch.converged[k]) == want, k
+                alone = em.em_restart_batch(U, 3, [seed], max_iter=200, tol=1e-6)
+                assert (alone.iterations[0], alone.converged[0]) == want, k
+
+    def test_batch_state_comes_back_run_major(self):
+        # the loop keeps its state with the run axis inside; what it returns
+        # is C-contiguous, run first, and each run holds what it holds alone:
+        # runs that stopped early, ran to max_iter, or were quarantined
+        U = np.random.default_rng(12).integers(1, 30, size=(4, 5))
+        data = em.DataMatrix.from_array(U)
+        starts = TestQuarantine._starts(U, 3, range(8), dead=[3])
+        batch, _ = em._em_loop(data, *starts, max_iter=150, tol=1e-5)
+        assert batch.converged.any() and not batch.converged.all()
+        assert batch.quarantined == 1 and batch.iterations[3] == 0
+        for name, shape in (("A", (8, 4, 3)), ("lam", (8, 3)), ("B", (8, 3, 5)),
+                            ("P", (8, 4, 5))):
+            part = getattr(batch, name)
+            assert part.shape == shape and part.flags.c_contiguous, name
+        A0, lam0, B0 = starts
+        A, lam = em._split(A0[3] * lam0[3])
+        frozen = (A, lam, B0[3], (A0[3] * lam0[3]) @ B0[3])
+        for k in range(8):
+            if k == 3:
+                alone = frozen
+            else:
+                single, _ = em._em_loop(data, A0[[k]], lam0[[k]], B0[[k]],
+                                        max_iter=150, tol=1e-5)
+                alone = (single.A[0], single.lam[0], single.B[0], single.P[0])
+            for name, want in zip(("A", "lam", "B", "P"), alone):
+                assert np.array_equal(getattr(batch, name)[k], want), (k, name)
+
     def test_restarts_polish_an_unconverged_winner(self, u10):
         seeds = [(2, k) for k in range(8)]
         batch = em.em_restart_batch(u10, 3, seeds, max_iter=30, tol=1e-10)

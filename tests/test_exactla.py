@@ -1,6 +1,8 @@
 """Exact/float linear algebra: rank, determinant, RREF factorization, I/O."""
 
 import itertools
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -8,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nnmix.exactla import (DimensionError, Matrix, RankExcessError, determinant,
-                           format_matrix, matrix_rank, parse_matrix, parse_scalar,
-                           rank_factorize, rref)
+from nnmix.exactla import (DimensionError, Matrix, RankExcessError, _coerce_exact,
+                           determinant, format_matrix, matrix_rank, parse_matrix,
+                           parse_scalar, rank_factorize, rref)
 
 from conftest import CURVE_BASE, random_rational_matrix, uab_rows
 
@@ -430,3 +432,33 @@ def test_matrix_of_is_exact_only_for_rational_entries(rows, backend):
     assert M.backend == backend
     values = [[float(Fraction(x) if isinstance(x, str) else x) for x in row] for row in rows]
     assert M.to_numpy().tolist() == values
+
+
+def _coerce_in_type_order(x):
+    """The exact coercion as it tests types: Fraction, then int, then str or float."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, (int, np.integer)):
+        return Fraction(int(x))
+    if isinstance(x, (str, float)):
+        return Fraction(x)
+    raise TypeError(f"cannot coerce {x!r} to an exact rational")
+
+
+@pytest.mark.parametrize("x", [
+    0, -7, 10**40, True, False, np.int64(-3), np.uint8(200), np.int32(5),
+    Fraction(-3, 4), Fraction(10**30, 7), "3/4", " -2 ", "0.125", "1e-3", 0.1, -2.5,
+    np.float64(0.5), float("nan"), float("inf"), "x", None, 1j, Decimal("0.5"), b"1", [1],
+], ids=repr)
+def test_coerce_exact_agrees_with_the_type_order(x):
+    try:
+        want = _coerce_in_type_order(x)
+    except (TypeError, ValueError, OverflowError) as err:
+        with pytest.raises(type(err), match=re.escape(str(err))):
+            _coerce_exact(x)
+        return
+    got = _coerce_exact(x)
+    assert type(got) is Fraction and got == want
+    assert type(got.numerator) is int and type(got.denominator) is int
+    if isinstance(x, Fraction):
+        assert got is x

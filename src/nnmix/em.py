@@ -257,7 +257,9 @@ def _em_update(U, mask, u_plus, AL, B, P):
     out zero gets the uniform row 1/n in ``B`` (and, from ``_split``, the
     uniform column 1/m in ``A``).
     """
-    W = U / P if mask is None else np.divide(U, P, out=np.zeros(P.shape), where=mask)
+    # an observed cell of a live run has P > _TINY, so the floor only turns
+    # 0/0 at an unobserved cell (where U is 0) into 0
+    W = U / (P if mask is None else np.maximum(P, _TINY))
     m, r = AL.shape[-2:]
     # the batch axis goes inside unless a product is a matrix-vector one (a
     # dimension is 1): the bits of those depend on the strides

@@ -34,22 +34,35 @@ where L2·p_k' = F_j'(k'), z[k] = det(L1, a_k, L2) = F_j'(i')·V_k since
 The identities are exact, so on integers every sign is the composed bracket's.
 
 A candidate has C(M − 2, 2)·(N − 2) chord values for M lines and N points.
-From ``_CHORD_BLOCK_MIN`` of them on (9x9 and larger; not 4x4 stratum
-samples or 8x8 products) the lazy scan evaluates each candidate's family
-as one float64 block in numpy (``_ChordBlocks``) in front of the scalar
-loop, with the loop's operation order: x = V_k·q_l(i') − V_l·q_k(i'), then
-x·y − z_k·q_l(k') and −x·y − z_l·q_k(k').  On floats the values are
-therefore the scalar loop's bit for bit, and so are the touches and the
-``marginal`` flag, which counts an in-band value only up to the first
-negative pair, where the loop stops reading.
+The witnesses form one lazy stream: the tuples of this orientation in index
+order, then those with the roles of A and B.T swapped.  Each entry point
+reads only what it needs.  ``nnrank3_membership`` and
+``membership_from_factors`` take the first record, ``all_witnesses`` (and so
+``boundary_test``) takes them all, and ``nonneg_rank3_factorize`` takes the
+first whose triangle yields nonnegative factors.  There are two paths, and
+no option selects between them:
 
-On integers a static filter (Fortune and Van Wyk, ACM TOG 15, 1996;
-Shewchuk, DCG 18, 1997) decides each sign: a value ŝ is sure when
+- the lazy scan decides one candidate at a time and evaluates its chord
+  values in a scalar loop that stops at the first negative pair.  The head
+  readers, the float backend and smaller inputs take it;
+- the consumer that takes every record on the rational backend has each
+  orientation with at least ``_ORIENTATION_BATCH_MIN`` = 30 chord values
+  per candidate (6x7 and larger; the measured break-even lies between 6x6
+  and 6x7) decided up front in one ``_OrientationBatch``: every vertex
+  bracket in one product, the support tables of the surviving vertices in
+  a second, and the chord values of every surviving candidate in stacks of
+  at most ``_CHORD_CHUNK`` entries.  The scan then walks these decisions,
+  so records, touches and failure logs are the lazy scan's.
+
+The batch runs in float64 behind a static filter (Fortune and Van Wyk, ACM
+TOG 15, 1996; Shewchuk, DCG 18, 1997): a value ŝ is sure when
 |ŝ| > 2e-15·m, where m is the sum of the magnitudes of its terms expanded
-down to the integers the float evaluation starts from.  The lazy block
-starts from V, q and F, so m = (|t1| + |t2|)·|y| + |z·q| with t1 and t2 the
-two products of x.  Each term passes through at most fifteen roundings:
-V and F, when they are float dot products themselves, take five (two
+down to the integers the float evaluation starts from.  V and F are float
+dot products, so with |V|_k = |v|·|a_k| and |F|_t(u) = |v|·|p_t × p_u| the
+chord value x·y − z_k·q_l(k') has
+m = (|V|_k·|q_l(i')| + |V|_l·|q_k(i')|)·|F|_j'(k') + |F|_j'(i')·|V|_k·|q_l(k')|,
+and the same filter decides the signs of V and F themselves.  Each term
+passes through at most fifteen roundings: V and F take five (two
 conversions, a product, two sums), x three more with the conversion of q,
 x·y six more and the difference one.  So |ŝ − s| <= gamma_15·m with
 gamma_15 = 15u/(1 − 15u) < 1.67e-15 for u = 2^-53; the bound leaves margin
@@ -57,33 +70,18 @@ for the roundings of m itself, and as the tables hold integers no value
 underflows.  A sure ŝ has the sign of s, and s is not zero.  Every other
 value, zeros, nan and inf included, is recomputed on the integers
 (``_ExactSigns.rechecks`` counts them), so touches stay exact; an integer
-beyond the float range sends the orientation to the scalar loop.
+beyond the float range sends the orientation to the lazy scan.
 
-The witnesses form one lazy stream: the tuples of this orientation in index
-order, then those with the roles of A and B.T swapped.  Each entry point
-reads only what it needs.  ``nnrank3_membership`` and
-``membership_from_factors`` take the first record, ``all_witnesses`` (and so
-``boundary_test``) takes them all, and ``nonneg_rank3_factorize`` takes the
-first whose triangle yields nonnegative factors.  The consumer that takes
-them all on the rational backend has each orientation with at least
-``_ORIENTATION_BATCH_MIN`` = 30 chord values per candidate (6x7 and larger;
-the measured break-even lies between 6x6 and 6x7) decided up front in one
-``_OrientationBatch``: every vertex bracket in one product, the support
-tables of the surviving vertices in a second, and the chord values of every
-surviving candidate in stacks of at most ``_CHORD_CHUNK`` entries, each
-behind the static filter, with m built from the magnitudes of V and F.  The
-scan then walks these decisions, so records, touches and failure logs are
-the lazy scan's.  The head readers, the float backend and smaller inputs
-keep the lazy scan; no option selects the path.  On the rational backend the
-path from the elimination to the verdict runs on Python ints: the lines are
-P's rows as the elimination cleared them, at its pivot columns, each divided
-by the gcd of its entries, and the points are the columns of d·RREF in
-lowest terms, positive scalings that change no sign.  A scaled input is
-therefore scanned on the integers of the unscaled one, which keeps its
-chord values inside the float filters' range.  The triangle is found in
-homogeneous integer coordinates too, so ``Fraction`` stays at the edges:
-the input, and the factors ``nonneg_rank3_factorize`` returns.  The float
-backend replaces sign tests with a tolerance band and flags marginal calls.
+On the rational backend the path from the elimination to the verdict runs
+on Python ints: the lines are P's rows as the elimination cleared them, at
+its pivot columns, each divided by the gcd of its entries, and the points
+are the columns of d·RREF in lowest terms, positive scalings that change no
+sign.  A scaled input is therefore scanned on the integers of the unscaled
+one, which keeps its chord values inside the float filter's range.  The
+triangle is found in homogeneous integer coordinates too, so ``Fraction``
+stays at the edges: the input, and the factors ``nonneg_rank3_factorize``
+returns.  The float backend replaces sign tests with a tolerance band and
+flags marginal calls.
 """
 
 from __future__ import annotations
@@ -244,7 +242,7 @@ class _FloatSigns:
     conservatively (zero plus a marginal flag).
     """
 
-    reads_all = False  # float values stay the scalar loop's, bit for bit: no batch
+    reads_all = False  # the batch is exact only: a float scan is the scalar loop
 
     def __init__(self, line_scale: float, point_scale: float):
         ls, ps = float(line_scale), float(point_scale)
@@ -328,19 +326,11 @@ def _one_sign(signs) -> bool:
     return True
 
 
-# The lazy scan evaluates a candidate's chord family as a numpy block
-# (``_ChordBlocks``) when it has at least this many chord values,
-# C(M − 2, 2)·(N − 2): 450 at 12x12, 147 at 9x9, 90 at 8x8.  The scalar loop
-# stops at the first negative pair, so small blocks do not pay: in a sweep of
-# seeded products, at 8x8 the blocks were 4% faster on boundary tests but 7-11%
-# slower on membership and factorization, at 9x9 22% faster on boundary tests
-# and within 2% on the rest.
-_CHORD_BLOCK_MIN = 120
 # A consumer that reads every record has an exact orientation decided in one
-# batch (``_OrientationBatch``) from this many chord values per candidate on:
-# 30 at 6x7, 50 at 7x7.  On seeded products the batch took 1.14x the lazy
-# scan's time for a boundary test at 6x6 (24 values), 0.89x at 6x7, 0.77x at
-# 7x7, 0.58x at 8x8 and 0.42x at 9x9.
+# batch (``_OrientationBatch``) when a candidate has at least this many chord
+# values, C(M − 2, 2)·(N − 2): 30 at 6x7, 50 at 7x7.  On seeded products the
+# batch took 1.14x the lazy scan's time for a boundary test at 6x6 (24
+# values), 0.89x at 6x7, 0.77x at 7x7, 0.58x at 8x8 and 0.42x at 9x9.
 _ORIENTATION_BATCH_MIN = 30
 # The batch evaluates at most this many (k, l, k') entries of its candidates'
 # blocks in one stack, which bounds its memory: 15 candidates at 12x12, 5 at
@@ -353,140 +343,14 @@ _FILTER = 2e-15
 _PLUS_MINUS = np.array([1.0, -1.0])[:, None, None, None]
 
 
-@functools.lru_cache(maxsize=1024)
-def _pairs_of(M: int, others: tuple):
-    """The pairs k < l of the lines ``others`` in combination order, as a tuple,
-    as index rows (k, l), and as positions among all the pairs of M lines.
-    Shared by every caller, so the arrays are read-only."""
-    every = list(itertools.combinations(range(M), 2))
-    pos = [r for r, (k, l) in enumerate(every) if k in others and l in others]
-    pairs = tuple(every[r] for r in pos)
-    KL, pos = np.array(pairs, dtype=np.intp).reshape(-1, 2).T, np.array(pos, dtype=np.intp)
-    KL.flags.writeable = pos.flags.writeable = False
-    return pairs, KL, pos
-
-
-class _ChordBlocks:
-    """One orientation's chord family in float64, for a stack of candidates.
-
-    A candidate's block has the vertex's (k, l) pairs in combination order as
-    rows and all N points as columns; its own columns i', j' are masked, so
-    row-major order is the scalar loop's order.  ``values`` evaluates a stack
-    of blocks in that loop's operation order, so on floats the values are its
-    values bit for bit and the band decides them as ``_FloatSigns.sign`` does.
-    On integers a value is decided in float only when it clears the static
-    filter, and ``decide`` recomputes every other value on the integers.  The
-    lazy scan passes a stack of one (``touches``, which returns what the
-    scalar loop of ``chord_touches`` returns); ``_OrientationBatch`` passes
-    chunks of its candidates.  The tables raise ``OverflowError`` when an
-    integer exceeds the float range.
-    """
-
-    V = None  # the vertex brackets of the vertex gathered last
-
-    def __init__(self, ctx, q, line_map, point_map):
-        self.ctx, self.q, self.line_map, self.point_map = ctx, q, line_map, point_map
-        self.exact = not isinstance(ctx, _FloatSigns)
-        self.Q = np.array(q, dtype=float)
-        self.every, KL, _ = _pairs_of(len(q), tuple(range(len(q))))
-        self.QQ_all = self.Q[KL[::-1]]  # q_l(t), q_k(t) of every pair
-
-    def values(self, VV, mVV, y, my, QQ, Qip, ip):
-        """The chord values (2, C, R, N) of a stack of C candidates and, on
-        integers, where the static filter decides them (None on floats).
-
-        ``VV`` (2, C, R) holds V_k and V_l of each candidate's (k, l) pairs,
-        ``QQ`` (2, C, R, N) their rows q_l and q_k, ``Qip`` (2, C, R) those
-        rows at i', and ``y`` (C, N) the support row F_j'.  ``mVV`` and ``my``
-        are the sums of the magnitudes of the terms of V and F (see the
-        module docstring); ``mVV`` is None where V and F are the integers'
-        own conversions, whose magnitudes are their absolute values.
-        """
-        c = np.arange(len(ip))
-        # an overflow gives inf or nan, as in the scalar loop: silently
-        with np.errstate(over="ignore", invalid="ignore"):
-            t = VV * Qip  # V_k·q_l(i'), V_l·q_k(i')
-            s = _PLUS_MINUS * ((t[0] - t[1])[:, :, None] * y[:, None])
-            zq = (y[c, ip][:, None] * VV)[..., None] * QQ  # z_k·q_l(k'), z_l·q_k(k')
-            s -= zq  # x·y − z_k·q_l(k'), −x·y − z_l·q_k(k')
-            if not self.exact:
-                return s, None
-            # |error| <= gamma_15 times the sum of the magnitudes of the terms;
-            # the bound is built in place, which keeps a chunk's peak memory low
-            if mVV is None:
-                mt, bound = np.abs(t), np.abs(zq, out=zq)
-            else:
-                mt, bound = mVV * np.abs(Qip), np.abs(QQ, out=zq)
-                bound *= (my[c, ip][:, None] * mVV)[..., None]
-            bound += (mt[0] + mt[1])[:, :, None] * my[:, None]
-            bound *= _FILTER
-            return s, np.abs(s) > bound
-
-    def decide(self, s, sure, ip, jp, pos, exact) -> list:
-        """Each candidate's zero chord triples, or None where a chord product
-        is negative, from ``values`` on integers.
-
-        ``pos`` (C, R) holds the positions of each candidate's (k, l) rows
-        among all pairs, and ``exact(c)`` gives candidate c's integer vertex
-        brackets and support row F_j', which decide every value the filter
-        left open.  A sure value has the sign of its exact value, which is not
-        zero.
-        """
-        stack = np.arange(len(ip))
-        decided = sure[0] & sure[1]
-        opposite = decided & ((s[0] < 0) != (s[1] < 0))
-        opposite[stack, :, ip] = opposite[stack, :, jp] = False
-        negative = opposite.any((1, 2))
-        out = [None if neg else [] for neg in negative.tolist()]
-        if negative.all():
-            return out
-        decided[stack, :, ip] = decided[stack, :, jp] = True
-        decided[negative] = True
-        ctx, q, every, ip, rows = self.ctx, self.q, self.every, ip.tolist(), pos.tolist()
-        for c, r, kp in zip(*(a.tolist() for a in np.nonzero(~decided))):
-            if out[c] is None:
-                continue
-            V, y = exact(c)
-            k, l = every[rows[c][r]]
-            x, zk, zl = _chord_factors(V, q, ip[c], y[ip[c]], k, l)
-            s1 = ctx.sign(x * y[kp] - zk * q[l][kp], "s63")
-            s2 = ctx.sign(-x * y[kp] - zl * q[k][kp], "s63")
-            ctx.rechecks += 2
-            if s1 * s2 < 0:
-                out[c] = None
-            elif s1 == 0 or s2 == 0:
-                out[c].append((self.line_map[k], self.line_map[l], self.point_map[kp]))
-        return out
-
-    def touches(self, V, F, others, ip, jp):
-        """The zero chord triples of one candidate, or None: a stack of one."""
-        if V is not self.V:  # gather the vertex's V and q rows of its (k, l) pairs
-            self.pairs, KL, pos = _pairs_of(len(V), tuple(others))
-            VV = np.array(V, dtype=float)[KL][:, None]  # V_k, V_l
-            self.VV, self.QQ, self.pos, self.V = VV, self.QQ_all[:, pos][:, None], pos[None], V
-        y = np.array([F[jp]], dtype=float)
-        stack = np.array([ip]), np.array([jp])
-        s, sure = self.values(self.VV, None, y, np.abs(y), self.QQ, self.QQ[..., ip], stack[0])
-        if not self.exact:
-            return self._banded(s[:, 0], ip, jp)
-        return self.decide(s, sure, *stack, self.pos, lambda c: (V, F[jp]))[0]
-
-    def _banded(self, s, ip, jp):
-        inband = np.abs(s) <= self.ctx.bands["s63"]
-        zero = inband[0] | inband[1]
-        opposite = ~zero & ((s[0] < 0) != (s[1] < 0))
-        flagged = (inband & (s != 0)).any(0)  # where the scalar loop raises marginal
-        for a in (zero, opposite, flagged):
-            a[:, ip] = a[:, jp] = False
-        if opposite.any():  # the scalar loop reads up to the first negative pair
-            if flagged.ravel()[:opposite.argmax() + 1].any():
-                self.ctx.marginal = True
-            return None
-        if flagged.any():
-            self.ctx.marginal = True
-        pairs, lm, pm = self.pairs, self.line_map, self.point_map
-        return [(lm[pairs[r][0]], lm[pairs[r][1]], pm[kp])
-                for r, kp in zip(*(a.tolist() for a in np.nonzero(zero)))]
+@functools.lru_cache(maxsize=64)
+def _pairs_of(M: int):
+    """The pairs k < l of range(M) in combination order, as a tuple and as
+    index rows (k, l).  Shared by every caller, so the array is read-only."""
+    pairs = tuple(itertools.combinations(range(M), 2))
+    KL = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    KL.flags.writeable = False
+    return pairs, KL
 
 
 class _OrientationBatch:
@@ -499,8 +363,8 @@ class _OrientationBatch:
     1. the vertex brackets V of every pair of lines, in one product;
     2. the support tables F of the vertices whose V has one sign, in a second;
     3. the chord values of every candidate (vertex, i', j') whose two points
-       support, in stacks of at most ``_CHORD_CHUNK`` entries
-       (``_ChordBlocks``).
+       support, in stacks of at most ``_CHORD_CHUNK`` entries (``values``
+       and ``decide``).
 
     ``found`` maps each vertex (i, j) whose V has one sign to its support
     flags and its candidates' chord touches (None where a chord product is
@@ -512,9 +376,11 @@ class _OrientationBatch:
     def __init__(self, lines, points, ctx, tables, line_map, point_map):
         edges, point_crosses, q = tables
         M, N = len(lines), len(points)
-        self.ctx, self.found = ctx, {}
-        blocks = _ChordBlocks(ctx, q, line_map, point_map)
-        KL = _pairs_of(M, tuple(range(M)))[1]
+        self.ctx, self.q, self.line_map, self.point_map, self.found = (
+            ctx, q, line_map, point_map, {})
+        self.every, KL = _pairs_of(M)
+        Q = np.array(q, dtype=float)
+        QQ = Q[KL[::-1]]  # q_l(t), q_k(t) of every pair
         vertices = [v for i, row in enumerate(edges) for v in row[i + 1:]]
         E, L = np.array(vertices, dtype=float), np.array(lines, dtype=float)
         pc = np.array([c for t, row in enumerate(point_crosses) for c in row[t + 1:]], dtype=float)
@@ -522,7 +388,7 @@ class _OrientationBatch:
         # (maxima); past the float range with a margin of 3, every value would
         # be left to the integers, and the lazy scan decides faster
         if not np.isfinite(81 * np.abs(E).max() ** 2 * np.abs(L).max() * np.abs(pc).max()
-                           * np.abs(blocks.Q).max()):
+                           * np.abs(Q).max()):
             raise OverflowError("chord values beyond the float range")
         # 1. V[p, k] = v·a_k for the vertex v of pair p; V_i = V_j = 0.  The
         # products are einsum's own loops: a first BLAS call would keep about
@@ -535,7 +401,7 @@ class _OrientationBatch:
         if not live.size:
             return
         # 2. F[a, t, u] = v·(p_t × p_u) of the live vertices; F[a, t, t] = 0
-        T, U = _pairs_of(N, tuple(range(N)))[1]
+        T, U = _pairs_of(N)[1]
         PC = np.zeros((N, N, 3))
         PC[T, U], PC[U, T] = pc, -pc
         Es, (I, J), S = E[live], KL[:, live].tolist(), len(live)
@@ -552,7 +418,7 @@ class _OrientationBatch:
         # p_t supports when it is not the vertex (q_i(t), q_j(t) not both 0)
         # and F_t has one sign
         ok = self._one_sign(F.reshape(S * N, N), mF.reshape(S * N, N),
-                            ((blocks.Q[I] != 0) | (blocks.Q[J] != 0)).ravel(),
+                            ((Q[I] != 0) | (Q[J] != 0)).ravel(),
                             lambda r, u: exact_of(r // N)[1][r % N][u])
         # 3. the chord values of every candidate, a chunk of them per stack
         cands = []
@@ -567,18 +433,78 @@ class _OrientationBatch:
         results, step = [], max(1, _CHORD_CHUNK // (POS.shape[1] * N))
         for lo in range(0, len(cands), step):  # no chunk's arrays outlive its turn
             a, ip, jp = np.array(cands[lo:lo + step]).T
-            at, KLc, pos, al, jl = a[None, :, None], KLs[:, a], POS[a], a.tolist(), jp.tolist()
-            results += blocks.decide(
-                *blocks.values(Vs[at, KLc], mVs[at, KLc], F[a, jp], mF[a, jp],
-                               np.take(blocks.QQ_all, pos, axis=1),
-                               np.take(blocks.QQ_all.reshape(2, -1), pos * N + ip[:, None], 1),
-                               ip),
-                ip, jp, pos, lambda c: (exact_of(al[c])[0], exact_of(al[c])[1][jl[c]]))
+            at, KLc, pos = a[None, :, None], KLs[:, a], POS[a]
+            results += self.decide(
+                *self.values(Vs[at, KLc], mVs[at, KLc], F[a, jp], mF[a, jp],
+                             np.take(QQ, pos, axis=1),
+                             np.take(QQ.reshape(2, -1), pos * N + ip[:, None], 1), ip),
+                a.tolist(), ip, jp, pos, exact_of)
         by_vertex = [{} for _ in range(S)]
         for (a, ip, jp), touches in zip(cands, results):
             by_vertex[a][ip, jp] = touches
         for a in range(S):
             self.found[I[a], J[a]] = ok[a * N:(a + 1) * N], by_vertex[a]
+
+    def values(self, VV, mVV, y, my, QQ, Qip, ip):
+        """The chord values (2, C, R, N) of a stack of C candidates, and where
+        the static filter decides them.
+
+        A candidate's block has the vertex's (k, l) pairs in combination order
+        as rows and all N points as columns.  ``VV`` (2, C, R) holds V_k and
+        V_l of each candidate's (k, l) pairs, ``QQ`` (2, C, R, N) their rows
+        q_l and q_k, ``Qip`` (2, C, R) those rows at i', and ``y`` (C, N) the
+        support row F_j'.  ``mVV`` and ``my`` are the sums of the magnitudes
+        of the terms of V and F (see the module docstring).
+        """
+        c = np.arange(len(ip))
+        t = VV * Qip  # V_k·q_l(i'), V_l·q_k(i')
+        s = _PLUS_MINUS * ((t[0] - t[1])[:, :, None] * y[:, None])
+        zq = (y[c, ip][:, None] * VV)[..., None] * QQ  # z_k·q_l(k'), z_l·q_k(k')
+        s -= zq  # x·y − z_k·q_l(k'), −x·y − z_l·q_k(k')
+        # |error| <= gamma_15 times the sum of the magnitudes of the terms;
+        # the bound is built in place, which keeps a chunk's peak memory low
+        mt, bound = mVV * np.abs(Qip), np.abs(QQ, out=zq)
+        bound *= (my[c, ip][:, None] * mVV)[..., None]
+        bound += (mt[0] + mt[1])[:, :, None] * my[:, None]
+        bound *= _FILTER
+        return s, np.abs(s) > bound
+
+    def decide(self, s, sure, a, ip, jp, pos, exact_of) -> list:
+        """Each candidate's zero chord triples, or None where a chord product
+        is negative, from ``values``.
+
+        Candidate c belongs to live vertex ``a[c]``, and ``pos`` (C, R) holds
+        the positions of its (k, l) rows among all pairs.  ``exact_of``
+        gives a live vertex's integer vertex brackets and support table,
+        which decide every value the filter left open.  A sure value has the
+        sign of its exact value, which is not zero.
+        """
+        stack = np.arange(len(ip))
+        decided = sure[0] & sure[1]
+        opposite = decided & ((s[0] < 0) != (s[1] < 0))
+        opposite[stack, :, ip] = opposite[stack, :, jp] = False
+        negative = opposite.any((1, 2))
+        out = [None if neg else [] for neg in negative.tolist()]
+        if negative.all():
+            return out
+        decided[stack, :, ip] = decided[stack, :, jp] = True
+        decided[negative] = True
+        ctx, q, every, rows = self.ctx, self.q, self.every, pos.tolist()
+        ip, jp = ip.tolist(), jp.tolist()
+        for c, r, kp in zip(*(x.tolist() for x in np.nonzero(~decided))):
+            if out[c] is None:
+                continue
+            V, F = exact_of(a[c])
+            y, (k, l) = F[jp[c]], every[rows[c][r]]
+            x, zk, zl = _chord_factors(V, q, ip[c], y[ip[c]], k, l)
+            s1 = ctx.sign(x * y[kp] - zk * q[l][kp], "s63")
+            s2 = ctx.sign(-x * y[kp] - zl * q[k][kp], "s63")
+            ctx.rechecks += 2
+            if s1 * s2 < 0:
+                out[c] = None
+            elif s1 == 0 or s2 == 0:
+                out[c].append((self.line_map[k], self.line_map[l], self.point_map[kp]))
+        return out
 
     def _one_sign(self, X, mX, rows, exact) -> list:
         """Whether the nonzero values in each row of X share one sign, for the
@@ -607,7 +533,6 @@ class _OrientationBatch:
         return ok
 
 
-
 def _scan_orientation(lines, points, ctx, swapped, line_map, point_map, log, tables):
     """Yield the witnesses of one orientation in index order, lazily.
 
@@ -625,25 +550,14 @@ def _scan_orientation(lines, points, ctx, swapped, line_map, point_map, log, tab
     edges, point_crosses, q = tables
     M, N = len(lines), len(points)
     sign = ctx.sign
-    per_candidate = comb(M - 2, 2) * (N - 2)
-    # the numpy path, chosen by a candidate's count of chord values and set
-    # up with the first chord test
-    use_blocks, blocks = per_candidate >= _CHORD_BLOCK_MIN, None
 
-    def chord_touches(V, F, others, pairs, ip, jp):
+    def chord_touches(V, F, pairs, ip, jp):
         # The zero chord triples of candidate (ip, jp), or None if a chord
         # product is negative (the inner polygon leaves the triangle).  The
         # chord brackets of (k, l, k') and (l, k, k') are x·y − z_k·q_l and
         # −x·y − z_l·q_k with y = F_jp(k'), which is L2·p_k'.  ``pairs`` are
-        # the vertex's (k, l) pairs of ``others``, in combination order.
-        nonlocal use_blocks, blocks
-        if use_blocks:
-            try:
-                if blocks is None:
-                    blocks = _ChordBlocks(ctx, q, line_map, point_map)
-                return blocks.touches(V, F, others, ip, jp)
-            except OverflowError:  # beyond float range: the scalar loop decides
-                use_blocks = False
+        # the vertex's (k, l) pairs apart from its own lines, in combination
+        # order.
         y, f = F[jp], F[jp][ip]
         kps = [kp for kp in range(N) if kp != ip and kp != jp]
         touches = []
@@ -661,7 +575,7 @@ def _scan_orientation(lines, points, ctx, swapped, line_map, point_map, log, tab
         return touches
 
     batch = None
-    if ctx.reads_all and per_candidate >= _ORIENTATION_BATCH_MIN:
+    if ctx.reads_all and comb(M - 2, 2) * (N - 2) >= _ORIENTATION_BATCH_MIN:
         try:
             # an overflow gives inf or nan, which the filters leave to the integers
             with np.errstate(over="ignore", invalid="ignore"):
@@ -687,8 +601,7 @@ def _scan_orientation(lines, points, ctx, swapped, line_map, point_map, log, tab
                 continue
             ok, decided = found  # the support flags, and the batch's chord touches
             if batch is None:  # decided as the scan reaches them
-                others = [k for k in range(M) if k != i and k != j]
-                pairs = list(itertools.combinations(others, 2))
+                pairs = list(itertools.combinations([k for k in range(M) if k != i and k != j], 2))
                 F, qi, qj = _support_table(v, point_crosses), q[i], q[j]
 
                 def supports(t):
@@ -709,7 +622,7 @@ def _scan_orientation(lines, points, ctx, swapped, line_map, point_map, log, tab
                         ok[jp] = supports(jp)
                     if jp == ip or not ok[jp]:
                         continue
-                    touches = (chord_touches(V, F, others, pairs, ip, jp) if batch is None
+                    touches = (chord_touches(V, F, pairs, ip, jp) if batch is None
                                else decided[ip, jp])
                     if touches is None:
                         log.append(f"candidate ({line_map[i]},{line_map[j]},"

@@ -275,17 +275,24 @@ def _assert_round_matches_composition(U, got, theta):
 
 def test_collapsed_update_matches_definitional_composition():
     # one round of the collapsed update must equal e_step followed by m_step,
-    # on a fully observed table (W is the plain quotient U / P) and on one
-    # with zero cells (W is masked)
+    # on a fully observed table (W is the plain quotient U / P), on one with
+    # zero cells, and on one whose zero row meets a zero row of A, so that P
+    # is exactly 0 at those unobserved cells; no round divides 0 by 0
     rng = np.random.default_rng(42)
     full = rng.integers(1, 15, size=(4, 5)).astype(float)
-    holed = full.copy()
+    holed, unseen = full.copy(), full.copy()
     holed.flat[[1, 7, 8, 18]] = 0.0
-    for U in (full, holed):
+    unseen[0] = 0.0
+    for U in (full, holed, unseen):
         theta = em.random_parameters(4, 5, 3, rng)
+        if U is unseen:
+            theta.A[0] = 0.0
+            theta.A /= theta.A.sum(axis=0)
         mask = U > 0
         args = (int(U.sum()), theta.A * theta.lam, theta.B, theta.product())
-        got = em._em_update(U, None if mask.all() else mask, *args)
+        assert U is not unseen or not args[-1][0].any()
+        with np.errstate(divide="raise", invalid="raise"):
+            got = em._em_update(U, None if mask.all() else mask, *args)
         _assert_round_matches_composition(U, got, theta)
         if mask.all():  # the plain quotient gives the masked one's bits
             masked = em._em_update(U, mask, *args)

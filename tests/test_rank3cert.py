@@ -755,19 +755,22 @@ def test_scan_matches_the_composed_scan(monkeypatch):
 
 def test_float_verdicts_agree_or_are_marginal():
     # the float/exact contract: a float verdict that differs from the exact
-    # verdict on the same rational matrix is flagged marginal
+    # verdict on the same rational matrix is flagged marginal, at 4x4 to
+    # 16x16 and past 2**53
     calls = 0
-    for P, factors in scan_corpus():
-        pairs = [(nnrank3_membership(P), nnrank3_membership(P.as_float()))]
+    corpus = _chord_path_corpus()
+    floats = [(P, factors) for P, factors in corpus if P.backend == "float"]
+    # the exact inputs come first, in the order of their float copies
+    for (P, factors), (P_float, float_factors) in zip(corpus, floats):
+        pairs = [(nnrank3_membership(P), nnrank3_membership(P_float))]
         if factors:
-            A, B = factors
-            pairs.append((membership_from_factors(A, B),
-                          membership_from_factors(A.as_float(), B.as_float())))
+            pairs.append((membership_from_factors(*factors),
+                          membership_from_factors(*float_factors)))
         for exact, approx in pairs:
             calls += 1
             assert approx.backend == "float"
             assert approx.verdict == exact.verdict or approx.marginal, P
-    assert calls == 119
+    assert calls == 126
 
 
 def _big_product(rng, size: int):
@@ -798,50 +801,6 @@ def _chord_path_corpus():
     return exact + [(_big_product(rng, 12), None)] + floats
 
 
-def _path_outputs(P, factors):
-    member = nnrank3_membership(P)
-    full, records = all_witnesses(P)
-    out = [member.as_dict(), member.failure_log, full.as_dict(), full.failure_log, records]
-    if P.backend == "exact":
-        out.append(boundary_test(P).as_dict())
-        try:
-            out.append(nonneg_rank3_factorize(P))
-        except NotInModelError as exc:
-            out.append(str(exc))
-    if factors:
-        dec = membership_from_factors(*factors)
-        out += [dec.as_dict(), dec.failure_log]
-    return out
-
-
-def test_numpy_chord_path_matches_the_scalar_loop(monkeypatch):
-    # records, touching triples, failure logs and marginal flags are the
-    # scalar loop's, on both backends, past 2**53 and past the float range
-    corpus = _chord_path_corpus()
-    seen = {"blocks": 0, "overflow": 0}
-    touches = rank3cert._ChordBlocks.touches
-
-    def counted(self, *args):
-        seen["blocks"] += 1
-        try:
-            return touches(self, *args)
-        except OverflowError:
-            seen["overflow"] += 1
-            raise
-
-    monkeypatch.setattr(rank3cert._ChordBlocks, "touches", counted)
-    monkeypatch.setattr(rank3cert, "_ORIENTATION_BATCH_MIN", 10**9)
-    monkeypatch.setattr(rank3cert, "_CHORD_BLOCK_MIN", 0)
-    on_numpy = [_path_outputs(P, factors) for P, factors in corpus]
-    assert seen["blocks"] > 1000 and seen["overflow"] > 0, seen
-    assert any(out[0]["marginal"] for out in on_numpy)
-    monkeypatch.setattr(rank3cert, "_CHORD_BLOCK_MIN", 10**9)
-    seen["blocks"] = 0
-    for (P, factors), got in zip(corpus, on_numpy):
-        assert got == _path_outputs(P, factors), P
-    assert seen["blocks"] == 0
-
-
 def test_exact_rechecks_cover_every_touching_triple(monkeypatch):
     # factors with zeros make many chord values vanish; a zero is never
     # decided by the float filter, so each touching pair is rechecked
@@ -859,7 +818,6 @@ def test_exact_rechecks_cover_every_touching_triple(monkeypatch):
     touching = sum(len(rec.touches) for rec in records)
     assert decision.rank == 3 and touching > 100
     assert contexts[-1].rechecks >= 2 * touching
-    monkeypatch.setattr(rank3cert, "_CHORD_BLOCK_MIN", 10**9)
     monkeypatch.setattr(rank3cert, "_ORIENTATION_BATCH_MIN", 10**9)
     assert all_witnesses(P) == (decision, records)
     assert contexts[-1].rechecks == 0
@@ -926,7 +884,6 @@ def test_orientation_batch_matches_the_scalar_loop(monkeypatch):
     assert built[-4] == {"built": 4, "overflow": 4}
     assert sum(any(rec.touches for rec in out[2]) for out in batched) >= 20
     monkeypatch.setattr(rank3cert, "_ORIENTATION_BATCH_MIN", 10**9)
-    monkeypatch.setattr(rank3cert, "_CHORD_BLOCK_MIN", 10**9)
     seen.update(built=0, overflow=0)
     for P, got in zip(corpus, batched):
         assert got == outputs(P), P
@@ -967,13 +924,13 @@ def test_orientation_batch_evaluates_bounded_chunks(monkeypatch):
     # passed to the chord evaluator exceeds the chunk
     rng = np.random.default_rng(16)
     P = Matrix.exact((rng.integers(1, 10, (16, 3)) @ rng.integers(1, 10, (3, 16))).tolist())
-    stacks, values = [], rank3cert._ChordBlocks.values
+    stacks, values = [], rank3cert._OrientationBatch.values
 
     def spy(self, VV, mVV, y, my, QQ, Qip, ip):
         stacks.append((len(ip), QQ[0].size))  # candidates, (k, l, k') entries
         return values(self, VV, mVV, y, my, QQ, Qip, ip)
 
-    monkeypatch.setattr(rank3cert._ChordBlocks, "values", spy)
+    monkeypatch.setattr(rank3cert._OrientationBatch, "values", spy)
     decision, records = all_witnesses(P)
     assert decision.verdict == "in" and records
     assert len(stacks) > 2 and max(c for c, _ in stacks) > 1
@@ -982,9 +939,13 @@ def test_orientation_batch_evaluates_bounded_chunks(monkeypatch):
 
 def test_four_by_four_boundary_test_builds_no_array(monkeypatch):
     # a 4x4 candidate has 2 chord values: the scalar loop decides them, and
-    # numpy is not reached
+    # numpy is not reached; at 12x12 the head readers take the scalar loop
+    # too, and only the batch of a boundary test reaches numpy
     P, _, _ = sample_algebraic_boundary(enumerate_zero_patterns(4, 4)[0],
                                         np.random.default_rng(7))
+    rng = np.random.default_rng(3)
+    big = Matrix.exact((rng.integers(1, 10, (12, 3)) @ rng.integers(1, 10, (3, 12))).tolist())
+    big_float = big.as_float()
     array, calls = np.array, []
 
     def counted(*args, **kwargs):
@@ -994,6 +955,8 @@ def test_four_by_four_boundary_test_builds_no_array(monkeypatch):
     monkeypatch.setattr(rank3cert.np, "array", counted)
     assert boundary_test(P).witnesses > 0
     assert calls == []
-    rng = np.random.default_rng(3)
-    boundary_test(Matrix.exact((rng.integers(1, 10, (12, 3)) @ rng.integers(1, 10, (3, 12))).tolist()))
+    assert nnrank3_membership(big) and nnrank3_membership(big_float)
+    nonneg_rank3_factorize(big)
+    assert calls == []
+    boundary_test(big)
     assert calls  # the counter sees the numpy path

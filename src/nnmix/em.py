@@ -30,6 +30,8 @@ POLISH_ITER = 10**4  # EM-map evaluations allowed to converge an unconverged bes
 # restarts whose log-likelihoods differ by less than this, relative (about 10
 # ulp), reach the same maximizer as far as the arithmetic can tell
 _TIE_REL = 2e-15
+# ``_em_loop`` folds the log-likelihood steps into the slack at least this often
+_FOLD = 64
 
 
 class EMNumericalError(ArithmeticError):
@@ -112,27 +114,123 @@ def model_dimension(m: int, n: int, r: int) -> int:
     return r * (m + n) - r * r - 1
 
 
-def _exponential_draws(m: int, n: int, r: int, rng: np.random.Generator):
-    """The unnormalized draws of ``random_parameters``: A, lam, B in turn."""
+def _draw_size(m: int, n: int, r: int) -> int:
+    """The number of exponential draws a start takes: A, lam, B in turn."""
     if r < 1:
         raise ValueError(f"mixture needs at least one component, got r={r}")
-    return tuple(rng.exponential(size=shape) for shape in ((m, r), (r,), (r, n)))
+    return m * r + r + r * n
 
 
-def _normalize(A, lam, B):
-    """Scale exponential draws, in place, to the columns of A, lam and the
-    rows of B summing to 1.  Arrays may carry a leading batch axis; each
-    slice gets the bits it gets alone."""
+def _start(draws, m: int, n: int, r: int):
+    """``(A, lam, B)`` from a start's exponential draws, in place: the
+    columns of A, lam and the rows of B scaled to sum to 1.  ``draws`` may
+    carry a leading batch axis; each row gets the bits it gets alone."""
+    lead = draws.shape[:-1]
+    A = draws[..., :m * r].reshape(lead + (m, r))
+    lam = draws[..., m * r:m * r + r]
+    B = draws[..., m * r + r:].reshape(lead + (r, n))
     A /= A.sum(axis=-2, keepdims=True)
     lam /= lam.sum(axis=-1, keepdims=True)
     B /= B.sum(axis=-1, keepdims=True)
+    return A, lam, B
 
 
 def random_parameters(m: int, n: int, r: int, rng: np.random.Generator) -> ParameterTriple:
     """Uniform draws from each simplex via normalized exponential variates."""
-    A, lam, B = _exponential_draws(m, n, r, rng)
-    _normalize(A, lam, B)
-    return ParameterTriple(A, lam, B)
+    return ParameterTriple(*_start(rng.standard_exponential(_draw_size(m, n, r)), m, n, r))
+
+
+# numpy's SeedSequence (bit_generator.pyx) and pcg64_set_seed (pcg64.h),
+# whose arithmetic ``_pcg64_states`` repeats for a batch of seeds at once
+_MASK32 = 0xFFFFFFFF
+_POOL = 4                                 # SeedSequence's default pool size
+_HASH_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # the entropy hash of mix_entropy
+_HASH_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # the output hash of generate_state
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_MASK128 = (1 << 128) - 1
+
+
+def _words(entropy) -> list:
+    """The uint32 words ``SeedSequence`` reads from a seed: an integer's
+    words, low first, or the words of each entry of a sequence in turn."""
+    if isinstance(entropy, (int, np.integer)):
+        value = int(entropy)
+        if value < 0:
+            raise ValueError("expected non-negative integer")
+        words = [value & _MASK32]
+        while value > _MASK32:
+            value >>= 32
+            words.append(value & _MASK32)
+        return words
+    if isinstance(entropy, (float, np.inexact)):
+        raise TypeError("seed must be integer")
+    words = []
+    for entry in entropy:
+        if type(entry) is int and 0 <= entry <= _MASK32:  # the usual entry: one word
+            words.append(entry)
+        else:
+            words += _words(entry)
+    return words
+
+
+def _hash_constants(start: int, mult: int, count: int) -> np.ndarray:
+    """``count + 1`` values of a hash constant that starts at ``start`` and
+    is multiplied by ``mult`` at each use, as a uint32 column."""
+    consts = [start]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, dtype=np.uint32)[:, None]
+
+
+def _pcg64_states(seeds) -> list:
+    """``(state, inc)`` of ``PCG64(SeedSequence(seed))`` for each seed.
+
+    The seeds' entropy is hashed as one uint32 array, a column per seed,
+    in the steps of numpy's ``mix_entropy`` and ``generate_state``; the two
+    LCG steps of the PCG64 seeding run on Python ints.
+    """
+    entropy = [_words(seed) for seed in seeds]
+    lengths = np.array([len(words) for words in entropy])
+    length = max(_POOL, int(lengths.max()))
+    # a seed shorter than the pool reads zeros past its end
+    words = np.array([w + [0] * (length - len(w)) for w in entropy], dtype=np.uint32).T
+    shift = np.uint32(16)
+    # the constant advances at each hashmix call, the same for every seed;
+    # call k xors with constant k and multiplies by constant k + 1
+    consts = _hash_constants(_HASH_A, _MULT_A, _POOL * length)
+    calls = 0
+
+    def hashmix(value, count):
+        """``count`` successive hashmix calls, one per row."""
+        nonlocal calls
+        value = (value ^ consts[calls:calls + count]) * consts[calls + 1:calls + count + 1]
+        calls += count
+        return value ^ (value >> shift)
+
+    def mix(x, y):
+        value = _MIX_L * x - _MIX_R * y
+        return value ^ (value >> shift)
+
+    pool = hashmix(words[:_POOL], _POOL)
+    for src in range(_POOL):
+        # the other words, in order, each mixed with a hash of this one
+        dst = [i for i in range(_POOL) if i != src]
+        pool[dst] = mix(pool[dst], hashmix(pool[src], _POOL - 1))
+    for src in range(_POOL, length):  # words past the pool, for the seeds that have them
+        pool = np.where(lengths > src, mix(pool, hashmix(words[src], _POOL)), pool)
+    # generate_state(4, uint64): eight words from the pool taken twice, each
+    # pair the low and high half of a uint64
+    out = _hash_constants(_HASH_B, _MULT_B, 2 * _POOL)
+    value = (np.concatenate((pool, pool)) ^ out[:-1]) * out[1:]
+    value ^= value >> shift
+    halves = (value[1::2].astype(np.uint64) << np.uint64(32) | value[::2]).tolist()
+    states = []
+    for high, low, inc_high, inc_low in zip(*halves):
+        inc = ((inc_high << 64 | inc_low) << 1 | 1) & _MASK128
+        # pcg64_srandom_r: state 0, one step, add the seed, one more step
+        states.append((((inc + (high << 64 | low)) * _PCG_MULT + inc) & _MASK128, inc))
+    return states
 
 
 def log_likelihood(U, P) -> float:
@@ -368,7 +466,8 @@ def _extrapolate(counts, cells, state):
     alpha = np.minimum(-np.divide(r, v, out=np.ones_like(r), where=v > 0), -1.0)
     while True:
         a = alpha[:, None, None]
-        AL, B = AL0 - 2 * a * rA + a * a * vA, B0 - 2 * a * rB + a * a * vB
+        a2, aa = 2 * a, a * a
+        AL, B = AL0 - a2 * rA + aa * vA, B0 - a2 * rB + aa * vB
         use = alpha < -1
         negative = use & ((AL < 0).any(axis=(1, 2)) | (B < 0).any(axis=(1, 2)))
         if not negative.any():
@@ -408,7 +507,8 @@ def _em_loop(data: DataMatrix, A, lam, B, max_iter: int, tol: float,
     """
     if max_iter < 0:
         raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
-    A, lam, B = (np.array(x, dtype=float) for x in (A, lam, B))
+    # the loop writes into no array it is given
+    A, lam, B = (np.ascontiguousarray(x, dtype=float) for x in (A, lam, B))
     if not len(A):
         raise ValueError("EM needs at least one starting point")
     U, mask = data.U, data.U > 0
@@ -423,26 +523,32 @@ def _em_loop(data: DataMatrix, A, lam, B, max_iter: int, tol: float,
     ll, bad = _loglik(counts, cells, P)
     b = len(ll)
     Us = np.repeat(U[None], b, axis=0)  # the counts per live run, a contiguous stack
-    iterations = np.zeros(b, dtype=int)
-    converged = np.zeros(b, dtype=bool)
     slack = 0.0
     history = [float(ll[0])] if trace else None
     live = np.arange(b)     # runs still iterating, and their state, compacted;
     state = (AL, B, P, ll)  # accelerated, the state also holds the two iterates before
+    recent = [ll]           # the live runs' log-likelihoods since the last fold
+    retired = []            # per retire: the runs, their state, rounds and flags
     rounds = 0
 
+    def fold():
+        """Take the steps in ``recent`` into ``slack``, and keep only the last."""
+        nonlocal slack, recent
+        if len(recent) > 1:
+            lls = np.array(recent)
+            slack = max(slack, float((lls[:-1] - lls[1:]).max()))
+            recent = recent[-1:]
+
     def retire(stop, done):
-        """Write the runs selected by ``stop`` back, as converged where
+        """Set the runs selected by ``stop`` aside, as converged where
         ``done``, and drop them from the live set."""
-        nonlocal live, state, Us
-        idx = live[stop]
-        AL_stop, B_stop, P_stop, ll_stop = (part[stop] for part in state[:4])
-        A[idx], lam[idx] = _split(AL_stop)
-        B[idx], P[idx], ll[idx] = B_stop, P_stop, ll_stop
-        iterations[idx] = rounds
-        converged[idx] = done[stop]
+        nonlocal live, state, Us, recent
+        fold()
+        retired.append((live[stop],) + tuple(part[stop] for part in state[:4])
+                       + (np.full(np.count_nonzero(stop), rounds), done[stop]))
         keep = ~stop
-        live, Us, state = live[keep], Us[keep], tuple(part[keep] for part in state)
+        live, state = live[keep], tuple(part[keep] for part in state)
+        Us, recent = Us[:len(live)], [state[3]]  # every run's counts are the same
 
     if bad is not None:
         retire(bad, np.zeros_like(bad))
@@ -460,8 +566,9 @@ def _em_loop(data: DataMatrix, A, lam, B, max_iter: int, tol: float,
         if extrapolated and ext.any():
             # keep x2 where the step from x' is lower, or underflowed (-inf)
             back = ext & ~(ll_new >= ll_old)
-            for new, old in zip((AL_new, B_new, P_new, ll_new), state):
-                new[back] = old[back]
+            if back.any():
+                for new, old in zip((AL_new, B_new, P_new, ll_new), state):
+                    new[back] = old[back]
             close[ext] = False
             if bad is not None:
                 bad &= ~ext
@@ -471,18 +578,26 @@ def _em_loop(data: DataMatrix, A, lam, B, max_iter: int, tol: float,
         if trace:
             history.append(float(ll_new[0]))
         if bad is None:
-            slack = max(slack, float((ll_old - ll_new).max()))
+            recent.append(ll_new)
             # a run stops when all its m*n entries are close: reduce per run
             # only when the batch has that many close entries
             if np.count_nonzero(close) >= U.size:
                 done = close.all(axis=(1, 2))
                 if done.any():
                     retire(done, done)
+            if len(recent) > _FOLD:
+                fold()
         else:
-            slack = float((ll_old - ll_new)[~bad].max(initial=slack))
+            # a quarantined run's last step (to -inf) is not a decrease
+            recent.append(np.where(bad, ll_old, ll_new))
             done = ~bad & close.all(axis=(1, 2))
             retire(bad | done, done)
     retire(np.ones(len(live), dtype=bool), np.zeros(len(live), dtype=bool))
+    # the runs set aside, written back at once in run order
+    runs, AL, B, P, ll, iterations, converged = (np.concatenate(part) for part in zip(*retired))
+    order = np.argsort(runs)
+    A, lam = _split(AL[order])
+    B, P, ll, iterations, converged = (x[order] for x in (B, P, ll, iterations, converged))
     quarantined = int(np.isneginf(ll).sum())  # no other run has loglik -inf
     if quarantined == b:
         raise EMNumericalError("mixture probability underflowed at an observed cell")
@@ -553,20 +668,26 @@ def em_restart_batch(U, r: int, seeds, max_iter: int = MAX_ITER,
                      tol: float = TOL) -> RestartBatch:
     """Vectorized EM over independent restarts (one RNG stream per seed).
 
-    All restarts advance in lockstep by plain EM rounds; elements that have
-    converged are frozen.  The result is bit-reproducible for a fixed seed
-    list, and each restart matches the same loop run on its draw alone.
+    Restart k draws from ``PCG64(SeedSequence(seeds[k]))``, the stream
+    ``random_parameters`` gets on that seed; the states are computed for
+    the whole batch at once (``_pcg64_states``).  All restarts advance in
+    lockstep by plain EM rounds; elements that have converged are frozen.
+    The result is bit-reproducible for a fixed seed list, and each restart
+    matches the same loop run on its draw alone.
     """
     data = _as_counts(U)
     m, n = data.shape
-    b = len(seeds)
-    A = np.empty((b, m, r))
-    lam = np.empty((b, r))
-    B = np.empty((b, r, n))
-    for idx, seed in enumerate(seeds):
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-        A[idx], lam[idx], B[idx] = _exponential_draws(m, n, r, rng)
-    _normalize(A, lam, B)  # restart k starts from random_parameters on seed k
+    draws = np.empty((len(seeds), _draw_size(m, n, r)))
+    if len(seeds):
+        # one generator, set to each restart's seeded state in turn
+        rng = np.random.Generator(np.random.PCG64())
+        bit_generator = rng.bit_generator
+        for row, (state, inc) in zip(draws, _pcg64_states(seeds)):
+            bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                                   "has_uint32": 0, "uinteger": 0}
+            rng.standard_exponential(out=row)
+    # restart k starts from random_parameters on seed k
+    A, lam, B = _start(draws, m, n, r)
     return _em_loop(data, A, lam, B, max_iter, tol)[0]
 
 

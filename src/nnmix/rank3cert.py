@@ -481,8 +481,10 @@ class _OrientationBatch:
         """
         stack = np.arange(len(ip))
         decided = sure[0] & sure[1]
+        # at k' = i' and k' = j' the two values are never of opposite sign:
+        # they are -F_j'(i')·V_l·q_k(k') and -F_j'(i')·V_k·q_l(k'), with V
+        # one-signed on a live vertex and q >= 0
         opposite = decided & ((s[0] < 0) != (s[1] < 0))
-        opposite[stack, :, ip] = opposite[stack, :, jp] = False
         negative = opposite.any((1, 2))
         out = [None if neg else [] for neg in negative.tolist()]
         if negative.all():

@@ -34,6 +34,20 @@ CURVE_BASE = [[51, 9, 64, 9], [27, 63, 8, 8], [3, 34, 40, 31], [30, 25, 80, 35]]
 
 
 @pytest.fixture(scope="session")
+def seed0_reports():
+    """``run_experiment`` run once per config in a session: acceptance
+    criteria 9 and 10 and the golden EM records share their seed-0 runs."""
+    from nnmix.harness import run_experiment
+    reports = {}
+
+    def report(cfg):
+        if cfg not in reports:
+            reports[cfg] = run_experiment(cfg)
+        return reports[cfg]
+    return report
+
+
+@pytest.fixture(scope="session")
 def u10() -> np.ndarray:
     return np.array(uab_rows(1, 0), dtype=float)
 

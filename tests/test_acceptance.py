@@ -166,15 +166,15 @@ def test_criterion_08_component_counts():
 
 
 @pytest.mark.slow
-def test_criterion_09_table1_reproduction():
+def test_criterion_09_table1_reproduction(seed0_reports):
     start = time.perf_counter()
     cfg44 = ExperimentConfig(mode="table1", m=4, n=4, r=3, num_matrices=200,
                              num_restarts=100, max_iter=500, seed=0)
-    f44 = run_experiment(cfg44).fraction
+    f44 = seed0_reports(cfg44).fraction
     assert 0.01 <= f44 <= 0.10
     cfg55 = ExperimentConfig(mode="table1", m=5, n=5, r=3, num_matrices=200,
                              num_restarts=100, max_iter=500, seed=0)
-    f55 = run_experiment(cfg55).fraction
+    f55 = seed0_reports(cfg55).fraction
     assert 0.13 <= f55 <= 0.33
     elapsed = time.perf_counter() - start
     assert elapsed < 1800.0
@@ -183,17 +183,17 @@ def test_criterion_09_table1_reproduction():
 
 
 @pytest.mark.slow
-def test_criterion_10_planted_experiment():
+def test_criterion_10_planted_experiment(seed0_reports):
     start = time.perf_counter()
     cfg10 = ExperimentConfig(mode="planted", m=4, n=4, r=3, T=10,
                              num_matrices=200, num_restarts=100,
                              max_iter=500, seed=0)
-    f10 = run_experiment(cfg10).fraction
+    f10 = seed0_reports(cfg10).fraction
     assert 0.07 <= f10 <= 0.20
     cfg25 = ExperimentConfig(mode="planted", m=4, n=4, r=3, T=25,
                              num_matrices=200, num_restarts=100,
                              max_iter=500, seed=0)
-    f25 = run_experiment(cfg25).fraction
+    f25 = seed0_reports(cfg25).fraction
     assert f25 < 0.05
     elapsed = time.perf_counter() - start
     assert elapsed < 1200.0

@@ -172,7 +172,9 @@ class TestEmCommand:
         (["--tol", "-1"], "tol must be positive"),
         (["--tol", "0"], "tol must be positive"),
         (["--crit-tol", "-1"], "crit_tol must be positive"),
-    ], ids=["r0", "negative_max_iter", "negative_tol", "zero_tol", "negative_crit_tol"])
+        (["--seed", "-1"], "expected non-negative integer"),
+    ], ids=["r0", "negative_max_iter", "negative_tol", "zero_tol", "negative_crit_tol",
+            "negative_seed"])
     def test_invalid_r_or_max_iter_exits_two(self, workdir, capsys, flags, message):
         path = write_matrix(workdir / "u.txt", Matrix.exact(
             [[1, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 1]]))

@@ -357,6 +357,38 @@ class TestQuarantine:
                         max_iter=50, tol=1e-10)
 
 
+class TestSeeding:
+    # a restart batch hashes its seeds in one pass; each restart's generator
+    # state must be the one numpy's SeedSequence gives the seed
+    @pytest.mark.parametrize("seeds", [
+        [(0,)], [(7, 0)], [(2**31 - 1, 199)], [(3 * 10**6 + 17, 5)],
+        [(2**40 + 5, 3)],  # an entry of two words
+        [0, 1],
+        [(0,), 7, (2**40 + 5, 3), (1, 2, 3, 4, 5, 6), (2**70, 0, 2**33 + 1), [np.uint32(9)]],
+    ], ids=["zero", "pair", "int32_max", "large", "two_words", "plain_ints", "mixed_lengths"])
+    def test_restart_states_are_numpys(self, seeds):
+        for seed, got in zip(seeds, em._pcg64_states(seeds), strict=True):
+            want = np.random.PCG64(np.random.SeedSequence(seed)).state["state"]
+            assert got == (want["state"], want["inc"]), seed
+
+    def test_plain_int_seeds_start_like_random_parameters(self, u10):
+        data = em.DataMatrix.from_array(u10)
+        batch = em.em_restart_batch(u10, 3, [0, 1], max_iter=0)
+        for k in (0, 1):
+            theta = em.random_parameters(4, 4, 3, np.random.default_rng(np.random.SeedSequence(k)))
+            alone, _ = em._em_loop(data, theta.A[None], theta.lam[None], theta.B[None],
+                                   max_iter=0, tol=em.TOL)
+            for name in ("A", "lam", "B", "P", "loglik"):
+                assert np.array_equal(getattr(alone, name)[0], getattr(batch, name)[k]), name
+
+    @pytest.mark.parametrize("seed", [-1, (-1,), (3, -2), (2**40, -1)])
+    def test_negative_entry_is_rejected_like_numpy(self, u10, seed):
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            np.random.SeedSequence(seed)
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            em.em_restart_batch(u10, 3, [(0,), seed])
+
+
 class TestRunEM:
     def test_single_component_converges_to_independence(self):
         rng = np.random.default_rng(8)
@@ -506,25 +538,35 @@ class TestRunEM:
     @staticmethod
     def _stop_round(U, r, seed, max_iter, tol):
         # the stop rule on one run alone, checked on every round: the round
-        # at which max|P_new - P| first falls below tol, or max_iter
+        # at which max|P_new - P| first falls below tol, or max_iter; and the
+        # largest decrease of the log-likelihood over those rounds
         m, n = U.shape
         theta = em.random_parameters(m, n, r, np.random.default_rng(np.random.SeedSequence(seed)))
-        mask = U > 0
+        data = em.DataMatrix.from_array(U)
+        mask = data.U > 0
+        cells = None if mask.all() else np.flatnonzero(mask)
+        counts = data.U.ravel() if cells is None else data.U.ravel()[cells]
         AL, B = (theta.A * theta.lam)[None], theta.B[None]
         P = AL @ B
+        ll = em._loglik(counts, cells, P)[0]
+        slack = 0.0
         for rounds in range(1, max_iter + 1):
-            AL, B, P_new = em._em_update(U, None if mask.all() else mask, int(U.sum()),
-                                         AL, B, P)
+            AL, B, P_new = em._em_update(data.U, None if cells is None else mask,
+                                         data.u_plus, AL, B, P)
+            ll_new = em._loglik(counts, cells, P_new)[0]
+            slack = max(slack, float(ll[0] - ll_new[0]))
             if np.abs(P_new - P).max() < tol:
-                return rounds, True
-            P = P_new
-        return max_iter, False
+                return rounds, True, slack
+            P, ll = P_new, ll_new
+        return max_iter, False, slack
 
     def test_each_restart_stops_at_its_own_round(self):
         # the batch looks at single runs only once enough entries are close;
         # every restart must still stop on the round the plain rule names,
         # in the full batch and in a batch of its own, where a stopping run
-        # has exactly m*n close entries
+        # has exactly m*n close entries.  The slack, folded from a short
+        # history at each stop and every em._FOLD rounds, must be the
+        # largest decrease of any run's log-likelihood, step by step
         rng = np.random.default_rng(11)
         holed = rng.integers(0, 30, size=(4, 4))
         holed[0, 0] += 1
@@ -535,11 +577,56 @@ class TestRunEM:
             stopped = batch.iterations[batch.converged]
             assert len(set(stopped)) == len(stopped) >= 2  # distinct stop rounds
             assert not batch.converged.all()
+            assert batch.iterations.max() > 2 * em._FOLD  # past two folds
+            slack = 0.0
             for k, seed in enumerate(seeds):
-                want = self._stop_round(U, 3, seed, 200, 1e-6)
+                *want, step_slack = self._stop_round(U, 3, seed, 200, 1e-6)
+                want = tuple(want)
+                slack = max(slack, step_slack)
                 assert (batch.iterations[k], batch.converged[k]) == want, k
                 alone = em.em_restart_batch(U, 3, [seed], max_iter=200, tol=1e-6)
                 assert (alone.iterations[0], alone.converged[0]) == want, k
+                assert alone.monotonicity_slack == step_slack, k
+            assert batch.monotonicity_slack == slack
+
+    def test_slack_is_the_largest_stepped_decrease(self):
+        # counts in the thousands, so the log-likelihood steps down by
+        # rounding near a limit.  With tol = 1e-10 the runs stop at many
+        # rounds and some run all 200, past three folds; with tol = 0 none
+        # stops, and the slack is folded every em._FOLD rounds only
+        holed = np.random.default_rng(0).integers(0, 1000, size=(4, 4))
+        holed[0, 1] = holed[2, 3] = 0
+        full = np.random.default_rng(3).integers(1, 1000, size=(4, 4))
+        seeds = [(5, k) for k in range(12)]
+        for U in (holed, full):
+            for tol in (1e-10, 0.0):
+                batch = em.em_restart_batch(U, 3, seeds, max_iter=200, tol=tol)
+                assert batch.iterations.max() > 2 * em._FOLD
+                if tol:
+                    assert len(set(batch.iterations)) > 2 and not batch.converged.all()
+                steps = [self._stop_round(U, 3, seed, 200, tol) for seed in seeds]
+                assert [(int(i), bool(c)) for i, c in zip(batch.iterations, batch.converged)] \
+                    == [step[:2] for step in steps]
+                slack = max(step[2] for step in steps)
+                assert slack > 0
+                assert batch.monotonicity_slack == slack, (tol, batch.monotonicity_slack, slack)
+
+    def test_accelerated_slack_is_the_largest_traced_decrease(self):
+        # an accelerated batch's slack is the largest decrease along the
+        # runs' log-likelihood traces, each taken from the run alone (a
+        # trace is kept whole, not folded)
+        U = np.random.default_rng(12).integers(0, 30, size=(4, 4))
+        data = em.DataMatrix.from_array(U)
+        starts = TestQuarantine._starts(U, 3, range(8))
+        batch, _ = em._em_loop(data, *starts, max_iter=400, tol=1e-10, accelerate=True)
+        assert len(set(batch.iterations)) > 2 and batch.iterations.max() > 2 * em._FOLD
+        slack = 0.0
+        for k in range(8):
+            _, trace = em._em_loop(data, *(x[[k]] for x in starts), max_iter=400,
+                                   tol=1e-10, trace=True, accelerate=True)
+            slack = max(slack, float(np.max(trace[:-1] - trace[1:])))
+        assert slack > 0
+        assert batch.monotonicity_slack == slack
 
     def test_batch_state_comes_back_run_major(self):
         # the loop keeps its state with the run axis inside; what it returns

@@ -5,7 +5,7 @@ Subpackages by concern:
 * :mod:`nnmix.exactla`: dual-backend (rational/float) dense linear algebra;
 * :mod:`nnmix.em`: the EM iteration, likelihood, gradient, criticality;
 * :mod:`nnmix.rank3cert`: exact nonnegative-rank-3 membership, brackets,
-  constructive factorization, nested polygons;
+  constructive factorization;
 * :mod:`nnmix.boundary`: topological-boundary classification, stratum
   counts and patterns, stratum sampling;
 * :mod:`nnmix.families`: closed-form parametric families and their
@@ -19,8 +19,7 @@ from .em import (DataMatrix, EMResult, ParameterTriple, fixed_point_residual,
                  gradient_matrix, is_critical, log_likelihood, model_dimension,
                  parameter_dimension, run_em, run_em_restarts)
 from .rank3cert import (MembershipDecision, Witness, bracket3, meet_join,
-                        nested_polygons, nnrank3_membership,
-                        nonneg_rank3_factorize, six_three)
+                        nnrank3_membership, nonneg_rank3_factorize, six_three)
 from .boundary import (BoundaryClassification, ZeroPattern, boundary_test,
                        component_count, enumerate_zero_patterns,
                        sample_algebraic_boundary)
@@ -35,8 +34,7 @@ __all__ = [
     "gradient_matrix", "is_critical", "log_likelihood", "model_dimension",
     "parameter_dimension", "run_em", "run_em_restarts",
     "MembershipDecision", "Witness", "bracket3", "meet_join",
-    "nested_polygons", "nnrank3_membership", "nonneg_rank3_factorize",
-    "six_three",
+    "nnrank3_membership", "nonneg_rank3_factorize", "six_three",
     "BoundaryClassification", "ZeroPattern", "boundary_test",
     "component_count", "enumerate_zero_patterns", "sample_algebraic_boundary",
     "greencurve_matrix", "rectangle_family", "rectangle_in_model",

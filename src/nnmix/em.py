@@ -656,6 +656,9 @@ def run_em(U, r: int, init=None, max_iter: int = MAX_ITER, tol: float = TOL,
     if isinstance(init, ParameterTriple):
         theta = init
         theta.validate()
+        if theta.A.shape != (m, r) or theta.B.shape != (r, n):
+            raise ValueError(f"init has A {theta.A.shape} and B {theta.B.shape}; a {m}x{n} "
+                             f"table with r={r} needs A {(m, r)} and B {(r, n)}")
     else:
         seed = 0 if init is None else int(init)
         theta = random_parameters(m, n, r, np.random.default_rng(np.random.SeedSequence(seed)))

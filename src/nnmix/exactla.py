@@ -141,12 +141,6 @@ class Matrix:
         i, j = ij
         return self.entries[i][j]
 
-    def row(self, i: int) -> tuple:
-        return self.entries[i]
-
-    def col(self, j: int) -> tuple:
-        return tuple(r[j] for r in self.entries)
-
     def transpose(self) -> "Matrix":
         return Matrix(self.cols, self.rows,
                       tuple(tuple(self.entries[i][j] for i in range(self.rows))

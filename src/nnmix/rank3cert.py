@@ -108,10 +108,6 @@ class NotInModelError(ValueError):
     """A nonnegative factorization was requested for a matrix outside the set."""
 
 
-class GeometryError(ValueError):
-    """The nested-polygon geometry is undefined for this input."""
-
-
 # -- bracket evaluators -------------------------------------------------
 #
 # These are generic over the scalar type (int, Fraction, float, or symbolic),
@@ -702,14 +698,6 @@ def _head(records) -> list:
     return list(itertools.islice(records, 1))
 
 
-def _form_matrices(form) -> tuple[Matrix, Matrix]:
-    """The exact factors A, B of an integer form, for callers that need them."""
-    lines, line_den, points, point_den = form
-    return (Matrix.exact([[Fraction(x, c) for x in a] for a, c in zip(lines, line_den)]),
-            Matrix.exact([[Fraction(p[k], e) for p, e in zip(points, point_den)]
-                          for k in range(3)]))
-
-
 def _eliminate(P: Matrix):
     """The rank of P and, when it is at most 3, its padded rank-3 factors.
 
@@ -718,9 +706,8 @@ def _eliminate(P: Matrix):
     ``lines[i] / line_den[i]``, P's cleared row i at the pivot columns, and
     column j of B is ``points[j] / point_den[j]``, column j of ``d * RREF``
     divided by its common factor with ``d``.  These are the factors
-    ``rank_factorize`` returns; the witness scan reads the integer vectors
-    directly, and ``_form_matrices`` builds the ``Matrix`` pair where a
-    caller needs it.
+    ``rank_factorize`` returns, and the witness scan reads the integer
+    vectors directly.
     """
     work, pivots, d, cleared, _ = _gauss_jordan(P)
     rank = len(pivots)
@@ -888,11 +875,14 @@ def _reembed(A: Matrix, B: Matrix, m: int, n: int, row_map, col_map):
 def _low_rank_factorization(P: Matrix, rank: int, form):
     """Nonnegative factors of a rank-1 or rank-2 P from the integer form of
     its padded rank factorization; nonnegative rank equals rank here."""
-    if rank == 1:
-        return _form_matrices(form)  # a column of P times a nonnegative multiple of a row
+    lines, line_den, points, den = form
+    if rank == 1:  # a column of P times a nonnegative multiple of a row
+        return (Matrix.exact([[Fraction(x, c) for x in a] for a, c in zip(lines, line_den)]),
+                Matrix.exact([[Fraction(p[k], e) for p, e in zip(points, den)]
+                              for k in range(3)]))
     # rank 2: columns live in a pointed planar cone; find two extreme columns,
     # the pair whose coordinates give every column nonnegative coefficients
-    (_, _, points, den), zero = form, Fraction(0)
+    zero = Fraction(0)
     for a, b in itertools.combinations(range(P.cols), 2):
         (a0, a1, _), (b0, b1, _) = points[a], points[b]
         det = a0 * b1 - a1 * b0
@@ -985,98 +975,3 @@ def _triangle_factors(form, wit: Witness):
     if wit.swapped:
         A_nn, B_nn = tuple(zip(*B_nn)), tuple(zip(*A_nn))
     return (Matrix(len(A_nn), 3, A_nn, EXACT), Matrix(3, len(B_nn[0]), B_nn, EXACT))
-
-
-# -- nested polygons -----------------------------------------------------
-
-
-@dataclass
-class NestedPolygons:
-    """Outer polygon (span within the simplex) and inner column polygon.
-
-    ``outer`` is an ordered counterclockwise vertex cycle in a 2-d affine
-    chart of the span; ``inner`` lists the normalized columns in column
-    order.  Ambient m-dimensional coordinates accompany both.
-    """
-
-    outer: list[tuple]
-    inner: list[tuple]
-    outer_ambient: list[tuple]
-    inner_ambient: list[tuple]
-    chart: tuple[int, int]
-
-
-def _ccw_cycle(points2d):
-    n = len(points2d)
-    cx, cy = sum(p[0] for p in points2d) / n, sum(p[1] for p in points2d) / n
-
-    def half(p):
-        dx, dy = p[0] - cx, p[1] - cy
-        return 0 if (dy > 0 or (dy == 0 and dx > 0)) else 1
-
-    def cmp(p, q):
-        hp, hq = half(p), half(q)
-        if hp != hq:
-            return hp - hq
-        cr = (p[0] - cx) * (q[1] - cy) - (p[1] - cy) * (q[0] - cx)
-        return -1 if cr > 0 else (1 if cr < 0 else 0)
-
-    return sorted(points2d, key=functools.cmp_to_key(cmp))
-
-
-def nested_polygons(P) -> NestedPolygons:
-    """Compute the nested polygon pair for a rank-3 nonnegative matrix.
-
-    The outer polygon is the section of the column span by the probability
-    simplex; its vertices are the pairwise edge-line intersections that
-    satisfy all edge inequalities.  The inner polygon is generated by the
-    normalized columns.  Exact backend only.
-    """
-    P = _prepare(P)
-    if P.backend != EXACT:
-        raise GeometryError("nested polygons require the rational backend")
-    if not P.is_nonnegative():
-        raise GeometryError("matrix must be nonnegative")
-    if any(all(x == 0 for x in P.col(j)) for j in range(P.cols)):
-        raise GeometryError("zero columns have no normalized representative")
-    rank, factors = _eliminate(P)
-    if rank != 3:
-        raise GeometryError("nested polygon geometry is defined for rank 3 only")
-    A, B = _form_matrices(factors)
-    m = P.rows
-    lines = [A.row(i) for i in range(m)]
-    s = tuple(sum(A.col(k)) for k in range(3))
-
-    verts = []
-    for i, j in itertools.combinations(range(m), 2):
-        v = _cross(lines[i], lines[j])
-        sigma = _dot(s, v)  # v scaled to the affine chart sum(A @ y) = 1
-        vhat = tuple(x / sigma for x in v) if sigma else None
-        if vhat and all(_dot(a, vhat) >= 0 for a in lines) and vhat not in verts:
-            verts.append(vhat)
-    if len(verts) < 3:
-        raise GeometryError("outer polygon is degenerate")
-
-    # 2-d affine chart: drop one coordinate whose dual participates in the
-    # normalization functional, keep the other two.
-    t = next(k for k in range(3) if s[k] != 0)
-    chart = tuple(k for k in range(3) if k != t)
-
-    def to2d(y):
-        return (y[chart[0]], y[chart[1]])
-
-    def ambient(y):
-        return tuple(sum(a * yi for a, yi in zip(lines[r], y)) for r in range(m))
-
-    outer2d = _ccw_cycle([to2d(v) for v in verts])
-    order = {to2d(v): v for v in verts}
-    outer_sorted = [order[p] for p in outer2d]
-
-    colsums = [sum(P.col(j)) for j in range(P.cols)]
-    return NestedPolygons(
-        outer=outer2d,
-        inner=[to2d(tuple(x / c for x in B.col(j))) for j, c in enumerate(colsums)],
-        outer_ambient=[ambient(v) for v in outer_sorted],
-        inner_ambient=[tuple(x / c for x in P.col(j)) for j, c in enumerate(colsums)],
-        chart=chart,
-    )

@@ -697,6 +697,12 @@ class TestRunEM:
             em.run_em_restarts(u10, 3, restarts=0)
         with pytest.raises(ValueError, match="starting point"):
             em.em_restart_batch(u10, 3, [])
+        # a starting triple must fit the table and r
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match=r"init has A \(5, 3\) and B \(3, 4\)"):
+            em.run_em(u10, 3, init=em.random_parameters(5, 4, 3, rng))
+        with pytest.raises(ValueError, match=r"r=2 needs A \(4, 2\) and B \(2, 4\)"):
+            em.run_em(u10, 2, init=em.random_parameters(4, 4, 3, rng))
 
     @pytest.mark.parametrize("kwargs, message", [
         (dict(tol=-1), "tol must be nonnegative, got -1"),

@@ -70,6 +70,49 @@ def test_no_unused_module_imports():
     assert unused == []
 
 
+def _private_definitions(tree):
+    """(name, first line, last line) of each top-level _name function, class
+    or constant of a module."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__") and name != "_":
+                yield name, node.lineno, node.end_lineno
+
+
+def _loads(tree):
+    """(name, line) of every name a module loads: as a name, an attribute or
+    an import."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield alias.name, node.lineno
+
+
+def test_no_dead_private_definitions():
+    # every top-level _name definition is loaded somewhere in the package
+    # outside its own definition; a recursive call does not count
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    loads = {name: list(_loads(tree)) for name, tree in trees.items()}
+    dead = []
+    for module, tree in trees.items():
+        for name, first, last in _private_definitions(tree):
+            if not any(loaded == name and (where != module or not first <= line <= last)
+                       for where, found in loads.items() for loaded, line in found):
+                dead.append(f"{module}:{first} {name}")
+    assert dead == []
+
+
 def test_every_experiment_runner_resolves(tmp_path):
     workloads = _load("workloads")
     experiments = []

@@ -1,4 +1,4 @@
-"""Bracket evaluators, membership certification, factorization, polygons."""
+"""Bracket evaluators, membership certification, factorization."""
 
 import itertools
 import math
@@ -8,19 +8,18 @@ import numpy as np
 import pytest
 
 from nnmix import rank3cert
-from nnmix.boundary import (boundary_test, enumerate_zero_patterns, integer_dist,
-                            rational_dist, sample_algebraic_boundary)
+from nnmix.boundary import (boundary_test, canonical_pattern, enumerate_zero_patterns,
+                            integer_dist, sample_algebraic_boundary, sample_integer_product)
 from nnmix.cli import main
 from nnmix.exactla import Matrix, format_matrix, matrix_rank, rref
-from nnmix.rank3cert import (DomainError, GeometryError, NotInModelError,
-                             all_witnesses, bracket3, meet_join,
-                             membership_from_factors, nested_polygons,
-                             nnrank3_membership, nonneg_rank3_factorize,
+from nnmix.rank3cert import (DomainError, NotInModelError, all_witnesses, bracket3, meet_join,
+                             membership_from_factors, nnrank3_membership, nonneg_rank3_factorize,
                              six_three, Witness, WitnessRecord, _chord_factors, _cross,
                              _crosses, _det3, _dot, _one_sign, _support_table)
 
 from conftest import (NICE_A, NICE_B, NICE_P, fractions_built, random_rational_matrix,
                       rect_rows, uab_normalized)
+from verdict_corpus import _chord_path_corpus, scan_corpus
 
 
 def _rand_frac(rng, lo=-9, hi=9, den=7):
@@ -339,55 +338,6 @@ class TestFactorize:
             assert A @ B == P and A.is_nonnegative() and B.is_nonnegative()
 
 
-class TestNestedPolygons:
-    def test_rectangle_family_gives_square_and_rectangle(self):
-        P = Matrix.exact(rect_rows(Fraction(1, 4), Fraction(1, 4)))
-        np_ = nested_polygons(P)
-        ambient = {tuple(v) for v in np_.outer_ambient}
-        half = Fraction(1, 2)
-        assert ambient == {(half, half, 0, 0), (0, half, half, 0),
-                           (0, 0, half, half), (half, 0, 0, half)}
-        assert len(np_.inner) == 4
-
-    def test_inner_polygon_equal_to_outer_for_vertex_columns(self):
-        half = Fraction(1, 2)
-        cols = [(half, half, 0, 0), (0, half, half, 0),
-                (0, 0, half, half), (half, 0, 0, half)]
-        P = Matrix.exact([[cols[j][i] for j in range(4)] for i in range(4)])
-        np_ = nested_polygons(P)
-        assert set(np_.inner) == set(np_.outer)
-
-    def test_inner_contained_in_outer(self):
-        rng = np.random.default_rng(20)
-        count = 0
-        while count < 10:
-            A = random_rational_matrix(rng, 4, 3, num_range=5)
-            B = random_rational_matrix(rng, 3, 5, num_range=5)
-            P = A @ B
-            if matrix_rank(P) != 3 or any(all(x == 0 for x in P.col(j))
-                                          for j in range(P.cols)):
-                continue
-            count += 1
-            np_ = nested_polygons(P)
-            hull = np_.outer
-            # each inner point must be inside the outer cycle (cross products
-            # against every directed edge share a sign)
-            for q in np_.inner:
-                for t in range(len(hull)):
-                    p0, p1 = hull[t], hull[(t + 1) % len(hull)]
-                    cr = ((p1[0] - p0[0]) * (q[1] - p0[1])
-                          - (p1[1] - p0[1]) * (q[0] - p0[0]))
-                    assert cr >= 0
-
-    def test_rank_requirement(self):
-        with pytest.raises(GeometryError):
-            nested_polygons(Matrix.exact([[1, 2], [2, 4]]))
-
-    def test_zero_column_rejected(self):
-        with pytest.raises(GeometryError):
-            nested_polygons(Matrix.exact([[1, 0, 0], [0, 0, 1], [1, 0, 2]]))
-
-
 def test_verdict_invariant_under_positive_diagonal_scaling():
     """Scaling rows and columns by positive rationals preserves nonnegative
     rank, so scrambled threshold-family matrices must keep their verdicts."""
@@ -533,23 +483,20 @@ def test_one_elimination_per_entry_point_call(monkeypatch):
         cases.append((rank, A @ B, A, B))
     cases.append((3, Matrix.exact(NICE_P), Matrix.exact(NICE_A), Matrix.exact(NICE_B)))
     entry_points = [nnrank3_membership, all_witnesses, boundary_test,
-                    nonneg_rank3_factorize, nested_polygons]
+                    nonneg_rank3_factorize]
     for rank, P, A, B in cases:
         assert len(rref(P)[1]) == rank
         for entry in entry_points + [lambda P: membership_from_factors(A, B)]:
             calls.clear()
             try:
                 entry(P)
-            except (NotInModelError, GeometryError):
+            except NotInModelError:
                 pass
             assert calls == ["_gauss_jordan"], (entry, P)
     zero = Matrix.zeros(4, 4)
     for entry in entry_points:
         calls.clear()
-        try:
-            entry(zero)
-        except GeometryError:
-            pass
+        entry(zero)
         assert calls == [], entry
 
 
@@ -703,28 +650,6 @@ def test_planted_degeneracies_vanish():
         assert (value == 0) == (t in (1, 2, 3, 4)), t
 
 
-def scan_corpus():
-    """Seeded (P, factors) pairs: integer rank-3 products at 4, 6, 8 and 12,
-    U(100, b) for b = 20..59, and stratum samples of both pattern kinds with
-    the factors they were drawn from (None for the others)."""
-    rng = np.random.default_rng(29)
-    for size, count in ((4, 6), (6, 4), (8, 3), (12, 2)):
-        for _ in range(count):
-            P = np.zeros((size, size), dtype=int)
-            while np.linalg.matrix_rank(P) != 3:
-                P = rng.integers(0, 10, size=(size, 3)) @ rng.integers(0, 10, size=(3, size))
-            yield Matrix.exact(P.tolist()), None
-    for b in range(20, 60):
-        yield uab_normalized(100, b), None
-    patterns = enumerate_zero_patterns(4, 4)
-    for kind in ("a", "b"):
-        of_kind = [p for p in patterns if p.kind == kind]
-        for t in range(16):
-            dist = integer_dist() if t % 2 else rational_dist()
-            P, A, B = sample_algebraic_boundary(of_kind[t % len(of_kind)], rng, dist)
-            yield P, (A, B)
-
-
 def _scan_outputs(P, factors):
     member = nnrank3_membership(P)
     full, records = all_witnesses(P)
@@ -771,34 +696,6 @@ def test_float_verdicts_agree_or_are_marginal():
             assert approx.backend == "float"
             assert approx.verdict == exact.verdict or approx.marginal, P
     assert calls == 126
-
-
-def _big_product(rng, size: int):
-    """A rank-3 product whose brackets pass the float range in lowest terms
-    too: the left factor is A·10**200 + A' in Python ints, so a row's
-    entries share no large factor, and its vertex brackets pass 10**400."""
-    A, B = rng.integers(1, 10, (size, 3)).tolist(), rng.integers(0, 10, (3, size)).tolist()
-    A = [[a * 10**200 + b for a, b in zip(row, rng.integers(1, 10, 3).tolist())] for row in A]
-    return Matrix.exact([[sum(a * b for a, b in zip(row, col)) for col in zip(*B)]
-                         for row in A])
-
-
-def _chord_path_corpus():
-    """``scan_corpus()``, seeded rank-3 products at 10, 12 and 16 with their
-    factors, one 12x12 product scaled past 2**53 and one scaled by 10**200,
-    each exact and (but the last) as floats, and a 12x12 product whose
-    brackets pass the float range in lowest terms too, exact."""
-    rng = np.random.default_rng(41)
-    exact = list(scan_corpus())
-    for size in (10, 12, 16):
-        A, B = rng.integers(1, 10, (size, 3)), rng.integers(0, 10, (3, size))
-        exact.append((Matrix.exact((A @ B).tolist()),
-                      (Matrix.exact(A.tolist()), Matrix.exact(B.tolist()))))
-    P = exact[-2][0]
-    exact += [(P.scale(3**40), None), (P.scale(10**200), None)]
-    floats = [(P.as_float(), factors and tuple(f.as_float() for f in factors))
-              for P, factors in exact[:-1]]
-    return exact + [(_big_product(rng, 12), None)] + floats
 
 
 def test_exact_rechecks_cover_every_touching_triple(monkeypatch):
@@ -888,6 +785,58 @@ def test_orientation_batch_matches_the_scalar_loop(monkeypatch):
     for P, got in zip(corpus, batched):
         assert got == outputs(P), P
     assert seen["built"] == 0
+
+
+def _with_vanishing_brackets(Pi):
+    """Pi with a row sum and one more column appended, so that vertex brackets
+    V and support brackets F are exactly zero though no zero pattern forces
+    them: in floats they are rounding residue.  With x_k the minor of rows
+    i, j, k at three independent columns, x is V of vertex (i, j) times a
+    constant; for a vertex whose V has one sign, column 0 plus |x| puts that
+    vertex on the line through point 0 and the new point."""
+    Pi = Pi + [[a + b for a, b in zip(Pi[0], Pi[1])]]
+    cols = next(c for c in itertools.combinations(range(len(Pi[0])), 3)
+                if _det3(*([Pi[k][c_] for c_ in c] for k in range(3))))
+    for i, j in itertools.combinations(range(len(Pi)), 2):
+        x = [_det3(*([Pi[r][c_] for c_ in cols] for r in (i, j, k))) for k in range(len(Pi))]
+        if any(x) and (min(x) >= 0 or max(x) <= 0):
+            return [row + [row[0] + abs(xk)] for row, xk in zip(Pi, x)]
+    raise AssertionError("no vertex with one-signed brackets")
+
+
+def test_static_filter_decides_large_entries_as_the_integers(monkeypatch):
+    # stratum samples with factor entries up to 10**6 take the batch's float
+    # values far past 2**53, and their copies from _with_vanishing_brackets
+    # hold exact zeros whose float values are rounding residue; behind the
+    # static filter every classification and record is the lazy scan's
+    contexts, stream = [], rank3cert._witness_stream
+
+    def spy(*args):
+        out = stream(*args)
+        contexts.append(out[2])
+        return out
+
+    monkeypatch.setattr(rank3cert, "_witness_stream", spy)
+
+    def outputs(P):
+        return boundary_test(P).as_dict(), all_witnesses(P)[1]
+
+    corpus, batched = [], []
+    for m, n in ((6, 7), (8, 8)):
+        rng = np.random.default_rng(0)
+        samples = [sample_integer_product(canonical_pattern(m, n), rng, integer_dist(1, 10**6))[0]
+                   for _ in range(40)]
+        plain = [Matrix.exact(Pi) for Pi in samples]
+        contexts.clear()
+        got = [outputs(P) for P in plain]
+        assert sum(ctx.rechecks for ctx in contexts) > 0, (m, n)
+        assert any(status["status"] == "boundary" for status, _ in got), (m, n)
+        vanishing = [Matrix.exact(_with_vanishing_brackets(Pi)) for Pi in samples]
+        corpus += plain + vanishing
+        batched += got + [outputs(P) for P in vanishing]
+    monkeypatch.setattr(rank3cert, "_ORIENTATION_BATCH_MIN", 10**9)
+    for P, want in zip(corpus, batched):
+        assert outputs(P) == want, P
 
 
 def test_scaled_products_are_read_in_lowest_terms(monkeypatch):

@@ -24,11 +24,13 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb, lcm
 from operator import mul
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .exactla import EXACT, Matrix
 from .rank3cert import DomainError, WitnessRecord, all_witnesses, _prepare
+
+if TYPE_CHECKING:  # numpy appears in annotations only; the caller's rng brings it
+    import numpy as np
 
 INTERIOR = "interior"
 BOUNDARY = "boundary"

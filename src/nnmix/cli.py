@@ -8,6 +8,12 @@ and written in the shared text format (one row per line, comma-separated,
 Exit codes: 0 for success (including verdicts in/interior), 1 when the
 verdict is out/boundary/outside (the payload is still written), 2 for usage
 errors, 3 for numeric failures.
+
+Importing this module does not load numpy, and neither do ``nnrank3``,
+``factorize``, ``patterns``, ``family`` without ``--mle`` and ``boundary``
+below 6x7: they run on the standard library.  ``em``, ``family --mle``,
+``experiment``, a float ``greencurve`` determinant and a ``boundary`` test
+that builds the orientation batch import it when they reach it.
 """
 
 from __future__ import annotations
@@ -20,7 +26,8 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import boundary as boundary_mod
-from . import em, families, harness
+from . import families, harness
+from .defaults import CRIT_TOL, MAX_ITER, TOL
 from .exactla import (EXACT, PROMOTE_DENOMINATOR, Matrix, determinant, format_matrix,
                       from_numpy, parse_matrix, parse_scalar)
 from .rank3cert import (DomainError, NotInModelError, nnrank3_membership,
@@ -70,6 +77,7 @@ def _emit(payload: dict, out: str | None):
 
 
 def _cmd_em(args) -> int:
+    from . import em
     U = _read_matrix(args).to_numpy()
     best, _ = em.run_em_restarts(U, args.r, restarts=args.restarts, seed=args.seed,
                                  max_iter=args.max_iter, tol=args.tol,
@@ -137,6 +145,7 @@ def _cmd_family(args) -> int:
         matrices.append(("U", U))
         summary["in_model"] = families.uab_in_model(a, b)
         if args.mle:
+            from . import em
             mle = families.uab_closed_form_mle(a, b)
             summary["letters"] = {k: str(v) for k, v in mle.letters().items()}
             summary["exact"] = mle.exact
@@ -229,9 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, default=3)
     p.add_argument("--restarts", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-iter", dest="max_iter", type=int, default=em.MAX_ITER)
-    p.add_argument("--tol", type=float, default=em.TOL)
-    p.add_argument("--crit-tol", dest="crit_tol", type=float, default=em.CRIT_TOL)
+    p.add_argument("--max-iter", dest="max_iter", type=int, default=MAX_ITER)
+    p.add_argument("--tol", type=float, default=TOL)
+    p.add_argument("--crit-tol", dest="crit_tol", type=float, default=CRIT_TOL)
     p.add_argument("--output")
     p.add_argument("--estimate-out", dest="estimate_out")
     p.set_defaults(func=_cmd_em, backend="float")
@@ -292,7 +301,7 @@ def main(argv=None) -> int:
     except (DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ArithmeticError, em.EMNumericalError) as exc:
+    except ArithmeticError as exc:  # em.EMNumericalError among them
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -19,14 +19,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .defaults import CRIT_TOL, MAX_ITER, POLISH_ITER, TOL
 from .exactla import from_numpy, matrix_rank
 
 _TINY = 1e-300
-# defaults of every EM entry point and of ``nnmix em``
-MAX_ITER = 2000   # EM-map evaluations per run
-TOL = 1e-10       # stop once a plain EM step moves P by less than this (max entrywise)
-CRIT_TOL = 1e-6   # relative criticality tolerance (see ``is_critical``)
-POLISH_ITER = 10**4  # EM-map evaluations allowed to converge an unconverged best restart
 # restarts whose log-likelihoods differ by less than this, relative (about 10
 # ulp), reach the same maximizer as far as the arithmetic can tell
 _TIE_REL = 2e-15

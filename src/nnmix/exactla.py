@@ -16,14 +16,16 @@ Matrices are immutable; all functions return new objects.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import isfinite, lcm, prod
 from operator import mul
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 EXACT = "exact"
 FLOAT = "float"
@@ -58,7 +60,9 @@ def _coerce_exact(x) -> Fraction:
         return Fraction(x)
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, np.integer)):
+    # a numpy integer can exist only once some caller has loaded numpy
+    numpy = sys.modules.get("numpy")
+    if isinstance(x, int) or (numpy is not None and isinstance(x, numpy.integer)):
         return Fraction(int(x))
     if isinstance(x, (str, float)):
         # every float is exactly a dyadic rational; callers who want a
@@ -168,6 +172,7 @@ class Matrix:
     # -- conversions ----------------------------------------------------
 
     def to_numpy(self) -> np.ndarray:
+        import numpy as np
         return np.array([[float(x) for x in r] for r in self.entries], dtype=float)
 
     def as_float(self) -> "Matrix":
@@ -208,6 +213,7 @@ class Matrix:
 
 
 def from_numpy(arr: np.ndarray) -> Matrix:
+    import numpy as np
     arr = np.asarray(arr, dtype=float)
     if arr.ndim != 2:
         raise DimensionError("expected a 2-d array")
@@ -340,6 +346,7 @@ def determinant(M: Matrix):
     if m != n:
         raise DimensionError(f"determinant of non-square {m}x{n} matrix")
     if M.backend == FLOAT:
+        import numpy as np
         return float(np.linalg.det(M.to_numpy()))
     _, pivots, _, cleared, det = _gauss_jordan(M)
     return Fraction(det, prod(d for _, d in cleared)) if len(pivots) == n else Fraction(0)

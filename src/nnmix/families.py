@@ -25,8 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .exactla import Matrix, clear_denominators
 
 # -- the cubic root --------------------------------------------------------
@@ -97,6 +95,7 @@ def unique_simple_real_root(coeffs):
     disc = (18 * a * b * c * d - 4 * b**3 * d + b * b * c * c - 4 * a * c**3
             - 27 * a * a * d * d)
     if disc > 0:
+        import numpy as np
         monic = [float(Fraction(x, a)) for x in (a, b, c, d)]
         roots = sorted(float(x) for x in np.roots(monic).real)
         raise AmbiguousRootError("expected one simple real root, found 3", roots)

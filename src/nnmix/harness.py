@@ -19,7 +19,9 @@ derives its RNG stream from (seed, trial), so reports are bit-identical for
 identical configs.  Trials run as a parallel map over a pool of up to
 ``jobs`` processes, never more than there are trials, and records come back
 in trial order either way; the pool's module is imported only when one
-starts.
+starts.  numpy and :mod:`nnmix.em` are imported by the trials that use
+them, so building or validating a ``boundary_fraction`` config, or the
+command-line parser, loads neither.
 """
 
 from __future__ import annotations
@@ -29,12 +31,14 @@ import io
 import time
 from dataclasses import asdict, dataclass, field
 from functools import partial
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import boundary as boundary_mod
-from . import em
+from .defaults import CRIT_TOL, TOL
 from .exactla import Matrix
+
+if TYPE_CHECKING:
+    import numpy as np
 
 TABLE1 = "table1"
 PLANTED = "planted"
@@ -54,8 +58,8 @@ class ExperimentConfig:
     num_matrices: int = 200
     num_restarts: int = 100
     max_iter: int = 500
-    tol: float = em.TOL
-    crit_tol: float = em.CRIT_TOL
+    tol: float = TOL
+    crit_tol: float = CRIT_TOL
     seed: int = 0
     generator: str = "normalized_uniform"  # a key of GENERATORS (table1)
     T: int = 10                   # samples per cell (planted)
@@ -78,6 +82,7 @@ class ExperimentConfig:
                 raise ValueError("requires r < min(m, n)")
             if self.max_iter < 0:
                 raise ValueError(f"max_iter must be nonnegative, got {self.max_iter}")
+            from . import em
             em.check_tolerances(self.tol, self.crit_tol)
         for key in at_least_one:
             if getattr(self, key) < 1:
@@ -114,6 +119,7 @@ class ExperimentReport:
 
 
 def _em_trial(cfg: ExperimentConfig, trial: int, U: np.ndarray) -> dict:
+    from . import em
     data = em.DataMatrix.from_array(U)
     best, batch = em.run_em_restarts(data, cfg.r, restarts=cfg.num_restarts,
                                      seed=(cfg.seed, trial), max_iter=cfg.max_iter,
@@ -141,6 +147,7 @@ def _em_trial(cfg: ExperimentConfig, trial: int, U: np.ndarray) -> dict:
 
 
 def _table1_trial(cfg: ExperimentConfig, trial: int) -> dict:
+    import numpy as np
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, trial, 0xDA7A)))
     p = GENERATORS[cfg.generator](rng, cfg.m * cfg.n)
     p /= p.sum()
@@ -149,6 +156,7 @@ def _table1_trial(cfg: ExperimentConfig, trial: int) -> dict:
 
 
 def _planted_trial(cfg: ExperimentConfig, trial: int) -> dict:
+    import numpy as np
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, trial, 0x9AB7ED)))
     while True:
         A = rng.integers(0, 101, size=(cfg.m, cfg.r))
@@ -162,6 +170,7 @@ def _planted_trial(cfg: ExperimentConfig, trial: int) -> dict:
 
 
 def _boundary_trial(cfg: ExperimentConfig, trial: int) -> dict:
+    import numpy as np
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, trial, 0xB0D1)))
     pattern = boundary_mod.canonical_pattern(cfg.m, cfg.n)
     # the integer product is a positive multiple of the normalized sample, so

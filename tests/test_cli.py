@@ -151,6 +151,17 @@ class TestEmCommand:
         assert payload["restarts"] == 1
         assert main(["em", "--input", path, "--r", "3", "--restarts", "0"]) == 2
 
+    def test_em_numeric_failure_exits_three(self, workdir, monkeypatch, capsys):
+        path = write_matrix(workdir / "u.txt", Matrix.exact(
+            [[1, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 1]]))
+
+        def underflow(*args, **kwargs):
+            raise em.EMNumericalError("cell (0, 0) has probability 0")
+
+        monkeypatch.setattr(em, "run_em_restarts", underflow)
+        assert main(["em", "--input", path]) == 3
+        assert "numeric failure: cell (0, 0) has probability 0" in capsys.readouterr().err
+
     def test_defaults_are_the_em_constants(self):
         p = _subparser("em")
         assert p.get_default("max_iter") == em.MAX_ITER

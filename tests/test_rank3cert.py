@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nnmix import rank3cert
+from nnmix import rank3batch, rank3cert
 from nnmix.boundary import (boundary_test, canonical_pattern, enumerate_zero_patterns,
                             integer_dist, sample_algebraic_boundary, sample_integer_product)
 from nnmix.cli import main
@@ -698,6 +698,37 @@ def test_float_verdicts_agree_or_are_marginal():
     assert calls == 126
 
 
+def _near_parallel_rows(seed) -> Matrix:
+    """A seeded 5x5 rank-3 integer product as floats, with one row replaced
+    by another row times (1 + 1e-12) plus noise below 1e-13: the two edge
+    lines are parallel up to rounding, so their cross is nonzero but inside
+    the ``x2`` band."""
+    rng = np.random.default_rng(seed)
+    P = (rng.integers(0, 10, (5, 3)) @ rng.integers(0, 10, (3, 5))).astype(float)
+    i, j = rng.choice(5, 2, replace=False)
+    P[i] = P[j] * (1 + 1e-12) + rng.uniform(0, 1e-13, 5)
+    return Matrix.from_floats(P.tolist())
+
+
+def test_rounded_parallel_edge_lines_are_marginal(monkeypatch):
+    # is_zero_vec reads a nonzero cross inside its band as parallel edge
+    # lines, and flags the call; on some draws no other sign test flags it,
+    # so without that flag the float verdict would look sure
+    draws = [_near_parallel_rows(seed) for seed in range(500)]
+    flagged = [nnrank3_membership(P).marginal for P in draws]
+
+    def unflagged(self, vec, kind):
+        return all(abs(x) <= self.bands[kind] for x in vec)
+
+    monkeypatch.setattr(rank3cert._FloatSigns, "is_zero_vec", unflagged)
+    unflagged_flags = [nnrank3_membership(P).marginal for P in draws]
+    only_zero_vec = [seed for seed, (with_flag, without) in
+                     enumerate(zip(flagged, unflagged_flags)) if with_flag and not without]
+    assert len(only_zero_vec) >= 3, only_zero_vec
+    assert not any(without and not with_flag
+                   for with_flag, without in zip(flagged, unflagged_flags))
+
+
 def test_exact_rechecks_cover_every_touching_triple(monkeypatch):
     # factors with zeros make many chord values vanish; a zero is never
     # decided by the float filter, so each touching pair is rechecked
@@ -735,7 +766,7 @@ def _zero_heavy_products():
 def _spy_batches(monkeypatch):
     """Count the orientation batches built, and those that met an integer
     beyond the float range."""
-    seen, build = {"built": 0, "overflow": 0}, rank3cert._OrientationBatch.__init__
+    seen, build = {"built": 0, "overflow": 0}, rank3batch._OrientationBatch.__init__
 
     def counted(self, *args):
         seen["built"] += 1
@@ -745,7 +776,7 @@ def _spy_batches(monkeypatch):
             seen["overflow"] += 1
             raise
 
-    monkeypatch.setattr(rank3cert._OrientationBatch, "__init__", counted)
+    monkeypatch.setattr(rank3batch._OrientationBatch, "__init__", counted)
     return seen
 
 
@@ -873,17 +904,17 @@ def test_orientation_batch_evaluates_bounded_chunks(monkeypatch):
     # passed to the chord evaluator exceeds the chunk
     rng = np.random.default_rng(16)
     P = Matrix.exact((rng.integers(1, 10, (16, 3)) @ rng.integers(1, 10, (3, 16))).tolist())
-    stacks, values = [], rank3cert._OrientationBatch.values
+    stacks, values = [], rank3batch._OrientationBatch.values
 
     def spy(self, VV, mVV, y, my, QQ, Qip, ip):
         stacks.append((len(ip), QQ[0].size))  # candidates, (k, l, k') entries
         return values(self, VV, mVV, y, my, QQ, Qip, ip)
 
-    monkeypatch.setattr(rank3cert._OrientationBatch, "values", spy)
+    monkeypatch.setattr(rank3batch._OrientationBatch, "values", spy)
     decision, records = all_witnesses(P)
     assert decision.verdict == "in" and records
     assert len(stacks) > 2 and max(c for c, _ in stacks) > 1
-    assert max(entries for _, entries in stacks) <= rank3cert._CHORD_CHUNK, stacks
+    assert max(entries for _, entries in stacks) <= rank3batch._CHORD_CHUNK, stacks
 
 
 def test_four_by_four_boundary_test_builds_no_array(monkeypatch):
@@ -901,7 +932,7 @@ def test_four_by_four_boundary_test_builds_no_array(monkeypatch):
         calls.append(args)
         return array(*args, **kwargs)
 
-    monkeypatch.setattr(rank3cert.np, "array", counted)
+    monkeypatch.setattr(rank3batch.np, "array", counted)
     assert boundary_test(P).witnesses > 0
     assert calls == []
     assert nnrank3_membership(big) and nnrank3_membership(big_float)

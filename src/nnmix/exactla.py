@@ -3,13 +3,17 @@
 Everything downstream (membership certification, boundary classification,
 the closed-form likelihood maximizers) ultimately reduces to sign tests on
 determinants, so the primary backend is exact rational arithmetic where a
-zero is a zero.  Exact entries are ``fractions.Fraction`` only at the edges:
-parsing, formatting and the matrices the functions here return.  Inside,
-rows and columns are cleared to Python ints with :func:`clear_denominators`:
-the elimination runs fraction-free, so no gcd is taken inside it, and an
-entry of an exact product is one integer dot product.  A float backend with
-tolerance-based rank decisions is provided for data that originates from
-floating-point computations.
+zero is a zero.  An exact entry is an ``int`` where it is integral and a
+``fractions.Fraction`` otherwise: parsing and :meth:`Matrix.exact` keep an
+integer an ``int`` and make every other rational a ``Fraction``, and the
+results computed here (products, RREF, factors) are ``Fraction``s.  The two
+compare and hash equal by value (``6 == Fraction(12, 2)``), and an ``int``
+has ``numerator`` and ``denominator`` too, so every reader takes both.
+Inside, rows and columns are cleared to Python ints with
+:func:`clear_denominators`: the elimination runs fraction-free, so no gcd is
+taken inside it, and an entry of an exact product is one integer dot
+product.  A float backend with tolerance-based rank decisions is provided
+for data that originates from floating-point computations.
 
 Matrices are immutable; all functions return new objects.
 """
@@ -55,9 +59,11 @@ class RankExcessError(ValueError):
         return "matrix has rank {} > requested {}".format(*self.args)
 
 
-def _coerce_exact(x) -> Fraction:
+def _coerce_exact(x) -> int | Fraction:
+    """An exact entry: an ``int`` unchanged, a ``Fraction`` for every other
+    rational (``bool`` and numpy integers included)."""
     if type(x) is int:  # the common entry, before the costlier ABC check
-        return Fraction(x)
+        return x
     if isinstance(x, Fraction):
         return x
     # a numpy integer can exist only once some caller has loaded numpy
@@ -99,7 +105,7 @@ class Matrix:
 
     @staticmethod
     def exact(rows: Iterable[Iterable]) -> "Matrix":
-        data = tuple(tuple(_coerce_exact(x) for x in r) for r in rows)
+        data = tuple(tuple(map(_coerce_exact, r)) for r in rows)
         if not data:
             raise DimensionError("empty matrix")
         return Matrix(len(data), len(data[0]), data, EXACT)
@@ -141,7 +147,7 @@ class Matrix:
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
-    def __getitem__(self, ij) -> Fraction | float:
+    def __getitem__(self, ij) -> int | Fraction | float:
         i, j = ij
         return self.entries[i][j]
 
@@ -382,7 +388,8 @@ def rank_factorize(P: Matrix, r: int, tol: float = DEFAULT_RANK_TOL) -> tuple[Ma
 
 
 def parse_scalar(token: str):
-    """Parse one entry: 'p/q' and integers are exact, decimals are float.
+    """Parse one entry: an integer is an ``int``, 'p/q' a ``Fraction`` and a
+    decimal a float.
 
     Raises ValueError naming the token on anything else, a zero denominator
     and a non-finite float ('nan', 'inf', '1e400') included.
@@ -397,7 +404,7 @@ def parse_scalar(token: str):
         value = float(token)
     else:
         try:
-            return Fraction(int(token))
+            return int(token)
         except ValueError:
             value = float(token)  # 'nan' and 'inf'; anything else raises, naming the token
     if not isfinite(value):
@@ -406,8 +413,10 @@ def parse_scalar(token: str):
 
 
 def format_scalar(x) -> str:
-    if isinstance(x, Fraction):
-        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    """An exact entry as ``n`` or ``p/q`` (an ``int`` as ``Fraction(n)``), a
+    float by its ``repr``."""
+    if type(x) is int or isinstance(x, Fraction):
+        return str(x)
     return repr(float(x))
 
 
@@ -426,7 +435,7 @@ def parse_matrix(text: str) -> Matrix:
             continue
         tokens = line.split(",")
         try:
-            rows.append([Fraction(int(tok)) for tok in tokens])
+            rows.append([int(tok) for tok in tokens])
             continue
         except ValueError:
             pass
@@ -441,7 +450,7 @@ def parse_matrix(text: str) -> Matrix:
     for lineno, row in enumerate(rows, start=1):
         if len(row) != width:
             raise ValueError(f"matrix parse error on line {lineno}: ragged row")
-    if exact:  # Fractions already: the exact-or-float rule of ``Matrix.of``
+    if exact:  # exact entries already: the exact-or-float rule of ``Matrix.of``
         return Matrix(len(rows), width, tuple(map(tuple, rows)), EXACT)
     return Matrix.from_floats(rows)
 

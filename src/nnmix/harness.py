@@ -87,6 +87,9 @@ class ExperimentConfig:
         for key in at_least_one:
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be at least 1, got {getattr(self, key)}")
+        if self.mode == BOUNDARY_FRACTION and self.r != 3:  # no trial reads r
+            raise ValueError(f"boundary_fraction samples the strata of nonnegative "
+                             f"rank 3: r must be 3, got {self.r}")
 
 
 @dataclass
@@ -174,7 +177,8 @@ def _boundary_trial(cfg: ExperimentConfig, trial: int) -> dict:
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, trial, 0xB0D1)))
     pattern = boundary_mod.canonical_pattern(cfg.m, cfg.n)
     # the integer product is a positive multiple of the normalized sample, so
-    # it classifies the same and no Fraction is built but its entries
+    # it classifies the same; its entries stay ints, and the trial builds no
+    # Fraction
     Pi = boundary_mod.sample_integer_product(pattern, rng, DISTS[cfg.dist](cfg.dist_param))[0]
     cls = boundary_mod.boundary_test(Matrix.exact(Pi))
     return {

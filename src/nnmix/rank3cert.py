@@ -56,6 +56,12 @@ no option selects between them:
   the integers.  The scan then walks these decisions, so records, touches
   and failure logs are the lazy scan's.
 
+The scan builds only what its caller reads.  A record is a pair of named
+tuples, ``WitnessRecord(Witness, touches)``.  A rejected vertex or candidate
+is logged as a tuple of its indices and reason, and the log is formatted
+into text only when an ``out`` verdict carries it: a member's log is never
+read.
+
 This module does not load numpy: the batch module is imported with the
 first orientation that reaches ``_ORIENTATION_BATCH_MIN``, so membership,
 factorization and a boundary test below 6x7 run on the standard library.
@@ -66,18 +72,19 @@ its pivot columns, each divided by the gcd of its entries, and the points
 are the columns of d·RREF in lowest terms, positive scalings that change no
 sign.  A scaled input is therefore scanned on the integers of the unscaled
 one, which keeps its chord values inside the float filter's range.  The
-triangle is found in homogeneous integer coordinates too, so ``Fraction``
-stays at the edges: the input, and the factors ``nonneg_rank3_factorize``
-returns.  The float backend replaces sign tests with a tolerance band and
-flags marginal calls.
+triangle is found in homogeneous integer coordinates too, so a ``Fraction``
+appears only where the input has one and in the factors
+``nonneg_rank3_factorize`` returns.  The float backend replaces sign tests
+with a tolerance band and flags marginal calls.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, frexp, gcd, lcm, ldexp
+from typing import NamedTuple
 
 # matrix_rank and rank_factorize are not called here; the benchmark's tracer
 # wraps them by these names
@@ -258,8 +265,10 @@ class _FloatSigns:
 # -- witness scan -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
+    """Immutable, hashable and equal by value; built at about tuple cost, as
+    the scan makes one per record."""
+
     i: int
     j: int
     iprime: int
@@ -267,11 +276,10 @@ class Witness:
     swapped: bool
 
     def as_dict(self) -> dict:
-        return asdict(self)  # i, j, iprime, jprime, swapped
+        return self._asdict()  # i, j, iprime, jprime, swapped
 
 
-@dataclass(frozen=True)
-class WitnessRecord:
+class WitnessRecord(NamedTuple):
     witness: Witness
     touches: tuple  # (k, l, kprime) triples whose chord product is exactly zero
 
@@ -314,6 +322,16 @@ def _one_sign(signs) -> bool:
 # values), 0.89x at 6x7, 0.77x at 7x7, 0.58x at 8x8 and 0.42x at 9x9.
 _ORIENTATION_BATCH_MIN = 30
 
+def _log_line(entry) -> str:
+    """One failure-log tuple of ``_scan_orientation`` as a line of text.
+
+    Only an ``out`` decision, the one that carries the log, formats it.
+    """
+    swapped, i, j, ip, jp, reason = entry
+    if ip is None:  # a rejected vertex
+        return f"{'cols' if swapped else 'rows'} ({i},{j}): {reason}"
+    return f"candidate ({i},{j},{ip},{'*' if jp is None else jp}): {reason}"
+
 
 def _scan_orientation(lines, points, ctx, swapped, line_map, point_map, log, tables):
     """Yield the witnesses of one orientation in index order, lazily.
@@ -324,8 +342,11 @@ def _scan_orientation(lines, points, ctx, swapped, line_map, point_map, log, tab
     ``q[l][t] = a_l·p_t``; with the vertex brackets V and the support table
     F of each vertex, every bracket is read from them.  Each record carries
     the chord triples (k, l, k') whose product vanished, which is what the
-    boundary classifier consumes.  Rejected candidates are appended to
-    ``log`` as the scan passes them.  When ``ctx.reads_all``, a large exact
+    boundary classifier consumes.  Each rejected vertex or candidate is
+    appended to ``log`` as the scan passes it, as the tuple
+    ``(swapped, i, j, i', j', reason)`` of input indices, with None for the
+    points of a rejected vertex and for j' when point i' does not support;
+    ``_log_line`` formats one.  When ``ctx.reads_all``, a large exact
     orientation is decided in one ``_OrientationBatch`` before the first
     record, and the scan walks its decisions.
     """
@@ -363,12 +384,12 @@ def _scan_orientation(lines, points, ctx, swapped, line_map, point_map, log, tab
             batch = _OrientationBatch(lines, points, ctx, tables, line_map, point_map).found
         except OverflowError:  # an integer beyond the float range: the lazy path decides
             pass
-    side = "cols" if swapped else "rows"
     for i in range(M):
         for j in range(i + 1, M):
             v = edges[i][j]
             if ctx.is_zero_vec(v, "x2"):  # parallel edge lines: no vertex
-                log.append(f"{side} ({line_map[i]},{line_map[j]}): edge lines are parallel")
+                log.append((swapped, line_map[i], line_map[j], None, None,
+                            "edge lines are parallel"))
                 continue
             if batch is None:  # V_k = det(a_i, a_j, a_k) shares one sign; V_i = V_j = 0
                 v0, v1, v2 = v
@@ -378,7 +399,8 @@ def _scan_orientation(lines, points, ctx, swapped, line_map, point_map, log, tab
             else:
                 found = batch.get((i, j))
             if found is None:
-                log.append(f"{side} ({line_map[i]},{line_map[j]}): vertex sign family mixed")
+                log.append((swapped, line_map[i], line_map[j], None, None,
+                            "vertex sign family mixed"))
                 continue
             ok, decided = found  # the support flags, and the batch's chord touches
             if batch is None:  # decided as the scan reaches them
@@ -395,8 +417,8 @@ def _scan_orientation(lines, points, ctx, swapped, line_map, point_map, log, tab
                 if ok[ip] is None:
                     ok[ip] = supports(ip)
                 if not ok[ip]:
-                    log.append(f"candidate ({line_map[i]},{line_map[j]},{point_map[ip]},*): "
-                               "support family mixed")
+                    log.append((swapped, line_map[i], line_map[j], point_map[ip], None,
+                                "support family mixed"))
                     continue
                 for jp in range(N):
                     if ok[jp] is None:  # ok[ip] is set
@@ -406,8 +428,8 @@ def _scan_orientation(lines, points, ctx, swapped, line_map, point_map, log, tab
                     touches = (chord_touches(V, F, pairs, ip, jp) if batch is None
                                else decided[ip, jp])
                     if touches is None:
-                        log.append(f"candidate ({line_map[i]},{line_map[j]},"
-                                   f"{point_map[ip]},{point_map[jp]}): chord product negative")
+                        log.append((swapped, line_map[i], line_map[j], point_map[ip],
+                                    point_map[jp], "chord product negative"))
                         continue
                     yield WitnessRecord(
                         Witness(line_map[i], line_map[j], point_map[ip], point_map[jp], swapped),
@@ -438,10 +460,11 @@ def _witness_stream(lines, points, backend: str, row_map, col_map, reads_all=Fal
     """The witnesses of the lines and points of P = A @ B as one lazy stream.
 
     Returns ``(records, log, ctx)``: an iterator over the unswapped
-    orientation and then the swapped one, the failure log it fills as it
-    advances, and the sign context whose ``marginal`` flag it raises.  A
-    caller that stops early has scanned, logged and flagged only that far;
-    one that reads every record says so with ``reads_all``.
+    orientation and then the swapped one, the failure log (of tuples, see
+    ``_scan_orientation``) it fills as it advances, and the sign context
+    whose ``marginal`` flag it raises.  A caller that stops early has
+    scanned, logged and flagged only that far; one that reads every record
+    says so with ``reads_all``.
     """
     if backend == EXACT:
         ctx = _ExactSigns(reads_all)
@@ -449,7 +472,7 @@ def _witness_stream(lines, points, backend: str, row_map, col_map, reads_all=Fal
         lines, points = _unit_scaled(lines), _unit_scaled(points)
         ctx = _FloatSigns(max(abs(x) for v in lines for x in v),
                           max(abs(x) for v in points for x in v))
-    log: list[str] = []
+    log: list[tuple] = []
     line_crosses, point_crosses = _crosses(lines), _crosses(points)
     q = [[_dot(a, p) for p in points] for a in lines]
     records = itertools.chain(
@@ -542,7 +565,7 @@ def _decide(P: Matrix, factors, row_map, col_map, take):
                                  note="thin matrix: nonnegative rank equals rank")
     else:
         dec = MembershipDecision("out", None, rank, P.backend, marginal=ctx.marginal,
-                                 failure_log=log)
+                                 failure_log=list(map(_log_line, log)))
     return dec, found, built
 
 

@@ -5,14 +5,18 @@ experiments that acceptance criteria 9 and 10 run.
 
 Only this script writes the file.  ``tests/test_golden_em.py`` compares a
 tree's records with it: the flags, restart counts and iteration counts
-exactly, ``loglik`` and ``monotonicity_slack`` within ``REL_TOL``, and a
-sha256 of the canonical records bit for bit where the numpy version and
-BLAS match the ones the file records.  A change that moves a record on
-purpose reruns this script and lists every changed record in CHANGES.md.
+exactly, ``loglik`` within ``REL_TOL``, and a sha256 of the canonical
+records bit for bit where the numpy version, the BLAS and the OpenBLAS
+kernel picked at run time match the ones the file records.  On another
+build ``monotonicity_slack``, a few ulps of rounding, is compared within
+``SLACK_ULPS`` ulps of the trial's ``|loglik|``.  A change that moves a
+record on purpose reruns this script and lists every changed record in
+CHANGES.md.
 """
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 import platform
@@ -40,16 +44,45 @@ EXACT = ("flagged_boundary", "restarts_converged", "restarts_quarantined", "iter
          "polish_iterations")
 CLOSE = ("loglik", "monotonicity_slack")
 REL_TOL = 1e-8  # the benchmark's log-likelihood rule (perfbench/reference.json)
+SLACK_ULPS = 16  # off the file's build: |slack - golden| <= SLACK_ULPS * ulp(|loglik|)
+# the run-time kernel query of the OpenBLAS builds numpy ships or links
+_CORENAME = ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+             "openblas_get_corename64_", "openblas_get_corename")
+
+
+def openblas_core() -> str:
+    """The kernel OpenBLAS picked when it loaded, such as ``SkylakeX``.
+
+    A DYNAMIC_ARCH build picks it by CPU (``OPENBLAS_CORETYPE`` overrides
+    that), and kernels round differently, so one numpy and BLAS version
+    can give different last bits.  "unknown" when no loaded library
+    answers the query.
+    """
+    try:  # the shared objects mapped into this process
+        maps = Path("/proc/self/maps").read_text()
+    except OSError:
+        return "unknown"
+    paths = sorted({line.split()[-1] for line in maps.splitlines()
+                    if "openblas" in line.rsplit("/", 1)[-1]})
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for name in _CORENAME:
+            query = getattr(lib, name, None)
+            if query is not None:
+                query.argtypes, query.restype = [], ctypes.c_char_p
+                return query().decode()
+    return "unknown"
 
 
 def build() -> dict:
-    """The numpy version and BLAS whose arithmetic the digests hold."""
+    """The numpy version, BLAS and kernel whose arithmetic the digests hold."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas = f"{blas['name']} {blas['version']}"
     except (TypeError, KeyError):  # numpy before 1.26 only prints its config
         blas = "unknown"
-    return {"numpy": np.__version__, "blas": blas, "machine": platform.machine()}
+    return {"numpy": np.__version__, "blas": blas, "openblas_core": openblas_core(),
+            "machine": platform.machine()}
 
 
 def digest(records: list[dict]) -> str:

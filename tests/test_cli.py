@@ -276,10 +276,13 @@ class TestExperimentCommand:
         ("table1", None, ["--tol", "0"], "tol must be positive, got 0.0"),
         ("planted", None, ["--tol=-1e-10"], "tol must be positive, got -1e-10"),
         ("table1", None, ["--crit-tol", "-1"], "crit_tol must be positive, got -1.0"),
+        ("boundary_fraction", None, ["--r", "2"], "r must be 3, got 2"),
+        ("boundary_fraction", {"r": 4}, [], "r must be 3, got 4"),
     ], ids=["no_matrices", "negative_r", "zero_r_boundary", "no_restarts", "zero_T",
             "zero_dist_param", "m_below_stratum", "n_below_stratum", "generator",
             "generator_unread", "dist_unread", "no_jobs", "negative_max_iter",
-            "zero_tol", "negative_tol", "negative_crit_tol"])
+            "zero_tol", "negative_tol", "negative_crit_tol", "rank_two_boundary",
+            "rank_four_boundary_config"])
     def test_bad_inputs_exit_two_before_any_trial(self, workdir, monkeypatch, capsys,
                                                    mode, config, flags, message):
         ran = []

@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nnmix.exactla import (DimensionError, Matrix, RankExcessError, _coerce_exact,
-                           determinant, format_matrix, matrix_rank, parse_matrix,
-                           parse_scalar, rank_factorize, rref)
+                           determinant, format_matrix, format_scalar, matrix_rank,
+                           parse_matrix, parse_scalar, rank_factorize, rref)
 
 from conftest import CURVE_BASE, random_rational_matrix, uab_rows
 
@@ -327,6 +327,24 @@ class TestTextFormat:
         with pytest.raises(ValueError, match="ragged"):
             parse_matrix("1,2\n3\n")
 
+    @pytest.mark.parametrize("text", [
+        "1,-2,30\n0,7,-45\n", "1/2,-3/4,2\n5/7,0,-1/3\n", "0.5,-0.125\n2.5,1e-17\n",
+    ], ids=["integers", "p_q", "decimals"])
+    def test_text_round_trip(self, text):
+        assert format_matrix(parse_matrix(text)) == text
+
+    def test_integer_entries_stay_int(self):
+        M = parse_matrix("6,-1/2\n0,3\n")
+        assert [[type(x) for x in row] for row in M.entries] == [[int, Fraction], [int, int]]
+        assert type(parse_scalar(" 6 ")) is int and parse_scalar("4/2") == Fraction(2)
+        assert format_scalar(6) == format_scalar(Fraction(6)) == "6"
+        assert format_scalar(-7) == format_scalar(Fraction(-7)) == "-7"
+
+    def test_int_and_fraction_entries_make_equal_matrices(self):
+        six, twelve_halves = Matrix.exact([[6]]), Matrix.exact([[Fraction(12, 2)]])
+        assert type(six[0, 0]) is int and type(twelve_halves[0, 0]) is Fraction
+        assert six == twelve_halves and hash(six) == hash(twelve_halves)
+
 
 def _per_token_parse(text: str) -> Matrix:
     """The reference reading: every token through ``parse_scalar``, then the
@@ -435,7 +453,10 @@ def test_matrix_of_is_exact_only_for_rational_entries(rows, backend):
 
 
 def _coerce_in_type_order(x):
-    """The exact coercion as it tests types: Fraction, then int, then str or float."""
+    """The exact coercion as it tests types: an int as it is, then Fraction,
+    then any other integer, then str or float."""
+    if type(x) is int:
+        return x
     if isinstance(x, Fraction):
         return x
     if isinstance(x, (int, np.integer)):
@@ -458,7 +479,8 @@ def test_coerce_exact_agrees_with_the_type_order(x):
             _coerce_exact(x)
         return
     got = _coerce_exact(x)
-    assert type(got) is Fraction and got == want
+    assert type(got) is type(want) and got == want
+    assert type(got) in (int, Fraction)
     assert type(got.numerator) is int and type(got.denominator) is int
-    if isinstance(x, Fraction):
+    if type(x) in (int, Fraction):
         assert got is x

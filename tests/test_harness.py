@@ -194,14 +194,14 @@ class TestProtocols:
             assert boundary_test(Matrix.exact(Pi)).as_dict() == cls.as_dict(), seed
 
     def test_boundary_trial_skips_the_public_sampler(self, monkeypatch):
-        # the trial builds no Fraction but the entries of its integer product
+        # the trial builds no Fraction: the entries of its integer product stay ints
         def refuse(*args):
             raise AssertionError("a trial called sample_algebraic_boundary")
 
         monkeypatch.setattr(boundary, "sample_algebraic_boundary", refuse)
         cfg = tiny_cfg(BOUNDARY_FRACTION, num_matrices=1)
         count, rep = fractions_built(monkeypatch, lambda: run_experiment(cfg))
-        assert count == 16 and rep.extra["all_members"]
+        assert count == 0 and rep.extra["all_members"]
         assert run_experiment(tiny_cfg(BOUNDARY_FRACTION, num_matrices=20)).extra["all_members"]
 
     def test_generator_choices(self):
@@ -222,6 +222,15 @@ class TestProtocols:
         assert ran == []
         with pytest.raises(ValueError):
             ExperimentConfig(mode=TABLE1, m=3, n=3, r=3).validate()
+
+    @pytest.mark.parametrize("r", [1, 2, 4])
+    def test_boundary_fraction_takes_only_rank_three(self, r):
+        # the trial samples a rank-3 stratum whatever r says; a report must
+        # not carry an r it did not run
+        with pytest.raises(ValueError, match=f"r must be 3, got {r}"):
+            ExperimentConfig(mode=BOUNDARY_FRACTION, r=r).validate()
+        ExperimentConfig(mode=BOUNDARY_FRACTION, r=3).validate()
+        ExperimentConfig(mode=TABLE1, r=r, m=5, n=5).validate()
 
 
 class TestReports:

@@ -515,8 +515,8 @@ def composed_six_three(rows, cols, i, j, k, l, ip, jp, kp):
 def composed_scan_orientation(lines, points, ctx, swapped, line_map, point_map, log, _tables):
     """``rank3cert._scan_orientation`` with every chord bracket composed, as
     it ran before the expansion; the oracle for witness records and logs.
-    It composes each bracket from ``lines`` and ``points`` and ignores the
-    scan's bracket tables."""
+    It composes each bracket from ``lines`` and ``points``, ignores the
+    scan's bracket tables, and logs the scan's tuples."""
     M, N = len(lines), len(points)
     cross_cache, supp_cache, pt_cache = {}, {}, {}
 
@@ -555,28 +555,29 @@ def composed_scan_orientation(lines, points, ctx, swapped, line_map, point_map, 
                     touches.append((line_map[k], line_map[l], point_map[kp]))
         return touches
 
-    side = "cols" if swapped else "rows"
     for i in range(M):
         for j in range(i + 1, M):
             if vertex(i, j) is None:
-                log.append(f"{side} ({line_map[i]},{line_map[j]}): edge lines are parallel")
+                log.append((swapped, line_map[i], line_map[j], None, None,
+                            "edge lines are parallel"))
                 continue
             if not _one_sign(ctx.sign(_det3(lines[i], lines[j], lines[k]), "b3")
                              for k in range(M) if k not in (i, j)):
-                log.append(f"{side} ({line_map[i]},{line_map[j]}): vertex sign family mixed")
+                log.append((swapped, line_map[i], line_map[j], None, None,
+                            "vertex sign family mixed"))
                 continue
             for ip in range(N):
                 if not supports(i, j, ip):
-                    log.append(f"candidate ({line_map[i]},{line_map[j]},{point_map[ip]},*): "
-                               "support family mixed")
+                    log.append((swapped, line_map[i], line_map[j], point_map[ip], None,
+                                "support family mixed"))
                     continue
                 for jp in range(N):
                     if jp == ip or not supports(i, j, jp):
                         continue
                     touches = chord_touches(i, j, ip, jp)
                     if touches is None:
-                        log.append(f"candidate ({line_map[i]},{line_map[j]},"
-                                   f"{point_map[ip]},{point_map[jp]}): chord product negative")
+                        log.append((swapped, line_map[i], line_map[j], point_map[ip],
+                                    point_map[jp], "chord product negative"))
                         continue
                     yield WitnessRecord(
                         Witness(line_map[i], line_map[j], point_map[ip], point_map[jp], swapped),
@@ -676,6 +677,113 @@ def test_scan_matches_the_composed_scan(monkeypatch):
     logged = sum(1 for out in expanded if any("chord product negative" in line
                                               for line in out[3]))
     assert touching >= 20 and logged >= 15, (touching, logged)
+
+
+def test_members_never_format_the_log(monkeypatch):
+    # a member's scan rejects candidates, but only an out decision carries
+    # the log, so the formatter is never called
+    logs, stream = [], rank3cert._witness_stream
+
+    def spy(*args):
+        out = stream(*args)
+        logs.append(out[1])
+        return out
+
+    def refuse(entry):
+        raise AssertionError(f"a member formatted the log entry {entry}")
+
+    monkeypatch.setattr(rank3cert, "_witness_stream", spy)
+    monkeypatch.setattr(rank3cert, "_log_line", refuse)
+    assert nnrank3_membership(NICE_P).verdict == "in"
+    decision, records = all_witnesses(NICE_P)
+    assert decision.verdict == "in" and decision.failure_log == [] and len(records) == 2
+    assert boundary_test(NICE_P).status == "boundary"
+    assert len(logs) == 3 and all(logs), logs
+    assert (False, 0, 1, 1, None, "support family mixed") in logs[1]
+    assert (False, 0, 3, None, None, "vertex sign family mixed") in logs[1]
+
+
+def test_out_decision_formats_the_log_lines():
+    # U(2, 0) with a copy of row 0 at half scale: rows 0 and 4 are parallel
+    # edge lines, and all four reasons appear in both orientations
+    P = [[2, 2, 0, 0], [2, 0, 2, 0], [0, 2, 0, 2], [0, 0, 2, 2], [1, 1, 0, 0]]
+    decision = nnrank3_membership(P)
+    assert (decision.verdict, decision.rank) == ("out", 3)
+    assert decision.failure_log == [
+        "candidate (0,1,0,*): support family mixed",
+        "candidate (0,1,1,2): chord product negative",
+        "candidate (0,1,2,1): chord product negative",
+        "candidate (0,1,3,*): support family mixed",
+        "candidate (0,2,0,3): chord product negative",
+        "candidate (0,2,1,*): support family mixed",
+        "candidate (0,2,2,*): support family mixed",
+        "candidate (0,2,3,0): chord product negative",
+        "rows (0,3): vertex sign family mixed",
+        "rows (0,4): edge lines are parallel",
+        "rows (1,2): vertex sign family mixed",
+        "candidate (1,3,0,3): chord product negative",
+        "candidate (1,3,1,*): support family mixed",
+        "candidate (1,3,2,*): support family mixed",
+        "candidate (1,3,3,0): chord product negative",
+        "candidate (1,4,0,*): support family mixed",
+        "candidate (1,4,1,2): chord product negative",
+        "candidate (1,4,2,1): chord product negative",
+        "candidate (1,4,3,*): support family mixed",
+        "candidate (2,3,0,*): support family mixed",
+        "candidate (2,3,1,2): chord product negative",
+        "candidate (2,3,2,1): chord product negative",
+        "candidate (2,3,3,*): support family mixed",
+        "candidate (2,4,0,3): chord product negative",
+        "candidate (2,4,1,*): support family mixed",
+        "candidate (2,4,2,*): support family mixed",
+        "candidate (2,4,3,0): chord product negative",
+        "rows (3,4): vertex sign family mixed",
+        "candidate (0,1,0,*): support family mixed",
+        "candidate (0,1,1,2): chord product negative",
+        "candidate (0,1,2,1): chord product negative",
+        "candidate (0,1,3,*): support family mixed",
+        "candidate (0,1,4,*): support family mixed",
+        "candidate (0,2,0,3): chord product negative",
+        "candidate (0,2,0,4): chord product negative",
+        "candidate (0,2,1,*): support family mixed",
+        "candidate (0,2,2,*): support family mixed",
+        "candidate (0,2,3,0): chord product negative",
+        "candidate (0,2,3,4): chord product negative",
+        "candidate (0,2,4,0): chord product negative",
+        "candidate (0,2,4,3): chord product negative",
+        "cols (0,3): vertex sign family mixed",
+        "cols (1,2): vertex sign family mixed",
+        "candidate (1,3,0,3): chord product negative",
+        "candidate (1,3,0,4): chord product negative",
+        "candidate (1,3,1,*): support family mixed",
+        "candidate (1,3,2,*): support family mixed",
+        "candidate (1,3,3,0): chord product negative",
+        "candidate (1,3,3,4): chord product negative",
+        "candidate (1,3,4,0): chord product negative",
+        "candidate (1,3,4,3): chord product negative",
+        "candidate (2,3,0,*): support family mixed",
+        "candidate (2,3,1,2): chord product negative",
+        "candidate (2,3,2,1): chord product negative",
+        "candidate (2,3,3,*): support family mixed",
+        "candidate (2,3,4,*): support family mixed",
+    ]
+
+
+def test_scan_records_are_immutable_values():
+    decision, records = all_witnesses(NICE_P)
+    assert records == [
+        WitnessRecord(Witness(0, 1, 1, 2, True), ((2, 3, 0),)),
+        WitnessRecord(Witness(0, 1, 2, 1, True), ((2, 3, 0),)),
+    ]
+    assert decision.witness == Witness(i=0, j=1, iprime=1, jprime=2, swapped=True)
+    assert len({*records, *all_witnesses(NICE_P)[1]}) == 2  # hashable, equal by value
+    for rec in records:
+        with pytest.raises(AttributeError):
+            rec.touches = ()
+        with pytest.raises(AttributeError):
+            rec.witness.i = 3
+    assert list(records[0].witness.as_dict().items()) == [
+        ("i", 0), ("j", 1), ("iprime", 1), ("jprime", 2), ("swapped", True)]
 
 
 def test_float_verdicts_agree_or_are_marginal():

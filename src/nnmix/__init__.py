@@ -8,7 +8,6 @@ Subpackages by concern:
 * :mod:`nnmix.em`: the EM iteration, likelihood, gradient, criticality;
 * :mod:`nnmix.rank3cert`: exact nonnegative-rank-3 membership, brackets,
   constructive factorization;
-* :mod:`nnmix.rank3batch`: the witness scan's float64 orientation batch;
 * :mod:`nnmix.boundary`: topological-boundary classification, stratum
   counts and patterns, stratum sampling;
 * :mod:`nnmix.families`: closed-form parametric families and their
@@ -16,10 +15,9 @@ Subpackages by concern:
 * :mod:`nnmix.harness`: seeded Monte-Carlo experiments;
 * :mod:`nnmix.cli`: the command-line front end.
 
-``import nnmix`` does not load numpy.  Only :mod:`nnmix.em` and the witness
-scan's orientation batch (:mod:`nnmix.rank3batch`) import it at module
-level; the other modules import it inside the functions that compute with
-it.  The names exported from :mod:`nnmix.em` resolve on first access
+``import nnmix`` does not load numpy.  Only :mod:`nnmix.em` imports it at
+module level; the other modules import it inside the functions that compute
+with it.  The names exported from :mod:`nnmix.em` resolve on first access
 (PEP 562), which imports that module.
 """
 

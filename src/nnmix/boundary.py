@@ -27,7 +27,8 @@ from operator import mul
 from typing import TYPE_CHECKING
 
 from .exactla import EXACT, Matrix
-from .rank3cert import DomainError, WitnessRecord, all_witnesses, _prepare
+from .rank3cert import (DomainError, WitnessRecord, all_witnesses, _decide_stripped, _head,
+                        _prepare)
 
 if TYPE_CHECKING:  # numpy appears in annotations only; the caller's rng brings it
     import numpy as np
@@ -64,18 +65,51 @@ def boundary_test(P) -> BoundaryClassification:
     with a zero entry is ``boundary``; a strictly positive member of rank
     below 3 is ``interior``; a strictly positive rank-3 member is ``boundary``
     iff every witness carries at least one exactly-zero chord product.
-    P's entries are read once, as their signs (``Matrix.signs``).
+    P's entries are read once, as their signs (``Matrix.signs``).  Every
+    witness is read, and ``witnesses`` counts them all.
     """
+    return _classify(P, lambda P, positive: all_witnesses(P))
+
+
+def _until_untouched(records) -> list:
+    """The records up to the first whose chord products are all nonzero,
+    that one included: it alone makes a positive rank-3 member interior."""
+    read = []
+    for rec in records:
+        read.append(rec)
+        if not rec.touches:
+            break
+    return read
+
+
+def _classify_until_decided(P) -> BoundaryClassification:
+    """``boundary_test``'s classification, read only until it is decided.
+
+    A positive P's witnesses are read up to the first that touches nowhere,
+    and a P with a zero entry takes only the membership head; ``witnesses``
+    counts the records read.  A boundary point by touching witnesses still
+    reads, and lists, every record.
+    """
+    return _classify(P, lambda P, positive: _decide_stripped(
+        P, _until_untouched if positive else _head, "boundary test")[:2])
+
+
+def _classify(P, read) -> BoundaryClassification:
+    """Classify P from ``read(P, positive)``: P's membership decision and a
+    prefix of its ``all_witnesses`` records, where ``positive`` says that P
+    has no zero entry.  For a positive P the prefix must end at the first
+    record that touches nowhere or hold every record."""
     P = _prepare(P)
     if P.backend != EXACT:
         raise DomainError("boundary_test requires the rational backend; "
                           "promote float matrices explicitly")
     if not P.is_nonnegative():
         raise DomainError("boundary_test requires a nonnegative matrix")
-    decision, records = all_witnesses(P)
+    positive = all(map(all, P.signs))
+    decision, records = read(P, positive)
     if not decision:
         return BoundaryClassification(OUTSIDE, "not_member", decision.rank)
-    if not all(map(all, P.signs)):  # a zero entry
+    if not positive:
         return BoundaryClassification(BOUNDARY, "zero_entry", decision.rank,
                                       witnesses=len(records))
     if decision.rank != 3:

@@ -10,10 +10,13 @@ verdict is out/boundary/outside (the payload is still written), 2 for usage
 errors, 3 for numeric failures.
 
 Importing this module does not load numpy, and neither do ``nnrank3``,
-``factorize``, ``patterns``, ``family`` without ``--mle`` and ``boundary``
-below 6x7: they run on the standard library.  ``em``, ``family --mle``,
-``experiment``, a float ``greencurve`` determinant and a ``boundary`` test
-that builds the orientation batch import it when they reach it.
+``factorize``, ``patterns``, ``family`` without ``--mle`` and ``boundary``:
+they run on the standard library.  ``em``, ``family --mle``, ``experiment``
+and a float ``greencurve`` determinant import it when they reach it.
+
+``boundary`` prints ``boundary_test``'s verdict but reads witnesses only
+until one decides, so its ``witnesses`` counts the records it read (see
+``boundary._classify_until_decided``).
 """
 
 from __future__ import annotations
@@ -113,7 +116,7 @@ def _cmd_factorize(args) -> int:
 
 def _cmd_boundary(args) -> int:
     M = _read_matrix(args)
-    cls = boundary_mod.boundary_test(M)
+    cls = boundary_mod._classify_until_decided(M)
     _emit(cls.as_dict(), args.output)
     return EXIT_OK if cls.status == boundary_mod.INTERIOR else EXIT_NEGATIVE_VERDICT
 

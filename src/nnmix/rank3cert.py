@@ -35,26 +35,14 @@ The identities are exact, so on integers every sign is the composed bracket's.
 
 A candidate has C(M − 2, 2)·(N − 2) chord values for M lines and N points.
 The witnesses form one lazy stream: the tuples of this orientation in index
-order, then those with the roles of A and B.T swapped.  Each entry point
-reads only what it needs.  ``nnrank3_membership`` and
+order, then those with the roles of A and B.T swapped.  The scan decides
+one candidate at a time, as the stream is read, and evaluates its chord
+values in a scalar loop that stops at the first negative pair.  Each entry
+point reads only what it needs: ``nnrank3_membership`` and
 ``membership_from_factors`` take the first record, ``all_witnesses`` (and so
-``boundary_test``) takes them all, and ``nonneg_rank3_factorize`` takes the
-first whose triangle yields nonnegative factors.  There are two paths, and
-no option selects between them:
-
-- the lazy scan decides one candidate at a time and evaluates its chord
-  values in a scalar loop that stops at the first negative pair.  The head
-  readers, the float backend and smaller inputs take it;
-- the consumer that takes every record on the rational backend has each
-  orientation with at least ``_ORIENTATION_BATCH_MIN`` = 30 chord values
-  per candidate (6x7 and larger; the measured break-even lies between 6x6
-  and 6x7) decided up front in one ``_OrientationBatch``
-  (:mod:`nnmix.rank3batch`): every vertex bracket in one product, the
-  support tables of the surviving vertices in a second, and the chord
-  values of every surviving candidate in bounded stacks, in float64 behind
-  a static filter, with every value the filter leaves open recomputed on
-  the integers.  The scan then walks these decisions, so records, touches
-  and failure logs are the lazy scan's.
+``boundary_test``) takes them all, ``nonneg_rank3_factorize`` takes the
+first whose triangle yields nonnegative factors, and the ``boundary``
+command takes records up to the first that touches nowhere.
 
 The scan builds only what its caller reads.  A record is a pair of named
 tuples, ``WitnessRecord(Witness, touches)``.  A rejected vertex or candidate
@@ -62,18 +50,16 @@ is logged as a tuple of its indices and reason, and the log is formatted
 into text only when an ``out`` verdict carries it: a member's log is never
 read.
 
-This module does not load numpy: the batch module is imported with the
-first orientation that reaches ``_ORIENTATION_BATCH_MIN``, so membership,
-factorization and a boundary test below 6x7 run on the standard library.
+This module does not load numpy: every verdict runs on the standard
+library.
 
 On the rational backend the path from the elimination to the verdict runs
 on Python ints: the lines are P's rows as the elimination cleared them, at
 its pivot columns, each divided by the gcd of its entries, and the points
 are the columns of d·RREF in lowest terms, positive scalings that change no
 sign.  A scaled input is therefore scanned on the integers of the unscaled
-one, which keeps its chord values inside the float filter's range.  The
-triangle is found in homogeneous integer coordinates too, so a ``Fraction``
-appears only where the input has one and in the factors
+one.  The triangle is found in homogeneous integer coordinates too, so a
+``Fraction`` appears only where the input has one and in the factors
 ``nonneg_rank3_factorize`` returns.  The float backend replaces sign tests
 with a tolerance band and flags marginal calls.
 """
@@ -83,7 +69,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, frexp, gcd, lcm, ldexp
+from math import frexp, gcd, lcm, ldexp
 from typing import NamedTuple
 
 # matrix_rank and rank_factorize are not called here; the benchmark's tracer
@@ -192,19 +178,9 @@ def six_three(A, B, i: int, j: int, k: int, l: int, ip: int, jp: int, kp: int):
 
 
 class _ExactSigns:
-    """Decidable sign tests on integer-cleared data.
-
-    ``reads_all`` says that the consumer reads every record, so a large
-    orientation is decided in one batch (``_OrientationBatch``).
-    ``rechecks`` counts the values the static float filters left undecided,
-    which were decided on the integers instead.
-    """
+    """Decidable sign tests on integer-cleared data."""
 
     marginal = False
-
-    def __init__(self, reads_all: bool = False):
-        self.reads_all = reads_all
-        self.rechecks = 0
 
     @staticmethod
     def sign(value, kind: str) -> int:
@@ -229,8 +205,6 @@ class _FloatSigns:
     values formed from unusually small rows or columns are classified
     conservatively (zero plus a marginal flag).
     """
-
-    reads_all = False  # the batch is exact only: a float scan is the scalar loop
 
     def __init__(self, line_scale: float, point_scale: float):
         ls, ps = float(line_scale), float(point_scale)
@@ -315,13 +289,6 @@ def _one_sign(signs) -> bool:
     return True
 
 
-# A consumer that reads every record has an exact orientation decided in one
-# batch (``_OrientationBatch``) when a candidate has at least this many chord
-# values, C(M − 2, 2)·(N − 2): 30 at 6x7, 50 at 7x7.  On seeded products the
-# batch took 1.14x the lazy scan's time for a boundary test at 6x6 (24
-# values), 0.89x at 6x7, 0.77x at 7x7, 0.58x at 8x8 and 0.42x at 9x9.
-_ORIENTATION_BATCH_MIN = 30
-
 def _log_line(entry) -> str:
     """One failure-log tuple of ``_scan_orientation`` as a line of text.
 
@@ -346,9 +313,7 @@ def _scan_orientation(lines, points, ctx, swapped, line_map, point_map, log, tab
     appended to ``log`` as the scan passes it, as the tuple
     ``(swapped, i, j, i', j', reason)`` of input indices, with None for the
     points of a rejected vertex and for j' when point i' does not support;
-    ``_log_line`` formats one.  When ``ctx.reads_all``, a large exact
-    orientation is decided in one ``_OrientationBatch`` before the first
-    record, and the scan walks its decisions.
+    ``_log_line`` formats one.
     """
     edges, point_crosses, q = tables
     M, N = len(lines), len(points)
@@ -377,13 +342,6 @@ def _scan_orientation(lines, points, ctx, swapped, line_map, point_map, log, tab
                     touches.append((line_map[k], line_map[l], point_map[kp]))
         return touches
 
-    batch = None
-    if ctx.reads_all and comb(M - 2, 2) * (N - 2) >= _ORIENTATION_BATCH_MIN:
-        from .rank3batch import _OrientationBatch  # numpy loads with the first batch
-        try:
-            batch = _OrientationBatch(lines, points, ctx, tables, line_map, point_map).found
-        except OverflowError:  # an integer beyond the float range: the lazy path decides
-            pass
     for i in range(M):
         for j in range(i + 1, M):
             v = edges[i][j]
@@ -391,27 +349,23 @@ def _scan_orientation(lines, points, ctx, swapped, line_map, point_map, log, tab
                 log.append((swapped, line_map[i], line_map[j], None, None,
                             "edge lines are parallel"))
                 continue
-            if batch is None:  # V_k = det(a_i, a_j, a_k) shares one sign; V_i = V_j = 0
-                v0, v1, v2 = v
-                V = [0 if k == i or k == j else v0 * a0 + v1 * a1 + v2 * a2
-                     for k, (a0, a1, a2) in enumerate(lines)]
-                found = ([None] * N, None) if ctx.one_sign(V, "b3") else None
-            else:
-                found = batch.get((i, j))
-            if found is None:
+            # V_k = det(a_i, a_j, a_k) shares one sign; V_i = V_j = 0
+            v0, v1, v2 = v
+            V = [0 if k == i or k == j else v0 * a0 + v1 * a1 + v2 * a2
+                 for k, (a0, a1, a2) in enumerate(lines)]
+            if not ctx.one_sign(V, "b3"):
                 log.append((swapped, line_map[i], line_map[j], None, None,
                             "vertex sign family mixed"))
                 continue
-            ok, decided = found  # the support flags, and the batch's chord touches
-            if batch is None:  # decided as the scan reaches them
-                pairs = list(itertools.combinations([k for k in range(M) if k != i and k != j], 2))
-                F, qi, qj = _support_table(v, point_crosses), q[i], q[j]
+            pairs = list(itertools.combinations([k for k in range(M) if k != i and k != j], 2))
+            F, qi, qj = _support_table(v, point_crosses), q[i], q[j]
+            ok = [None] * N  # the support flags, decided as the scan reaches them
 
-                def supports(t):
-                    # whether v × p_t is a line (p_t is not v, the one point on
-                    # both edge lines) with every other point on one side of it
-                    return (not ctx.is_zero_vec((qi[t], qj[t]), "x11")
-                            and ctx.one_sign(F[t], "mj"))  # F[t][t] = 0
+            def supports(t):
+                # whether v × p_t is a line (p_t is not v, the one point on
+                # both edge lines) with every other point on one side of it
+                return (not ctx.is_zero_vec((qi[t], qj[t]), "x11")
+                        and ctx.one_sign(F[t], "mj"))  # F[t][t] = 0
 
             for ip in range(N):
                 if ok[ip] is None:
@@ -425,8 +379,7 @@ def _scan_orientation(lines, points, ctx, swapped, line_map, point_map, log, tab
                         ok[jp] = supports(jp)
                     if jp == ip or not ok[jp]:
                         continue
-                    touches = (chord_touches(V, F, pairs, ip, jp) if batch is None
-                               else decided[ip, jp])
+                    touches = chord_touches(V, F, pairs, ip, jp)
                     if touches is None:
                         log.append((swapped, line_map[i], line_map[j], point_map[ip],
                                     point_map[jp], "chord product negative"))
@@ -456,18 +409,17 @@ def _prepare(P) -> Matrix:
     return P if isinstance(P, Matrix) else Matrix.of(P)
 
 
-def _witness_stream(lines, points, backend: str, row_map, col_map, reads_all=False):
+def _witness_stream(lines, points, backend: str, row_map, col_map):
     """The witnesses of the lines and points of P = A @ B as one lazy stream.
 
     Returns ``(records, log, ctx)``: an iterator over the unswapped
     orientation and then the swapped one, the failure log (of tuples, see
     ``_scan_orientation``) it fills as it advances, and the sign context
     whose ``marginal`` flag it raises.  A caller that stops early has
-    scanned, logged and flagged only that far; one that reads every record
-    says so with ``reads_all``.
+    scanned, logged and flagged only that far.
     """
     if backend == EXACT:
-        ctx = _ExactSigns(reads_all)
+        ctx = _ExactSigns()
     else:
         lines, points = _unit_scaled(lines), _unit_scaled(points)
         ctx = _FloatSigns(max(abs(x) for v in lines for x in v),
@@ -554,8 +506,7 @@ def _decide(P: Matrix, factors, row_map, col_map, take):
     lines, points = factors or (built[0], built[2])
     if not factors and P.backend == EXACT:  # lowest terms, as the points: same signs
         lines = list(map(_primitive, lines))
-    # ``list`` reads every record
-    records, log, ctx = _witness_stream(lines, points, P.backend, row_map, col_map, take is list)
+    records, log, ctx = _witness_stream(lines, points, P.backend, row_map, col_map)
     head = _head(records)
     found = take(itertools.chain(head, records))
     if head:

@@ -12,6 +12,16 @@ build ``monotonicity_slack``, a few ulps of rounding, is compared within
 ``SLACK_ULPS`` ulps of the trial's ``|loglik|``.  A change that moves a
 record on purpose reruns this script and lists every changed record in
 CHANGES.md.
+
+Kernels round differently, and a rounding can move an EM stop by a round,
+so the file also keeps the exactly-compared fields (``EXACT``) under
+``kernels``, one entry per OpenBLAS kernel the script was run under; the
+test compares them with the running kernel's entry, and a kernel with no
+entry with the default ``experiments``.  Run under the file's build, the
+script rewrites the default entry too; under another kernel it adds or
+replaces that kernel's entry only:
+
+    OPENBLAS_CORETYPE=Haswell PYTHONPATH=src python tests/make_golden_em.py
 """
 
 from __future__ import annotations
@@ -101,9 +111,17 @@ def golden_entry(records: list[dict]) -> dict:
 
 
 def main() -> int:
-    payload = {"build": build(),
-               "experiments": {name: golden_entry(run_experiment(cfg).records)
-                               for name, cfg in CONFIGS.items()}}
+    here = build()
+    experiments = {name: golden_entry(run_experiment(cfg).records)
+                   for name, cfg in CONFIGS.items()}
+    payload = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {"build": here}
+    if payload["build"] == here:
+        payload["experiments"] = experiments
+    kernels = payload.setdefault("kernels", {})
+    if here["openblas_core"] != "unknown":  # an entry needs a kernel to be found by
+        kernels[here["openblas_core"]] = {name: {key: entry[key] for key in EXACT}
+                                          for name, entry in experiments.items()}
+    payload["kernels"] = dict(sorted(kernels.items()))
     # a column per line
     text = re.sub(r"\[\s+([^][{}]*?)\s+\]", lambda m: "[" + " ".join(m.group(1).split()) + "]",
                   json.dumps(payload, indent=1))

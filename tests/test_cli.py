@@ -12,10 +12,14 @@ import numpy as np
 import pytest
 
 from nnmix import em, harness
+from nnmix.boundary import (boundary_test, canonical_pattern, integer_dist, rational_dist,
+                            sample_algebraic_boundary)
 from nnmix.cli import build_parser, main
 from nnmix.exactla import Matrix, format_matrix, parse_matrix
+from nnmix.rank3cert import all_witnesses
 
 from conftest import NICE_P, uab_normalized
+from verdict_corpus import _chord_path_corpus
 
 
 @pytest.fixture
@@ -97,6 +101,51 @@ class TestVerdictCommands:
                      "--output", str(out)]) == 0
         report = json.loads(out.read_text())
         assert (report["verdict"], report["backend"]) == ("in", "float")
+
+
+def _boundary_corpus():
+    """Every input of ``verdict_corpus``, seeded stratum samples at 4x4 to
+    6x6 with their transposes (which are kind-b samples), and seeded 12x12
+    positive products."""
+    yield from (P for P, _ in _chord_path_corpus())
+    rng = np.random.default_rng(26)
+    for size, count in ((4, 100), (5, 60), (6, 40)):
+        for t in range(count):
+            dist = integer_dist() if t % 2 else rational_dist()
+            P = sample_algebraic_boundary(canonical_pattern(size, size), rng, dist)[0]
+            yield from (P, P.transpose())
+    for _ in range(10):
+        yield Matrix.exact((rng.integers(1, 10, (12, 3)) @ rng.integers(1, 10, (3, 12))).tolist())
+
+
+def test_boundary_command_agrees_with_boundary_test(workdir):
+    # the command reads witnesses only until one decides; its verdict,
+    # touching witnesses and exit code are boundary_test's, and its count is
+    # the records read: up to the first that touches nowhere on a positive
+    # member, the membership head with a zero entry, none off the model
+    seen, early = set(), 0
+    for index, P in enumerate(_boundary_corpus()):
+        path = write_matrix(workdir / "p.txt", P)
+        backend = "exact" if P.backend == "exact" else "promote"
+        Q = parse_matrix(Path(path).read_text())
+        Q = Q if backend == "exact" else Q.as_exact()
+        rc = main(["boundary", "--input", path, "--backend", backend, "--output", "b.json"])
+        got, want = json.loads(Path("b.json").read_text()), boundary_test(Q).as_dict()
+        assert rc == (0 if want["status"] == "interior" else 1), index
+        assert {**got, "witnesses": None} == json.loads(json.dumps({**want, "witnesses": None})), index
+        decision, records = all_witnesses(Q)
+        if not decision:
+            read = 0
+        elif not all(map(all, Q.signs)):
+            read = min(1, len(records))
+        else:
+            read = next((k for k, rec in enumerate(records, 1) if not rec.touches), len(records))
+        assert got["witnesses"] == read, index
+        seen.add((want["status"], want["reason"]))
+        early += want["status"] == "interior" and 1 < read < want["witnesses"]
+    assert seen == {("interior", None), ("boundary", "zero_entry"),
+                    ("boundary", "touching_witnesses"), ("outside_model", "not_member")}
+    assert early > 0
 
 
 class TestFactorize:

@@ -1,6 +1,6 @@
-"""What a fresh interpreter loads: numpy comes in only with EM, the witness
-scan's orientation batch, and the functions that compute with it, so
-``import nnmix``, ``import nnmix.cli`` and the exact verdict commands start
+"""What a fresh interpreter loads: numpy comes in only with EM and the
+functions that compute with it, so ``import nnmix``, ``import nnmix.cli``
+and the exact verdict commands, a 12x12 boundary test among them, run
 without it.  The test process has numpy loaded already, so each check runs
 in a fresh interpreter."""
 
@@ -34,8 +34,7 @@ codes, loaded = [], []
 for argv in json.loads(sys.argv[1]):
     codes.append(nnmix.cli.main(argv))
     loaded.append("numpy" in sys.modules)
-print(json.dumps({"imports": imports, "codes": codes, "loaded": loaded,
-                  "batch": "nnmix.rank3batch" in sys.modules}))
+print(json.dumps({"imports": imports, "codes": codes, "loaded": loaded}))
 """
 
 
@@ -71,6 +70,8 @@ def _commands(tmp_path, monkeypatch, inputs: dict, argvs: list) -> tuple[dict, d
 def test_exact_commands_start_without_numpy(tmp_path, monkeypatch):
     # a power-of-two scale, so the float copy promotes back to P exactly
     P = Matrix.exact(NICE_P).scale(Fraction(1, 128))
+    rng = np.random.default_rng(3)
+    big = Matrix.exact((rng.integers(1, 10, (12, 3)) @ rng.integers(1, 10, (3, 12))).tolist())
     argvs = []
     for name, backend in (("exact.txt", "exact"), ("float.txt", "promote")):
         argvs += [
@@ -81,31 +82,27 @@ def test_exact_commands_start_without_numpy(tmp_path, monkeypatch):
              "--output", f"{name}.bd.json"]]
     argvs += [["patterns", "--m", "4", "--n", "4", "--output", "patterns.json"],
               ["family", "uab", "--a", "1", "--b", "0", "--matrix-out", "uab.txt",
-               "--output", "uab.json"]]
-    inputs = {"exact.txt": P, "float.txt": P.as_float()}
+               "--output", "uab.json"],
+              ["boundary", "--input", "big.txt", "--output", "big.json"]]
+    inputs = {"exact.txt": P, "float.txt": P.as_float(), "big.txt": big}
     fresh, outputs = _commands(tmp_path, monkeypatch, inputs, argvs)
-    assert fresh["codes"] == [0, 0, 1] * 2 + [0, 0]
+    assert fresh["codes"] == [0, 0, 1] * 2 + [0, 0, 0]
     assert json.loads(outputs["float.txt.in.json"])["backend"] == "float"
+    assert json.loads(outputs["big.json"])["status"] == "interior"
     assert fresh["imports"] == [False, False]
-    assert fresh["loaded"] == [False] * len(argvs) and not fresh["batch"]
+    assert fresh["loaded"] == [False] * len(argvs)
 
 
 def test_numpy_commands_work_from_a_fresh_interpreter(tmp_path, monkeypatch):
-    # em and family --mle import em, and a 12x12 boundary test builds the
-    # orientation batch; each loads numpy where it needs it
-    rng = np.random.default_rng(3)
-    big = Matrix.exact((rng.integers(1, 10, (12, 3)) @ rng.integers(1, 10, (3, 12))).tolist())
+    # em and family --mle import em, which loads numpy where it is needed
     counts = Matrix.exact([[1, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 1]])
-    argvs = [["boundary", "--input", "big.txt", "--output", "big.json"],
-             ["em", "--input", "u.txt", "--restarts", "5", "--output", "em.json",
+    argvs = [["em", "--input", "u.txt", "--restarts", "5", "--output", "em.json",
               "--estimate-out", "est.txt"],
              ["family", "uab", "--a", "1", "--b", "0", "--mle", "--matrix-out",
               "mle.txt", "--output", "mle.json"]]
-    fresh, outputs = _commands(tmp_path, monkeypatch, {"big.txt": big, "u.txt": counts},
-                               argvs)
-    assert fresh["codes"] == [0, 0, 0] and fresh["batch"]
-    assert fresh["imports"] == [False, False] and fresh["loaded"] == [True] * 3
-    assert json.loads(outputs["big.json"])["status"] == "interior"
+    fresh, outputs = _commands(tmp_path, monkeypatch, {"u.txt": counts}, argvs)
+    assert fresh["codes"] == [0, 0]
+    assert fresh["imports"] == [False, False] and fresh["loaded"] == [True] * 2
     assert "loglik" in json.loads(outputs["mle.json"])
 
 
@@ -131,7 +128,8 @@ print(json.dumps({"before": before, "run_em": run_em.__module__, "names": names,
 
 
 def test_numpy_is_a_module_import_of_em_and_the_batch_only():
-    # the other modules import numpy inside the functions that compute with it
+    # em.py is the one module-level importer; the other modules import
+    # numpy inside the functions that compute with it
     importers = []
     for path in sorted((SRC / "nnmix").glob("*.py")):
         for node in ast.parse(path.read_text()).body:
@@ -139,4 +137,4 @@ def test_numpy_is_a_module_import_of_em_and_the_batch_only():
                      else [node.module] if isinstance(node, ast.ImportFrom) else [])
             if any(name and name.split(".")[0] == "numpy" for name in names):
                 importers.append(path.name)
-    assert importers == ["em.py", "rank3batch.py"]
+    assert importers == ["em.py"]

@@ -2,14 +2,15 @@
 
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from nnmix import rank3batch, rank3cert
-from nnmix.boundary import (boundary_test, canonical_pattern, enumerate_zero_patterns,
-                            integer_dist, sample_algebraic_boundary, sample_integer_product)
+from nnmix import rank3cert
+from nnmix.boundary import (boundary_test, enumerate_zero_patterns, integer_dist,
+                            sample_algebraic_boundary)
 from nnmix.cli import main
 from nnmix.exactla import Matrix, format_matrix, matrix_rank, rref
 from nnmix.rank3cert import (DomainError, NotInModelError, all_witnesses, bracket3, meet_join,
@@ -670,7 +671,6 @@ def test_scan_matches_the_composed_scan(monkeypatch):
     corpus = list(scan_corpus())
     expanded = [_scan_outputs(P, factors) for P, factors in corpus]
     monkeypatch.setattr(rank3cert, "_scan_orientation", composed_scan_orientation)
-    monkeypatch.setattr(rank3cert, "_ORIENTATION_BATCH_MIN", 10**9)
     for (P, factors), got in zip(corpus, expanded):
         assert got == _scan_outputs(P, factors), P
     touching = sum(1 for out in expanded if any(rec.touches for rec in out[4]))
@@ -837,198 +837,31 @@ def test_rounded_parallel_edge_lines_are_marginal(monkeypatch):
                    for with_flag, without in zip(flagged, unflagged_flags))
 
 
-def test_exact_rechecks_cover_every_touching_triple(monkeypatch):
-    # factors with zeros make many chord values vanish; a zero is never
-    # decided by the float filter, so each touching pair is rechecked
-    rng = np.random.default_rng(18)
-    P = Matrix.exact((rng.integers(0, 4, (12, 3)) @ rng.integers(0, 4, (3, 12))).tolist())
-    contexts, stream = [], rank3cert._witness_stream
-
-    def spy(*args):
-        out = stream(*args)
-        contexts.append(out[2])
-        return out
-
-    monkeypatch.setattr(rank3cert, "_witness_stream", spy)
-    decision, records = all_witnesses(P)
-    touching = sum(len(rec.touches) for rec in records)
-    assert decision.rank == 3 and touching > 100
-    assert contexts[-1].rechecks >= 2 * touching
-    monkeypatch.setattr(rank3cert, "_ORIENTATION_BATCH_MIN", 10**9)
-    assert all_witnesses(P) == (decision, records)
-    assert contexts[-1].rechecks == 0
-
-
-def _zero_heavy_products():
-    """Rank-3 products of factors with entries 0..3 at 8, 12 and 16: repeated
-    and proportional lines, so many brackets vanish and the filters leave
-    many values to the integers."""
-    rng = np.random.default_rng(23)
-    for size in (8, 12, 16):
-        P = np.zeros((size, size), dtype=int)
-        while np.linalg.matrix_rank(P) != 3:
-            P = rng.integers(0, 4, (size, 3)) @ rng.integers(0, 4, (3, size))
-        yield Matrix.exact(P.tolist())
-
-
-def _spy_batches(monkeypatch):
-    """Count the orientation batches built, and those that met an integer
-    beyond the float range."""
-    seen, build = {"built": 0, "overflow": 0}, rank3batch._OrientationBatch.__init__
-
-    def counted(self, *args):
-        seen["built"] += 1
-        try:
-            build(self, *args)
-        except OverflowError:
-            seen["overflow"] += 1
-            raise
-
-    monkeypatch.setattr(rank3batch._OrientationBatch, "__init__", counted)
-    return seen
-
-
-def test_orientation_batch_matches_the_scalar_loop(monkeypatch):
-    # all_witnesses records, touching triples, failure logs and boundary
-    # classifications from one batch per orientation are the scalar loop's,
-    # past 2**53 too; past the float range the batch falls back to it
-    corpus = [P for P, _ in _chord_path_corpus() if P.backend == "exact"]
-    corpus += list(_zero_heavy_products())
-    seen, logs, stream = _spy_batches(monkeypatch), [], rank3cert._witness_stream
-
-    def spy(*args):
-        out = stream(*args)
-        logs.append(out[1])
-        return out
-
-    monkeypatch.setattr(rank3cert, "_witness_stream", spy)
-
-    def outputs(P):
-        decision, records = all_witnesses(P)
-        return [decision, decision.failure_log, records, list(logs[-1]),
-                boundary_test(P).as_dict()]
-
-    batched, built = [], []
-    for P in corpus:
-        before = dict(seen)
-        batched.append(outputs(P))
-        built.append({k: seen[k] - before[k] for k in seen})
-    assert sum(b["built"] for b in built) > 50, built
-    # scale(10**200) is read in lowest terms, inside the float range; the big
-    # product is not: both orientations overflow, twice
-    assert built[-5] == {"built": 4, "overflow": 0}
-    assert built[-4] == {"built": 4, "overflow": 4}
-    assert sum(any(rec.touches for rec in out[2]) for out in batched) >= 20
-    monkeypatch.setattr(rank3cert, "_ORIENTATION_BATCH_MIN", 10**9)
-    seen.update(built=0, overflow=0)
-    for P, got in zip(corpus, batched):
-        assert got == outputs(P), P
-    assert seen["built"] == 0
-
-
-def _with_vanishing_brackets(Pi):
-    """Pi with a row sum and one more column appended, so that vertex brackets
-    V and support brackets F are exactly zero though no zero pattern forces
-    them: in floats they are rounding residue.  With x_k the minor of rows
-    i, j, k at three independent columns, x is V of vertex (i, j) times a
-    constant; for a vertex whose V has one sign, column 0 plus |x| puts that
-    vertex on the line through point 0 and the new point."""
-    Pi = Pi + [[a + b for a, b in zip(Pi[0], Pi[1])]]
-    cols = next(c for c in itertools.combinations(range(len(Pi[0])), 3)
-                if _det3(*([Pi[k][c_] for c_ in c] for k in range(3))))
-    for i, j in itertools.combinations(range(len(Pi)), 2):
-        x = [_det3(*([Pi[r][c_] for c_ in cols] for r in (i, j, k))) for k in range(len(Pi))]
-        if any(x) and (min(x) >= 0 or max(x) <= 0):
-            return [row + [row[0] + abs(xk)] for row, xk in zip(Pi, x)]
-    raise AssertionError("no vertex with one-signed brackets")
-
-
-def test_static_filter_decides_large_entries_as_the_integers(monkeypatch):
-    # stratum samples with factor entries up to 10**6 take the batch's float
-    # values far past 2**53, and their copies from _with_vanishing_brackets
-    # hold exact zeros whose float values are rounding residue; behind the
-    # static filter every classification and record is the lazy scan's
-    contexts, stream = [], rank3cert._witness_stream
-
-    def spy(*args):
-        out = stream(*args)
-        contexts.append(out[2])
-        return out
-
-    monkeypatch.setattr(rank3cert, "_witness_stream", spy)
-
-    def outputs(P):
-        return boundary_test(P).as_dict(), all_witnesses(P)[1]
-
-    corpus, batched = [], []
-    for m, n in ((6, 7), (8, 8)):
-        rng = np.random.default_rng(0)
-        samples = [sample_integer_product(canonical_pattern(m, n), rng, integer_dist(1, 10**6))[0]
-                   for _ in range(40)]
-        plain = [Matrix.exact(Pi) for Pi in samples]
-        contexts.clear()
-        got = [outputs(P) for P in plain]
-        assert sum(ctx.rechecks for ctx in contexts) > 0, (m, n)
-        assert any(status["status"] == "boundary" for status, _ in got), (m, n)
-        vanishing = [Matrix.exact(_with_vanishing_brackets(Pi)) for Pi in samples]
-        corpus += plain + vanishing
-        batched += got + [outputs(P) for P in vanishing]
-    monkeypatch.setattr(rank3cert, "_ORIENTATION_BATCH_MIN", 10**9)
-    for P, want in zip(corpus, batched):
-        assert outputs(P) == want, P
-
-
 def test_scaled_products_are_read_in_lowest_terms(monkeypatch):
     # the scan divides each line by the gcd of its entries, as it does each
     # point, so a scaled product is decided on the integers of the unscaled
-    # one: same records and classification, and no batch leaves the float range
+    # one: the same lines and points, records and classification
     rng = np.random.default_rng(12)
     P = Matrix.exact((rng.integers(1, 10, (12, 3)) @ rng.integers(0, 10, (3, 12))).tolist())
+    scanned, stream = [], rank3cert._witness_stream
+
+    def spy(lines, points, *args):
+        scanned.append((lines, points))
+        return stream(lines, points, *args)
+
+    monkeypatch.setattr(rank3cert, "_witness_stream", spy)
     want = all_witnesses(P), boundary_test(P).as_dict()
     assert want[0][0].rank == 3 and want[0][1]
-    seen = _spy_batches(monkeypatch)
     for scale in (10**50, 10**100):
         assert (all_witnesses(P.scale(scale)), boundary_test(P.scale(scale)).as_dict()) == want
-    assert seen == {"built": 8, "overflow": 0}
-
-
-def test_head_readers_build_no_orientation_batch(monkeypatch):
-    # membership, membership from factors and factorization stop at a head
-    # of the stream, so they keep the lazy scan; only all_witnesses batches
-    rng = np.random.default_rng(5)
-    A, B = rng.integers(1, 10, (12, 3)), rng.integers(1, 10, (3, 12))
-    P = Matrix.exact((A @ B).tolist())
-    seen = _spy_batches(monkeypatch)
-    assert nnrank3_membership(P)
-    assert membership_from_factors(Matrix.exact(A.tolist()), Matrix.exact(B.tolist()))
-    nonneg_rank3_factorize(P)
-    assert seen["built"] == 0
-    all_witnesses(P)
-    assert seen["built"] == 2
-
-
-def test_orientation_batch_evaluates_bounded_chunks(monkeypatch):
-    # a 16x16 orientation has more candidates than one chunk holds; no stack
-    # passed to the chord evaluator exceeds the chunk
-    rng = np.random.default_rng(16)
-    P = Matrix.exact((rng.integers(1, 10, (16, 3)) @ rng.integers(1, 10, (3, 16))).tolist())
-    stacks, values = [], rank3batch._OrientationBatch.values
-
-    def spy(self, VV, mVV, y, my, QQ, Qip, ip):
-        stacks.append((len(ip), QQ[0].size))  # candidates, (k, l, k') entries
-        return values(self, VV, mVV, y, my, QQ, Qip, ip)
-
-    monkeypatch.setattr(rank3batch._OrientationBatch, "values", spy)
-    decision, records = all_witnesses(P)
-    assert decision.verdict == "in" and records
-    assert len(stacks) > 2 and max(c for c, _ in stacks) > 1
-    assert max(entries for _, entries in stacks) <= rank3batch._CHORD_CHUNK, stacks
+    assert len(scanned) == 6 and all(got == scanned[0] for got in scanned)
+    assert all(math.gcd(*line) == 1 for line in scanned[0][0])
 
 
 def test_four_by_four_boundary_test_builds_no_array(monkeypatch):
-    # a 4x4 candidate has 2 chord values: the scalar loop decides them, and
-    # numpy is not reached; at 12x12 the head readers take the scalar loop
-    # too, and only the batch of a boundary test reaches numpy
+    # the witness scan runs on the standard library: a boundary test, the
+    # full enumeration and the head readers import no numpy and build no
+    # array, at 4x4 and at 12x12
     P, _, _ = sample_algebraic_boundary(enumerate_zero_patterns(4, 4)[0],
                                         np.random.default_rng(7))
     rng = np.random.default_rng(3)
@@ -1040,11 +873,10 @@ def test_four_by_four_boundary_test_builds_no_array(monkeypatch):
         calls.append(args)
         return array(*args, **kwargs)
 
-    monkeypatch.setattr(rank3batch.np, "array", counted)
+    monkeypatch.setattr(np, "array", counted)
+    monkeypatch.setitem(sys.modules, "numpy", None)  # an import of numpy now fails
     assert boundary_test(P).witnesses > 0
-    assert calls == []
     assert nnrank3_membership(big) and nnrank3_membership(big_float)
     nonneg_rank3_factorize(big)
+    assert boundary_test(big).status == "interior" and all_witnesses(big)[1]
     assert calls == []
-    boundary_test(big)
-    assert calls  # the counter sees the numpy path

@@ -388,9 +388,9 @@ def _split(AL):
 class RestartBatch:
     """Final state of a batch of independently started EM runs.
 
-    A quarantined run is one whose probability at an observed cell
-    underflowed; it is frozen there with log-likelihood -inf, so it never
-    wins, and it is left out of ``monotonicity_slack``.
+    A quarantined run is one whose start underflowed at an observed cell
+    (no EM step does; see ``_em_loop``); it is frozen there with
+    log-likelihood -inf, never wins, and is left out of ``monotonicity_slack``.
     """
 
     A: np.ndarray        # (b, m, r)
@@ -401,7 +401,7 @@ class RestartBatch:
     iterations: np.ndarray
     converged: np.ndarray
     monotonicity_slack: float  # largest observed per-step decrease of loglik
-    quarantined: int = 0       # runs set aside after an underflow
+    quarantined: int = 0       # runs set aside for an underflowing start
 
     @property
     def best_index(self) -> int:
@@ -488,12 +488,19 @@ def _em_loop(data: DataMatrix, A, lam, B, max_iter: int, tol: float,
     parameters.  A run stops when one EM step moves its P by less than
     ``tol`` (max entrywise change), and is frozen from then on, or after
     ``max_iter`` evaluations of the EM map; single runs are looked at only
-    once m*n entries of the batch moved that little.  A run whose mixture
-    underflows at an observed cell is quarantined (frozen, unconverged,
-    log-likelihood -inf); the others go on, and ``EMNumericalError`` is
-    raised only when every run is quarantined.  With ``trace`` set on a
-    batch of one, also returns its log-likelihood before the first
+    once m*n entries of the batch moved that little.  With ``trace`` set on
+    a batch of one, also returns its log-likelihood before the first
     evaluation and after each.
+
+    Quarantine is decided on the starting points: a start whose mixture is
+    ``_TINY`` or below at an observed cell is frozen (unconverged,
+    log-likelihood -inf), and ``EMNumericalError`` is raised if every start
+    is.  An EM step gives p_ij >= u_ij**2 / (r * u_plus**2) (the E-step
+    splits u_ij over r components, the M-step divides by u_plus and by
+    component totals <= u_plus; Cauchy-Schwarz), above ``_TINY`` while
+    r * u_plus**2 < 1e300; past that, an underflow after a step raises
+    ``EMNumericalError``.  ``_extrapolate``'s fall-back to x2 is the only
+    underflow handling inside a round.
 
     With ``accelerate`` set, every third evaluation is a SQUAREM step: it
     starts from the point ``_extrapolate`` makes of the two plain steps
@@ -518,6 +525,9 @@ def _em_loop(data: DataMatrix, A, lam, B, max_iter: int, tol: float,
     P = AL @ B
     ll, bad = _loglik(counts, cells, P)
     b = len(ll)
+    quarantined = 0 if bad is None else int(bad.sum())
+    if quarantined == b:
+        raise EMNumericalError("mixture probability underflowed at an observed cell")
     Us = np.repeat(U[None], b, axis=0)  # the counts per live run, a contiguous stack
     slack = 0.0
     history = [float(ll[0])] if trace else None
@@ -558,46 +568,35 @@ def _em_loop(data: DataMatrix, A, lam, B, max_iter: int, tol: float,
             AL_in, B_in, P_in = AL_old, B_old, P_old
         AL_new, B_new, P_new = _em_update(Us, mask, data.u_plus, AL_in, B_in, P_in)
         ll_new, bad = _loglik(counts, cells, P_new)
+        if bad is not None:  # only past r * u_plus**2 >= 1e300 (see above)
+            raise EMNumericalError("mixture probability underflowed after an EM step")
         close = np.abs(P_new - P_in) < tol  # entries that moved by less than tol
         if extrapolated and ext.any():
-            # keep x2 where the step from x' is lower, or underflowed (-inf)
+            # keep x2 where the step from x' is lower (an x' that underflows is x2)
             back = ext & ~(ll_new >= ll_old)
             if back.any():
                 for new, old in zip((AL_new, B_new, P_new, ll_new), state):
                     new[back] = old[back]
             close[ext] = False
-            if bad is not None:
-                bad &= ~ext
-                bad = bad if bad.any() else None
         state = (AL_new, B_new, P_new, ll_new) + ((AL_old, B_old) + state[4:6]
                                                   if accelerate else ())
         if trace:
             history.append(float(ll_new[0]))
-        if bad is None:
-            recent.append(ll_new)
-            # a run stops when all its m*n entries are close: reduce per run
-            # only when the batch has that many close entries
-            if np.count_nonzero(close) >= U.size:
-                done = close.all(axis=(1, 2))
-                if done.any():
-                    retire(done, done)
-            if len(recent) > _FOLD:
-                fold()
-        else:
-            # a quarantined run's last step (to -inf) is not a decrease
-            recent.append(np.where(bad, ll_old, ll_new))
-            done = ~bad & close.all(axis=(1, 2))
-            retire(bad | done, done)
+        recent.append(ll_new)
+        # a run stops when all its m*n entries are close: reduce per run
+        # only when the batch has that many close entries
+        if np.count_nonzero(close) >= U.size:
+            done = close.all(axis=(1, 2))
+            if done.any():
+                retire(done, done)
+        if len(recent) > _FOLD:
+            fold()
     retire(np.ones(len(live), dtype=bool), np.zeros(len(live), dtype=bool))
     # the runs set aside, written back at once in run order
     runs, AL, B, P, ll, iterations, converged = (np.concatenate(part) for part in zip(*retired))
     order = np.argsort(runs)
     A, lam = _split(AL[order])
     B, P, ll, iterations, converged = (x[order] for x in (B, P, ll, iterations, converged))
-    quarantined = int(np.isneginf(ll).sum())  # no other run has loglik -inf
-    if quarantined == b:
-        raise EMNumericalError("mixture probability underflowed at an observed cell")
-
     batch = RestartBatch(A=A, lam=lam, B=B, P=P, loglik=ll, iterations=iterations,
                          converged=converged, monotonicity_slack=slack,
                          quarantined=quarantined)

@@ -21,7 +21,7 @@ class TestBoundaryTest:
     def test_planted_contact_matrix(self):
         P = Matrix.exact(NICE_P).scale(Fraction(1, 116))
         cls = boundary_test(P)
-        assert cls.status == "boundary"
+        assert cls.status == "boundary" and cls
         assert cls.reason == "touching_witnesses"
         assert cls.touching and all(rec.touches for rec in cls.touching)
 
@@ -149,6 +149,15 @@ class TestPatterns:
     def test_canonical_pattern_must_fit_the_factors(self, m, n, factor):
         with pytest.raises(ValueError, match=f"outside the {factor}; kind a needs"):
             canonical_pattern(m, n)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: component_count(0, 4), "dimensions must be positive"),
+        (lambda: ZeroPattern("c", 4, 4, (), ()).validate(), "unknown pattern kind 'c'"),
+        (lambda: integer_dist(0, 4), "entries must be positive"),
+    ], ids=["no_rows", "kind_c", "zero_entries"])
+    def test_bad_arguments_rejected(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
 
     def test_kind_b_zeros_must_fit_the_factors(self):
         pat = enumerate_zero_patterns(4, 3)[-1]

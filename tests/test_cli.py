@@ -16,6 +16,7 @@ from nnmix.boundary import (boundary_test, canonical_pattern, integer_dist, rati
                             sample_algebraic_boundary)
 from nnmix.cli import build_parser, main
 from nnmix.exactla import Matrix, format_matrix, parse_matrix
+from nnmix.families import rectangle_family
 from nnmix.rank3cert import all_witnesses
 
 from conftest import NICE_P, uab_normalized
@@ -211,6 +212,12 @@ class TestEmCommand:
         assert main(["em", "--input", path]) == 3
         assert "numeric failure: cell (0, 0) has probability 0" in capsys.readouterr().err
 
+    def test_negative_counts_exit_two(self, workdir, capsys):
+        path = workdir / "u.txt"
+        path.write_text("1,-1\n2,3\n")
+        assert main(["em", "--input", str(path), "--r", "1"]) == 2
+        assert "count table has negative entries" in capsys.readouterr().err
+
     def test_defaults_are_the_em_constants(self):
         p = _subparser("em")
         assert p.get_default("max_iter") == em.MAX_ITER
@@ -242,6 +249,17 @@ class TestEmCommand:
         assert message in capsys.readouterr().err
 
 
+class TestPatternsCommand:
+    @pytest.mark.parametrize("kind, split", [("a", 1), ("b", 2)])
+    def test_kind_keeps_its_own_patterns(self, workdir, kind, split):
+        out = workdir / "p.json"
+        assert main(["patterns", "--m", "4", "--n", "5", "--kind", kind,
+                     "--output", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert len(payload["patterns"]) == payload["counts"]["split"][split]
+        assert {p["kind"] for p in payload["patterns"]} == {kind}
+
+
 class TestFamilyCommand:
     def test_uab_mle_emission(self, workdir, capsys):
         out = workdir / "fam.json"
@@ -266,6 +284,12 @@ class TestFamilyCommand:
                      "--matrix-out", str(workdir / "g.txt"),
                      "--output", str(workdir / "g.json")]) == 0
         assert json.loads((workdir / "g.json").read_text())["det"] == "0"
+
+    def test_matrix_goes_to_stdout_without_matrix_out(self, workdir, capsys):
+        assert main(["family", "rectangle", "--a", "1/4", "--b", "1/4"]) == 0
+        text, brace, rest = capsys.readouterr().out.partition("{")
+        assert text == "# P\n" + format_matrix(rectangle_family(Fraction(1, 4), Fraction(1, 4)))
+        assert json.loads(brace + rest)["in_model"] is True
 
     @pytest.mark.parametrize("name", ["rectangle", "greencurve"])
     def test_zero_denominator_is_a_usage_error(self, workdir, capsys, name):
@@ -327,11 +351,12 @@ class TestExperimentCommand:
         ("table1", None, ["--crit-tol", "-1"], "crit_tol must be positive, got -1.0"),
         ("boundary_fraction", None, ["--r", "2"], "r must be 3, got 2"),
         ("boundary_fraction", {"r": 4}, [], "r must be 3, got 4"),
+        ("table1", [{"seed": 1}], [], "must hold a JSON object"),
     ], ids=["no_matrices", "negative_r", "zero_r_boundary", "no_restarts", "zero_T",
             "zero_dist_param", "m_below_stratum", "n_below_stratum", "generator",
             "generator_unread", "dist_unread", "no_jobs", "negative_max_iter",
             "zero_tol", "negative_tol", "negative_crit_tol", "rank_two_boundary",
-            "rank_four_boundary_config"])
+            "rank_four_boundary_config", "config_list"])
     def test_bad_inputs_exit_two_before_any_trial(self, workdir, monkeypatch, capsys,
                                                    mode, config, flags, message):
         ran = []

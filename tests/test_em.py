@@ -80,6 +80,15 @@ class TestCountTables:
         with pytest.raises(ValueError, match="non-integer"):
             em.run_em(U, 3)
 
+    @pytest.mark.parametrize("U, message", [
+        (np.ones((2, 2, 2)), "count table must be 2-d"),
+        ([[1, -1], [2, 3]], "count table has negative entries"),
+        (np.zeros((3, 3)), "count table total must be positive"),
+    ], ids=["three_d", "negative", "all_zero"])
+    def test_malformed_table_rejected(self, U, message):
+        with pytest.raises(ValueError, match=message):
+            em.DataMatrix.from_array(U)
+
     def test_integer_valued_floats_accepted(self):
         data = em.DataMatrix.from_array(np.array([[2.0, 0.0], [1.0, 5.0]]))
         assert data.u_plus == 8 and isinstance(data.u_plus, int)
@@ -349,12 +358,100 @@ class TestQuarantine:
         assert with_bad.monotonicity_slack == clean.monotonicity_slack
         assert with_bad.best_index == keep[clean.best_index]
 
-    def test_batch_of_underflowing_restarts_raises(self):
+    def test_batch_of_underflowing_restarts_raises(self, monkeypatch):
         U = np.random.default_rng(13).integers(1, 30, size=(4, 4))
         data = em.DataMatrix.from_array(U)
-        with pytest.raises(em.EMNumericalError):
+        # quarantine is decided on the starts: no EM step is taken
+        monkeypatch.setattr(em, "_em_update", None)
+        with pytest.raises(em.EMNumericalError,
+                           match="^mixture probability underflowed at an observed cell$"):
             em._em_loop(data, *self._starts(U, 3, range(3), dead=range(3)),
                         max_iter=50, tol=1e-10)
+
+    def test_an_em_step_keeps_observed_cells_above_the_bound(self):
+        # the E-step splits u_ij into n_ijk over the components and the
+        # M-step divides by u_plus and by totals s_k <= u_plus, so
+        # p'_ij >= sum_k n_ijk**2 / u_plus**2 >= u_ij**2 / (r * u_plus**2);
+        # at a cell alone in its row and column, with r = 1, it is equal
+        rng = np.random.default_rng(27)
+        steps, lowest, isolated = 0, np.inf, []
+        for t in range(160):
+            r = 1 + t % 4
+            m, n = (int(x) for x in rng.integers(1, 6, size=2))
+            U = rng.integers(0, 10 ** int(rng.integers(1, 7)), size=(m, n)) * (
+                rng.random((m, n)) < 0.7)
+            lone = r == 1 and t % 8 == 0
+            if lone:  # cell (0, 0) alone in its row and its column
+                m, n = m + 1, n + 1
+                U = np.pad(U, ((1, 0), (1, 0)))
+                U[0, 0] = rng.integers(1, 10**6)
+            U = U.astype(float)
+            U[-1, -1] = max(U[-1, -1], 1.0)
+            u_plus, mask = U.sum(), U > 0
+            draws = rng.standard_exponential((8, em._draw_size(m, n, r)))
+            draws **= rng.uniform(1, 30, size=(8, 1))
+            A, lam, B = em._start(draws, m, n, r)
+            AL = A * lam[:, None, :]
+            P = AL @ B
+            fit = (P[:, mask] > em._TINY).all(axis=1)  # _em_update's premise
+            AL, B, P = AL[fit], B[fit], P[fit]
+            Us = np.repeat(U[None], len(P), axis=0)
+            P_new = em._em_update(Us, None if mask.all() else mask, u_plus, AL, B, P)[2]
+            ratio = P_new[:, mask] / (U[mask] ** 2 / (r * u_plus**2))
+            lowest = min(lowest, ratio.min(initial=np.inf))
+            if lone:
+                isolated.append(ratio[:, 0])
+            steps += len(P)
+        assert steps >= 1000
+        assert lowest >= 1 - 1e-12
+        assert np.abs(np.concatenate(isolated) - 1).max() < 1e-12
+
+    @pytest.mark.parametrize("accelerate, at_round", [(False, 2), (True, 3), (True, 4)],
+                             ids=["plain", "extrapolated", "after_extrapolation"])
+    def test_underflow_after_a_step_raises(self, monkeypatch, accelerate, at_round):
+        U = np.random.default_rng(14).integers(1, 30, size=(4, 4))
+        data = em.DataMatrix.from_array(U)
+        update, calls = em._em_update, []
+
+        def zero_one_cell(*args):
+            AL, B, P = update(*args)
+            calls.append(len(P))
+            if len(calls) == at_round:
+                P[1, 2, 3] = 0.0  # an observed cell of run 1
+            return AL, B, P
+
+        monkeypatch.setattr(em, "_em_update", zero_one_cell)
+        with pytest.raises(em.EMNumericalError, match="after an EM step"):
+            em._em_loop(data, *self._starts(U, 3, range(4)), max_iter=50, tol=1e-10,
+                        accelerate=accelerate)
+        assert calls == [4] * at_round
+
+    @pytest.mark.parametrize("observed", [True, False], ids=["observed", "unobserved"])
+    def test_extrapolated_point_that_underflows_falls_back(self, observed):
+        # only row 0 of AL moves, 2c -> c -> c/2 (c a power of two), so
+        # alpha = -2 and row 0 of x' = x0 + 4 (x1 - x0) + 4 (x2 - 2 x1 + x0)
+        # is exactly 0
+        c = 2.0**-3
+        B = np.array([[[0.5, 0.5], [0.25, 0.75]]])
+        AL0 = np.array([[[2 * c, 2 * c], [0.25, 0.125]]])
+        AL1, AL2 = AL0.copy(), AL0.copy()
+        AL1[0, 0], AL2[0, 0] = c, c / 2
+        U = np.array([[3.0, 1.0], [2.0, 5.0]]) if observed else np.array([[0.0, 0.0],
+                                                                           [2.0, 5.0]])
+        cells = None if observed else np.flatnonzero(U > 0)
+        counts = U.ravel() if observed else U.ravel()[cells]
+        P2 = AL2 @ B
+        state = (AL2, B, P2, em._loglik(counts, cells, P2)[0], AL1, B, AL0, B)
+        AL, B_out, P, use = em._extrapolate(counts, cells, state)
+        assert np.array_equal(B_out, B)
+        if observed:  # x' is zero at observed cells: x2 it is
+            assert use.tolist() == [False]
+            assert np.array_equal(AL, AL2) and np.array_equal(P, P2)
+        else:
+            assert use.tolist() == [True]
+            want = AL0.copy()
+            want[0, 0] = 0.0
+            assert np.array_equal(AL, want) and np.array_equal(P, want @ B)
 
 
 class TestSeeding:
@@ -386,6 +483,13 @@ class TestSeeding:
         with pytest.raises(ValueError, match="expected non-negative integer"):
             np.random.SeedSequence(seed)
         with pytest.raises(ValueError, match="expected non-negative integer"):
+            em.em_restart_batch(u10, 3, [(0,), seed])
+
+    @pytest.mark.parametrize("seed", [1.5, (0, 2.0)], ids=["float", "float_entry"])
+    def test_float_seed_is_rejected_like_numpy(self, u10, seed):
+        with pytest.raises(TypeError):
+            np.random.SeedSequence(seed)
+        with pytest.raises(TypeError, match="seed must be integer"):
             em.em_restart_batch(u10, 3, [(0,), seed])
 
 
@@ -714,8 +818,21 @@ class TestRunEM:
         with pytest.raises(ValueError, match=message):
             em.run_em(u10, 3, init=0, max_iter=5, **kwargs)
 
+    @pytest.mark.parametrize("A, lam, B, message", [
+        (np.full((4, 3), 0.25), np.full(2, 0.5), np.full((3, 4), 0.25),
+         "parameter shapes are inconsistent"),
+        (np.array([[1.25, 0.25, 0.25]] + [[-0.25, 0.25, 0.25]] + [[0.0, 0.25, 0.25]] * 2),
+         np.full(3, 1 / 3), np.full((3, 4), 0.25), "negative parameter entries"),
+        (np.full((4, 3), 0.5), np.full(3, 1 / 3), np.full((3, 4), 0.25),
+         "parameters are not stochastic"),
+    ], ids=["shapes", "negative", "not_stochastic"])
+    def test_run_em_rejects_a_bad_start(self, u10, A, lam, B, message):
+        with pytest.raises(ValueError, match=message):
+            em.run_em(u10, 3, init=em.ParameterTriple(A, lam, B), max_iter=5)
+
     def test_report_shape(self):
         res = em.run_em(np.array([[3, 1], [1, 3]]), 1, init=0, max_iter=10, tol=1e-9)
+        assert res.params.shape == (2, 1, 2)
         rep = res.report()
         assert rep["schema"] == "1"
         assert set(rep) >= {"estimate", "loglik", "iterations", "residuals",

@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nnmix.exactla import (DimensionError, Matrix, RankExcessError, _coerce_exact,
-                           determinant, format_matrix, format_scalar, matrix_rank,
-                           parse_matrix, parse_scalar, rank_factorize, rref)
+                           determinant, format_matrix, format_scalar, from_numpy,
+                           matrix_rank, parse_matrix, parse_scalar, rank_factorize, rref)
 
 from conftest import CURVE_BASE, random_rational_matrix, uab_rows
 
@@ -152,8 +152,9 @@ class TestRankFactorize:
         assert A @ B == I3
 
     def test_rank_excess_error(self):
-        with pytest.raises(RankExcessError):
+        with pytest.raises(RankExcessError) as err:
             rank_factorize(Matrix.identity(4), 3)
+        assert str(err.value) == "matrix has rank 4 > requested 3"
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=25, deadline=None)
@@ -407,7 +408,8 @@ def test_rref_pivots_deterministic():
 def test_promotion_round_trip():
     M = Matrix.from_floats([[0.5, 0.25], [0.125, 1.0]])
     E = M.as_exact()
-    assert E.backend == "exact"
+    assert E.backend == "exact" and E.as_exact() is E
+    assert repr(E) == "Matrix(2x2, exact)"
     assert E.entries[0][0] == Fraction(1, 2)
     assert np.allclose(E.as_float().to_numpy(), M.to_numpy())
 
@@ -423,6 +425,22 @@ def test_nonfinite_entries_rejected():
         Matrix.from_floats([[float("nan")]])
     with pytest.raises(ValueError):
         Matrix.from_floats([[float("inf")]])
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: Matrix(0, 2, (), "exact"), DimensionError, "^empty matrix shape 0x2$"),
+    (lambda: Matrix(2, 2, ((1, 2), (3,)), "exact"), DimensionError, "entry grid"),
+    (lambda: Matrix(1, 1, ((1,),), "decimal"), ValueError, "unknown backend 'decimal'"),
+    (lambda: Matrix.exact([]), DimensionError, "^empty matrix$"),
+    (lambda: Matrix.from_floats([]), DimensionError, "^empty matrix$"),
+    (lambda: Matrix.exact([[1]]) @ Matrix.from_floats([[1.0]]), ValueError,
+     "backend mismatch"),
+    (lambda: from_numpy(np.zeros((2, 2, 2))), DimensionError, "expected a 2-d array"),
+], ids=["empty_shape", "ragged", "unknown_backend", "exact_empty", "float_empty",
+        "mixed_product", "three_d_array"])
+def test_malformed_matrices_rejected(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
 
 
 @pytest.mark.parametrize("token", ["nan", "-inf", "Infinity", "1e400"])

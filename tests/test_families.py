@@ -169,6 +169,9 @@ class TestIntegerBisection:
                 assert got == fraction_refine_root(f, lo, hi, width), (f, lo, hi)
                 assert all(isinstance(x, Fraction) for x in got)
 
+    def test_point_interval_is_returned_as_is(self):
+        assert refine_root(cubic(1, 2, 3), Fraction(2), Fraction(2)) == (2, 2)
+
     def test_uab_cubic_at_every_off_model_b(self):
         bs = [b for b in range(100) if not uab_in_model(100, b)]
         assert bs == list(range(42))
@@ -291,6 +294,10 @@ class TestUabFamily:
             uab_closed_form_mle(0, 0)
         with pytest.raises(ValueError):
             uab_in_model(0, 0)
+        with pytest.raises(ValueError, match="closed form applies only off the model"):
+            uab_closed_form_mle(100, 42)  # a > b, but a member
+        with pytest.raises(ValueError, match="requires integers a >= b >= 0"):
+            uab_matrix(1, 2)
 
 
 class TestThresholdCrossValidation:
@@ -340,6 +347,8 @@ class TestRectangleFamily:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             rectangle_family(2, 0)
+        with pytest.raises(ValueError, match=r"parameters must lie in \[0, 1\]"):
+            rectangle_in_model(2, 0)
 
 
 class TestCurvePencil:

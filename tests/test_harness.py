@@ -241,6 +241,11 @@ class TestReports:
         assert payload["num_trials"] == 6
         assert payload["config"]["seed"] == 5
 
+    def test_csv_of_no_records_is_empty(self):
+        rep = harness.ExperimentReport(config=ExperimentConfig(mode=TABLE1), records=[],
+                                       fraction=0.0, runtime=0.0)
+        assert rep.to_csv() == ""
+
     @pytest.mark.parametrize("mode", [TABLE1, PLANTED, BOUNDARY_FRACTION])
     def test_csv_round_trip(self, mode):
         # every record of a mode has the same keys, so the first record's

@@ -127,7 +127,7 @@ print(json.dumps({"before": before, "run_em": run_em.__module__, "names": names,
                             for name in nnmix.__all__}
 
 
-def test_numpy_is_a_module_import_of_em_and_the_batch_only():
+def test_numpy_is_a_module_import_of_em_only():
     # em.py is the one module-level importer; the other modules import
     # numpy inside the functions that compute with it
     importers = []

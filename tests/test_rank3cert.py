@@ -150,6 +150,8 @@ class TestMembership:
     def test_negative_entries_rejected(self):
         with pytest.raises(DomainError):
             nnrank3_membership(Matrix.exact([[1, -1], [0, 1]]))
+        with pytest.raises(DomainError, match="product has negative entries"):
+            membership_from_factors(Matrix.exact([[1, -1]]), Matrix.exact([[0], [1]]))
 
     def test_zero_rows_and_columns_do_not_change_verdict(self):
         base = uab_normalized(1, 0)

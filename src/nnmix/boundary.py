@@ -56,7 +56,7 @@ class BoundaryClassification:
                              for rec in self.touching]}
 
 
-def boundary_test(P) -> BoundaryClassification:
+def boundary_test(P, factors=None) -> BoundaryClassification:
     """Classify a nonnegative rational matrix against the topological boundary.
 
     Verdicts are decided exactly, so the input must be on the rational
@@ -67,8 +67,14 @@ def boundary_test(P) -> BoundaryClassification:
     iff every witness carries at least one exactly-zero chord product.
     P's entries are read once, as their signs (``Matrix.signs``).  Every
     witness is read, and ``witnesses`` counts them all.
+
+    ``factors``, an optional exact factorization ``(A, B)`` of P (A m-by-3,
+    B 3-by-n, ``A @ B == P`` checked exactly), is passed on to
+    :func:`all_witnesses`: a positive P is classified on the factors, with
+    no elimination when each spans three dimensions, and the result equals
+    ``boundary_test(P)``.
     """
-    return _classify(P, lambda P, positive: all_witnesses(P))
+    return _classify(P, lambda P, positive: all_witnesses(P, factors))
 
 
 def _until_untouched(records) -> list:
@@ -145,9 +151,8 @@ def component_count(m: int, n: int) -> ComponentCount:
     """
     if m < 1 or n < 1:
         raise ValueError("dimensions must be positive")
+    # each of m(m-1)(m-2) and n(n-1)(n-2) is divisible by 6, so 4 divides the quartic
     quartic = m * (m - 1) * (m - 2) * (m + n - 6) * n * (n - 1) * (n - 2)
-    if quartic % 4 != 0:
-        raise ArithmeticError("component formula must be integral")
     total = m * n + quartic // 4
     return ComponentCount(m=m, n=n, total=total, zero_strata=m * n,
                           kind_a=36 * comb(m, 3) * comb(n, 4),
@@ -291,15 +296,17 @@ def integer_dist(lo: int = 1, hi: int = 4):
 
 
 def sample_integer_product(pattern: ZeroPattern, rng: np.random.Generator,
-                           entry_dist=None) -> tuple[list, list, int, list]:
+                           entry_dist=None) -> tuple[list, list, list, int, list]:
     """Sample one stratum point as the integer product of cleared factors.
 
     One ``entry_dist(rng, count)`` call draws the free entries of A, then
     of B, row-major, as ``(p, q)`` pairs; the zeros of the pattern are
     ``(0, 1)``.  Each factor is cleared over the lcm of its denominators,
     ``Ai = A * da`` and ``Bi = B * db``, and ``Pi = Ai @ Bi`` is formed on
-    Python ints.  Returns ``(Pi, rows, db, B)``: ``Pi`` as lists of ints,
-    the rows of ``Ai``, ``db``, and B's ``(p, q)`` pairs, row-major.
+    Python ints.  Returns ``(Pi, rows, cols, db, B)``: ``Pi`` as lists of
+    ints, the rows of ``Ai`` and the columns of ``Bi`` (so ``Ai @ Bi`` is an
+    exact factorization of ``Pi``), ``db``, and B's ``(p, q)`` pairs,
+    row-major.
 
     ``Pi`` is ``da * db`` times ``A @ B``, a positive multiple for positive
     draws, so it has the rank, the signs, the witnesses and the touching
@@ -315,7 +322,7 @@ def sample_integer_product(pattern: ZeroPattern, rng: np.random.Generator,
     Ai, Bi = [p * (da // q) for p, q in A], [p * (db // q) for p, q in B]
     rows = [Ai[3 * i:3 * i + 3] for i in range(m)]
     cols = list(zip(Bi[:n], Bi[n:2 * n], Bi[2 * n:]))
-    return [[sum(map(mul, r, c)) for c in cols] for r in rows], rows, db, B
+    return [[sum(map(mul, r, c)) for c in cols] for r in rows], rows, cols, db, B
 
 
 def sample_algebraic_boundary(pattern: ZeroPattern, rng: np.random.Generator,
@@ -331,7 +338,7 @@ def sample_algebraic_boundary(pattern: ZeroPattern, rng: np.random.Generator,
     ``A = Ai * db / total``.  Only the returned entries are ``Fraction``s.
     """
     m, n = pattern.m, pattern.n
-    Pi, rows, db, B = sample_integer_product(pattern, rng, entry_dist)
+    Pi, rows, _, db, B = sample_integer_product(pattern, rng, entry_dist)
     total = sum(map(sum, Pi))
     if total == 0:
         raise ArithmeticError("sampled factors produced a zero matrix")

@@ -13,6 +13,10 @@ Three protocols:
   followed by the exact topological-boundary test, both on the integer
   product of the sampled factors (``boundary.sample_integer_product``), a
   positive multiple of the normalized sample that classifies the same.
+  The test reads the witnesses on the cleared factors the trial drew
+  (``boundary_test(P, factors=...)``), so a product whose factors span
+  three dimensions is not eliminated; the record is the one the product
+  alone gives.
 
 ``run_experiment`` runs every protocol.  Trials are independent; each
 derives its RNG stream from (seed, trial), so reports are bit-identical for
@@ -177,10 +181,12 @@ def _boundary_trial(cfg: ExperimentConfig, trial: int) -> dict:
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, trial, 0xB0D1)))
     pattern = boundary_mod.canonical_pattern(cfg.m, cfg.n)
     # the integer product is a positive multiple of the normalized sample, so
-    # it classifies the same; its entries stay ints, and the trial builds no
-    # Fraction
-    Pi = boundary_mod.sample_integer_product(pattern, rng, DISTS[cfg.dist](cfg.dist_param))[0]
-    cls = boundary_mod.boundary_test(Matrix.exact(Pi))
+    # it classifies the same; it is classified on the cleared factors it was
+    # drawn from, all ints, so the trial builds no Fraction
+    Pi, rows, cols = boundary_mod.sample_integer_product(
+        pattern, rng, DISTS[cfg.dist](cfg.dist_param))[:3]
+    cls = boundary_mod.boundary_test(Matrix.exact(Pi), factors=(Matrix.exact(rows),
+                                                                Matrix.exact(zip(*cols))))
     return {
         "trial": trial,
         "status": cls.status,

@@ -44,6 +44,13 @@ point reads only what it needs: ``nnrank3_membership`` and
 first whose triangle yields nonnegative factors, and the ``boundary``
 command takes records up to the first that touches nowhere.
 
+Every entry point eliminates P at most once.  ``membership_from_factors``,
+and ``all_witnesses`` and ``boundary_test`` given an exact ``factors =
+(A, B)`` of a P with no zero entry, read the stream on A's rows and B's
+columns; when each factor spans three dimensions, P has rank 3 and is not
+eliminated at all.  The stream's signs are those of any other rank-3
+factorization of P, so the records are the ones P's own elimination gives.
+
 The scan builds only what its caller reads.  A record is a pair of named
 tuples, ``WitnessRecord(Witness, touches)``.  A rejected vertex or candidate
 is logged as a tuple of its indices and reason, and the log is formatted
@@ -70,11 +77,12 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import frexp, gcd, lcm, ldexp
+from operator import mul
 from typing import NamedTuple
 
 # matrix_rank and rank_factorize are not called here; the benchmark's tracer
 # wraps them by these names
-from .exactla import (EXACT, Matrix, _cleared_product, _gauss_jordan, clear_denominators,
+from .exactla import (EXACT, Matrix, _gauss_jordan, clear_denominators,
                       matrix_rank, rank_factorize)
 
 
@@ -487,17 +495,37 @@ def _primitive(vector) -> tuple:
     return tuple(x // g for x in vector) if g > 1 else vector
 
 
+def _spans_three(vectors) -> bool:
+    """Whether exact 3-vectors span three dimensions, that is, whether some
+    three of them have a nonzero determinant; vectors of another length
+    never do.  One pass: a first nonzero u, a first w off its line, then
+    any x off their plane (u × w)·x != 0."""
+    rest = iter(vectors)
+    u = next((v for v in rest if any(v)), None)
+    if u is None or len(u) != 3:
+        return False
+    normal = next((c for c in (_cross(u, w) for w in rest) if any(c)), None)
+    return normal is not None and any(_dot(normal, x) for x in rest)
+
+
 def _decide(P: Matrix, factors, row_map, col_map, take):
-    """The membership ladder every entry point shares, on one elimination.
+    """The membership ladder every entry point shares, on at most one elimination.
 
     Rank > 3 is ``out``, rank < 3 is ``rank_deficient_in``; otherwise the
     witness stream of ``factors`` (the lines and points of a rank-3
     factorization of P, the one eliminated here when None, its exact lines
     in lowest terms) decides, and a matrix with no witness is ``in`` only
-    when thin.  Returns the decision, what ``take`` read from the stream,
-    and the eliminated factors in integer form (None for rank > 3).
+    when thin.  Exact factors whose lines and points each span three
+    dimensions give P rank 3 without an elimination: A has full column
+    rank and B full row rank.  Any other P is eliminated.  Returns the
+    decision, what ``take`` read from the stream, and the eliminated
+    factors in integer form (None for rank > 3 and when nothing was
+    eliminated).
     """
-    rank, built = _eliminate(P)
+    if factors and P.backend == EXACT and all(map(_spans_three, factors)):
+        rank, built = 3, None
+    else:
+        rank, built = _eliminate(P)
     if rank > 3:
         return MembershipDecision("out", None, rank, P.backend,
                                   failure_log=[f"rank {rank} exceeds 3"]), [], None
@@ -520,14 +548,66 @@ def _decide(P: Matrix, factors, row_map, col_map, take):
     return dec, found, built
 
 
-def _decide_stripped(P, take, task: str):
-    """``_decide`` on P with its zero rows and columns removed."""
+def _cleared(vector) -> tuple:
+    """``clear_denominators`` of an exact vector; an int one is its own."""
+    return (vector, 1) if all(type(x) is int for x in vector) else clear_denominators(vector)
+
+
+def _cleared_factors(A: Matrix, B: Matrix, P: Matrix):
+    """A's rows and B's columns as ``(ints, multiplier)`` pairs, or None
+    unless the exact ``A @ B`` equals the exact P.  The entries are compared
+    on integers, so no ``Fraction`` is built."""
+    rows = [_cleared(r) for r in A.entries]
+    cols = [_cleared(c) for c in zip(*B.entries)]
+    if all(sum(map(mul, ra, cb)) * x.denominator == x.numerator * da * db
+           for (ra, da), want in zip(rows, P.entries) for (cb, db), x in zip(cols, want)):
+        return rows, cols
+    return None
+
+
+def _checked_factors(P: Matrix, factors):
+    """The lines and points of P read on its factorization ``(A, B)``.
+
+    A must be m-by-3 and B 3-by-n for an m-by-n P, and ``A @ B == P`` must
+    hold exactly, a float entry read as the dyadic rational it is; anything
+    else raises ``DomainError``.  When P and both factors are exact, returns
+    A's rows and B's columns cleared to integers, each in lowest terms
+    (positive scalings, which change no sign); otherwise None, and P is
+    eliminated as without factors.
+    """
+    A, B = map(_prepare, factors)
+    m, n = P.shape
+    if A.shape != (m, 3) or B.shape != (3, n):
+        raise DomainError(f"factors of shapes {A.rows}x{A.cols} and {B.rows}x{B.cols} "
+                          f"do not factor a {m}x{n} matrix as {m}x3 times 3x{n}")
+    exact = A.backend == B.backend == P.backend == EXACT
+    cleared = _cleared_factors(*(M if M.backend == EXACT else Matrix.exact(M.entries)
+                                 for M in (A, B, P)))
+    if cleared is None:
+        raise DomainError("the factors do not multiply to the matrix")
+    if not exact:
+        return None
+    return [_primitive(r) for r, _ in cleared[0]], [_primitive(c) for c, _ in cleared[1]]
+
+
+def _decide_stripped(P, take, task: str, factors=None):
+    """``_decide`` on P with its zero rows and columns removed.
+
+    ``factors``, an exact ``(A, B)`` with ``A @ B == P`` (checked by
+    ``_checked_factors``), are read in place of P's elimination when P has
+    no zero entry; a P with a zero entry is stripped and eliminated as
+    without them.
+    """
     P = _prepare(P)
     stripped, row_map, col_map = _strip_zero_lines(P, task)
+    if factors is not None:
+        factors = _checked_factors(P, factors)
+        if not all(map(all, P.signs)):
+            factors = None
     if not row_map:
         return MembershipDecision("rank_deficient_in", None, 0, P.backend,
                                   note="zero matrix"), [], None
-    return _decide(stripped, None, row_map, col_map, take)
+    return _decide(stripped, factors, row_map, col_map, take)
 
 
 def membership_from_factors(A, B) -> MembershipDecision:
@@ -536,8 +616,10 @@ def membership_from_factors(A, B) -> MembershipDecision:
     The verdict depends only on P, not on the factorization chosen; this
     entry point exists so callers with an explicit rank-3 factorization
     (sampled boundary strata, invariance tests) have the witnesses read on
-    it; P is still eliminated once, for its rank.  It stops the scan at the
-    first witness, as ``nnrank3_membership`` does.
+    it.  Exact factors that each span three dimensions give P rank 3, and P
+    is not eliminated; float or rank-deficient factors leave P eliminated
+    once, for its rank.  It stops the scan at the first witness, as
+    ``nnrank3_membership`` does.
     """
     A, B = _prepare(A), _prepare(B)
     P = A @ B
@@ -565,15 +647,22 @@ def nnrank3_membership(P) -> MembershipDecision:
     return _decide_stripped(P, _head, "membership test")[0]
 
 
-def all_witnesses(P):
+def all_witnesses(P, factors=None):
     """All witnesses (both orientations) with their zero-chord contacts.
 
     Returns ``(decision, records)`` where ``records`` is empty unless the
     matrix is a rank-3 member.  This is the enumeration the topological
     boundary test quantifies over; its first record is the witness
     ``nnrank3_membership`` reports.
+
+    ``factors`` is an optional exact factorization ``(A, B)`` of P, A
+    m-by-3 and B 3-by-n; ``A @ B == P`` is checked exactly and a mismatch
+    raises ``DomainError``.  A positive P is then read on A's rows and B's
+    columns, and is not eliminated when each factor spans three dimensions.
+    The witnesses' signs do not depend on the rank-3 factorization they are
+    read on, so the result equals ``all_witnesses(P)``.
     """
-    return _decide_stripped(P, list, "witness enumeration")[:2]
+    return _decide_stripped(P, list, "witness enumeration", factors)[:2]
 
 
 # -- constructive nonnegative factorization -----------------------------
@@ -687,9 +776,7 @@ def nonneg_rank3_factorize(P) -> tuple[Matrix, Matrix]:
         if A is None:
             raise ArithmeticError("internal error: no usable witness in either orientation")
     A, B = _reembed(A, B, m, n, row_map, col_map)
-    if any(num * x.denominator != x.numerator * den
-           for got, want in zip(_cleared_product(A, B), P.entries)
-           for (num, den), x in zip(got, want)):
+    if _cleared_factors(A, B, P) is None:
         raise ArithmeticError("internal error: factorization does not reproduce input")
     if not (A.is_nonnegative() and B.is_nonnegative()):
         raise ArithmeticError("internal error: factorization has negative entries")

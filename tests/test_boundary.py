@@ -10,11 +10,12 @@ from nnmix.boundary import (boundary_test, canonical_pattern, component_count,
                             enumerate_zero_patterns, integer_dist,
                             rational_dist, sample_algebraic_boundary,
                             unit_rational_dist, ZeroPattern)
-from nnmix.exactla import Matrix
+from nnmix import rank3cert
+from nnmix.exactla import Matrix, matrix_rank, rank_factorize, rref
 from nnmix.harness import DISTS
-from nnmix.rank3cert import DomainError, nnrank3_membership
+from nnmix.rank3cert import DomainError, all_witnesses, nnrank3_membership
 
-from conftest import NICE_P, fractions_built, rect_rows, uab_normalized
+from conftest import NICE_A, NICE_B, NICE_P, fractions_built, rect_rows, uab_normalized
 
 
 class TestBoundaryTest:
@@ -257,6 +258,11 @@ class TestSampling:
                 assert got == fraction_sample(pat, oracle_rng, SCALAR_DISTS[dist](100))
                 assert all(m.backend == "exact" for m in got)
 
+    def test_zero_draws_are_refused(self):
+        zeros = lambda rng, count: ([0] * count, [1] * count)
+        with pytest.raises(ArithmeticError, match="sampled factors produced a zero matrix"):
+            sample_algebraic_boundary(canonical_pattern(), np.random.default_rng(0), zeros)
+
     @pytest.mark.parametrize("dist", sorted(DISTS))
     def test_batched_draws_equal_scalar_draws(self, dist):
         for param in (1, 7, 100):
@@ -279,3 +285,97 @@ def test_boundary_test_builds_no_fraction(monkeypatch):
             count, cls = fractions_built(monkeypatch, lambda: boundary_test(P))
             assert count == 0
             assert cls.status in ("interior", "boundary")
+
+
+class TestGivenFactors:
+    """``boundary_test(P, factors)`` and ``all_witnesses(P, factors)`` equal
+    the same calls on P alone, whichever exact factorization they read."""
+
+    @staticmethod
+    def assert_same(P, A, B):
+        got, want = boundary_test(P, factors=(A, B)), boundary_test(P)
+        assert got == want and got.as_dict() == want.as_dict()  # touching records too
+        assert all_witnesses(P, (A, B)) == all_witnesses(P)  # failure logs too
+        return want
+
+    @staticmethod
+    def eliminations(monkeypatch):
+        calls = []
+        real = rank3cert._gauss_jordan
+        monkeypatch.setattr(rank3cert, "_gauss_jordan",
+                            lambda *args: calls.append(1) or real(*args))
+        return calls
+
+    @pytest.mark.parametrize("kind", ["a", "b"])
+    def test_stratum_samples_transposed_and_moved(self, kind):
+        # G has det -1/2 and Fraction entries; A @ G, G^-1 @ B factor P too
+        G = Matrix.exact([[1, Fraction(1, 2), 0], [0, 1, 1], [Fraction(1, 2), 0, 1]])
+        G_inv = rref(Matrix.exact([list(r) + [int(i == j) for j in range(3)]
+                                   for i, r in enumerate(G.entries)]))[0]
+        G_inv = Matrix.exact([r[3:] for r in G_inv.entries])
+        assert G @ G_inv == Matrix.identity(3)
+        rng = np.random.default_rng(37)
+        of_kind = [p for p in enumerate_zero_patterns(4, 4) if p.kind == kind]
+        boundary = 0
+        for t in range(200):
+            P, A, B = sample_algebraic_boundary(of_kind[t % len(of_kind)], rng)
+            boundary += self.assert_same(P, A, B).status == "boundary"
+            self.assert_same(P.transpose(), B.transpose(), A.transpose())
+            self.assert_same(P, A @ G, G_inv @ B)
+        assert boundary > 0
+
+    def test_planted_and_outside_matrices(self):
+        P = Matrix.exact(NICE_P)
+        assert self.assert_same(P, Matrix.exact(NICE_A), Matrix.exact(NICE_B)).touching
+        # a rank-3 non-member on its signed rank factorization: the same log
+        P = uab_normalized(1, 0)
+        assert self.assert_same(P, *rank_factorize(P, 3)).status == "outside_model"
+
+    def test_rank_deficient_factors_are_eliminated(self, monkeypatch):
+        draw, rng = integer_dist(1, 4), np.random.default_rng(3)
+        calls = self.eliminations(monkeypatch)
+        deficient = 0
+        factors = [(Matrix.exact([[1, 2, 3], [2, 3, 4], [3, 4, 5], [1, 1, 1]]),  # rank 2
+                    Matrix.exact([[1, 2, 1, 3], [2, 1, 1, 1], [1, 1, 2, 2]]))]
+        for _ in range(200):
+            nums, _ = draw(rng, 24)
+            factors.append((Matrix.exact([nums[3 * i:3 * i + 3] for i in range(4)]),
+                            Matrix.exact([nums[12 + 4 * k:16 + 4 * k] for k in range(3)])))
+        for A, B in factors:
+            P = A @ B
+            self.assert_same(P, A, B)
+            calls.clear()
+            boundary_test(P, factors=(A, B))
+            assert len(calls) == (matrix_rank(P) < 3)
+            deficient += len(calls)
+        assert deficient > 1  # the explicit rank-2 A and some draws
+
+    def test_zero_entries_take_the_stripped_path(self):
+        A = Matrix.exact([[1, 0, 0], [1, 2, 1], [2, 1, 3], [1, 1, 1]])
+        B = Matrix.exact([[0, 1, 2, 1], [1, 1, 0, 2], [3, 1, 1, 1]])
+        assert self.assert_same(A @ B, A, B).reason == "zero_entry"
+        A = Matrix.exact([[0, 0, 0], [1, 2, 1], [2, 1, 3], [1, 1, 1], [3, 1, 2]])
+        assert self.assert_same(A @ B, A, B).reason == "zero_entry"  # a zero row
+        self.assert_same(Matrix.zeros(4, 4), Matrix.zeros(4, 3), Matrix.zeros(3, 4))
+
+    def test_float_factors_are_eliminated(self, monkeypatch):
+        A, B = Matrix.exact(NICE_A), Matrix.exact(NICE_B)
+        P = A @ B
+        calls = self.eliminations(monkeypatch)
+        self.assert_same(P, A.as_float(), B.as_float())
+        calls.clear()
+        boundary_test(P, factors=(A.as_float(), B.as_float()))
+        assert calls == [1]
+        assert (all_witnesses(P.as_float(), (A.as_float(), B.as_float()))
+                == all_witnesses(P.as_float()))
+
+    def test_mismatched_factors_are_refused(self):
+        A, B, P = Matrix.exact(NICE_A), Matrix.exact(NICE_B), Matrix.exact(NICE_P)
+        off = Matrix.exact([[*r[:3], r[3] + Fraction(1, 7)] if i == 2 else r
+                            for i, r in enumerate(NICE_B)])
+        wide = Matrix.exact([r + [0] for r in NICE_A])
+        for factors in [(A, off), (A.as_float(), off.as_float()), (wide, B), (B, A)]:
+            for call in (lambda: boundary_test(P, factors=factors),
+                         lambda: all_witnesses(P, factors)):
+                with pytest.raises(DomainError, match="factor"):
+                    call()

@@ -485,19 +485,33 @@ def test_one_elimination_per_entry_point_call(monkeypatch):
         B = Matrix.exact(rng.integers(1, 8, size=(rank, 5)).tolist())
         cases.append((rank, A @ B, A, B))
     cases.append((3, Matrix.exact(NICE_P), Matrix.exact(NICE_A), Matrix.exact(NICE_B)))
+    # a rank-2 P on an m-by-3 A that spans three dimensions and a B that does not
+    A = Matrix.exact(rng.integers(1, 8, size=(5, 3)).tolist())
+    B = Matrix.exact((rng.integers(1, 8, size=(3, 2)) @ rng.integers(1, 8, size=(2, 5))).tolist())
+    cases.append((2, A @ B, A, B))
     entry_points = [nnrank3_membership, all_witnesses, boundary_test,
                     nonneg_rank3_factorize]
     for rank, P, A, B in cases:
         assert len(rref(P)[1]) == rank
-        for entry in entry_points + [lambda P: membership_from_factors(A, B)]:
+        with_factors = [lambda P: membership_from_factors(A, B)]
+        if A.cols == 3:
+            with_factors += [lambda P: all_witnesses(P, (A, B)),
+                             lambda P: boundary_test(P, factors=(A, B)),
+                             lambda P: all_witnesses(P, (A.as_float(), B.as_float())),
+                             lambda P: membership_from_factors(A.as_float(), B.as_float())]
+        for entry in entry_points + with_factors:
             calls.clear()
             try:
                 entry(P)
             except NotInModelError:
                 pass
-            assert calls == ["_gauss_jordan"], (entry, P)
-    zero = Matrix.zeros(4, 4)
-    for entry in entry_points:
+            # exact factors that span three dimensions give P's rank, and P is
+            # not eliminated; every other call eliminates P once
+            spans = entry in with_factors[:3] and rank == 3
+            assert calls == ([] if spans else ["_gauss_jordan"]), (entry, P)
+    zero, A, B = Matrix.zeros(4, 4), Matrix.zeros(4, 3), Matrix.zeros(3, 4)
+    for entry in entry_points + [lambda P: all_witnesses(P, (A, B)),
+                                 lambda P: boundary_test(P, (A, B))]:
         calls.clear()
         entry(zero)
         assert calls == [], entry

@@ -43,24 +43,30 @@ def refine_root(f, lo, hi, width=Fraction(1, 10**24)):
     The bisection runs on integers.  With ``lo = a / q`` and ``hi = b / q``,
     every point it visits after k halvings is ``x = N / D`` with ``D = q * 2**k``,
     and f(x) has the sign of the homogeneous form ``sum F_i N**i D**(deg - i)``
-    of the integer coefficients ``F`` of f.  The interval it returns is the
-    one the same bisection on ``Fraction``s returns.
+    of the integer coefficients ``F`` of f.  The form is evaluated by Horner
+    on the coefficients ``H_i = F_i D**(deg - i)``; a halving doubles D and
+    shifts each ``H_i`` left by ``deg - i`` bits, so the powers of D are
+    taken once.  The interval it returns is the one the same bisection on
+    ``Fraction``s returns.
     """
     if lo == hi:
         return lo, hi
     F, _ = clear_denominators(f)
 
-    def sign(N, D):  # the sign of f(N / D) for D > 0
-        value = polyval([c * D ** (len(F) - 1 - i) for i, c in enumerate(F)], N)
+    def sign(N):  # the sign of f(N / D) for D > 0, by Horner on H
+        value = polyval(H, N)
         return (value > 0) - (value < 0)
 
     (a, b), D = clear_denominators((lo, hi))
-    slo = sign(a, D)
+    deg = len(F) - 1
+    H = [c * D ** (deg - i) for i, c in enumerate(F)]
+    slo = sign(a)
     if slo == 0:
         return lo, lo
     while (b - a) * width.denominator > width.numerator * D:
         mid, a, b, D = a + b, 2 * a, 2 * b, 2 * D
-        sm = sign(mid, D)
+        H = [c << (deg - i) for i, c in enumerate(H)]
+        sm = sign(mid)
         if sm == 0:
             return Fraction(mid, D), Fraction(mid, D)
         a, b = (mid, b) if sm == slo else (a, mid)

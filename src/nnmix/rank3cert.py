@@ -33,6 +33,16 @@ where L2·p_k' = F_j'(k'), z[k] = det(L1, a_k, L2) = F_j'(i')·V_k since
 = V_k·q_l(i') − V_l·q_k(i') by Binet–Cauchy: no cross product per candidate.
 The identities are exact, so on integers every sign is the composed bracket's.
 
+On exact input the support brackets are the 2x2 minors of the incidence
+rows of the vertex's two lines, F_t(u) = q_i(t)·q_j(u) − q_i(u)·q_j(t)
+(Binet–Cauchy again): two products per entry.  Floats keep
+F_t(u) = v·(p_t × p_u), because the minors cancel there: read as minors,
+18 of the 91 float inputs of the golden verdict corpus change a
+``marginal`` flag, 11 of them from unflagged to flagged on every call.
+The sign context carries this choice as ``support_table``, and the chord
+band as ``band``: a chord value within ``band`` of zero counts as zero,
+0 on exact input.
+
 A candidate has C(M − 2, 2)·(N − 2) chord values for M lines and N points.
 The witnesses form one lazy stream: the tuples of this orientation in index
 order, then those with the roles of A and B.T swapped.  The scan decides
@@ -189,10 +199,17 @@ class _ExactSigns:
     """Decidable sign tests on integer-cleared data."""
 
     marginal = False
+    band = 0  # a chord value counts as zero only when it is zero
 
     @staticmethod
-    def sign(value, kind: str) -> int:
-        return (value > 0) - (value < 0)
+    def support_table(v, point_crosses, qi, qj) -> list[list]:
+        """The support brackets of the vertex v of lines a_i and a_j as the
+        2x2 minors of their incidence rows, F[t][u] = det(v, p_t, p_u) =
+        q_i(t)·q_j(u) − q_i(u)·q_j(t) (Binet–Cauchy): two products per entry
+        and no dot with a point cross.  ``v`` and ``point_crosses`` are not
+        read."""
+        pairs = list(zip(qi, qj))
+        return [[it * ju - iu * jt for iu, ju in pairs] for it, jt in pairs]
 
     @staticmethod
     def is_zero_vec(vec, kind: str) -> bool:
@@ -224,7 +241,14 @@ class _FloatSigns:
             "mj": eps * ls**2 * ps**2,
             "s63": eps * ls**6 * ps**3,
         }
+        self.band = self.bands["s63"]  # the chord values' band, read inline by the scan
         self.marginal = False
+
+    @staticmethod
+    def support_table(v, point_crosses, qi, qj) -> list[list]:
+        """``_support_table`` on the point crosses: on floats the incidence
+        minors cancel (see the module docstring)."""
+        return _support_table(v, point_crosses)
 
     def sign(self, value, kind: str) -> int:
         if abs(value) <= self.bands[kind]:
@@ -325,7 +349,7 @@ def _scan_orientation(lines, points, ctx, swapped, line_map, point_map, log, tab
     """
     edges, point_crosses, q = tables
     M, N = len(lines), len(points)
-    sign = ctx.sign
+    band = ctx.band
 
     def chord_touches(V, F, pairs, ip, jp):
         # The zero chord triples of candidate (ip, jp), or None if a chord
@@ -333,7 +357,9 @@ def _scan_orientation(lines, points, ctx, swapped, line_map, point_map, log, tab
         # chord brackets of (k, l, k') and (l, k, k') are x·y − z_k·q_l and
         # −x·y − z_l·q_k with y = F_jp(k'), which is L2·p_k'.  ``pairs`` are
         # the vertex's (k, l) pairs apart from its own lines, in combination
-        # order.
+        # order.  A value counts as zero within ``band`` of it, and one in the
+        # band but not zero flags the call marginal, as ``_FloatSigns.sign``
+        # does; both values are always read.
         y, f = F[jp], F[jp][ip]
         kps = [kp for kp in range(N) if kp != ip and kp != jp]
         touches = []
@@ -342,12 +368,22 @@ def _scan_orientation(lines, points, ctx, swapped, line_map, point_map, log, tab
             qk, ql = q[k], q[l]
             for kp in kps:
                 xy = x * y[kp]
-                s1 = sign(xy - zk * ql[kp], "s63")
-                s2 = sign(-xy - zl * qk[kp], "s63")
-                if s1 * s2 < 0:
-                    return None
-                if s1 == 0 or s2 == 0:
-                    touches.append((line_map[k], line_map[l], point_map[kp]))
+                c1 = xy - zk * ql[kp]
+                c2 = -xy - zl * qk[kp]
+                if c1 > band:
+                    if c2 > band:
+                        continue
+                    if c2 < -band:
+                        return None
+                elif c1 < -band:
+                    if c2 < -band:
+                        continue
+                    if c2 > band:
+                        return None
+                # a value is in the band: a touching triple
+                touches.append((line_map[k], line_map[l], point_map[kp]))
+                if (c1 and -band <= c1 <= band) or (c2 and -band <= c2 <= band):
+                    ctx.marginal = True
         return touches
 
     for i in range(M):
@@ -366,7 +402,8 @@ def _scan_orientation(lines, points, ctx, swapped, line_map, point_map, log, tab
                             "vertex sign family mixed"))
                 continue
             pairs = list(itertools.combinations([k for k in range(M) if k != i and k != j], 2))
-            F, qi, qj = _support_table(v, point_crosses), q[i], q[j]
+            qi, qj = q[i], q[j]
+            F = ctx.support_table(v, point_crosses, qi, qj)
             ok = [None] * N  # the support flags, decided as the scan reaches them
 
             def supports(t):
@@ -497,12 +534,11 @@ def _primitive(vector) -> tuple:
 
 def _spans_three(vectors) -> bool:
     """Whether exact 3-vectors span three dimensions, that is, whether some
-    three of them have a nonzero determinant; vectors of another length
-    never do.  One pass: a first nonzero u, a first w off its line, then
-    any x off their plane (u × w)·x != 0."""
+    three of them have a nonzero determinant.  One pass: a first nonzero u,
+    a first w off its line, then any x off their plane (u × w)·x != 0."""
     rest = iter(vectors)
     u = next((v for v in rest if any(v)), None)
-    if u is None or len(u) != 3:
+    if u is None:
         return False
     normal = next((c for c in (_cross(u, w) for w in rest) if any(c)), None)
     return normal is not None and any(_dot(normal, x) for x in rest)
@@ -618,19 +654,23 @@ def membership_from_factors(A, B) -> MembershipDecision:
     (sampled boundary strata, invariance tests) have the witnesses read on
     it.  Exact factors that each span three dimensions give P rank 3, and P
     is not eliminated; float or rank-deficient factors leave P eliminated
-    once, for its rank.  It stops the scan at the first witness, as
-    ``nnrank3_membership`` does.
+    once, for its rank.  The scan reads 3-vectors, so factors of another
+    inner dimension are not read: P is decided on its own elimination, as
+    ``nnrank3_membership`` decides it.  It stops the scan at the first
+    witness, as ``nnrank3_membership`` does.
     """
     A, B = _prepare(A), _prepare(B)
     P = A @ B
     if not P.is_nonnegative():
         raise DomainError("product has negative entries")
-    if A.backend == EXACT:  # a positive scaling changes no sign
-        lines = [clear_denominators(r)[0] for r in A.entries]
-        points = [clear_denominators(c)[0] for c in zip(*B.entries)]
+    if A.cols != 3:
+        factors = None
+    elif A.backend == EXACT:  # a positive scaling changes no sign
+        factors = ([clear_denominators(r)[0] for r in A.entries],
+                   [clear_denominators(c)[0] for c in zip(*B.entries)])
     else:
-        lines, points = A.entries, list(zip(*B.entries))
-    return _decide(P, (lines, points), list(range(A.rows)), list(range(B.cols)), _head)[0]
+        factors = A.entries, list(zip(*B.entries))
+    return _decide(P, factors, list(range(A.rows)), list(range(B.cols)), _head)[0]
 
 
 def nnrank3_membership(P) -> MembershipDecision:

@@ -12,11 +12,13 @@ from nnmix import rank3cert
 from nnmix.boundary import (boundary_test, enumerate_zero_patterns, integer_dist,
                             sample_algebraic_boundary)
 from nnmix.cli import main
-from nnmix.exactla import Matrix, format_matrix, matrix_rank, rref
+from nnmix.exactla import Matrix, format_matrix, matrix_rank, rank_factorize, rref
+from nnmix.families import uab_matrix
 from nnmix.rank3cert import (DomainError, NotInModelError, all_witnesses, bracket3, meet_join,
                              membership_from_factors, nnrank3_membership, nonneg_rank3_factorize,
                              six_three, Witness, WitnessRecord, _chord_factors, _cross,
-                             _crosses, _det3, _dot, _one_sign, _support_table)
+                             _crosses, _det3, _dot, _ExactSigns, _FloatSigns, _one_sign,
+                             _scan_orientation, _support_table, _witness_stream)
 
 from conftest import (NICE_A, NICE_B, NICE_P, fractions_built, random_rational_matrix,
                       rect_rows, uab_normalized)
@@ -196,6 +198,31 @@ class TestMembership:
                     break
             Ginv = _inv(G)
             assert membership_from_factors(A @ G, Ginv @ B).verdict == verdict
+
+    def test_factors_of_another_inner_dimension_decide_on_the_product(self):
+        # U(100, b) has rank 3; its rank factorization lifted through a 3x4 G
+        # and a 4x3 H with G @ H = I gives 4x4 factors of the same P, which
+        # the scan cannot read as 3-vectors: P is decided on its own
+        # elimination, with nnrank3_membership's verdict, witness and rank
+        G = Matrix.exact([[1, 0, 0, 1], [0, 1, 0, 2], [0, 0, 1, 3]])
+        H = Matrix.exact([[2, 1, 1], [2, 3, 2], [3, 3, 4], [-1, -1, -1]])
+        assert G @ H == Matrix.identity(3)
+        verdicts = set()
+        for b in range(20, 60):
+            P = uab_matrix(100, b)
+            A, B = rank_factorize(P, 3)
+            lifted = membership_from_factors(A @ G, H @ B)
+            want = nnrank3_membership(P)
+            assert (lifted.verdict, lifted.witness, lifted.rank) == \
+                (want.verdict, want.witness, want.rank), b
+            verdicts.add(want.verdict)
+        assert verdicts == {"in", "out"}
+
+    def test_zero_factors_give_the_zero_matrix(self):
+        # no line spans anything, so P is eliminated for its rank
+        for r in (2, 3):
+            dec = membership_from_factors(Matrix.zeros(4, r), Matrix.zeros(r, 5))
+            assert (dec.verdict, dec.rank, dec.witness) == ("rank_deficient_in", 0, None)
 
     def test_transpose_and_scale_invariance(self):
         cases = [uab_normalized(1, 0), uab_normalized(100, 42),
@@ -533,8 +560,13 @@ def composed_scan_orientation(lines, points, ctx, swapped, line_map, point_map, 
     """``rank3cert._scan_orientation`` with every chord bracket composed, as
     it ran before the expansion; the oracle for witness records and logs.
     It composes each bracket from ``lines`` and ``points``, ignores the
-    scan's bracket tables, and logs the scan's tuples."""
+    scan's bracket tables, and logs the scan's tuples.  Its corpus is exact,
+    so a sign is the value's own."""
     M, N = len(lines), len(points)
+
+    def sign(value, kind):
+        return (value > 0) - (value < 0)
+
     cross_cache, supp_cache, pt_cache = {}, {}, {}
 
     def vertex(i, j):
@@ -547,7 +579,7 @@ def composed_scan_orientation(lines, points, ctx, swapped, line_map, point_map, 
         if (i, j, t) not in supp_cache:
             v = vertex(i, j)
             supp_cache[i, j, t] = (not ctx.is_zero_vec(_cross(v, points[t]), "x21")
-                                   and _one_sign(ctx.sign(_det3(v, points[t], points[kp]), "mj")
+                                   and _one_sign(sign(_det3(v, points[t], points[kp]), "mj")
                                                  for kp in range(N) if kp != t))
         return supp_cache[i, j, t]
 
@@ -562,10 +594,10 @@ def composed_scan_orientation(lines, points, ctx, swapped, line_map, point_map, 
             for kp in range(N):
                 if kp in (ip, jp):
                     continue
-                s1 = ctx.sign(_det3(tri_point(i, j, ip, k), tri_point(i, j, jp, l),
-                                    points[kp]), "s63")
-                s2 = ctx.sign(_det3(tri_point(i, j, ip, l), tri_point(i, j, jp, k),
-                                    points[kp]), "s63")
+                s1 = sign(_det3(tri_point(i, j, ip, k), tri_point(i, j, jp, l),
+                                points[kp]), "s63")
+                s2 = sign(_det3(tri_point(i, j, ip, l), tri_point(i, j, jp, k),
+                                points[kp]), "s63")
                 if s1 * s2 < 0:
                     return None
                 if s1 == 0 or s2 == 0:
@@ -578,7 +610,7 @@ def composed_scan_orientation(lines, points, ctx, swapped, line_map, point_map, 
                 log.append((swapped, line_map[i], line_map[j], None, None,
                             "edge lines are parallel"))
                 continue
-            if not _one_sign(ctx.sign(_det3(lines[i], lines[j], lines[k]), "b3")
+            if not _one_sign(sign(_det3(lines[i], lines[j], lines[k]), "b3")
                              for k in range(M) if k not in (i, j)):
                 log.append((swapped, line_map[i], line_map[j], None, None,
                             "vertex sign family mixed"))
@@ -659,6 +691,123 @@ def test_tables_equal_the_composed_chord_factors():
                 signs["x"].add((x > 0) - (x < 0))
                 signs["z"].add((zk > 0) - (zk < 0))
     assert signs == {"x": {-1, 0, 1}, "z": {-1, 0, 1}}
+
+
+def test_exact_support_table_is_the_incidence_minors():
+    # on integers det(v, p_t, p_u) = q_i(t)·q_j(u) − q_i(u)·q_j(t) for
+    # v = a_i × a_j: every vertex of seeded lines and points, zero rows
+    # among them, in both orientations
+    rng = np.random.default_rng(31)
+    signs = set()
+    for t in range(40):
+        m, n = (int(x) for x in rng.integers(3, 8, size=2))
+        rows = [tuple(int(x) for x in rng.integers(-9, 10, size=3)) for _ in range(m)]
+        cols = [tuple(int(x) for x in rng.integers(-9, 10, size=3)) for _ in range(n)]
+        if t % 2:
+            rows[t % m] = cols[t % n] = (0, 0, 0)
+        for lines, points in ((rows, cols), (cols, rows)):
+            point_crosses = _crosses(points)
+            q = [[_dot(a, p) for p in points] for a in lines]
+            for i, j in itertools.combinations(range(len(lines)), 2):
+                v = _cross(lines[i], lines[j])
+                F = _ExactSigns.support_table(v, point_crosses, q[i], q[j])
+                assert F == _support_table(v, point_crosses), (lines, points, i, j)
+                signs.update((x > 0) - (x < 0) for row in F for x in row)
+    assert signs == {-1, 0, 1}
+
+
+def _chord_band_scan(ctx, c1, c2, monkeypatch):
+    """The records, log and ``marginal`` flag of one orientation whose every
+    candidate has the chord values ``c1`` and ``c2``.
+
+    Lines a_0, a_1 meet at v = (0, 0, 1), and the points p_0 and p_2
+    support it, so (0, 1, 0, 2) is a candidate; the incidences are all 1 and
+    the chord factors are (x, z_k, z_l) = (0, −c1, −c2), so each chord value
+    is c1 or c2 as given.  Every other bracket is an integer, 0 or at least
+    1 in size, so only the chord values can fall in a band."""
+    lines = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
+    points = [(1, 0, 1), (1, 1, 1), (0, 1, 1)]
+    if isinstance(ctx, _FloatSigns):
+        lines, points = ([tuple(map(float, u)) for u in vs] for vs in (lines, points))
+    zero = c1 * 0
+    monkeypatch.setattr(rank3cert, "_chord_factors", lambda *args: (zero, -c1, -c2))
+    tables = _crosses(lines), _crosses(points), [[zero + 1] * 3 for _ in lines]
+    log = []
+    records = list(_scan_orientation(lines, points, ctx, False, range(4), range(3), log, tables))
+    return records, log, ctx.marginal
+
+
+def test_inline_chord_band_is_the_sign_rule(monkeypatch):
+    # the scan compares its chord values with ctx.band inline; the result is
+    # the one _FloatSigns.sign gives, marginal flag included, at the band's
+    # edges and the floats on either side of them; on exact input the band
+    # is 0 and a sign is the value's own
+    band = _FloatSigns(1.0, 1.0).band
+    assert band == _FloatSigns(1.0, 1.0).bands["s63"] > 0 and _ExactSigns.band == 0
+    edges = [band, math.nextafter(band, 0.0), math.nextafter(band, 1.0)]
+    floats = [0.0, 5e-324, -5e-324, 1.0, -1.0] + edges + [-x for x in edges]
+    cases = [(_FloatSigns(1.0, 1.0), c1, c2) for c1 in floats for c2 in floats]
+    cases += [(_ExactSigns(), c1, c2) for c1 in (-1, 0, 1) for c2 in (-1, 0, 1)]
+    seen = set()
+    for ctx, c1, c2 in cases:
+        ref = _FloatSigns(1.0, 1.0)  # the sign rule, on a flag of its own
+        if isinstance(ctx, _FloatSigns):
+            s1, s2 = ref.sign(c1, "s63"), ref.sign(c2, "s63")
+        else:
+            s1, s2 = (c1 > 0) - (c1 < 0), (c2 > 0) - (c2 < 0)
+        records, log, marginal = _chord_band_scan(ctx, c1, c2, monkeypatch)
+        negative = [entry for entry in log if entry[-1] == "chord product negative"]
+        if s1 * s2 < 0:
+            assert not records and negative, (c1, c2)
+        else:
+            touching = s1 == 0 or s2 == 0
+            assert not negative and all(bool(rec.touches) == touching for rec in records)
+            found = dict(records)
+            assert found[Witness(0, 1, 0, 2, False)] == (((2, 3, 1),) if touching else ())
+        assert marginal == ref.marginal, (c1, c2)
+        seen.add((s1 * s2 < 0, s1 == 0 or s2 == 0, marginal))
+    assert seen == {(True, False, False), (False, True, True), (False, True, False),
+                    (False, False, False)}
+
+
+def test_swapping_the_support_points_mirrors_a_candidate():
+    # with L1 and L2 swapped the two chord brackets trade places with a sign
+    # change, det(L2 × a_k, L1 × a_l, p) = −det(L1 × a_l, L2 × a_k, p); so an
+    # exact candidate (i, j, i', j') is a witness, with the same touches,
+    # exactly when (i, j, j', i') is one, and the two are logged "chord
+    # product negative" together
+    for rows, cols in chord_configurations(20, seed=44):
+        B = [[c[r] for c in cols] for r in range(3)]
+        for k, l in itertools.permutations((2, 3, 4), 2):
+            for ip, jp, kp in itertools.permutations(range(5), 3):
+                assert six_three(rows, B, 0, 1, k, l, jp, ip, kp) == \
+                    -six_three(rows, B, 0, 1, l, k, ip, jp, kp)
+    rng = np.random.default_rng(0)
+    patterns = enumerate_zero_patterns(4, 4)
+    inputs = [(P, factors) for P, factors in scan_corpus() if factors]
+    for t in range(200):
+        _, A, B = sample_algebraic_boundary(patterns[t % len(patterns)], rng, integer_dist())
+        inputs.append((A @ B, (A, B)))
+    for size in (4, 5, 6, 8):
+        for _ in range(10):
+            A = Matrix.exact(rng.integers(0, 10, (size, 3)).tolist())
+            B = Matrix.exact(rng.integers(0, 10, (3, size)).tolist())
+            inputs.append((A @ B, (A, B)))
+    witnesses = touching = negative = 0
+    for P, (A, B) in inputs:
+        lines = [tuple(r) for r in A.entries]
+        points = list(zip(*B.entries))
+        records, log, _ = _witness_stream(lines, points, "exact", range(P.rows), range(P.cols))
+        found = {rec.witness: rec.touches for rec in records}
+        for w, touches in found.items():
+            assert found.get(w._replace(iprime=w.jprime, jprime=w.iprime)) == touches, w
+        rejected = {entry[:5] for entry in log if entry[-1] == "chord product negative"}
+        for swapped, i, j, ip, jp in rejected:
+            assert (swapped, i, j, jp, ip) in rejected
+        witnesses += len(found)
+        touching += sum(1 for touches in found.values() if touches)
+        negative += len(rejected)
+    assert witnesses > 4000 and touching > 400 and negative > 400, (witnesses, touching, negative)
 
 
 def test_planted_degeneracies_vanish():

@@ -47,8 +47,24 @@ A candidate has C(M − 2, 2)·(N − 2) chord values for M lines and N points.
 The witnesses form one lazy stream: the tuples of this orientation in index
 order, then those with the roles of A and B.T swapped.  The scan decides
 one candidate at a time, as the stream is read, and evaluates its chord
-values in a scalar loop that stops at the first negative pair.  Each entry
-point reads only what it needs: ``nnrank3_membership`` and
+values in a scalar loop that stops at the first negative pair.
+
+On exact input the scan decides each unordered pair of support points of
+a vertex once.  Swapping L1 and L2 trades the two chord brackets with a
+sign change, det(L2 × a_k, L1 × a_l, p) = −det(L1 × a_l, L2 × a_k, p), so
+the mirror (i, j, j', i') of a candidate with i' < j' is a witness with
+the same touches exactly when the candidate is one, and is rejected with
+it.  The scan reaches the candidate first and keeps its decision for the
+vertex; the mirror takes it and is logged and yielded in its own place, so
+records, their order and the log are unchanged.  The exact support flags
+of a vertex are decided all at once, since an exact flag raises nothing.
+Floats keep both per candidate and lazy: a mirror's chord values are other
+products that round apart, so its banded signs and ``marginal`` flag are
+its own, and a head reader's ``marginal`` depends on which flags it read.
+The sign context carries these differences too, as ``mirrors`` and
+``support_flags``.
+
+Each entry point reads only what it needs: ``nnrank3_membership`` and
 ``membership_from_factors`` take the first record, ``all_witnesses`` (and so
 ``boundary_test``) takes them all, ``nonneg_rank3_factorize`` takes the
 first whose triangle yields nonnegative factors, and the ``boundary``
@@ -200,6 +216,7 @@ class _ExactSigns:
 
     marginal = False
     band = 0  # a chord value counts as zero only when it is zero
+    mirrors = True  # a candidate's mirror takes its decision (see the module docstring)
 
     @staticmethod
     def support_table(v, point_crosses, qi, qj) -> list[list]:
@@ -210,6 +227,14 @@ class _ExactSigns:
         read."""
         pairs = list(zip(qi, qj))
         return [[it * ju - iu * jt for iu, ju in pairs] for it, jt in pairs]
+
+    @staticmethod
+    def support_flags(F, qi, qj) -> list:
+        """Whether each point p_t supports the vertex of lines a_i and a_j:
+        p_t is not the vertex (q_i(t), q_j(t) not both zero) and row F[t]
+        shares one sign.  All N at once, as an exact flag raises nothing."""
+        return [(it or jt) != 0 and (min(row) >= 0 or max(row) <= 0)
+                for it, jt, row in zip(qi, qj, F)]
 
     @staticmethod
     def is_zero_vec(vec, kind: str) -> bool:
@@ -231,6 +256,8 @@ class _FloatSigns:
     conservatively (zero plus a marginal flag).
     """
 
+    mirrors = False  # a mirror's chord values round apart, so it is evaluated too
+
     def __init__(self, line_scale: float, point_scale: float):
         ls, ps = float(line_scale), float(point_scale)
         eps = 1e-9  # the one relative band width
@@ -249,6 +276,13 @@ class _FloatSigns:
         """``_support_table`` on the point crosses: on floats the incidence
         minors cancel (see the module docstring)."""
         return _support_table(v, point_crosses)
+
+    @staticmethod
+    def support_flags(F, qi, qj) -> list:
+        """None for every point: the scan decides a flag when it reads it,
+        since a banded flag may raise ``marginal``, and a head reader's
+        ``marginal`` must not depend on flags it never read."""
+        return [None] * len(F)
 
     def sign(self, value, kind: str) -> int:
         if abs(value) <= self.bands[kind]:
@@ -349,7 +383,7 @@ def _scan_orientation(lines, points, ctx, swapped, line_map, point_map, log, tab
     """
     edges, point_crosses, q = tables
     M, N = len(lines), len(points)
-    band = ctx.band
+    band, mirrors = ctx.band, ctx.mirrors
 
     def chord_touches(V, F, pairs, ip, jp):
         # The zero chord triples of candidate (ip, jp), or None if a chord
@@ -384,7 +418,7 @@ def _scan_orientation(lines, points, ctx, swapped, line_map, point_map, log, tab
                 touches.append((line_map[k], line_map[l], point_map[kp]))
                 if (c1 and -band <= c1 <= band) or (c2 and -band <= c2 <= band):
                     ctx.marginal = True
-        return touches
+        return tuple(touches)
 
     for i in range(M):
         for j in range(i + 1, M):
@@ -404,7 +438,8 @@ def _scan_orientation(lines, points, ctx, swapped, line_map, point_map, log, tab
             pairs = list(itertools.combinations([k for k in range(M) if k != i and k != j], 2))
             qi, qj = q[i], q[j]
             F = ctx.support_table(v, point_crosses, qi, qj)
-            ok = [None] * N  # the support flags, decided as the scan reaches them
+            ok = ctx.support_flags(F, qi, qj)  # a None is decided as the scan reaches it
+            decided = {}  # (i', j') -> its touches, or None if rejected
 
             def supports(t):
                 # whether v × p_t is a line (p_t is not v, the one point on
@@ -424,14 +459,17 @@ def _scan_orientation(lines, points, ctx, swapped, line_map, point_map, log, tab
                         ok[jp] = supports(jp)
                     if jp == ip or not ok[jp]:
                         continue
-                    touches = chord_touches(V, F, pairs, ip, jp)
+                    if mirrors and jp < ip:  # the mirror of (jp, ip), decided before it
+                        touches = decided[jp, ip]
+                    else:
+                        touches = decided[ip, jp] = chord_touches(V, F, pairs, ip, jp)
                     if touches is None:
                         log.append((swapped, line_map[i], line_map[j], point_map[ip],
                                     point_map[jp], "chord product negative"))
                         continue
                     yield WitnessRecord(
                         Witness(line_map[i], line_map[j], point_map[ip], point_map[jp], swapped),
-                        tuple(touches))
+                        touches)
 
 
 def _strip_zero_lines(P: Matrix, task: str) -> tuple[Matrix, list[int], list[int]]:

@@ -10,7 +10,7 @@ import pytest
 
 from nnmix import rank3cert
 from nnmix.boundary import (boundary_test, enumerate_zero_patterns, integer_dist,
-                            sample_algebraic_boundary)
+                            sample_algebraic_boundary, sample_integer_product)
 from nnmix.cli import main
 from nnmix.exactla import Matrix, format_matrix, matrix_rank, rank_factorize, rref
 from nnmix.families import uab_matrix
@@ -808,6 +808,136 @@ def test_swapping_the_support_points_mirrors_a_candidate():
         touching += sum(1 for touches in found.values() if touches)
         negative += len(rejected)
     assert witnesses > 4000 and touching > 400 and negative > 400, (witnesses, touching, negative)
+
+
+def _positive_rank3_factors(seed):
+    """Seeded integer (A, B) whose product is positive of rank 3: stratum
+    factors of every 4x4 pattern, each with its transpose (the other
+    kind), and 4x4 to 8x8 integer products."""
+    rng = np.random.default_rng(seed)
+    patterns = enumerate_zero_patterns(4, 4)
+    for t in range(24):
+        _, rows, cols = sample_integer_product(patterns[t % len(patterns)], rng,
+                                               integer_dist())[:3]
+        A, B = Matrix.exact(rows), Matrix.exact(zip(*cols))
+        yield A, B
+        yield B.transpose(), A.transpose()
+    for size in (4, 5, 6, 8):
+        for _ in range(2):
+            A = Matrix.exact(rng.integers(1, 10, (size, 3)).tolist())
+            B = Matrix.exact(rng.integers(1, 10, (3, size)).tolist())
+            yield A, B
+
+
+def _six_three_orientation(A, B, swapped):
+    """The records and the "chord product negative" candidates of one
+    orientation, with every ordered candidate's chord values evaluated by
+    ``six_three`` on its own: the rows of A are the lines, the columns of B
+    the points."""
+    M, N = A.rows, B.cols
+    sign = lambda x: (x > 0) - (x < 0)  # noqa: E731
+    records, negative = [], []
+    for i, j in itertools.combinations(range(M), 2):
+        v = _cross(A.entries[i], A.entries[j])
+        if not any(v) or not _one_sign(sign(bracket3(A.entries, i, j, k))
+                                       for k in range(M) if k not in (i, j)):
+            continue
+        supports = [any(_cross(v, p)) and _one_sign(sign(meet_join(A.entries, B.entries,
+                                                                   i, j, t, u))
+                                                     for u in range(N) if u != t)
+                    for t, p in enumerate(zip(*B.entries))]
+        pairs = list(itertools.combinations([k for k in range(M) if k not in (i, j)], 2))
+        for ip, jp in itertools.permutations(range(N), 2):
+            if not (supports[ip] and supports[jp]):
+                continue
+            values = [((k, l, kp), six_three(A.entries, B.entries, i, j, k, l, ip, jp, kp),
+                       six_three(A.entries, B.entries, i, j, l, k, ip, jp, kp))
+                      for k, l in pairs for kp in range(N) if kp not in (ip, jp)]
+            if any(c1 * c2 < 0 for _, c1, c2 in values):
+                negative.append((swapped, i, j, ip, jp))
+            else:
+                records.append(WitnessRecord(Witness(i, j, ip, jp, swapped),
+                                             tuple(t for t, c1, c2 in values if not c1 * c2)))
+    return records, negative
+
+
+def test_full_enumeration_is_every_candidate_by_six_three(monkeypatch):
+    # the scan decides a mirror from its first candidate; evaluated on its
+    # own, every ordered candidate gives the same records, touches and
+    # "chord product negative" entries, in the same order
+    logs, stream = [], rank3cert._witness_stream
+
+    def spy(*args):
+        out = stream(*args)
+        logs.append(out[1])
+        return out
+
+    monkeypatch.setattr(rank3cert, "_witness_stream", spy)
+    touching = negative = 0
+    for A, B in _positive_rank3_factors(46):
+        logs.clear()
+        decision, records = all_witnesses(A @ B, (A, B))
+        assert decision.rank == 3 and len(logs) == 1
+        want, rejected = _six_three_orientation(A, B, False)
+        swapped = _six_three_orientation(B.transpose(), A.transpose(), True)
+        assert records == want + swapped[0], (A, B)
+        assert [e[:5] for e in logs[0] if e[-1] == "chord product negative"] == \
+            rejected + swapped[1], (A, B)
+        touching += sum(1 for rec in records if rec.touches)
+        negative += len(rejected) + len(swapped[1])
+    assert touching >= 20 and negative >= 20, (touching, negative)
+
+
+def test_full_enumeration_evaluates_one_candidate_of_each_mirror(monkeypatch):
+    # on exact input the mirror (i, j, j', i') of a candidate with i' < j'
+    # takes its decision, so a full enumeration forms the chord factors of
+    # half the candidates it forms when each is evaluated, as floats do
+    calls, chord_factors = [], rank3cert._chord_factors
+
+    def spy(*args):
+        calls.append(args)
+        return chord_factors(*args)
+
+    monkeypatch.setattr(rank3cert, "_chord_factors", spy)
+    total = 0
+    for A, B in _positive_rank3_factors(47):
+        P = A @ B
+        calls.clear()
+        once = all_witnesses(P), boundary_test(P).as_dict()
+        counted = len(calls)
+        with monkeypatch.context() as each:
+            each.setattr(_ExactSigns, "mirrors", False)
+            calls.clear()
+            assert (all_witnesses(P), boundary_test(P).as_dict()) == once
+        assert len(calls) == 2 * counted, P
+        total += counted
+    assert total > 1000, total
+
+
+def test_exact_support_flags_are_the_lazy_rule():
+    # _ExactSigns decides a vertex's N support flags at once; each is the
+    # rule the scan applies lazily on floats, on every vertex of seeded
+    # lines and points with zero rows and points planted at a vertex
+    rng = np.random.default_rng(33)
+    seen = set()
+    for t in range(40):
+        m, n = (int(x) for x in rng.integers(3, 8, size=2))
+        rows = [tuple(int(x) for x in rng.integers(-9, 10, size=3)) for _ in range(m)]
+        cols = [tuple(int(x) for x in rng.integers(-9, 10, size=3)) for _ in range(n)]
+        if t % 2:
+            rows[t % m] = cols[t % n] = (0, 0, 0)
+        cols[(t + 1) % n] = _cross(rows[0], rows[1])
+        for lines, points in ((rows, cols), (cols, rows)):
+            point_crosses = _crosses(points)
+            q = [[_dot(a, p) for p in points] for a in lines]
+            for i, j in itertools.combinations(range(len(lines)), 2):
+                F = _ExactSigns.support_table(None, point_crosses, q[i], q[j])
+                lazy = [not _ExactSigns.is_zero_vec((q[i][u], q[j][u]), "x11")
+                        and _ExactSigns.one_sign(F[u], "mj") for u in range(len(points))]
+                assert _ExactSigns.support_flags(F, q[i], q[j]) == lazy
+                assert _FloatSigns(1.0, 1.0).support_flags(F, q[i], q[j]) == [None] * len(F)
+                seen.update((flag, q[i][u] == q[j][u] == 0) for u, flag in enumerate(lazy))
+    assert seen == {(True, False), (False, False), (False, True)}
 
 
 def test_planted_degeneracies_vanish():

@@ -347,9 +347,10 @@ def _em_update(U, mask, u_plus, AL, B, P):
     and their product.  Arrays may carry a leading batch axis: a single run
     and a batch go through the same calls.  When m, n and r are all 2 or
     more, the new ``AL`` is a view of an (m, batch, r) buffer, whose strided
-    matrices BLAS reads and writes in place.  A component whose weight comes
-    out zero gets the uniform row 1/n in ``B`` (and, from ``_split``, the
-    uniform column 1/m in ``A``).
+    matrices BLAS reads and writes in place.  The round writes only into
+    arrays it makes.  A component whose weight comes out zero gets the
+    uniform row 1/n in ``B`` (and, from ``_split``, the uniform column 1/m
+    in ``A``).
     """
     # an observed cell of a live run has P > _TINY, so the floor only turns
     # 0/0 at an unobserved cell (where U is 0) into 0
@@ -358,20 +359,25 @@ def _em_update(U, mask, u_plus, AL, B, P):
     # the batch axis goes inside unless a product is a matrix-vector one (a
     # dimension is 1): the bits of those depend on the strides
     inside = min(m, r, B.shape[-1]) > 1
-    rows = np.empty((m,) + AL.shape[:-2] + (r,)) if inside else np.empty(AL.shape).swapaxes(0, -2)
+    # the contiguous memory Sa lives in: (m, batch, r), or run-major
+    buf = np.empty((m,) + AL.shape[:-2] + (r,) if inside else AL.shape)
+    rows = buf if inside else buf.swapaxes(0, -2)
     # B.T is copied: the product on a contiguous operand is faster, same bits
     Sa = np.matmul(W, B.swapaxes(-1, -2).copy(), out=rows.swapaxes(0, -2))
-    Sa *= AL                                   # u_plus * AL_new
-    Sb = B * (AL.swapaxes(-1, -2) @ W)         # u_plus * lam_new * B_new
+    # u_plus * AL_new, on buf: contiguous on both sides when AL is the last
+    # round's Sa, which lives in the same layout
+    buf *= AL.swapaxes(0, -2) if inside else AL
+    Sb = np.matmul(AL.swapaxes(-1, -2), W)
+    np.multiply(B, Sb, out=Sb)                 # u_plus * lam_new * B_new
     # u_plus * lam_new: the rows of Sa added in order, which sum(axis=0) does
     # on contiguous rows of two or more numbers, and accumulate on any rows
     s = (rows.sum(axis=0) if inside else np.add.accumulate(rows)[-1])[..., None]
-    if s.all():
-        B_new = Sb / s
+    if np.count_nonzero(s) == s.size:
+        B_new = np.divide(Sb, s, out=Sb)
     else:
         dead = s == 0
         B_new = np.where(dead, 1.0 / B.shape[-1], Sb / np.where(dead, 1.0, s))
-    Sa /= u_plus
+    buf /= u_plus
     return Sa, B_new, Sa @ B_new
 
 
@@ -570,7 +576,9 @@ def _em_loop(data: DataMatrix, A, lam, B, max_iter: int, tol: float,
         ll_new, bad = _loglik(counts, cells, P_new)
         if bad is not None:  # only past r * u_plus**2 >= 1e300 (see above)
             raise EMNumericalError("mixture probability underflowed after an EM step")
-        close = np.abs(P_new - P_in) < tol  # entries that moved by less than tol
+        # entries that moved by less than tol, in one difference buffer
+        moved = np.subtract(P_new, P_in)
+        close = np.less(np.abs(moved, out=moved), tol)
         if extrapolated and ext.any():
             # keep x2 where the step from x' is lower (an x' that underflows is x2)
             back = ext & ~(ll_new >= ll_old)

@@ -58,11 +58,11 @@ it.  The scan reaches the candidate first and keeps its decision for the
 vertex; the mirror takes it and is logged and yielded in its own place, so
 records, their order and the log are unchanged.  The exact support flags
 of a vertex are decided all at once, since an exact flag raises nothing.
-Floats keep both per candidate and lazy: a mirror's chord values are other
-products that round apart, so its banded signs and ``marginal`` flag are
-its own, and a head reader's ``marginal`` depends on which flags it read.
-The sign context carries these differences too, as ``mirrors`` and
-``support_flags``.
+Floats keep both per candidate and lazy, with no memo: a mirror's chord
+values are other products that round apart, so its banded signs and
+``marginal`` flag are its own, and a head reader's ``marginal`` depends
+on which flags it read.  The sign context carries these differences too,
+as ``mirrors`` and ``support_flags``.
 
 Each entry point reads only what it needs: ``nnrank3_membership`` and
 ``membership_from_factors`` take the first record, ``all_witnesses`` (and so
@@ -462,7 +462,9 @@ def _scan_orientation(lines, points, ctx, swapped, line_map, point_map, log, tab
                     if mirrors and jp < ip:  # the mirror of (jp, ip), decided before it
                         touches = decided[jp, ip]
                     else:
-                        touches = decided[ip, jp] = chord_touches(V, F, pairs, ip, jp)
+                        touches = chord_touches(V, F, pairs, ip, jp)
+                        if mirrors:
+                            decided[ip, jp] = touches
                     if touches is None:
                         log.append((swapped, line_map[i], line_map[j], point_map[ip],
                                     point_map[jp], "chord product negative"))

@@ -328,6 +328,34 @@ def test_batched_update_with_a_dead_component():
     assert np.all(got[1][1, 1] == 1 / 5)
 
 
+@pytest.mark.parametrize("accelerate", [False, True], ids=["plain", "squarem"])
+@pytest.mark.parametrize("runs", [1, 6])
+@pytest.mark.parametrize("observed", ["full", "zero_cell"])
+def test_update_and_loop_write_into_no_given_array(observed, runs, accelerate):
+    # the round multiplies and divides in place in buffers it makes, and
+    # reads the last round's AL through that AL's contiguous memory; neither
+    # the round nor the loop may write into an array it is given
+    U = np.random.default_rng(44).integers(1, 30, size=(4, 5)).astype(float)
+    if observed == "zero_cell":
+        U[1, 2] = 0.0
+    data = em.DataMatrix.from_array(U)
+    mask = None if (U > 0).all() else U > 0
+    A, lam, B = TestQuarantine._starts(U, 3, range(runs))
+    AL = A * lam[:, None, :]
+    Us = np.repeat(U[None], runs, axis=0)
+    given = (AL, B, AL @ B)
+    for _ in range(3):  # the start's layout, then the last round's
+        kept = [x.copy() for x in (Us,) + given]
+        got = em._em_update(Us, mask, data.u_plus, *given)
+        assert all(np.array_equal(x, y) for x, y in zip((Us,) + given, kept))
+        assert not np.shares_memory(got[1], given[1])
+        given = got
+    starts = (A, lam, B)
+    kept = [x.copy() for x in starts + (data.U,)]
+    em._em_loop(data, *starts, max_iter=200, tol=1e-8, accelerate=accelerate)
+    assert all(np.array_equal(x, y) for x, y in zip(starts + (data.U,), kept))
+
+
 class TestQuarantine:
     @staticmethod
     def _starts(U, r, seeds, dead=()):

@@ -356,6 +356,30 @@ class TestFactorize:
         assert B == Matrix.exact([["0", "0", "1/2", "1/2"], ["1/6", "2/3", "1/6", "0"],
                                   ["3/5", "1/5", "0", "1/5"]])
 
+    def test_internal_errors_stop_a_faulty_construction(self, monkeypatch):
+        # the three internal-error checks guard the returned factors against
+        # a fault in the parts that build them; each is reached by one fault
+        P = Matrix.exact(NICE_P)
+        triangle, reembed = rank3cert._triangle_factors, rank3cert._reembed
+
+        def other_matrix(form, wit):  # factors of 2 P, not of P
+            factors = triangle(form, wit)
+            return factors and (factors[0].scale(2), factors[1])
+
+        def negated(*args):  # (-A)(-B) is still P
+            return tuple(x.scale(-1) for x in reembed(*args))
+
+        for name, fault, message in (
+                ("_triangle_factors", lambda form, wit: None, "no usable witness"),
+                ("_triangle_factors", other_matrix, "does not reproduce input"),
+                ("_reembed", negated, "has negative entries")):
+            with monkeypatch.context() as patch:
+                patch.setattr(rank3cert, name, fault)
+                with pytest.raises(ArithmeticError, match=f"internal error: .*{message}"):
+                    nonneg_rank3_factorize(P)
+        A, B = nonneg_rank3_factorize(P)
+        assert A @ B == P and A.is_nonnegative() and B.is_nonnegative()
+
     def test_builds_only_the_returned_fractions(self, monkeypatch):
         # the triangle runs on ints: the Fractions built are the 3(m + n)
         # entries of the factors and the one zero that pads stripped lines

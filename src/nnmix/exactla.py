@@ -24,9 +24,9 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import isfinite, lcm, prod
+from math import gcd, isfinite, lcm, prod
 from operator import mul
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -229,25 +229,30 @@ def from_numpy(arr: np.ndarray) -> Matrix:
 # -- elimination ------------------------------------------------------
 
 
-def clear_denominators(values) -> tuple[list[int], int]:
+def clear_denominators(values) -> tuple[Sequence[int], int]:
     """Integers ``d * x`` for each rational ``x`` and their positive multiplier ``d``.
 
-    ``d`` is the least common multiple of the denominators.  A positive
-    scaling changes no sign, no zero and no pivot column, which is what lets
-    the elimination and the witness scan run on ints.
+    ``d`` is the least common multiple of the denominators; ``int``s come
+    back as they are, with ``d = 1``.  A positive scaling changes no sign,
+    no zero and no pivot column, which is what lets the elimination and the
+    witness scan run on ints.
     """
+    if all(type(x) is int for x in values):
+        return values, 1
     d = lcm(*(x.denominator for x in values))
     return [x.numerator * (d // x.denominator) for x in values], d
 
 
-def _cleared_product(A: Matrix, B: Matrix) -> list[list[tuple[int, int]]]:
-    """The exact ``A @ B`` as unreduced ``(numerator, denominator)`` pairs.
+def _cleared_operands(A: Matrix, B: Matrix) -> tuple[list, list]:
+    """A's rows and B's columns, each cleared once by :func:`clear_denominators`."""
+    return ([clear_denominators(r) for r in A.entries],
+            [clear_denominators(c) for c in zip(*B.entries)])
 
-    Each row of A and each column of B is cleared once, so an entry is one
-    integer dot product over the product of two multipliers.
-    """
-    rows = [clear_denominators(r) for r in A.entries]
-    cols = [clear_denominators(c) for c in zip(*B.entries)]
+
+def _cleared_product(A: Matrix, B: Matrix) -> list[list[tuple[int, int]]]:
+    """The exact ``A @ B`` as unreduced ``(numerator, denominator)`` pairs:
+    one integer dot product per entry, over the product of two multipliers."""
+    rows, cols = _cleared_operands(A, B)
     return [[(sum(map(mul, ra, cb)), da * db) for cb, db in cols] for ra, da in rows]
 
 
@@ -263,7 +268,8 @@ def _gauss_jordan(M: Matrix, tol: float = DEFAULT_RANK_TOL) -> tuple:
     to right, which makes the resulting factorizations deterministic.
 
     The exact backend takes the first nonzero pivot in each column and runs
-    fraction-free (Bareiss) Gauss-Jordan on the cleared rows: every
+    fraction-free (Bareiss) Gauss-Jordan on the cleared rows, each divided
+    by the gcd of its entries (``det`` multiplies them back): every
     intermediate is an integer minor, so no gcd is taken in the loop, and
     the rows end as ``d * RREF`` for one positive integer ``d``.  The float
     backend picks the largest-magnitude pivot, treats values at or below
@@ -272,7 +278,9 @@ def _gauss_jordan(M: Matrix, tol: float = DEFAULT_RANK_TOL) -> tuple:
     m, n = M.shape
     if M.backend == EXACT:
         cleared = [clear_denominators(r) for r in M.entries]
-        work = [row for row, _ in cleared]
+        # a scaled input is eliminated on the integers of the unscaled one
+        gs = [gcd(*row) or 1 for row, _ in cleared]
+        work = [[x // g for x in row] if g > 1 else row for (row, _), g in zip(cleared, gs)]
         pivots = []
         sign, prev = 1, 1
         for c in range(n):
@@ -295,7 +303,7 @@ def _gauss_jordan(M: Matrix, tol: float = DEFAULT_RANK_TOL) -> tuple:
             pivots.append(c)
         if prev < 0:
             work = [[-x for x in row] for row in work]
-        return work, pivots, abs(prev), cleared, sign * prev
+        return work, pivots, abs(prev), cleared, sign * prev * prod(gs)
 
     work = [list(r) for r in M.entries]
     scale = max((abs(x) for r in M.entries for x in r), default=0.0)

@@ -67,8 +67,14 @@ as ``mirrors`` and ``support_flags``.
 Each entry point reads only what it needs: ``nnrank3_membership`` and
 ``membership_from_factors`` take the first record, ``all_witnesses`` (and so
 ``boundary_test``) takes them all, ``nonneg_rank3_factorize`` takes the
-first whose triangle yields nonnegative factors, and the ``boundary``
-command takes records up to the first that touches nowhere.
+first whose triangle is not flat, and the ``boundary`` command takes
+records up to the first that touches nowhere.
+
+A rank-3 member has a witness, and an ``out`` verdict rests on that.  An
+exact member with three rows shows one in the first orientation, as three
+lines leave no chord pair and the two extreme points seen from a vertex
+support it; with three columns the swapped one does.  The float band can
+hide every witness of a thin matrix, which is then ``in`` by its rank.
 
 Every entry point eliminates P at most once.  ``membership_from_factors``,
 and ``all_witnesses`` and ``boundary_test`` given an exact ``factors =
@@ -108,8 +114,8 @@ from typing import NamedTuple
 
 # matrix_rank and rank_factorize are not called here; the benchmark's tracer
 # wraps them by these names
-from .exactla import (EXACT, Matrix, _gauss_jordan, clear_denominators,
-                      matrix_rank, rank_factorize)
+from .exactla import (EXACT, Matrix, _cleared_operands, _gauss_jordan, matrix_rank,
+                      rank_factorize)
 
 
 class DomainError(ValueError):
@@ -591,12 +597,12 @@ def _decide(P: Matrix, factors, row_map, col_map, take):
     witness stream of ``factors`` (the lines and points of a rank-3
     factorization of P, the one eliminated here when None, its exact lines
     in lowest terms) decides, and a matrix with no witness is ``in`` only
-    when thin.  Exact factors whose lines and points each span three
-    dimensions give P rank 3 without an elimination: A has full column
-    rank and B full row rank.  Any other P is eliminated.  Returns the
-    decision, what ``take`` read from the stream, and the eliminated
-    factors in integer form (None for rank > 3 and when nothing was
-    eliminated).
+    when thin, which a float input alone reaches.  Exact factors whose lines
+    and points each span three dimensions give P rank 3 without an
+    elimination: A has full column rank and B full row rank.  Any other P
+    is eliminated.  Returns the decision, what ``take`` read from the
+    stream, and the eliminated factors in integer form (None for rank > 3
+    and when nothing was eliminated).
     """
     if factors and P.backend == EXACT and all(map(_spans_three, factors)):
         rank, built = 3, None
@@ -624,17 +630,11 @@ def _decide(P: Matrix, factors, row_map, col_map, take):
     return dec, found, built
 
 
-def _cleared(vector) -> tuple:
-    """``clear_denominators`` of an exact vector; an int one is its own."""
-    return (vector, 1) if all(type(x) is int for x in vector) else clear_denominators(vector)
-
-
 def _cleared_factors(A: Matrix, B: Matrix, P: Matrix):
     """A's rows and B's columns as ``(ints, multiplier)`` pairs, or None
     unless the exact ``A @ B`` equals the exact P.  The entries are compared
     on integers, so no ``Fraction`` is built."""
-    rows = [_cleared(r) for r in A.entries]
-    cols = [_cleared(c) for c in zip(*B.entries)]
+    rows, cols = _cleared_operands(A, B)
     if all(sum(map(mul, ra, cb)) * x.denominator == x.numerator * da * db
            for (ra, da), want in zip(rows, P.entries) for (cb, db), x in zip(cols, want)):
         return rows, cols
@@ -706,8 +706,8 @@ def membership_from_factors(A, B) -> MembershipDecision:
     if A.cols != 3:
         factors = None
     elif A.backend == EXACT:  # a positive scaling changes no sign
-        factors = ([clear_denominators(r)[0] for r in A.entries],
-                   [clear_denominators(c)[0] for c in zip(*B.entries)])
+        rows, cols = _cleared_operands(A, B)
+        factors = [r for r, _ in rows], [c for c, _ in cols]
     else:
         factors = A.entries, list(zip(*B.entries))
     return _decide(P, factors, list(range(A.rows)), list(range(B.cols)), _head)[0]
@@ -757,38 +757,24 @@ def _build_triangle(lines, points, s, wit: Witness):
     the outer polygon.  ``s`` is the chart functional sum(A @ y) up to a
     positive factor, and each vertex w is scaled to s·w > 0, so a·w has the
     sign a takes at the affine point w / (s·w).  Two points are equal when
-    their cross product is zero.  Returns None when this witness is
-    degenerate.
+    their cross product is zero.  A support line meets the polygon in a
+    segment from the apex to its exit point, so the first meet with an edge
+    line in the polygon that is not the apex is that point.
     """
     def on_chart(w):
         sigma = _dot(s, w)
         return None if sigma == 0 else w if sigma > 0 else tuple(-x for x in w)
 
-    def same(p, q):
-        return not any(_cross(p, q))
-
     i, j = wit.i, wit.j
     v = on_chart(_cross(lines[i], lines[j]))
-    if v is None:
-        return None
 
     def exit_point(t):
         support = _cross(v, points[t])
-        candidates = []
-        for k in range(len(lines)):
-            if k in (i, j):
-                continue
-            w = on_chart(_cross(support, lines[k]))
-            if w is None or same(w, v):
-                continue
-            if (all(_dot(a, w) >= 0 for a in lines)
-                    and not any(same(w, c) for c in candidates)):
-                candidates.append(w)
-        return candidates[0] if len(candidates) == 1 else None
+        meets = (on_chart(_cross(support, a)) for k, a in enumerate(lines) if k != i and k != j)
+        return next(w for w in meets if w is not None and any(_cross(w, v))
+                    and all(_dot(a, w) >= 0 for a in lines))
 
-    w1 = exit_point(wit.iprime)
-    w2 = exit_point(wit.jprime)
-    return None if w1 is None or w2 is None else (v, w1, w2)
+    return v, exit_point(wit.iprime), exit_point(wit.jprime)
 
 
 def _reembed(A: Matrix, B: Matrix, m: int, n: int, row_map, col_map):
@@ -806,22 +792,23 @@ def _low_rank_factorization(P: Matrix, rank: int, form):
         return (Matrix.exact([[Fraction(x, c) for x in a] for a, c in zip(lines, line_den)]),
                 Matrix.exact([[Fraction(p[k], e) for p, e in zip(points, den)]
                               for k in range(3)]))
-    # rank 2: columns live in a pointed planar cone; find two extreme columns,
-    # the pair whose coordinates give every column nonnegative coefficients
-    zero = Fraction(0)
+    # rank 2: the columns span a pointed planar cone, and a column on each of
+    # its two extreme rays gives every column nonnegative coefficients (det
+    # times Cramer's), so the loop always breaks
     for a, b in itertools.combinations(range(P.cols), 2):
         (a0, a1, _), (b0, b1, _) = points[a], points[b]
         det = a0 * b1 - a1 * b0
         coeffs = [(y0 * b1 - y1 * b0, a0 * y1 - a1 * y0) for y0, y1, _ in points]
         if det and all(al * det >= 0 and be * det >= 0 for al, be in coeffs):
-            # column y of B is points[y] / den[y], which scales its two
-            # coefficients by den[a] / den[y] and den[b] / den[y]
-            A = Matrix.exact([row[a], row[b], zero] for row in P.entries)
-            B = Matrix.exact([[Fraction(al * den[a], det * e) for (al, _), e in zip(coeffs, den)],
-                              [Fraction(be * den[b], det * e) for (_, be), e in zip(coeffs, den)],
-                              [zero] * P.cols])
-            return A, B
-    raise NotInModelError("no extreme column pair found for a rank-2 matrix")
+            break
+    # column y of B is points[y] / den[y], which scales its two coefficients
+    # by den[a] / den[y] and den[b] / den[y]
+    zero = Fraction(0)
+    A = Matrix.exact([row[a], row[b], zero] for row in P.entries)
+    B = Matrix.exact([[Fraction(al * den[a], det * e) for (al, _), e in zip(coeffs, den)],
+                      [Fraction(be * den[b], det * e) for (_, be), e in zip(coeffs, den)],
+                      [zero] * P.cols])
+    return A, B
 
 
 def nonneg_rank3_factorize(P) -> tuple[Matrix, Matrix]:
@@ -874,6 +861,9 @@ def _triangle_factors(form, wit: Witness):
     factors returned are built as ``Fraction``s.  A swapped witness is an
     unswapped one of (A @ B).T = B.T @ A.T: its triangle is built on the
     swapped form and the factors are transposed back.
+    A witness's triangle holds every point, so its factors are nonnegative;
+    a flat one, with both support points on one line through the apex,
+    gives None.
     """
     lines, line_den, points, point_den = form
     if wit.swapped:
@@ -881,16 +871,12 @@ def _triangle_factors(form, wit: Witness):
     sigma = lcm(*line_den)  # s = s_int / sigma
     s = [sum(a[k] * (sigma // c) for a, c in zip(lines, line_den)) for k in range(3)]
     W = _build_triangle(lines, points, s, wit)
-    if W is None:
-        return None
     inverse = [_cross(W[(c + 1) % 3], W[(c + 2) % 3]) for c in range(3)]
     det = _dot(W[0], inverse[0])
     if det == 0:
         return None
     a_num = [[_dot(a, w) for w in W] for a in lines]
     b_num = [[_dot(r, p) for p in points] for r in inverse]
-    if any(x < 0 for row in a_num for x in row) or any(x * det < 0 for row in b_num for x in row):
-        return None
     sw = [_dot(s, w) for w in W]
     A_nn = tuple(tuple(Fraction(sigma * x, c * y) for x, y in zip(row, sw))
                  for row, c in zip(a_num, line_den))

@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nnmix.exactla import (DimensionError, Matrix, RankExcessError, _coerce_exact,
-                           determinant, format_matrix, format_scalar, from_numpy,
-                           matrix_rank, parse_matrix, parse_scalar, rank_factorize, rref)
+                           _gauss_jordan, clear_denominators, determinant, format_matrix,
+                           format_scalar, from_numpy, matrix_rank, parse_matrix, parse_scalar,
+                           rank_factorize, rref)
 
 from conftest import CURVE_BASE, random_rational_matrix, uab_rows
 
@@ -249,6 +250,33 @@ class TestIntegerElimination:
             assert A @ B == M
             assert all(isinstance(x, Fraction) for F in (A, B) for row in F.entries for x in row)
         assert ranks == set(range(8))
+
+    def test_a_scaled_matrix_is_eliminated_on_the_unscaled_integers(self):
+        # each cleared row is divided by the gcd of its entries before the
+        # elimination, so a scaled matrix gives the rows, pivots and d of the
+        # unscaled one; the clearing is returned as it is, and the
+        # determinant multiplies the gcds back
+        ranks = set()
+        for M in oracle_matrices(1000, seed=29):
+            work, pivots, d, _, _ = _gauss_jordan(M)
+            ranks.add(len(pivots))
+            for k in (10**100, Fraction(7, 3), Fraction(1, 10**50)):
+                S = M.scale(k)
+                got, got_pivots, got_d, cleared, _ = _gauss_jordan(S)
+                assert (list(map(list, got)), got_pivots, got_d) == \
+                    (list(map(list, work)), pivots, d)
+                assert rref(S) == rref(M)
+                assert cleared == [clear_denominators(r) for r in S.entries]
+                if M.rows == M.cols:
+                    assert determinant(S) == k ** M.rows * determinant(M)
+        assert ranks == set(range(8))
+
+
+def test_clear_denominators_returns_an_int_vector_as_it_is():
+    ints = (3, 0, -12)
+    assert clear_denominators(ints) == (ints, 1) and clear_denominators(ints)[0] is ints
+    assert clear_denominators([Fraction(1, 2), 3, Fraction(-5, 6)]) == ([3, 18, -5], 6)
+    assert clear_denominators([True, 2]) == ([1, 2], 1)
 
 
 def fraction_matmul(A: Matrix, B: Matrix) -> tuple:

@@ -173,6 +173,51 @@ class TestMembership:
         dec = nnrank3_membership(P)
         assert dec.verdict == "in"
 
+    def test_exact_thin_members_show_a_witness(self):
+        # a rank-3 nonnegative matrix with three rows shows a witness in the
+        # first orientation, and one with three columns in the swapped one,
+        # also with zero entries and a column (row) on a vertex of the outer
+        # triangle; so the thin ``in`` with no witness is never reached on
+        # exact input
+        rng = np.random.default_rng(31)
+        on_vertex = 0
+        for n in range(3, 9):
+            for _ in range(12):
+                rows = rng.integers(0, 4, size=(3, 3)) @ rng.integers(0, 4, size=(3, n))
+                rows[:, int(rng.integers(0, n))] = 0
+                rows[int(rng.integers(0, 3)), int(rng.integers(0, n))] = 0
+                if rng.random() < 0.5:  # a column with two zeros lies on a vertex
+                    col = int(rng.integers(0, n))
+                    rows[:, col] = 0
+                    rows[int(rng.integers(0, 3)), col] = int(rng.integers(1, 9))
+                    on_vertex += 1
+                for P in (Matrix.exact(rows.tolist()), Matrix.exact(rows.T.tolist())):
+                    if matrix_rank(P) != 3:
+                        continue
+                    dec = nnrank3_membership(P)
+                    full, records = all_witnesses(P)
+                    assert dec.witness is not None and dec.note is None, P.entries
+                    assert full.note is None and records[0].witness == dec.witness
+                    assert P.rows != 3 or not dec.witness.swapped
+                    assert P.cols != 3 or records[-1].witness.swapped
+                    assert boundary_test(P).witnesses == len(records)
+        assert on_vertex > 20
+
+    def test_a_thin_float_matrix_can_show_no_witness(self):
+        # the fourth column's RREF coordinates reach 1e10, so every incidence
+        # a_l·p_t lies within the band of the largest line times the largest
+        # point and no point supports a vertex; swapped, the three unit
+        # columns are parallel within the band.  A thin matrix has
+        # nonnegative rank equal to its rank, so the verdict is ``in``,
+        # flagged; the exact matrix shows a witness
+        rows = [["1", "0", "1e-3", "0"], ["0", "1e-6", "1e-2", "0"], ["1e-4", "0", "0", "1e-1"]]
+        dec = nnrank3_membership(Matrix.from_floats(rows))
+        assert (dec.verdict, dec.witness, dec.rank, dec.marginal, dec.note) == \
+            ("in", None, 3, True, "thin matrix: nonnegative rank equals rank")
+        for P in (Matrix.exact([[Fraction(x) for x in r] for r in rows]),
+                  Matrix.from_floats(rows).transpose()):
+            assert nnrank3_membership(P).witness is not None
+
     def test_random_products_are_members(self):
         rng = np.random.default_rng(17)
         for _ in range(50):
@@ -355,6 +400,27 @@ class TestFactorize:
         assert A == Matrix.exact([[0, 18, 5], [4, 24, 0], [16, 0, 20], [16, 12, 5]])
         assert B == Matrix.exact([["0", "0", "1/2", "1/2"], ["1/6", "2/3", "1/6", "0"],
                                   ["3/5", "1/5", "0", "1/5"]])
+
+    def test_a_flat_triangle_is_passed_over(self, monkeypatch):
+        # the unit square's lines, two points on its diagonal from the vertex
+        # (0, 0) and two below it: the two on the diagonal both support the
+        # vertex, every chord value of that pair is zero, and their triangle is
+        # flat, so the next witness gives the factors
+        lines = [(1, 0, 0), (0, 1, 0), (-1, 0, 1), (0, -1, 1)]
+        points = [(1, 1, 4), (1, 1, 2), (2, 1, 4), (3, 2, 4)]
+        P = Matrix.exact([[_dot(a, p) for p in points] for a in lines])
+        built, triangle = [], rank3cert._triangle_factors
+
+        def spy(form, wit):
+            built.append((wit, triangle(form, wit)))
+            return built[-1][1]
+
+        monkeypatch.setattr(rank3cert, "_triangle_factors", spy)
+        A, B = nonneg_rank3_factorize(P)
+        assert A @ B == P and A.is_nonnegative() and B.is_nonnegative()
+        assert [(w, f is None) for w, f in built] == [
+            (Witness(0, 1, 0, 1, False), True), (Witness(0, 1, 0, 2, False), False)]
+        assert all_witnesses(P)[1][0].touches == ((2, 3, 2), (2, 3, 3))
 
     def test_internal_errors_stop_a_faulty_construction(self, monkeypatch):
         # the three internal-error checks guard the returned factors against

@@ -35,13 +35,22 @@ The identities are exact, so on integers every sign is the composed bracket's.
 
 On exact input the support brackets are the 2x2 minors of the incidence
 rows of the vertex's two lines, F_t(u) = q_i(t)·q_j(u) − q_i(u)·q_j(t)
-(Binet–Cauchy again): two products per entry.  Floats keep
+(Binet–Cauchy again), the determinant of w_t = (q_i(t), q_j(t)) and w_u,
+and no table of them is built.  Every incidence the package scans is a
+positive multiple of an entry of a nonnegative P, so the nonzero w_t lie
+in one closed quadrant, where the determinant's sign orders their slopes
+q_j/q_i: p_t supports the vertex exactly when w_t is nonzero at the
+smallest or the largest slope (ties on an extreme ray included, a point
+at the vertex excluded), and one pass of cross-multiplications finds
+those points.  A chord test reads only the row F_j' of its candidate, N
+minors formed when the test runs.  Signed incidences, which only a direct
+call can pass, are read row by row.  Floats keep the table
 F_t(u) = v·(p_t × p_u), because the minors cancel there: read as minors,
 18 of the 91 float inputs of the golden verdict corpus change a
 ``marginal`` flag, 11 of them from unflagged to flagged on every call.
-The sign context carries this choice as ``support_table``, and the chord
-band as ``band``: a chord value within ``band`` of zero counts as zero,
-0 on exact input.
+The sign context carries this choice as ``support_table`` (None on exact
+input) and ``support_row``, and the chord band as ``band``: a chord value
+within ``band`` of zero counts as zero, 0 on exact input.
 
 A candidate has C(M − 2, 2)·(N − 2) chord values for M lines and N points.
 The witnesses form one lazy stream: the tuples of this orientation in index
@@ -57,12 +66,14 @@ the same touches exactly when the candidate is one, and is rejected with
 it.  The scan reaches the candidate first and keeps its decision for the
 vertex; the mirror takes it and is logged and yielded in its own place, so
 records, their order and the log are unchanged.  The exact support flags
-of a vertex are decided all at once, since an exact flag raises nothing.
+of a vertex are decided all at once, since an exact flag raises nothing,
+and a candidate's second point is drawn from the supporting points alone.
 Floats keep both per candidate and lazy, with no memo: a mirror's chord
 values are other products that round apart, so its banded signs and
 ``marginal`` flag are its own, and a head reader's ``marginal`` depends
-on which flags it read.  The sign context carries these differences too,
-as ``mirrors`` and ``support_flags``.
+on which flags it read, so every point is read as a second point and its
+flag decided there.  The sign context carries these differences too, as
+``mirrors`` and ``support_flags``.
 
 Each entry point reads only what it needs: ``nnrank3_membership`` and
 ``membership_from_factors`` take the first record, ``all_witnesses`` (and so
@@ -173,10 +184,10 @@ def _dot(p, q):
 
 
 def _crosses(vectors) -> list[list]:
-    """u_k × u_l for every k < l, as a square table (None on and below the
-    diagonal): the vertices of line pairs, and the supports of point pairs."""
-    return [[_cross(u, w) if k < l else None for l, w in enumerate(vectors)]
-            for k, u in enumerate(vectors)]
+    """u_k × u_l for every k < l, row k listing l = k + 1, k + 2, ...: the
+    vertices of line pairs, and the supports of point pairs."""
+    return [[(u1 * w2 - u2 * w1, u2 * w0 - u0 * w2, u0 * w1 - u1 * w0)  # _cross(u, w)
+             for w0, w1, w2 in vectors[k + 1:]] for k, (u0, u1, u2) in enumerate(vectors)]
 
 
 def _support_table(v, point_crosses) -> list[list]:
@@ -186,7 +197,7 @@ def _support_table(v, point_crosses) -> list[list]:
     F: list[list] = []
     for t, crosses in enumerate(point_crosses):
         F.append([-F[u][t] for u in range(t)] + [0]
-                 + [v0 * c0 + v1 * c1 + v2 * c2 for c0, c1, c2 in crosses[t + 1:]])
+                 + [v0 * c0 + v1 * c1 + v2 * c2 for c0, c1, c2 in crosses])
     return F
 
 
@@ -225,22 +236,55 @@ class _ExactSigns:
     mirrors = True  # a candidate's mirror takes its decision (see the module docstring)
 
     @staticmethod
-    def support_table(v, point_crosses, qi, qj) -> list[list]:
-        """The support brackets of the vertex v of lines a_i and a_j as the
-        2x2 minors of their incidence rows, F[t][u] = det(v, p_t, p_u) =
-        q_i(t)·q_j(u) − q_i(u)·q_j(t) (Binet–Cauchy): two products per entry
-        and no dot with a point cross.  ``v`` and ``point_crosses`` are not
-        read."""
-        pairs = list(zip(qi, qj))
-        return [[it * ju - iu * jt for iu, ju in pairs] for it, jt in pairs]
+    def support_table(v, point_crosses) -> None:
+        """None: no table is built; ``support_flags`` compares slopes, and
+        ``support_row`` forms the one row a chord test reads."""
+        return None
 
     @staticmethod
-    def support_flags(F, qi, qj) -> list:
-        """Whether each point p_t supports the vertex of lines a_i and a_j:
-        p_t is not the vertex (q_i(t), q_j(t) not both zero) and row F[t]
-        shares one sign.  All N at once, as an exact flag raises nothing."""
-        return [(it or jt) != 0 and (min(row) >= 0 or max(row) <= 0)
-                for it, jt, row in zip(qi, qj, F)]
+    def support_row(F, qi, qj, t) -> list:
+        """Row t of the support brackets of the vertex v of lines a_i and a_j
+        as 2x2 minors of their incidence rows, F[t][u] = det(v, p_t, p_u) =
+        q_i(t)·q_j(u) − q_i(u)·q_j(t) (Binet–Cauchy): two products per entry
+        and no dot with a point cross.  ``F`` is not read."""
+        it, jt = qi[t], qj[t]
+        return [it * ju - iu * jt for iu, ju in zip(qi, qj)]
+
+    @staticmethod
+    def support_flags(qi, qj) -> tuple[list, list]:
+        """Whether each point p_t supports the vertex of lines a_i and a_j,
+        and the points that do, in index order: p_t is not the vertex
+        (q_i(t), q_j(t) not both zero) and row F[t] shares one sign.  All N
+        at once, as an exact flag raises nothing.  On nonnegative incidences
+        these are the points w_t = (q_i(t), q_j(t)) at the smallest and the
+        largest slope q_j/q_i (see the module docstring), found in one pass
+        with no table; signed ones are read row by row."""
+        if min(qi) < 0 or min(qj) < 0:
+            flags = [(it or jt) != 0 and _ExactSigns.one_sign(_ExactSigns.support_row(
+                None, qi, qj, t), "mj") for t, (it, jt) in enumerate(zip(qi, qj))]
+            return flags, [t for t, flag in enumerate(flags) if flag]
+        flags, low, high = [False] * len(qi), (), ()
+        for t, (it, jt) in enumerate(zip(qi, qj)):
+            if not (it or jt):  # p_t is the vertex
+                continue
+            if not low:  # the first ray is both extremes so far
+                li, lj = hi, hj = it, jt
+                low, high = [t], [t]
+                continue
+            d = li * jt - lj * it  # det(w_low, w_t): below zero at a smaller slope
+            if d < 0:
+                li, lj, low = it, jt, [t]
+            elif d == 0:
+                low.append(t)
+            d = hi * jt - hj * it
+            if d > 0:
+                hi, hj, high = it, jt, [t]
+            elif d == 0:
+                high.append(t)
+        supporting = sorted({*low, *high})
+        for t in supporting:
+            flags[t] = True
+        return flags, supporting
 
     @staticmethod
     def is_zero_vec(vec, kind: str) -> bool:
@@ -278,17 +322,29 @@ class _FloatSigns:
         self.marginal = False
 
     @staticmethod
-    def support_table(v, point_crosses, qi, qj) -> list[list]:
+    def support_table(v, point_crosses) -> list[list]:
         """``_support_table`` on the point crosses: on floats the incidence
         minors cancel (see the module docstring)."""
         return _support_table(v, point_crosses)
 
     @staticmethod
-    def support_flags(F, qi, qj) -> list:
-        """None for every point: the scan decides a flag when it reads it,
-        since a banded flag may raise ``marginal``, and a head reader's
-        ``marginal`` must not depend on flags it never read."""
-        return [None] * len(F)
+    def support_row(F, qi, qj, t) -> list:
+        """Row t of the table."""
+        return F[t]
+
+    @staticmethod
+    def support_flags(qi, qj) -> tuple[list, range]:
+        """None for every point, and every point to be read: the scan
+        decides a flag when it reads it (``supports``), since a banded flag
+        may raise ``marginal``, and a head reader's ``marginal`` must not
+        depend on flags it never read."""
+        return [None] * len(qi), range(len(qi))
+
+    def supports(self, F, qi, qj, t) -> bool:
+        """Whether v × p_t is a line (p_t is not v, the one point on both
+        edge lines) with every other point on one side of it."""
+        return (not self.is_zero_vec((qi[t], qj[t]), "x11")
+                and self.one_sign(F[t], "mj"))  # F[t][t] = 0
 
     def sign(self, value, kind: str) -> int:
         if abs(value) <= self.bands[kind]:
@@ -378,8 +434,9 @@ def _scan_orientation(lines, points, ctx, swapped, line_map, point_map, log, tab
     ``lines``/``points`` are 3-vectors; index maps translate back to row and
     column indices of the unstripped input.  ``tables`` holds the crosses of
     line pairs and of point pairs (see ``_crosses``) and the incidences
-    ``q[l][t] = a_l·p_t``; with the vertex brackets V and the support table
-    F of each vertex, every bracket is read from them.  Each record carries
+    ``q[l][t] = a_l·p_t``; with the vertex brackets V and the support
+    brackets F of each vertex, which the sign context reads as a table or
+    row by row, every bracket is read from them.  Each record carries
     the chord triples (k, l, k') whose product vanished, which is what the
     boundary classifier consumes.  Each rejected vertex or candidate is
     appended to ``log`` as the scan passes it, as the tuple
@@ -391,19 +448,19 @@ def _scan_orientation(lines, points, ctx, swapped, line_map, point_map, log, tab
     M, N = len(lines), len(points)
     band, mirrors = ctx.band, ctx.mirrors
 
-    def chord_touches(V, F, pairs, ip, jp):
+    def chord_touches(i, j, V, y, ip, jp):
         # The zero chord triples of candidate (ip, jp), or None if a chord
         # product is negative (the inner polygon leaves the triangle).  The
         # chord brackets of (k, l, k') and (l, k, k') are x·y − z_k·q_l and
-        # −x·y − z_l·q_k with y = F_jp(k'), which is L2·p_k'.  ``pairs`` are
-        # the vertex's (k, l) pairs apart from its own lines, in combination
-        # order.  A value counts as zero within ``band`` of it, and one in the
-        # band but not zero flags the call marginal, as ``_FloatSigns.sign``
-        # does; both values are always read.
-        y, f = F[jp], F[jp][ip]
+        # −x·y − z_l·q_k with y = F_jp(k'), which is L2·p_k', for the pairs
+        # (k, l) of lines apart from the vertex's own, in combination order.
+        # A value counts as zero within ``band`` of it, and one in the band
+        # but not zero flags the call marginal, as ``_FloatSigns.sign`` does;
+        # both values are always read.
+        f = y[ip]
         kps = [kp for kp in range(N) if kp != ip and kp != jp]
         touches = []
-        for k, l in pairs:
+        for k, l in itertools.combinations([k for k in range(M) if k != i and k != j], 2):
             x, zk, zl = _chord_factors(V, q, ip, f, k, l)
             qk, ql = q[k], q[l]
             for kp in kps:
@@ -427,57 +484,50 @@ def _scan_orientation(lines, points, ctx, swapped, line_map, point_map, log, tab
         return tuple(touches)
 
     for i in range(M):
-        for j in range(i + 1, M):
-            v = edges[i][j]
+        for j, v in enumerate(edges[i], i + 1):
+            ri, rj = line_map[i], line_map[j]
             if ctx.is_zero_vec(v, "x2"):  # parallel edge lines: no vertex
-                log.append((swapped, line_map[i], line_map[j], None, None,
-                            "edge lines are parallel"))
+                log.append((swapped, ri, rj, None, None, "edge lines are parallel"))
                 continue
             # V_k = det(a_i, a_j, a_k) shares one sign; V_i = V_j = 0
             v0, v1, v2 = v
-            V = [0 if k == i or k == j else v0 * a0 + v1 * a1 + v2 * a2
-                 for k, (a0, a1, a2) in enumerate(lines)]
+            V = [v0 * a0 + v1 * a1 + v2 * a2 for a0, a1, a2 in lines]
+            V[i] = V[j] = 0  # on floats they are rounding noise
             if not ctx.one_sign(V, "b3"):
-                log.append((swapped, line_map[i], line_map[j], None, None,
-                            "vertex sign family mixed"))
+                log.append((swapped, ri, rj, None, None, "vertex sign family mixed"))
                 continue
-            pairs = list(itertools.combinations([k for k in range(M) if k != i and k != j], 2))
             qi, qj = q[i], q[j]
-            F = ctx.support_table(v, point_crosses, qi, qj)
-            ok = ctx.support_flags(F, qi, qj)  # a None is decided as the scan reaches it
+            F = ctx.support_table(v, point_crosses)  # None on exact input
+            # a None flag is decided as the scan reaches it; the second
+            # points are read from ``reach``, which holds every supporting one
+            ok, reach = ctx.support_flags(qi, qj)
             decided = {}  # (i', j') -> its touches, or None if rejected
-
-            def supports(t):
-                # whether v × p_t is a line (p_t is not v, the one point on
-                # both edge lines) with every other point on one side of it
-                return (not ctx.is_zero_vec((qi[t], qj[t]), "x11")
-                        and ctx.one_sign(F[t], "mj"))  # F[t][t] = 0
-
             for ip in range(N):
                 if ok[ip] is None:
-                    ok[ip] = supports(ip)
+                    ok[ip] = ctx.supports(F, qi, qj, ip)
                 if not ok[ip]:
-                    log.append((swapped, line_map[i], line_map[j], point_map[ip], None,
-                                "support family mixed"))
+                    log.append((swapped, ri, rj, point_map[ip], None, "support family mixed"))
                     continue
-                for jp in range(N):
+                for jp in reach:
                     if ok[jp] is None:  # ok[ip] is set
-                        ok[jp] = supports(jp)
+                        ok[jp] = ctx.supports(F, qi, qj, jp)
                     if jp == ip or not ok[jp]:
                         continue
                     if mirrors and jp < ip:  # the mirror of (jp, ip), decided before it
                         touches = decided[jp, ip]
                     else:
-                        touches = chord_touches(V, F, pairs, ip, jp)
+                        touches = chord_touches(i, j, V, ctx.support_row(F, qi, qj, jp),
+                                                ip, jp)
                         if mirrors:
                             decided[ip, jp] = touches
                     if touches is None:
-                        log.append((swapped, line_map[i], line_map[j], point_map[ip],
-                                    point_map[jp], "chord product negative"))
+                        log.append((swapped, ri, rj, point_map[ip], point_map[jp],
+                                    "chord product negative"))
                         continue
-                    yield WitnessRecord(
-                        Witness(line_map[i], line_map[j], point_map[ip], point_map[jp], swapped),
-                        touches)
+                    # the named tuples built as tuples of their types, past
+                    # their constructors' Python frames
+                    yield tuple.__new__(WitnessRecord, (tuple.__new__(Witness, (
+                        ri, rj, point_map[ip], point_map[jp], swapped)), touches))
 
 
 def _strip_zero_lines(P: Matrix, task: str) -> tuple[Matrix, list[int], list[int]]:
@@ -517,7 +567,7 @@ def _witness_stream(lines, points, backend: str, row_map, col_map):
                           max(abs(x) for v in points for x in v))
     log: list[tuple] = []
     line_crosses, point_crosses = _crosses(lines), _crosses(points)
-    q = [[_dot(a, p) for p in points] for a in lines]
+    q = [[a0 * p0 + a1 * p1 + a2 * p2 for p0, p1, p2 in points] for a0, a1, a2 in lines]
     records = itertools.chain(
         _scan_orientation(lines, points, ctx, False, row_map, col_map, log,
                           (line_crosses, point_crosses, q)),
@@ -633,12 +683,17 @@ def _decide(P: Matrix, factors, row_map, col_map, take):
 def _cleared_factors(A: Matrix, B: Matrix, P: Matrix):
     """A's rows and B's columns as ``(ints, multiplier)`` pairs, or None
     unless the exact ``A @ B`` equals the exact P.  The entries are compared
-    on integers, so no ``Fraction`` is built."""
+    on integers, so no ``Fraction`` is built; when every multiplier is 1,
+    as for factors of ints, each product is compared with its entry as it
+    is, which is exact for a ``Fraction`` entry too."""
     rows, cols = _cleared_operands(A, B)
-    if all(sum(map(mul, ra, cb)) * x.denominator == x.numerator * da * db
-           for (ra, da), want in zip(rows, P.entries) for (cb, db), x in zip(cols, want)):
-        return rows, cols
-    return None
+    if all(da == 1 for _, da in rows) and all(db == 1 for _, db in cols):
+        same = all(sum(map(mul, ra, cb)) == x
+                   for (ra, _), want in zip(rows, P.entries) for (cb, _), x in zip(cols, want))
+    else:
+        same = all(sum(map(mul, ra, cb)) * x.denominator == x.numerator * da * db
+                   for (ra, da), want in zip(rows, P.entries) for (cb, db), x in zip(cols, want))
+    return (rows, cols) if same else None
 
 
 def _checked_factors(P: Matrix, factors):
@@ -863,14 +918,17 @@ def _triangle_factors(form, wit: Witness):
     swapped form and the factors are transposed back.
     A witness's triangle holds every point, so its factors are nonnegative;
     a flat one, with both support points on one line through the apex,
-    gives None.
+    gives None.  The triangle is built on the lines and points divided by
+    the gcds of their entries, as the scan reads them: each vertex is then
+    a positive multiple of the one the form's vectors give, which T's column
+    scaling cancels, and its integers do not grow with the input's scale.
     """
     lines, line_den, points, point_den = form
     if wit.swapped:
         lines, line_den, points, point_den = points, point_den, lines, line_den
     sigma = lcm(*line_den)  # s = s_int / sigma
     s = [sum(a[k] * (sigma // c) for a, c in zip(lines, line_den)) for k in range(3)]
-    W = _build_triangle(lines, points, s, wit)
+    W = _build_triangle(list(map(_primitive, lines)), list(map(_primitive, points)), s, wit)
     inverse = [_cross(W[(c + 1) % 3], W[(c + 2) % 3]) for c in range(3)]
     det = _dot(W[0], inverse[0])
     if det == 0:

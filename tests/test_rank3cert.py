@@ -800,7 +800,7 @@ def test_exact_support_table_is_the_incidence_minors():
             q = [[_dot(a, p) for p in points] for a in lines]
             for i, j in itertools.combinations(range(len(lines)), 2):
                 v = _cross(lines[i], lines[j])
-                F = _ExactSigns.support_table(v, point_crosses, q[i], q[j])
+                F = [_ExactSigns.support_row(None, q[i], q[j], t) for t in range(len(points))]
                 assert F == _support_table(v, point_crosses), (lines, points, i, j)
                 signs.update((x > 0) - (x < 0) for row in F for x in row)
     assert signs == {-1, 0, 1}
@@ -1007,9 +1007,11 @@ def test_full_enumeration_evaluates_one_candidate_of_each_mirror(monkeypatch):
 def test_exact_support_flags_are_the_lazy_rule():
     # _ExactSigns decides a vertex's N support flags at once; each is the
     # rule the scan applies lazily on floats, on every vertex of seeded
-    # lines and points with zero rows and points planted at a vertex
+    # lines and points with zero rows and points planted at a vertex, and on
+    # nonnegative incidence pairs with ties at the extreme slopes
     rng = np.random.default_rng(33)
     seen = set()
+    pairs = []
     for t in range(40):
         m, n = (int(x) for x in rng.integers(3, 8, size=2))
         rows = [tuple(int(x) for x in rng.integers(-9, 10, size=3)) for _ in range(m)]
@@ -1018,16 +1020,25 @@ def test_exact_support_flags_are_the_lazy_rule():
             rows[t % m] = cols[t % n] = (0, 0, 0)
         cols[(t + 1) % n] = _cross(rows[0], rows[1])
         for lines, points in ((rows, cols), (cols, rows)):
-            point_crosses = _crosses(points)
             q = [[_dot(a, p) for p in points] for a in lines]
-            for i, j in itertools.combinations(range(len(lines)), 2):
-                F = _ExactSigns.support_table(None, point_crosses, q[i], q[j])
-                lazy = [not _ExactSigns.is_zero_vec((q[i][u], q[j][u]), "x11")
-                        and _ExactSigns.one_sign(F[u], "mj") for u in range(len(points))]
-                assert _ExactSigns.support_flags(F, q[i], q[j]) == lazy
-                assert _FloatSigns(1.0, 1.0).support_flags(F, q[i], q[j]) == [None] * len(F)
-                seen.update((flag, q[i][u] == q[j][u] == 0) for u, flag in enumerate(lazy))
+            pairs += [(q[i], q[j]) for i, j in itertools.combinations(range(len(lines)), 2)]
+    pairs += [([1, 2, 3, 5], [1, 2, 1, 0]),    # two points on the largest slope's ray
+              ([4, 0, 6, 3], [0, 5, 0, 1]),    # ties on both axes
+              ([0, 1, 2, 1], [0, 1, 1, 3]),    # a point at the vertex
+              ([1, 0, 2, 3], [2, 0, 4, 6]),    # every point collinear with v
+              ([0, 0, 5, 0], [0, 0, 7, 0])]    # one point off the vertex
+    nonnegative = 0
+    for qi, qj in pairs:
+        F = [_ExactSigns.support_row(None, qi, qj, t) for t in range(len(qi))]
+        lazy = [not _ExactSigns.is_zero_vec((qi[u], qj[u]), "x11")
+                and _ExactSigns.one_sign(F[u], "mj") for u in range(len(qi))]
+        assert _ExactSigns.support_flags(qi, qj) == (
+            lazy, [u for u, flag in enumerate(lazy) if flag]), (qi, qj)
+        assert _FloatSigns(1.0, 1.0).support_flags(qi, qj) == ([None] * len(F), range(len(F)))
+        seen.update((flag, qi[u] == qj[u] == 0) for u, flag in enumerate(lazy))
+        nonnegative += min(qi + qj) >= 0
     assert seen == {(True, False), (False, False), (False, True)}
+    assert nonnegative >= 60 and len(pairs) - nonnegative >= 850, (nonnegative, len(pairs))
 
 
 def test_planted_degeneracies_vanish():
@@ -1241,6 +1252,28 @@ def test_scaled_products_are_read_in_lowest_terms(monkeypatch):
         assert (all_witnesses(P.scale(scale)), boundary_test(P.scale(scale)).as_dict()) == want
     assert len(scanned) == 6 and all(got == scanned[0] for got in scanned)
     assert all(math.gcd(*line) == 1 for line in scanned[0][0])
+
+
+def test_factorize_builds_its_triangle_in_lowest_terms(monkeypatch):
+    # the triangle is built on the lines and points the scan reads, each
+    # divided by the gcd of its entries, so a scaled product builds the
+    # unscaled one's triangle; the factors still multiply to the input
+    rng = np.random.default_rng(12)
+    P = Matrix.exact((rng.integers(1, 10, (12, 3)) @ rng.integers(0, 10, (3, 12))).tolist())
+    built, build = [], rank3cert._build_triangle
+
+    def spy(lines, points, *args):
+        built.append((lines, points))
+        return build(lines, points, *args)
+
+    monkeypatch.setattr(rank3cert, "_build_triangle", spy)
+    factors = {}
+    for scale in (1, 10**100):
+        factors[scale] = nonneg_rank3_factorize(P.scale(scale))
+        A, B = factors[scale]
+        assert A @ B == P.scale(scale) and A.is_nonnegative() and B.is_nonnegative()
+    assert len(built) == 2 and built[0] == built[1]
+    assert all(math.gcd(*u) == 1 for vectors in built[1] for u in vectors)
 
 
 def test_four_by_four_boundary_test_builds_no_array(monkeypatch):

@@ -186,8 +186,7 @@ def _dot(p, q):
 def _crosses(vectors) -> list[list]:
     """u_k × u_l for every k < l, row k listing l = k + 1, k + 2, ...: the
     vertices of line pairs, and the supports of point pairs."""
-    return [[(u1 * w2 - u2 * w1, u2 * w0 - u0 * w2, u0 * w1 - u1 * w0)  # _cross(u, w)
-             for w0, w1, w2 in vectors[k + 1:]] for k, (u0, u1, u2) in enumerate(vectors)]
+    return [[_cross(u, w) for w in vectors[k + 1:]] for k, u in enumerate(vectors)]
 
 
 def _support_table(v, point_crosses) -> list[list]:
@@ -524,10 +523,8 @@ def _scan_orientation(lines, points, ctx, swapped, line_map, point_map, log, tab
                         log.append((swapped, ri, rj, point_map[ip], point_map[jp],
                                     "chord product negative"))
                         continue
-                    # the named tuples built as tuples of their types, past
-                    # their constructors' Python frames
-                    yield tuple.__new__(WitnessRecord, (tuple.__new__(Witness, (
-                        ri, rj, point_map[ip], point_map[jp], swapped)), touches))
+                    yield WitnessRecord(
+                        Witness(ri, rj, point_map[ip], point_map[jp], swapped), touches)
 
 
 def _strip_zero_lines(P: Matrix, task: str) -> tuple[Matrix, list[int], list[int]]:
@@ -567,7 +564,7 @@ def _witness_stream(lines, points, backend: str, row_map, col_map):
                           max(abs(x) for v in points for x in v))
     log: list[tuple] = []
     line_crosses, point_crosses = _crosses(lines), _crosses(points)
-    q = [[a0 * p0 + a1 * p1 + a2 * p2 for p0, p1, p2 in points] for a0, a1, a2 in lines]
+    q = [[_dot(a, p) for p in points] for a in lines]
     records = itertools.chain(
         _scan_orientation(lines, points, ctx, False, row_map, col_map, log,
                           (line_crosses, point_crosses, q)),
@@ -683,17 +680,12 @@ def _decide(P: Matrix, factors, row_map, col_map, take):
 def _cleared_factors(A: Matrix, B: Matrix, P: Matrix):
     """A's rows and B's columns as ``(ints, multiplier)`` pairs, or None
     unless the exact ``A @ B`` equals the exact P.  The entries are compared
-    on integers, so no ``Fraction`` is built; when every multiplier is 1,
-    as for factors of ints, each product is compared with its entry as it
-    is, which is exact for a ``Fraction`` entry too."""
+    on integers, so no ``Fraction`` is built."""
     rows, cols = _cleared_operands(A, B)
-    if all(da == 1 for _, da in rows) and all(db == 1 for _, db in cols):
-        same = all(sum(map(mul, ra, cb)) == x
-                   for (ra, _), want in zip(rows, P.entries) for (cb, _), x in zip(cols, want))
-    else:
-        same = all(sum(map(mul, ra, cb)) * x.denominator == x.numerator * da * db
-                   for (ra, da), want in zip(rows, P.entries) for (cb, db), x in zip(cols, want))
-    return (rows, cols) if same else None
+    if all(sum(map(mul, ra, cb)) * x.denominator == x.numerator * da * db
+           for (ra, da), want in zip(rows, P.entries) for (cb, db), x in zip(cols, want)):
+        return rows, cols
+    return None
 
 
 def _checked_factors(P: Matrix, factors):

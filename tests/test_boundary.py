@@ -374,8 +374,7 @@ class TestGivenFactors:
         off = Matrix.exact([[*r[:3], r[3] + Fraction(1, 7)] if i == 2 else r
                             for i, r in enumerate(NICE_B)])
         wide = Matrix.exact([r + [0] for r in NICE_A])
-        # all ints, with one entry of P off by one: the products are compared
-        # with P's entries as they are
+        # all ints, with one entry of P off by one
         P_off = Matrix.exact([[x + ((i, j) == (2, 1)) for j, x in enumerate(r)]
                               for i, r in enumerate(NICE_P)])
         cases = [(P, (A, off)), (P, (A.as_float(), off.as_float())), (P, (wide, B)),

@@ -43,13 +43,13 @@ q_j/q_i: p_t supports the vertex exactly when w_t is nonzero at the
 smallest or the largest slope (ties on an extreme ray included, a point
 at the vertex excluded), and one pass of cross-multiplications finds
 those points.  A chord test reads only the row F_j' of its candidate, N
-minors formed when the test runs.  Signed incidences, which only a direct
-call can pass, are read row by row.  Floats keep the table
+minors formed when the test runs.  Floats keep the table
 F_t(u) = v·(p_t × p_u), because the minors cancel there: read as minors,
 18 of the 91 float inputs of the golden verdict corpus change a
 ``marginal`` flag, 11 of them from unflagged to flagged on every call.
-The sign context carries this choice as ``support_table`` (None on exact
-input) and ``support_row``, and the chord band as ``band``: a chord value
+The sign context answers one question per vertex, ``supports``: the
+vertex's support flags, the points to read as second points, and a reader
+of row t of F.  It carries the chord band as ``band``: a chord value
 within ``band`` of zero counts as zero, 0 on exact input.
 
 A candidate has C(M − 2, 2)·(N − 2) chord values for M lines and N points.
@@ -72,8 +72,9 @@ Floats keep both per candidate and lazy, with no memo: a mirror's chord
 values are other products that round apart, so its banded signs and
 ``marginal`` flag are its own, and a head reader's ``marginal`` depends
 on which flags it read, so every point is read as a second point and its
-flag decided there.  The sign context carries these differences too, as
-``mirrors`` and ``support_flags``.
+flag decided when the scan first reads it.  The sign context carries the
+first difference as ``mirrors`` and the second in what ``supports``
+returns.
 
 Each entry point reads only what it needs: ``nnrank3_membership`` and
 ``membership_from_factors`` take the first record, ``all_witnesses`` (and so
@@ -235,33 +236,17 @@ class _ExactSigns:
     mirrors = True  # a candidate's mirror takes its decision (see the module docstring)
 
     @staticmethod
-    def support_table(v, point_crosses) -> None:
-        """None: no table is built; ``support_flags`` compares slopes, and
-        ``support_row`` forms the one row a chord test reads."""
-        return None
-
-    @staticmethod
-    def support_row(F, qi, qj, t) -> list:
-        """Row t of the support brackets of the vertex v of lines a_i and a_j
-        as 2x2 minors of their incidence rows, F[t][u] = det(v, p_t, p_u) =
-        q_i(t)·q_j(u) − q_i(u)·q_j(t) (Binet–Cauchy): two products per entry
-        and no dot with a point cross.  ``F`` is not read."""
-        it, jt = qi[t], qj[t]
-        return [it * ju - iu * jt for iu, ju in zip(qi, qj)]
-
-    @staticmethod
-    def support_flags(qi, qj) -> tuple[list, list]:
-        """Whether each point p_t supports the vertex of lines a_i and a_j,
-        and the points that do, in index order: p_t is not the vertex
-        (q_i(t), q_j(t) not both zero) and row F[t] shares one sign.  All N
-        at once, as an exact flag raises nothing.  On nonnegative incidences
-        these are the points w_t = (q_i(t), q_j(t)) at the smallest and the
-        largest slope q_j/q_i (see the module docstring), found in one pass
-        with no table; signed ones are read row by row."""
-        if min(qi) < 0 or min(qj) < 0:
-            flags = [(it or jt) != 0 and _ExactSigns.one_sign(_ExactSigns.support_row(
-                None, qi, qj, t), "mj") for t, (it, jt) in enumerate(zip(qi, qj))]
-            return flags, [t for t, flag in enumerate(flags) if flag]
+    def supports(v, qi, qj, point_crosses) -> tuple[list, list, object]:
+        """The support flags of the vertex v of lines a_i and a_j, the points
+        that support it in index order, and a reader of row t of its support
+        brackets.  p_t supports v when it is not v (q_i(t), q_j(t) not both
+        zero) and row F[t] shares one sign; on the nonnegative incidences the
+        package scans, these are the points w_t = (q_i(t), q_j(t)) at the
+        smallest and the largest slope q_j/q_i (see the module docstring),
+        all N found at once in one pass, as an exact flag raises nothing.
+        The reader forms F[t][u] = det(v, p_t, p_u) = q_i(t)·q_j(u) −
+        q_i(u)·q_j(t) (Binet–Cauchy), two products per entry; ``v`` and
+        ``point_crosses`` are not read."""
         flags, low, high = [False] * len(qi), (), ()
         for t, (it, jt) in enumerate(zip(qi, qj)):
             if not (it or jt):  # p_t is the vertex
@@ -283,7 +268,12 @@ class _ExactSigns:
         supporting = sorted({*low, *high})
         for t in supporting:
             flags[t] = True
-        return flags, supporting
+
+        def row(t):
+            it, jt = qi[t], qj[t]
+            return [it * ju - iu * jt for iu, ju in zip(qi, qj)]
+
+        return flags, supporting, row
 
     @staticmethod
     def is_zero_vec(vec, kind: str) -> bool:
@@ -293,6 +283,21 @@ class _ExactSigns:
     def one_sign(values, kind: str) -> bool:
         """Whether the nonzero values share one sign."""
         return min(values) >= 0 or max(values) <= 0
+
+
+class _LazyFlags(list):
+    """Float support flags, each decided by ``decide(t)`` when first read
+    by index (iterating reads the undecided None)."""
+
+    def __init__(self, decide, n: int):
+        super().__init__([None] * n)
+        self.decide = decide
+
+    def __getitem__(self, t):
+        flag = list.__getitem__(self, t)
+        if flag is None:
+            flag = self[t] = self.decide(t)
+        return flag
 
 
 class _FloatSigns:
@@ -320,30 +325,21 @@ class _FloatSigns:
         self.band = self.bands["s63"]  # the chord values' band, read inline by the scan
         self.marginal = False
 
-    @staticmethod
-    def support_table(v, point_crosses) -> list[list]:
-        """``_support_table`` on the point crosses: on floats the incidence
-        minors cancel (see the module docstring)."""
-        return _support_table(v, point_crosses)
+    def supports(self, v, qi, qj, point_crosses) -> tuple[_LazyFlags, range, object]:
+        """The support flags of vertex v, every point to be read, and a
+        reader of the rows of ``_support_table``: on floats the incidence
+        minors cancel (see the module docstring).  A flag is decided when
+        the scan first reads it, since a banded flag may raise ``marginal``
+        and a head reader's ``marginal`` must not depend on flags it never
+        read: p_t supports v when v × p_t is a line (p_t is not v, the one
+        point on both edge lines) with every other point on one side of it."""
+        F = _support_table(v, point_crosses)
 
-    @staticmethod
-    def support_row(F, qi, qj, t) -> list:
-        """Row t of the table."""
-        return F[t]
+        def decide(t):
+            return (not self.is_zero_vec((qi[t], qj[t]), "x11")
+                    and self.one_sign(F[t], "mj"))  # F[t][t] = 0
 
-    @staticmethod
-    def support_flags(qi, qj) -> tuple[list, range]:
-        """None for every point, and every point to be read: the scan
-        decides a flag when it reads it (``supports``), since a banded flag
-        may raise ``marginal``, and a head reader's ``marginal`` must not
-        depend on flags it never read."""
-        return [None] * len(qi), range(len(qi))
-
-    def supports(self, F, qi, qj, t) -> bool:
-        """Whether v × p_t is a line (p_t is not v, the one point on both
-        edge lines) with every other point on one side of it."""
-        return (not self.is_zero_vec((qi[t], qj[t]), "x11")
-                and self.one_sign(F[t], "mj"))  # F[t][t] = 0
+        return _LazyFlags(decide, len(qi)), range(len(qi)), F.__getitem__
 
     def sign(self, value, kind: str) -> int:
         if abs(value) <= self.bands[kind]:
@@ -434,8 +430,8 @@ def _scan_orientation(lines, points, ctx, swapped, line_map, point_map, log, tab
     column indices of the unstripped input.  ``tables`` holds the crosses of
     line pairs and of point pairs (see ``_crosses``) and the incidences
     ``q[l][t] = a_l·p_t``; with the vertex brackets V and the support
-    brackets F of each vertex, which the sign context reads as a table or
-    row by row, every bracket is read from them.  Each record carries
+    brackets F of each vertex, whose rows the sign context's ``supports``
+    reads, every bracket is read from them.  Each record carries
     the chord triples (k, l, k') whose product vanished, which is what the
     boundary classifier consumes.  Each rejected vertex or candidate is
     appended to ``log`` as the scan passes it, as the tuple
@@ -495,28 +491,21 @@ def _scan_orientation(lines, points, ctx, swapped, line_map, point_map, log, tab
             if not ctx.one_sign(V, "b3"):
                 log.append((swapped, ri, rj, None, None, "vertex sign family mixed"))
                 continue
-            qi, qj = q[i], q[j]
-            F = ctx.support_table(v, point_crosses)  # None on exact input
-            # a None flag is decided as the scan reaches it; the second
+            # a float flag is decided as the scan first reads it; the second
             # points are read from ``reach``, which holds every supporting one
-            ok, reach = ctx.support_flags(qi, qj)
+            ok, reach, row = ctx.supports(v, q[i], q[j], point_crosses)
             decided = {}  # (i', j') -> its touches, or None if rejected
             for ip in range(N):
-                if ok[ip] is None:
-                    ok[ip] = ctx.supports(F, qi, qj, ip)
                 if not ok[ip]:
                     log.append((swapped, ri, rj, point_map[ip], None, "support family mixed"))
                     continue
                 for jp in reach:
-                    if ok[jp] is None:  # ok[ip] is set
-                        ok[jp] = ctx.supports(F, qi, qj, jp)
                     if jp == ip or not ok[jp]:
                         continue
                     if mirrors and jp < ip:  # the mirror of (jp, ip), decided before it
                         touches = decided[jp, ip]
                     else:
-                        touches = chord_touches(i, j, V, ctx.support_row(F, qi, qj, jp),
-                                                ip, jp)
+                        touches = chord_touches(i, j, V, row(jp), ip, jp)
                         if mirrors:
                             decided[ip, jp] = touches
                     if touches is None:
@@ -644,12 +633,13 @@ def _decide(P: Matrix, factors, row_map, col_map, take):
     witness stream of ``factors`` (the lines and points of a rank-3
     factorization of P, the one eliminated here when None, its exact lines
     in lowest terms) decides, and a matrix with no witness is ``in`` only
-    when thin, which a float input alone reaches.  Exact factors whose lines
-    and points each span three dimensions give P rank 3 without an
-    elimination: A has full column rank and B full row rank.  Any other P
-    is eliminated.  Returns the decision, what ``take`` read from the
-    stream, and the eliminated factors in integer form (None for rank > 3
-    and when nothing was eliminated).
+    when thin, with at most three nonzero rows or columns, which a float
+    input alone reaches.  Exact factors whose lines and points each span
+    three dimensions give P rank 3 without an elimination: A has full
+    column rank and B full row rank.  Any other P is eliminated.  Returns
+    the decision, what ``take`` read from the stream, and the eliminated
+    factors in integer form (None for rank > 3 and when nothing was
+    eliminated).
     """
     if factors and P.backend == EXACT and all(map(_spans_three, factors)):
         rank, built = 3, None
@@ -668,7 +658,7 @@ def _decide(P: Matrix, factors, row_map, col_map, take):
     found = take(itertools.chain(head, records))
     if head:
         dec = MembershipDecision("in", head[0].witness, rank, P.backend, marginal=ctx.marginal)
-    elif min(P.rows, P.cols) <= 3:
+    elif min(sum(map(any, P.signs)), sum(map(any, zip(*P.signs)))) <= 3:  # nonzero lines
         dec = MembershipDecision("in", None, rank, P.backend, marginal=ctx.marginal,
                                  note="thin matrix: nonnegative rank equals rank")
     else:

@@ -14,6 +14,7 @@ from nnmix.boundary import (boundary_test, enumerate_zero_patterns, integer_dist
 from nnmix.cli import main
 from nnmix.exactla import Matrix, format_matrix, matrix_rank, rank_factorize, rref
 from nnmix.families import uab_matrix
+from nnmix.harness import BOUNDARY_FRACTION, ExperimentConfig, _boundary_trial
 from nnmix.rank3cert import (DomainError, NotInModelError, all_witnesses, bracket3, meet_join,
                              membership_from_factors, nnrank3_membership, nonneg_rank3_factorize,
                              six_three, Witness, WitnessRecord, _chord_factors, _cross,
@@ -202,6 +203,17 @@ class TestMembership:
                     assert P.cols != 3 or records[-1].witness.swapped
                     assert boundary_test(P).witnesses == len(records)
         assert on_vertex > 20
+
+    def test_thin_counts_nonzero_rows_and_columns(self):
+        # float factors of the thin matrix below with a zero row appended:
+        # its product has four rows but three nonzero ones, so with no
+        # witness it is ``in`` by its rank, as its stripped product is
+        rows = [[1, 0, 1e-3, 0], [0, 1e-6, 1e-2, 0], [1e-4, 0, 0, 1e-1]]
+        A, B = rank_factorize(Matrix.from_floats(rows), 3)
+        A4 = Matrix.from_floats(list(A.entries) + [(0.0, 0.0, 0.0)])
+        want = ("in", None, 3, True, "thin matrix: nonnegative rank equals rank")
+        for dec in (membership_from_factors(A4, B), nnrank3_membership(A4 @ B)):
+            assert (dec.verdict, dec.witness, dec.rank, dec.marginal, dec.note) == want
 
     def test_a_thin_float_matrix_can_show_no_witness(self):
         # the fourth column's RREF coordinates reach 1e10, so every incidence
@@ -785,8 +797,9 @@ def test_tables_equal_the_composed_chord_factors():
 
 def test_exact_support_table_is_the_incidence_minors():
     # on integers det(v, p_t, p_u) = q_i(t)·q_j(u) − q_i(u)·q_j(t) for
-    # v = a_i × a_j: every vertex of seeded lines and points, zero rows
-    # among them, in both orientations
+    # v = a_i × a_j, as the exact row reader forms it: every vertex of
+    # seeded lines and points, zero rows among them, in both orientations;
+    # the identity holds for incidences of any sign
     rng = np.random.default_rng(31)
     signs = set()
     for t in range(40):
@@ -800,7 +813,8 @@ def test_exact_support_table_is_the_incidence_minors():
             q = [[_dot(a, p) for p in points] for a in lines]
             for i, j in itertools.combinations(range(len(lines)), 2):
                 v = _cross(lines[i], lines[j])
-                F = [_ExactSigns.support_row(None, q[i], q[j], t) for t in range(len(points))]
+                read = _ExactSigns.supports(v, q[i], q[j], point_crosses)[2]
+                F = [read(t) for t in range(len(points))]
                 assert F == _support_table(v, point_crosses), (lines, points, i, j)
                 signs.update((x > 0) - (x < 0) for row in F for x in row)
     assert signs == {-1, 0, 1}
@@ -1005,20 +1019,23 @@ def test_full_enumeration_evaluates_one_candidate_of_each_mirror(monkeypatch):
 
 
 def test_exact_support_flags_are_the_lazy_rule():
-    # _ExactSigns decides a vertex's N support flags at once; each is the
-    # rule the scan applies lazily on floats, on every vertex of seeded
-    # lines and points with zero rows and points planted at a vertex, and on
-    # nonnegative incidence pairs with ties at the extreme slopes
+    # _ExactSigns decides a vertex's N support flags at once by comparing
+    # slopes; each is the row rule, p_t is not the vertex and row F[t] of
+    # the incidence minors shares one sign, which the float flags apply as
+    # they are read.  On every vertex of seeded nonnegative lines and
+    # points, with zero rows and a point planted at the vertex of lines 0
+    # and 1, and on incidence pairs with ties at the extreme slopes
     rng = np.random.default_rng(33)
     seen = set()
     pairs = []
     for t in range(40):
         m, n = (int(x) for x in rng.integers(3, 8, size=2))
-        rows = [tuple(int(x) for x in rng.integers(-9, 10, size=3)) for _ in range(m)]
-        cols = [tuple(int(x) for x in rng.integers(-9, 10, size=3)) for _ in range(n)]
+        rows = [tuple(int(x) for x in rng.integers(0, 10, size=3)) for _ in range(m)]
+        cols = [tuple(int(x) for x in rng.integers(0, 10, size=3)) for _ in range(n)]
+        rows[0], rows[1] = (0, *rows[0][1:]), (0, *rows[1][1:])
+        cols[(t + 1) % n] = (int(rng.integers(1, 10)), 0, 0)  # on a_0 and a_1
         if t % 2:
             rows[t % m] = cols[t % n] = (0, 0, 0)
-        cols[(t + 1) % n] = _cross(rows[0], rows[1])
         for lines, points in ((rows, cols), (cols, rows)):
             q = [[_dot(a, p) for p in points] for a in lines]
             pairs += [(q[i], q[j]) for i, j in itertools.combinations(range(len(lines)), 2)]
@@ -1027,18 +1044,91 @@ def test_exact_support_flags_are_the_lazy_rule():
               ([0, 1, 2, 1], [0, 1, 1, 3]),    # a point at the vertex
               ([1, 0, 2, 3], [2, 0, 4, 6]),    # every point collinear with v
               ([0, 0, 5, 0], [0, 0, 7, 0])]    # one point off the vertex
-    nonnegative = 0
     for qi, qj in pairs:
-        F = [_ExactSigns.support_row(None, qi, qj, t) for t in range(len(qi))]
-        lazy = [not _ExactSigns.is_zero_vec((qi[u], qj[u]), "x11")
-                and _ExactSigns.one_sign(F[u], "mj") for u in range(len(qi))]
-        assert _ExactSigns.support_flags(qi, qj) == (
-            lazy, [u for u, flag in enumerate(lazy) if flag]), (qi, qj)
-        assert _FloatSigns(1.0, 1.0).support_flags(qi, qj) == ([None] * len(F), range(len(F)))
-        seen.update((flag, qi[u] == qj[u] == 0) for u, flag in enumerate(lazy))
-        nonnegative += min(qi + qj) >= 0
+        assert min(qi + qj) >= 0
+        N = len(qi)
+        F = [[qi[t] * qj[u] - qi[u] * qj[t] for u in range(N)] for t in range(N)]
+        rule = [(qi[u] or qj[u]) != 0 and _ExactSigns.one_sign(F[u], "mj") for u in range(N)]
+        assert _ExactSigns.supports(None, qi, qj, None)[:2] == (
+            rule, [u for u, flag in enumerate(rule) if flag]), (qi, qj)
+        # v = (0, 0, 1) and p_t = (q_i(t), q_j(t), 1) realize the pair, so
+        # the float table is these minors, exactly on small integers
+        points = [(float(x), float(y), 1.0) for x, y in zip(qi, qj)]
+        ok, reach, _ = _FloatSigns(1.0, 1.0).supports(
+            (0.0, 0.0, 1.0), [p[0] for p in points], [p[1] for p in points], _crosses(points))
+        assert [ok[u] for u in range(N)] == rule and reach == range(N), (qi, qj)
+        seen.update((flag, qi[u] == qj[u] == 0) for u, flag in enumerate(rule))
     assert seen == {(True, False), (False, False), (False, True)}
-    assert nonnegative >= 60 and len(pairs) - nonnegative >= 850, (nonnegative, len(pairs))
+    assert len(pairs) >= 850 + 5, len(pairs)
+
+
+def test_exact_scan_reads_nonnegative_incidences(monkeypatch):
+    # the exact support flags compare slopes, which orders the supporting
+    # points only when the incidence pairs lie in one closed quadrant:
+    # every pair an entry point hands _ExactSigns.supports has no negative
+    # entry, each incidence a positive multiple of an entry of P
+    seen = []
+    supports = _ExactSigns.supports
+
+    def spy(v, qi, qj, point_crosses):
+        seen.append(min(*qi, *qj))
+        return supports(v, qi, qj, point_crosses)
+
+    monkeypatch.setattr(_ExactSigns, "supports", staticmethod(spy))
+    for P, factors in _chord_path_corpus():
+        if P.backend != "exact":
+            continue
+        nnrank3_membership(P)
+        all_witnesses(P)
+        boundary_test(P)
+        try:
+            nonneg_rank3_factorize(P)
+        except NotInModelError:
+            pass
+        if factors:
+            all_witnesses(P, factors)
+            membership_from_factors(*factors)
+    for trial in range(300):
+        _boundary_trial(ExperimentConfig(mode=BOUNDARY_FRACTION, seed=0), trial)
+    assert min(seen) >= 0 and len(seen) > 4500, (min(seen), len(seen))
+
+
+def test_float_support_flags_are_decided_as_read(monkeypatch):
+    # a float flag is decided when the scan first reads it: a head reader
+    # decides fewer than a full enumeration, and at the vertex of its first
+    # witness it has decided the flags of points 0..max(i', j'), in order
+    decided = []  # per vertex, the points whose flag was decided
+    supports, one_sign = _FloatSigns.supports, _FloatSigns.one_sign
+
+    def supports_spy(self, v, qi, qj, point_crosses):
+        ok, reach, row = supports(self, v, qi, qj, point_crosses)
+        decided.append(({id(row(t)): t for t in reach}, []))
+        return ok, reach, row
+
+    def one_sign_spy(self, values, kind):
+        if kind == "mj":
+            points, flags = decided[-1]
+            flags.append(points[id(values)])
+        return one_sign(self, values, kind)
+
+    monkeypatch.setattr(_FloatSigns, "supports", supports_spy)
+    monkeypatch.setattr(_FloatSigns, "one_sign", one_sign_spy)
+    short = 0
+    for P, _ in _chord_path_corpus():
+        if P.backend != "float":
+            continue
+        decided.clear()
+        wit = nnrank3_membership(P).witness
+        if wit is None:
+            continue
+        head = sum(len(flags) for _, flags in decided)
+        last = max(wit.iprime, wit.jprime)
+        assert decided[-1][1] == list(range(last + 1)), P
+        decided.clear()
+        all_witnesses(P)
+        assert head < sum(len(flags) for _, flags in decided), P
+        short += last < len(decided[-1][0]) - 1
+    assert short >= 40, short
 
 
 def test_planted_degeneracies_vanish():

@@ -27,7 +27,7 @@ from operator import mul
 from typing import TYPE_CHECKING
 
 from .exactla import EXACT, Matrix
-from .rank3cert import (DomainError, WitnessRecord, all_witnesses, _decide_stripped, _head,
+from .rank3cert import (DomainError, WitnessRecord, all_witnesses, _decide, _head,
                         _prepare)
 
 if TYPE_CHECKING:  # numpy appears in annotations only; the caller's rng brings it
@@ -96,7 +96,7 @@ def _classify_until_decided(P) -> BoundaryClassification:
     counts the records read.  A boundary point by touching witnesses still
     reads, and lists, every record.
     """
-    return _classify(P, lambda P, positive: _decide_stripped(
+    return _classify(P, lambda P, positive: _decide(
         P, _until_untouched if positive else _head, "boundary test")[:2])
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .defaults import CRIT_TOL, MAX_ITER, POLISH_ITER, TOL
+from .defaults import CRIT_TOL, MAX_ITER, POLISH_ITER, RESTARTS, TOL
 from .exactla import from_numpy, matrix_rank
 
 _TINY = 1e-300
@@ -697,7 +697,7 @@ def em_restart_batch(U, r: int, seeds, max_iter: int = MAX_ITER,
     return _em_loop(data, A, lam, B, max_iter, tol)[0]
 
 
-def run_em_restarts(U, r: int, restarts: int = 100, seed: int | tuple = 0,
+def run_em_restarts(U, r: int, restarts: int = RESTARTS, seed: int | tuple = 0,
                     max_iter: int = MAX_ITER, tol: float = TOL,
                     crit_tol: float = CRIT_TOL) -> tuple[EMResult, RestartBatch]:
     """Best-of-``restarts`` EM, the one entry point for a maximizer estimate.

@@ -38,7 +38,7 @@ from functools import partial
 from typing import TYPE_CHECKING
 
 from . import boundary as boundary_mod
-from .defaults import CRIT_TOL, TOL
+from .defaults import CRIT_TOL, RESTARTS, TOL
 from .exactla import Matrix
 
 if TYPE_CHECKING:
@@ -60,7 +60,7 @@ class ExperimentConfig:
     n: int = 4
     r: int = 3
     num_matrices: int = 200
-    num_restarts: int = 100
+    num_restarts: int = RESTARTS
     max_iter: int = 500
     tol: float = TOL
     crit_tol: float = CRIT_TOL

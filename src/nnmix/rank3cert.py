@@ -76,6 +76,10 @@ flag decided when the scan first reads it.  The sign context carries the
 first difference as ``mirrors`` and the second in what ``supports``
 returns.
 
+Every entry point goes through one prologue, ``_decide``.  Zero rows and
+columns change neither rank nor nonnegative rank, so it leaves them out for
+all of them, ``membership_from_factors`` included: the stream reads the
+lines and points of P's nonzero rows and columns only, in P's indices.
 Each entry point reads only what it needs: ``nnrank3_membership`` and
 ``membership_from_factors`` take the first record, ``all_witnesses`` (and so
 ``boundary_test``) takes them all, ``nonneg_rank3_factorize`` takes the
@@ -88,12 +92,13 @@ lines leave no chord pair and the two extreme points seen from a vertex
 support it; with three columns the swapped one does.  The float band can
 hide every witness of a thin matrix, which is then ``in`` by its rank.
 
-Every entry point eliminates P at most once.  ``membership_from_factors``,
-and ``all_witnesses`` and ``boundary_test`` given an exact ``factors =
-(A, B)`` of a P with no zero entry, read the stream on A's rows and B's
-columns; when each factor spans three dimensions, P has rank 3 and is not
-eliminated at all.  The stream's signs are those of any other rank-3
-factorization of P, so the records are the ones P's own elimination gives.
+Every entry point eliminates P, zero lines included, at most once.
+``membership_from_factors``, and ``all_witnesses`` and ``boundary_test``
+given an exact ``factors = (A, B)`` of a P with no zero entry, read the
+stream on A's rows and B's columns; when each factor spans three
+dimensions, P has rank 3 and is not eliminated at all.  The stream's signs
+are those of any other rank-3 factorization of P, so the records are the
+ones P's own elimination gives.
 
 The scan builds only what its caller reads.  A record is a pair of named
 tuples, ``WitnessRecord(Witness, touches)``.  A rejected vertex or candidate
@@ -427,7 +432,7 @@ def _scan_orientation(lines, points, ctx, swapped, line_map, point_map, log, tab
     """Yield the witnesses of one orientation in index order, lazily.
 
     ``lines``/``points`` are 3-vectors; index maps translate back to row and
-    column indices of the unstripped input.  ``tables`` holds the crosses of
+    column indices of the input.  ``tables`` holds the crosses of
     line pairs and of point pairs (see ``_crosses``) and the incidences
     ``q[l][t] = a_l·p_t``; with the vertex brackets V and the support
     brackets F of each vertex, whose rows the sign context's ``supports``
@@ -516,24 +521,14 @@ def _scan_orientation(lines, points, ctx, swapped, line_map, point_map, log, tab
                         Witness(ri, rj, point_map[ip], point_map[jp], swapped), touches)
 
 
-def _strip_zero_lines(P: Matrix, task: str) -> tuple[Matrix, list[int], list[int]]:
-    """Refuse negative entries, then drop zero rows and columns of P.
-
-    Returns the stripped matrix and the original indices it keeps; both
-    lists are empty for the zero matrix.
-    """
-    if not P.is_nonnegative():
-        raise DomainError(f"{task} requires a nonnegative matrix")
-    rows = [i for i, r in enumerate(P.signs) if any(r)]
-    cols = [j for j, c in enumerate(zip(*P.signs)) if any(c)]
-    if not rows or (len(rows), len(cols)) == P.shape:  # the zero matrix, or nothing to drop
-        return P, rows, cols
-    data = tuple(tuple(P.entries[i][j] for j in cols) for i in rows)
-    return Matrix(len(rows), len(cols), data, P.backend), rows, cols
-
-
 def _prepare(P) -> Matrix:
     return P if isinstance(P, Matrix) else Matrix.of(P)
+
+
+def _nonzero_lines(P: Matrix) -> tuple[list[int], list[int]]:
+    """The indices of P's nonzero rows and of its nonzero columns."""
+    return ([i for i, r in enumerate(P.signs) if any(r)],
+            [j for j, c in enumerate(zip(*P.signs)) if any(c)])
 
 
 def _witness_stream(lines, points, backend: str, row_map, col_map):
@@ -592,9 +587,14 @@ def _eliminate(P: Matrix):
     column j of B is ``points[j] / point_den[j]``, column j of ``d * RREF``
     divided by its common factor with ``d``.  These are the factors
     ``rank_factorize`` returns, and the witness scan reads the integer
-    vectors directly.
+    vectors directly.  A zero row gives a zero line, a zero column a zero
+    point over 1.  Zero rows go last: a float pivot search breaks ties by
+    position, and a swapped zero row would reorder the others.
     """
-    work, pivots, d, cleared, _ = _gauss_jordan(P)
+    order = sorted(range(P.rows), key=lambda i: not any(P.signs[i]))
+    work, pivots, d, cleared, _ = _gauss_jordan(
+        Matrix(P.rows, P.cols, tuple(P.entries[i] for i in order), P.backend))
+    cleared = [row for _, row in sorted(zip(order, cleared))]
     rank = len(pivots)
     if rank > 3:
         return rank, None
@@ -615,20 +615,23 @@ def _primitive(vector) -> tuple:
 
 
 def _spans_three(vectors) -> bool:
-    """Whether exact 3-vectors span three dimensions, that is, whether some
-    three of them have a nonzero determinant.  One pass: a first nonzero u,
-    a first w off its line, then any x off their plane (u × w)·x != 0."""
+    """Whether nonzero exact 3-vectors span three dimensions: one pass
+    finds a first u, a first w off its line, then any x off their plane,
+    (u × w)·x != 0.  A nonzero row of P = A @ B has a nonzero row of A, and
+    ``_decide`` passes only lines and points of P's nonzero rows and columns."""
     rest = iter(vectors)
-    u = next((v for v in rest if any(v)), None)
-    if u is None:
-        return False
+    u = next(rest)
     normal = next((c for c in (_cross(u, w) for w in rest) if any(c)), None)
     return normal is not None and any(_dot(normal, x) for x in rest)
 
 
-def _decide(P: Matrix, factors, row_map, col_map, take):
-    """The membership ladder every entry point shares, on at most one elimination.
+def _decide(P, take, task: str, factors=None):
+    """The prologue and membership ladder of every entry point, on at most
+    one elimination.
 
+    A negative P is refused, naming ``task``, and the zero matrix is
+    ``rank_deficient_in``.  Zero rows and columns are left out: the stream
+    reads only the lines and points at P's nonzero ones, in P's indices.
     Rank > 3 is ``out``, rank < 3 is ``rank_deficient_in``; otherwise the
     witness stream of ``factors`` (the lines and points of a rank-3
     factorization of P, the one eliminated here when None, its exact lines
@@ -636,11 +639,20 @@ def _decide(P: Matrix, factors, row_map, col_map, take):
     when thin, with at most three nonzero rows or columns, which a float
     input alone reaches.  Exact factors whose lines and points each span
     three dimensions give P rank 3 without an elimination: A has full
-    column rank and B full row rank.  Any other P is eliminated.  Returns
-    the decision, what ``take`` read from the stream, and the eliminated
-    factors in integer form (None for rank > 3 and when nothing was
-    eliminated).
+    column rank and B full row rank.  Any other P is eliminated whole.
+    Returns the decision, what ``take`` read from the stream, and the
+    eliminated factors in integer form (None when nothing was eliminated
+    and for rank 0 or > 3).
     """
+    P = _prepare(P)
+    if not P.is_nonnegative():
+        raise DomainError(f"{task} requires a nonnegative matrix")
+    rows, cols = _nonzero_lines(P)
+    if not rows:
+        return MembershipDecision("rank_deficient_in", None, 0, P.backend,
+                                  note="zero matrix"), [], None
+    if factors:
+        factors = [factors[0][i] for i in rows], [factors[1][j] for j in cols]
     if factors and P.backend == EXACT and all(map(_spans_three, factors)):
         rank, built = 3, None
     else:
@@ -650,15 +662,18 @@ def _decide(P: Matrix, factors, row_map, col_map, take):
                                   failure_log=[f"rank {rank} exceeds 3"]), [], None
     if rank < 3:
         return MembershipDecision("rank_deficient_in", None, rank, P.backend), [], built
-    lines, points = factors or (built[0], built[2])
-    if not factors and P.backend == EXACT:  # lowest terms, as the points: same signs
-        lines = list(map(_primitive, lines))
-    records, log, ctx = _witness_stream(lines, points, P.backend, row_map, col_map)
+    if factors:
+        lines, points = factors
+    else:
+        lines, points = [built[0][i] for i in rows], [built[2][j] for j in cols]
+        if P.backend == EXACT:  # lowest terms, as the points: same signs
+            lines = list(map(_primitive, lines))
+    records, log, ctx = _witness_stream(lines, points, P.backend, rows, cols)
     head = _head(records)
     found = take(itertools.chain(head, records))
     if head:
         dec = MembershipDecision("in", head[0].witness, rank, P.backend, marginal=ctx.marginal)
-    elif min(sum(map(any, P.signs)), sum(map(any, zip(*P.signs)))) <= 3:  # nonzero lines
+    elif min(len(rows), len(cols)) <= 3:
         dec = MembershipDecision("in", None, rank, P.backend, marginal=ctx.marginal,
                                  note="thin matrix: nonnegative rank equals rank")
     else:
@@ -703,26 +718,6 @@ def _checked_factors(P: Matrix, factors):
     return [_primitive(r) for r, _ in cleared[0]], [_primitive(c) for c, _ in cleared[1]]
 
 
-def _decide_stripped(P, take, task: str, factors=None):
-    """``_decide`` on P with its zero rows and columns removed.
-
-    ``factors``, an exact ``(A, B)`` with ``A @ B == P`` (checked by
-    ``_checked_factors``), are read in place of P's elimination when P has
-    no zero entry; a P with a zero entry is stripped and eliminated as
-    without them.
-    """
-    P = _prepare(P)
-    stripped, row_map, col_map = _strip_zero_lines(P, task)
-    if factors is not None:
-        factors = _checked_factors(P, factors)
-        if not all(map(all, P.signs)):
-            factors = None
-    if not row_map:
-        return MembershipDecision("rank_deficient_in", None, 0, P.backend,
-                                  note="zero matrix"), [], None
-    return _decide(stripped, factors, row_map, col_map, take)
-
-
 def membership_from_factors(A, B) -> MembershipDecision:
     """Decide nonnegative rank <= 3 for P = A @ B from a given factorization.
 
@@ -733,8 +728,9 @@ def membership_from_factors(A, B) -> MembershipDecision:
     is not eliminated; float or rank-deficient factors leave P eliminated
     once, for its rank.  The scan reads 3-vectors, so factors of another
     inner dimension are not read: P is decided on its own elimination, as
-    ``nnrank3_membership`` decides it.  It stops the scan at the first
-    witness, as ``nnrank3_membership`` does.
+    ``nnrank3_membership`` decides it.  As there, P's zero lines are left
+    out and the scan stops at the first witness, so the decision and its
+    log are those of ``nnrank3_membership(A @ B)``.
     """
     A, B = _prepare(A), _prepare(B)
     P = A @ B
@@ -747,7 +743,7 @@ def membership_from_factors(A, B) -> MembershipDecision:
         factors = [r for r, _ in rows], [c for c, _ in cols]
     else:
         factors = A.entries, list(zip(*B.entries))
-    return _decide(P, factors, list(range(A.rows)), list(range(B.cols)), _head)[0]
+    return _decide(P, _head, "membership test", factors)[0]
 
 
 def nnrank3_membership(P) -> MembershipDecision:
@@ -756,12 +752,12 @@ def nnrank3_membership(P) -> MembershipDecision:
     Exact inputs receive a decidable verdict; float inputs use banded sign
     tests and may come back flagged ``marginal``.  Matrices of rank < 3 are
     ``rank_deficient_in``, rank > 3 is ``out`` with the rank as certificate.
-    Zero rows and columns are stripped first (they do not affect the
-    verdict); reported witness indices refer to the original matrix.  The
-    scan stops at the first witness, so ``marginal`` covers only the sign
-    tests made up to it.
+    Zero rows and columns are left out of the witness scan (they do not
+    affect the verdict); reported witness indices refer to the matrix as
+    given.  The scan stops at the first witness, so ``marginal`` covers
+    only the sign tests made up to it.
     """
-    return _decide_stripped(P, _head, "membership test")[0]
+    return _decide(P, _head, "membership test")[0]
 
 
 def all_witnesses(P, factors=None):
@@ -770,7 +766,8 @@ def all_witnesses(P, factors=None):
     Returns ``(decision, records)`` where ``records`` is empty unless the
     matrix is a rank-3 member.  This is the enumeration the topological
     boundary test quantifies over; its first record is the witness
-    ``nnrank3_membership`` reports.
+    ``nnrank3_membership`` reports.  Zero rows and columns are left out, as
+    there.
 
     ``factors`` is an optional exact factorization ``(A, B)`` of P, A
     m-by-3 and B 3-by-n; ``A @ B == P`` is checked exactly and a mismatch
@@ -779,7 +776,12 @@ def all_witnesses(P, factors=None):
     The witnesses' signs do not depend on the rank-3 factorization they are
     read on, so the result equals ``all_witnesses(P)``.
     """
-    return _decide_stripped(P, list, "witness enumeration", factors)[:2]
+    P = _prepare(P)
+    if factors is not None:
+        factors = _checked_factors(P, factors)
+        if not all(map(all, P.signs)):
+            factors = None
+    return _decide(P, list, "witness enumeration", factors)[:2]
 
 
 # -- constructive nonnegative factorization -----------------------------
@@ -796,7 +798,8 @@ def _build_triangle(lines, points, s, wit: Witness):
     sign a takes at the affine point w / (s·w).  Two points are equal when
     their cross product is zero.  A support line meets the polygon in a
     segment from the apex to its exit point, so the first meet with an edge
-    line in the polygon that is not the apex is that point.
+    line in the polygon that is not the apex is that point.  A zero line
+    meets nothing: its meet is zero, off the chart.
     """
     def on_chart(w):
         sigma = _dot(s, w)
@@ -812,13 +815,6 @@ def _build_triangle(lines, points, s, wit: Witness):
                     and all(_dot(a, w) >= 0 for a in lines))
 
     return v, exit_point(wit.iprime), exit_point(wit.jprime)
-
-
-def _reembed(A: Matrix, B: Matrix, m: int, n: int, row_map, col_map):
-    zero = (Fraction(0),) * 3
-    rows, cols = dict(zip(row_map, A.entries)), dict(zip(col_map, zip(*B.entries)))
-    return (Matrix.exact(rows.get(i, zero) for i in range(m)),
-            Matrix.exact(zip(*(cols.get(j, zero) for j in range(n)))))
 
 
 def _low_rank_factorization(P: Matrix, rank: int, form):
@@ -860,26 +856,27 @@ def nonneg_rank3_factorize(P) -> tuple[Matrix, Matrix]:
     P = _prepare(P)
     if P.backend != EXACT:
         raise DomainError("constructive factorization requires the rational backend")
+    dec, records, form = _decide(P, iter, "factorization")
     m, n = P.shape
-    stripped, row_map, col_map = _strip_zero_lines(P, "factorization")
-    if not row_map:
+    if dec.rank == 0:
         return Matrix.zeros(m, 3), Matrix.zeros(3, n)
-    dec, records, factors = _decide(stripped, None, list(range(stripped.rows)),
-                                    list(range(stripped.cols)), iter)
     if not dec:
         raise NotInModelError(f"rank {dec.rank} exceeds 3" if dec.rank > 3
                               else "matrix has nonnegative rank greater than 3")
+    rows, cols = _nonzero_lines(P)
     if dec.rank < 3:
-        A, B = _low_rank_factorization(stripped, dec.rank, factors)
-    elif min(stripped.rows, stripped.cols) <= 3:  # P = P @ I or P = I @ P
-        I3 = Matrix.identity(3)
-        A, B = (stripped, I3) if stripped.cols == 3 else (I3, stripped)
+        A, B = _low_rank_factorization(P, dec.rank, form)
+    elif len(cols) == 3:  # P = P[:, cols] @ E with unit rows E
+        A = Matrix.exact([r[j] for j in cols] for r in P.entries)
+        B = Matrix.exact([int(j == c) for j in range(n)] for c in cols)
+    elif len(rows) == 3:  # P = E @ P[rows, :] with unit columns E
+        A = Matrix.exact([int(i == r) for r in rows] for i in range(m))
+        B = Matrix.exact(P.entries[i] for i in rows)
     else:
-        clean = (_triangle_factors(factors, rec.witness) for rec in records)
+        clean = (_triangle_factors(form, rec.witness) for rec in records)
         A, B = next(filter(None, clean), (None, None))
         if A is None:
             raise ArithmeticError("internal error: no usable witness in either orientation")
-    A, B = _reembed(A, B, m, n, row_map, col_map)
     if _cleared_factors(A, B, P) is None:
         raise ArithmeticError("internal error: factorization does not reproduce input")
     if not (A.is_nonnegative() and B.is_nonnegative()):

@@ -868,13 +868,13 @@ class TestRunEM:
 
     def test_defaults_are_the_module_constants(self):
         expected = {"max_iter": em.MAX_ITER, "tol": em.TOL, "crit_tol": em.CRIT_TOL,
-                    "rel_tol": em.CRIT_TOL}
+                    "rel_tol": em.CRIT_TOL, "restarts": em.RESTARTS}
         for func, names in ((em.run_em, ("max_iter", "tol", "crit_tol")),
                             (em.em_restart_batch, ("max_iter", "tol")),
-                            (em.run_em_restarts, ("max_iter", "tol", "crit_tol")),
+                            (em.run_em_restarts, ("max_iter", "tol", "crit_tol", "restarts")),
                             (em.is_critical, ("rel_tol",))):
             params = inspect.signature(func).parameters
             for name in names:
                 assert params[name].default == expected[name], (func.__name__, name)
         cfg = ExperimentConfig(mode="table1")
-        assert (cfg.tol, cfg.crit_tol) == (em.TOL, em.CRIT_TOL)
+        assert (cfg.tol, cfg.crit_tol, cfg.num_restarts) == (em.TOL, em.CRIT_TOL, em.RESTARTS)

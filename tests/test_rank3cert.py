@@ -215,6 +215,25 @@ class TestMembership:
         for dec in (membership_from_factors(A4, B), nnrank3_membership(A4 @ B)):
             assert (dec.verdict, dec.witness, dec.rank, dec.marginal, dec.note) == want
 
+    def test_float_zero_rows_take_no_part(self):
+        # on these float matrices a zero row between the others, swapped by
+        # the pivot search, would break a tie in it otherwise and change the
+        # ``marginal`` flag: the decisions and records equal those of the
+        # matrix without its zero lines, read in its indices
+        for rows in ([[6, 6, 6, 10, 8], [0, 0, 0, 0, 0], [1, 1, 3, 3, 3], [2, 2, 0, 2, 1],
+                      [2, 4, 2, 4, 3], [0, 0, 0, 0, 0], [4, 2, 4, 6, 5], [2, 2, 0, 2, 1]],
+                     [[0] * 8, [4, 4, 4, 2, 4, 8, 8, 2], [4, 4, 3, 1, 3, 8, 6, 1],
+                      [6, 2, 2, 1, 2, 8, 4, 1], [0] * 8, [4, 2, 2, 1, 2, 6, 4, 1]]):
+            kept = [i for i, r in enumerate(rows) if any(r)]
+            P, S = Matrix.from_floats(rows), Matrix.from_floats([rows[i] for i in kept])
+            (dec, records), (want, want_records) = all_witnesses(P), all_witnesses(S)
+            assert (dec.verdict, dec.rank, dec.marginal) == (want.verdict, want.rank, want.marginal)
+            assert [(w.i, w.j, w.iprime, w.jprime, w.swapped) for w in (r.witness for r in records)] \
+                == [(w.i, w.j, kept[w.iprime], kept[w.jprime], True) if w.swapped else
+                    (kept[w.i], kept[w.j], w.iprime, w.jprime, False)
+                    for w in (r.witness for r in want_records)]
+            assert nnrank3_membership(P).marginal == nnrank3_membership(S).marginal
+
     def test_a_thin_float_matrix_can_show_no_witness(self):
         # the fourth column's RREF coordinates reach 1e10, so every incidence
         # a_l·p_t lies within the band of the largest line times the largest
@@ -276,10 +295,28 @@ class TestMembership:
         assert verdicts == {"in", "out"}
 
     def test_zero_factors_give_the_zero_matrix(self):
-        # no line spans anything, so P is eliminated for its rank
+        # the zero product is decided before any factor is read
         for r in (2, 3):
             dec = membership_from_factors(Matrix.zeros(4, r), Matrix.zeros(r, 5))
-            assert (dec.verdict, dec.rank, dec.witness) == ("rank_deficient_in", 0, None)
+            assert (dec.verdict, dec.rank, dec.witness, dec.note) == \
+                ("rank_deficient_in", 0, None, "zero matrix")
+
+    def test_factors_decide_as_their_product(self):
+        # zero rows of A and zero columns of B give zero lines of P, which
+        # are left out of the scan on the factors as on the product: the
+        # decisions and the failure logs agree, "out" ones included
+        cases = [(Matrix.zeros(4, 3), Matrix.zeros(3, 5))]
+        for b in range(20, 60):
+            A, B = rank_factorize(uab_matrix(100, b), 3)
+            A0 = Matrix.exact(list(A.entries) + [(0, 0, 0)])
+            B0 = Matrix.exact([list(r) + [0] for r in B.entries])
+            cases += [(A0, B), (A, B0), (A0, B0)]
+        verdicts = set()
+        for A, B in cases:
+            got, want = membership_from_factors(A, B), nnrank3_membership(A @ B)
+            assert (got.as_dict(), got.failure_log) == (want.as_dict(), want.failure_log)
+            verdicts.add(want.verdict)
+        assert len(cases) == 121 and verdicts == {"in", "out", "rank_deficient_in"}
 
     def test_transpose_and_scale_invariance(self):
         cases = [uab_normalized(1, 0), uab_normalized(100, 42),
@@ -438,21 +475,21 @@ class TestFactorize:
         # the three internal-error checks guard the returned factors against
         # a fault in the parts that build them; each is reached by one fault
         P = Matrix.exact(NICE_P)
-        triangle, reembed = rank3cert._triangle_factors, rank3cert._reembed
+        triangle = rank3cert._triangle_factors
 
         def other_matrix(form, wit):  # factors of 2 P, not of P
             factors = triangle(form, wit)
             return factors and (factors[0].scale(2), factors[1])
 
-        def negated(*args):  # (-A)(-B) is still P
-            return tuple(x.scale(-1) for x in reembed(*args))
+        def negated(form, wit):  # (-A)(-B) is still P
+            factors = triangle(form, wit)
+            return factors and tuple(x.scale(-1) for x in factors)
 
-        for name, fault, message in (
-                ("_triangle_factors", lambda form, wit: None, "no usable witness"),
-                ("_triangle_factors", other_matrix, "does not reproduce input"),
-                ("_reembed", negated, "has negative entries")):
+        for fault, message in ((lambda form, wit: None, "no usable witness"),
+                               (other_matrix, "does not reproduce input"),
+                               (negated, "has negative entries")):
             with monkeypatch.context() as patch:
-                patch.setattr(rank3cert, name, fault)
+                patch.setattr(rank3cert, "_triangle_factors", fault)
                 with pytest.raises(ArithmeticError, match=f"internal error: .*{message}"):
                     nonneg_rank3_factorize(P)
         A, B = nonneg_rank3_factorize(P)
@@ -460,13 +497,13 @@ class TestFactorize:
 
     def test_builds_only_the_returned_fractions(self, monkeypatch):
         # the triangle runs on ints: the Fractions built are the 3(m + n)
-        # entries of the factors and the one zero that pads stripped lines
+        # entries of the factors
         rng = np.random.default_rng(8)
         for size in (4, 4, 12, 12):
             P = Matrix.exact((rng.integers(1, 10, size=(size, 3))
                               @ rng.integers(1, 10, size=(3, size))).tolist())
             count, (A, B) = fractions_built(monkeypatch, lambda: nonneg_rank3_factorize(P))
-            assert count <= 3 * (size + size) + 1, (size, count)
+            assert count <= 3 * (size + size), (size, count)
             assert A @ B == P and A.is_nonnegative() and B.is_nonnegative()
 
 
